@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
 """Measure the slack of the certified witness bound on random instances.
 
-For seeded random pairs (S, T), compare four numbers per instance:
+For seeded random pairs (S, T), compare four numbers per instance: the
+oracle minimum, the greedy cover, the pipeline witness total and the bound.
+The only guaranteed order is
 
-    oracle minimum <= greedy cover <= pipeline witness total <= bound
+    oracle minimum <= greedy cover,  oracle minimum <= pipeline total <= bound
 
-(the oracle runs only when |S| + |T| fits the exhaustive-search cap).
+(the oracle runs only when |S| + |T| fits the exhaustive-search cap).  The
+greedy cover is a heuristic: it usually lands at or below the pipeline, but
+nothing bounds it by the pipeline or by the bound, so the script counts the
+instances where it exceeds either instead of asserting an order.
 
 Example:
     python scripts/bound_slack.py --q 3 --n 2 --count 200 --seed 1
@@ -44,7 +49,7 @@ def main() -> None:
         oracle = None
         if len(S) + len(T) <= args.search_cap:
             oracle = sc.oracle_min_decomposition(S, T, search_cap=args.search_cap).best_total
-            assert oracle <= greedy <= dec.bound
+            assert oracle <= greedy
             assert oracle <= dec.witness_total
             gaps[dec.witness_total - oracle] += 1
         rows.append((trial, len(S), len(T), oracle, greedy, dec.witness_total, dec.bound))
@@ -53,6 +58,10 @@ def main() -> None:
     for row in rows:
         oracle_str = "-" if row[3] is None else str(row[3])
         print(f"{row[0]:>6} {row[1]:>4} {row[2]:>4} {oracle_str:>7} {row[4]:>7} {row[5]:>9} {row[6]:>6}")
+    over_bound = sum(1 for row in rows if row[4] > row[6])
+    over_pipeline = sum(1 for row in rows if row[4] > row[5])
+    print(f"\ngreedy > bound: {over_bound} of {len(rows)} instances")
+    print(f"greedy > pipeline: {over_pipeline} of {len(rows)} instances")
     if gaps:
         print("\npipeline total minus oracle minimum (where oracle ran):")
         for gap in sorted(gaps):

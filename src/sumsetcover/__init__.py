@@ -8,14 +8,7 @@ sets, matching-only sum-free families) provide independent ground truth at
 desk scale.
 """
 
-from .cover import (
-    LineCover,
-    PivotBasis,
-    first_nonzero_position,
-    line_cover,
-    maximum_matching,
-    pivot_basis,
-)
+from .cover import LineCover, line_cover, maximum_matching, sum_pivots
 from .decompose import (
     Decomposition,
     DecompositionCertificate,
@@ -30,7 +23,6 @@ from .decompose import (
 from .errors import (
     BoundViolated,
     DegreeTooHigh,
-    DependentInput,
     DimensionMismatch,
     EnumerationTooLarge,
     NotPrime,
@@ -39,7 +31,6 @@ from .errors import (
     SearchTooLarge,
     SumsetCoverError,
     ValidationError,
-    ZeroMatrix,
 )
 from .field import (
     DEFAULT_ENUM_CAP,

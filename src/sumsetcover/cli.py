@@ -47,7 +47,7 @@ from .oracle import (
     is_matching_sumfree,
     oracle_min_decomposition,
 )
-from .summatrix import clp_decompose, clp_reconstruct
+from .summatrix import clp_decompose, clp_reconstruct, sum_matrix
 from .linalg import matrix_rank
 
 EXIT_OK = 0
@@ -224,7 +224,7 @@ def _decompose_checks(run, dec, chose_degree: bool) -> list[dict]:
     m_d = run.space.ambient_dim
     st_size = len(run.sum_set)
     dim_lower = m_d - space_size + st_size
-    pivot_list = list(run.pivots.pivots)
+    pivot_list = list(run.pivots)
     s_ord = run.s_input.ordered()
     t_ord = run.t_input.ordered()
     pivot_sums = [s_ord[i] + t_ord[j] for i, j in pivot_list]
@@ -268,11 +268,13 @@ def _decompose_checks(run, dec, chose_degree: bool) -> list[dict]:
 
 def _clp_report(run) -> tuple[list[dict], dict]:
     """Per-basis-element rank certificates for a pipeline run."""
+    s_ord, t_ord = run.s_input.ordered(), run.t_input.ordered()
     max_rank = 0
     max_terms = 0
     ok_reconstruct = True
-    for mat in run.matrices:
-        cert = clp_decompose(mat.source, run.degree)
+    for P in run.space.basis:
+        mat = sum_matrix(P, s_ord, t_ord)
+        cert = clp_decompose(P, run.degree)
         rebuilt = clp_reconstruct(cert, mat.rows, mat.cols)
         ok_reconstruct = ok_reconstruct and rebuilt == mat.entries
         rank = matrix_rank([list(r) for r in mat.entries], mat.q)
@@ -280,7 +282,7 @@ def _clp_report(run) -> tuple[list[dict], dict]:
         max_terms = max(max_terms, cert.term_count)
     checks = [
         _check("clp_reconstructions_exact", ok_reconstruct),
-        _check("max_rank<=max_term_count", max_rank <= max_terms if run.matrices else True, max_rank, max_terms),
+        _check("max_rank<=max_term_count", max_rank <= max_terms if run.space.basis else True, max_rank, max_terms),
         _check("max_term_count<=rank_bound", max_terms <= run.rank_bound, max_terms, run.rank_bound),
     ]
     summary = {"max_rank": max_rank, "max_term_count": max_terms, "rank_bound": run.rank_bound}

@@ -1,8 +1,9 @@
-"""Pivot-distinct bases in matrix space and minimum line covers.
+"""Pivot positions of the sum-matrix span, and minimum line covers.
 
-Two steps feed the witness construction.  First, Gaussian elimination in the
-vector space of matrices rewrites a basis so that the first nonzero positions
-(row-major "pivots") are pairwise distinct.  Second, the pivot positions are
+Two steps feed the witness construction.  First, the row-major pivot
+positions of the span of the sum matrices (P(s_i + t_j)) over the vanishing
+basis are read off one elimination of the basis evaluated once per distinct
+sum; no |S| x |T| matrix is built.  Second, the pivot positions are
 covered by as few lines (full rows or columns) as possible: a maximum
 bipartite matching via Hopcroft-Karp, then the Koenig construction turns it
 into a minimum vertex cover of the same size.  When every matrix in the span
@@ -14,78 +15,53 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .errors import BoundViolated, DependentInput, ZeroMatrix
-from .polynomials import poly_scale, poly_sub
-from .summatrix import SumMatrix
+from .errors import BoundViolated
+from .field import FieldVector
+from .linalg import rref
+from .monomials import Monomial
+from .polynomials import eval_monomial
+from .vanishing import PolySubspace
 
 
-def first_nonzero_position(entries: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """Row-major first nonzero coordinate; ZeroMatrix if there is none."""
-    for i, row in enumerate(entries):
-        for j, v in enumerate(row):
-            if v:
-                return (i, j)
-    raise ZeroMatrix("the zero matrix has no pivot position")
+def sum_pivots(
+    space: PolySubspace,
+    s_ord: Sequence[FieldVector],
+    t_ord: Sequence[FieldVector],
+) -> tuple[tuple[int, int], ...]:
+    """Row-major pivot positions of the span of the basis sum matrices.
 
-
-@dataclass(frozen=True)
-class PivotBasis:
-    """Same span as the input basis, but with pairwise distinct pivots."""
-
-    matrices: tuple[SumMatrix, ...]
-    pivots: tuple[tuple[int, int], ...]
-
-
-def pivot_basis(mats: Sequence[SumMatrix]) -> PivotBasis:
-    """Eliminate a matrix basis to pairwise distinct pivot positions.
-
-    Matrices are processed in input order; on a pivot collision the scaled
-    predecessor is subtracted until a fresh pivot appears.  Reaching zero
-    contradicts linear independence and raises DependentInput.  Source
-    polynomials are combined in lockstep, so every output matrix still
-    equals the sum matrix of its recorded source.
+    The sum matrix of P holds P(s_i + t_j) at (i, j), so its row-major first
+    nonzero sits at the first occurrence of the first sum, in order of first
+    occurrence, where P is nonzero.  The pivot positions of the span are
+    therefore the pivot columns of the reduced row echelon form of the
+    dim x |S+T| table of basis values at the distinct sums, mapped back to
+    their first (i, j).  Pivot sets do not depend on the basis, and a
+    nonzero reduced polynomial vanishing off S+T is nonzero somewhere on
+    S+T, so there is one pivot per basis polynomial.  Returned sorted.
     """
-    if not mats:
-        return PivotBasis((), ())
-    rows, cols = mats[0].rows, mats[0].cols
-    q = mats[0].q
-    taken: dict[tuple[int, int], int] = {}
-    out: list[SumMatrix] = []
-    for mat in mats:
-        assert mat.rows == rows and mat.cols == cols
-        work = [list(r) for r in mat.entries]
-        source = mat.source
-        while True:
-            pos = _first_nonzero(work)
-            if pos is None:
-                raise DependentInput("basis matrix eliminated to zero")
-            if pos not in taken:
-                break
-            prior = out[taken[pos]]
-            factor = work[pos[0]][pos[1]]
-            for i, prow in enumerate(prior.entries):
-                wrow = work[i]
-                for j, pv in enumerate(prow):
-                    if pv:
-                        wrow[j] = (wrow[j] - factor * pv) % q
-            source = poly_sub(source, poly_scale(prior.source, factor))
-        inv = pow(work[pos[0]][pos[1]], -1, q)
-        if inv != 1:
-            work = [[(inv * v) % q for v in row] for row in work]
-            source = poly_scale(source, inv)
-        taken[pos] = len(out)
-        out.append(SumMatrix(rows, cols, tuple(tuple(r) for r in work), source))
-    return PivotBasis(tuple(out), tuple(first_nonzero_position(m.entries) for m in out))
-
-
-def _first_nonzero(entries: list[list[int]]) -> tuple[int, int] | None:
-    for i, row in enumerate(entries):
-        for j, v in enumerate(row):
-            if v:
-                return (i, j)
-    return None
+    first: dict[FieldVector, tuple[int, int]] = {}
+    for i, s in enumerate(s_ord):
+        for j, t in enumerate(t_ord):
+            first.setdefault(s + t, (i, j))
+    q = space.q
+    index: dict[Monomial, int] = {}
+    supports = [[index.setdefault(m, len(index)) for m in P.terms] for P in space.basis]
+    coeffs = [list(P.terms.values()) for P in space.basis]
+    table: list[list[int]] = [[] for _ in supports]
+    for w in first:
+        values = [eval_monomial(m, w) for m in index]
+        for row, ks, cs in zip(table, supports, coeffs):
+            row.append(sum(map(mul, cs, map(values.__getitem__, ks))) % q)
+    _, pivot_cols = rref(table, q)
+    if len(pivot_cols) != space.dim:
+        raise BoundViolated(
+            f"{len(pivot_cols)} pivots for a vanishing space of dimension {space.dim}"
+        )
+    positions = list(first.values())
+    return tuple(sorted(positions[c] for c in pivot_cols))
 
 
 def maximum_matching(adj: Mapping[int, Sequence[int]]) -> dict[int, int]:
@@ -185,9 +161,11 @@ def line_cover(pivots: Iterable[tuple[int, int]], rank_bound: int) -> LineCover:
     cover_rows = tuple(sorted(u for u in adj if u not in reach_l))
     cover_cols = tuple(sorted(reach_r))
     cover = LineCover(cover_rows, cover_cols)
-    assert cover.size == len(match_l), "Koenig equality must hold"
+    if cover.size != len(match_l):
+        raise BoundViolated(f"Koenig cover {cover.size} differs from matching {len(match_l)}")
     row_set, col_set = set(cover_rows), set(cover_cols)
-    assert all(i in row_set or j in col_set for i, j in pts), "cover must cover"
+    if not all(i in row_set or j in col_set for i, j in pts):
+        raise BoundViolated("line cover misses a pivot position")
     if cover.size > rank_bound:
         raise BoundViolated(
             f"minimum line cover {cover.size} exceeds rank bound {rank_bound}"

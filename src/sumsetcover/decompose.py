@@ -9,11 +9,14 @@ degree d of our choosing (minimized by default).  The construction:
 
  1. build the space of degree-<= d polynomials vanishing off S+T; its
     dimension is at least m_d - q^n + |S+T|;
- 2. evaluate each basis polynomial on all pairwise sums, giving a basis of
-    matrices in which equal sums force equal entries; every such matrix has
-    rank at most 2*m(q, n, floor(d/2)) by the rank-one split certificate;
- 3. eliminate to distinct pivot positions; equal-entries-on-equal-sums makes
-    the pivot sums pairwise distinct as well;
+ 2. each basis polynomial P defines the sum matrix (P(s + t)) over S x T;
+    every matrix in their span has rank at most 2*m(q, n, floor(d/2)) by
+    the rank-one split certificate (a theorem on the span, audited per basis
+    matrix by the CLI under --certify-rank);
+ 3. take the row-major pivot positions of that span.  A sum matrix depends
+    only on s + t, so they come from one elimination of the basis evaluated
+    once per distinct sum, the pivot sums are pairwise distinct, and there
+    is one pivot per basis polynomial;
  4. cover the pivots by a minimum set of lines (rows from S, columns from T);
     the cover size is at most the rank budget, and the covered lines reach
     at least dim-many elements of S+T;
@@ -21,18 +24,19 @@ degree d of our choosing (minimized by default).  The construction:
     representative from S (lexicographically smallest).
 
 Covered rows plus patch representatives form S*; covered columns form T*.
-Every inequality used along the way is recorded in the certificate so the
-output can be re-checked without trusting the pipeline.
+Every inequality used along the way is checked by an explicit raise of
+BoundViolated, and recorded in the certificate so the output can be
+re-checked without trusting the pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover import LineCover, PivotBasis, line_cover, pivot_basis
+from .cover import LineCover, line_cover, sum_pivots
+from .errors import BoundViolated
 from .field import DEFAULT_ENUM_CAP, PointSet, sumset
 from .monomials import count_m, degree_counts
-from .summatrix import SumMatrix, sum_matrix
 from .vanishing import PolySubspace, build_vanishing_space
 
 
@@ -71,8 +75,7 @@ class PipelineRun:
     rank_bound: int
     sum_set: PointSet
     space: PolySubspace
-    matrices: tuple[SumMatrix, ...]
-    pivots: PivotBasis
+    pivots: tuple[tuple[int, int], ...]
     cover: LineCover
     decomposition: Decomposition
 
@@ -125,19 +128,21 @@ def run_pipeline(
     space = build_vanishing_space(S, T, degree, cap=cap)
     s_ord = S.ordered()
     t_ord = T.ordered()
-    matrices = tuple(sum_matrix(P, s_ord, t_ord) for P in space.basis)
-    pivots = pivot_basis(matrices)
+    pivots = sum_pivots(space, s_ord, t_ord)
 
-    pivot_sums = [s_ord[i] + t_ord[j] for i, j in pivots.pivots]
-    assert len(set(pivot_sums)) == len(pivot_sums), "pivot sums must be distinct"
+    pivot_sums = {s_ord[i] + t_ord[j] for i, j in pivots}
+    if len(pivot_sums) != len(pivots):
+        raise BoundViolated("two pivot positions share a sum")
 
-    cover = line_cover(pivots.pivots, rank_bound)
+    cover = line_cover(pivots, rank_bound)
     covered_rows = PointSet.from_vectors(q, n, (s_ord[i] for i in cover.cover_rows))
     covered_cols = PointSet.from_vectors(q, n, (t_ord[j] for j in cover.cover_cols))
 
     line_sums = sumset(covered_rows, T).union(sumset(S, covered_cols))
     uncovered = covered_sums.difference(line_sums)
-    assert len(uncovered) <= q**n - space.ambient_dim, "missed sums exceed the count"
+    missable = q**n - space.ambient_dim
+    if len(uncovered) > missable:
+        raise BoundViolated(f"{len(uncovered)} missed sums exceed q^n - m_d = {missable}")
 
     reps = []
     for w in uncovered:
@@ -155,7 +160,8 @@ def run_pipeline(
         cover_size=cover.size,
     )
     dec = Decomposition(s_witness, t_witness, degree, bound, cert)
-    assert dec.witness_total <= bound, "witness total exceeds its budget"
+    if dec.witness_total > bound:
+        raise BoundViolated(f"witness total {dec.witness_total} exceeds its budget {bound}")
     return PipelineRun(
         s_input=S,
         t_input=T,
@@ -163,7 +169,6 @@ def run_pipeline(
         rank_bound=rank_bound,
         sum_set=covered_sums,
         space=space,
-        matrices=matrices,
         pivots=pivots,
         cover=cover,
         decomposition=dec,

@@ -21,14 +21,6 @@ class DegreeTooHigh(SumsetCoverError):
     """A polynomial exceeds the total-degree budget of the requested split."""
 
 
-class ZeroMatrix(SumsetCoverError):
-    """The zero matrix has no first nonzero position."""
-
-
-class DependentInput(SumsetCoverError):
-    """Matrices expected to be linearly independent eliminated to zero."""
-
-
 class BoundViolated(SumsetCoverError):
     """A certified inequality failed; signals a bug upstream, not bad input."""
 

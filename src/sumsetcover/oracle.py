@@ -2,9 +2,9 @@
 
 The witness construction promises a bound, not optimality.  This module
 provides the other side of every such claim: an exhaustive oracle for the
-true minimum witness total on tiny instances, a greedy baseline in between,
-and checkers for the two classic consequences (progression-free sets and
-matching-only sum-free families).
+true minimum witness total on tiny instances, a greedy baseline (a
+heuristic with no certified bound), and checkers for the two classic
+consequences (progression-free sets and matching-only sum-free families).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .decompose import decompose, symmetric_subset
-from .errors import PreconditionFailed, SearchTooLarge, ValidationError
+from .errors import BoundViolated, PreconditionFailed, SearchTooLarge, ValidationError
 from .field import DEFAULT_ENUM_CAP, FieldVector, PointSet, sumset
 from .monomials import capset_bound_M
 
@@ -207,12 +207,13 @@ def oracle_min_decomposition(
                             PointSet.from_vectors(q, n, t_sub),
                             total,
                         )
-    raise AssertionError("(S, T) itself always covers; unreachable")
+    raise BoundViolated("(S, T) itself always covers, yet no cover was found")
 
 
 def greedy_decomposition(S: PointSet, T: PointSet) -> tuple[PointSet, PointSet]:
-    """Greedy line cover of S+T; a cheap baseline between oracle and bound.
+    """Greedy line cover of S+T; a cheap baseline, never below the oracle.
 
+    Nothing bounds it by the pipeline's witness total or by the bound.
     Candidate lines are {s} + T for s in S then S + {t} for t in T, both in
     canonical order; each round picks the line covering the most uncovered
     sums, earliest candidate winning ties.
@@ -235,7 +236,8 @@ def greedy_decomposition(S: PointSet, T: PointSet) -> tuple[PointSet, PointSet]:
             if gain > best_gain:
                 best = (kind, point, line)
                 best_gain = gain
-        assert best is not None, "every sum lies on some line"
+        if best is None:
+            raise BoundViolated("a remaining sum lies on no line")
         kind, point, line = best
         (picked_s if kind == "row" else picked_t).append(point)
         remaining -= line

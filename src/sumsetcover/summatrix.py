@@ -2,8 +2,8 @@
 
 For a polynomial P and ordered point lists (rows from S, columns from T),
 the sum matrix holds P(s + t) at position (s, t).  Positions with equal
-sums carry equal entries, which is what forces pivot sums downstream to be
-distinct.
+sums carry equal entries, which is what makes the pivot positions of their
+span a function of the distinct sums alone (see cover.sum_pivots).
 
 The rank certificate comes from expanding P(x + y): every product monomial
 x^a y^b in the expansion has |a| + |b| <= deg P, so one of the two sides has
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DegreeTooHigh
+from .errors import BoundViolated, DegreeTooHigh
 from .field import FieldVector
 from .monomials import Monomial, count_m, monomial_key
 from .polynomials import (
@@ -141,7 +141,9 @@ def clp_decompose(P: Polynomial, degree: int) -> ClpCertificate:
     left_factors = _factors(left, row_anchored=True)
     right_factors = _factors(right, row_anchored=False)
     term_count = len(left_factors) + len(right_factors)
-    assert term_count <= 2 * count_m(q, n, split)
+    budget = 2 * count_m(q, n, split)
+    if term_count > budget:
+        raise BoundViolated(f"{term_count} rank-one terms exceed 2*m(q, n, {split}) = {budget}")
     return ClpCertificate(q, n, degree, split, left_factors, right_factors, term_count)
 
 

@@ -147,7 +147,9 @@ def test_criterion_05_clp_certificates(f2_bundle, f3_bundle):
     ok = True
     checked = 0
     for run in itertools.chain(f2_bundle.pipeline_runs, f3_bundle.pipeline_runs):
-        for mat in run.matrices:
+        s_ord, t_ord = run.s_input.ordered(), run.t_input.ordered()
+        for P in run.space.basis:
+            mat = sc.sum_matrix(P, s_ord, t_ord)
             cert = sc.clp_decompose(mat.source, run.degree)
             ok = ok and sc.clp_reconstruct(cert, mat.rows, mat.cols) == mat.entries
             rank = sc.matrix_rank([list(r) for r in mat.entries], mat.q)
@@ -170,7 +172,7 @@ def test_criterion_06_cover_never_violated(f2_bundle, f3_bundle):
     ok = True
     for run in itertools.chain(f2_bundle.pipeline_runs, f3_bundle.pipeline_runs):
         ok = ok and run.cover.size <= run.rank_bound
-        pivots = run.pivots.pivots
+        pivots = run.pivots
         ok = ok and len(set(pivots)) == len(pivots)
         s_ord, t_ord = run.s_input.ordered(), run.t_input.ordered()
         sums = [s_ord[i] + t_ord[j] for i, j in pivots]

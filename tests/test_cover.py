@@ -1,78 +1,63 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import sumsetcover as sc
-from sumsetcover.errors import BoundViolated, DependentInput, ZeroMatrix
+from sumsetcover.errors import BoundViolated
 
-from conftest import set_pairs, space_points
-
-
-def raw_matrix(q, entries):
-    """A SumMatrix wrapper for elimination tests on hand-picked entries."""
-    rows = space_points(q, 1)[: len(entries)]
-    cols = space_points(q, 1)[: len(entries[0])]
-    return sc.SumMatrix(rows, cols, tuple(tuple(r) for r in entries), sc.poly_zero(q, 1))
+from conftest import set_pairs
+from reference import first_nonzero_position, pivot_basis, reference_pivots
 
 
 class TestFirstNonzero:
     def test_single_entry(self):
         m = [[0, 0], [0, 0], [0, 1]]
-        assert sc.first_nonzero_position(m) == (2, 1)
+        assert first_nonzero_position(m) == (2, 1)
 
     def test_zero_matrix(self):
-        with pytest.raises(ZeroMatrix):
-            sc.first_nonzero_position([[0, 0], [0, 0]])
+        with pytest.raises(ValueError, match="zero matrix"):
+            first_nonzero_position([[0, 0], [0, 0]])
 
     def test_row_major_order(self):
         m = [[0, 0, 0, 1], [1, 0, 0, 0]]
-        assert sc.first_nonzero_position(m) == (0, 3)
+        assert first_nonzero_position(m) == (0, 3)
 
 
 class TestPivotBasis:
+    """The test-only reference elimination in tests/reference.py."""
+
     def test_single_matrix(self):
-        pb = sc.pivot_basis([raw_matrix(2, [[0, 1], [1, 0]])])
-        assert pb.pivots == ((0, 1),)
+        _, pivots = pivot_basis([[[0, 1], [1, 0]]], 2)
+        assert pivots == ((0, 1),)
 
     def test_collision_resolved(self):
-        a = raw_matrix(2, [[1, 0], [0, 0]])
-        b = raw_matrix(2, [[1, 1], [0, 0]])
-        pb = sc.pivot_basis([a, b])
-        assert pb.pivots == ((0, 0), (0, 1))
-        assert pb.matrices[1].entries == ((0, 1), (0, 0))
+        a = [[1, 0], [0, 0]]
+        b = [[1, 1], [0, 0]]
+        grids, pivots = pivot_basis([a, b], 2)
+        assert pivots == ((0, 0), (0, 1))
+        assert grids[1] == ((0, 1), (0, 0))
 
     def test_dependent_input_detected(self):
-        a = raw_matrix(3, [[1, 2], [0, 1]])
-        b = raw_matrix(3, [[2, 4], [0, 2]])
-        with pytest.raises(DependentInput):
-            sc.pivot_basis([a, b])
+        a = [[1, 2], [0, 1]]
+        b = [[2, 4], [0, 2]]
+        with pytest.raises(ValueError, match="dependent"):
+            pivot_basis([a, b], 3)
 
     def test_empty_input(self):
-        pb = sc.pivot_basis([])
-        assert pb.pivots == ()
+        assert pivot_basis([], 2) == ((), ())
 
     def test_pipeline_basis_f2(self):
         F = sc.all_points(2, 2)
         space = sc.build_vanishing_space(F, F, 1)
         pts = F.ordered()
-        mats = [sc.sum_matrix(P, pts, pts) for P in space.basis]
-        pb = sc.pivot_basis(mats)
-        assert len(pb.pivots) == space.dim
-        assert len(set(pb.pivots)) == len(pb.pivots)
-        sums = [pts[i] + pts[j] for i, j in pb.pivots]
+        _, pivots = pivot_basis([sc.sum_matrix(P, pts, pts).entries for P in space.basis], 2)
+        assert len(pivots) == space.dim
+        assert len(set(pivots)) == len(pivots)
+        sums = [pts[i] + pts[j] for i, j in pivots]
         assert len(set(sums)) == len(sums)
-
-    @given(set_pairs(primes=(2, 3), allow_empty=False))
-    @settings(deadline=None)
-    def test_sources_stay_consistent(self, pair):
-        # elimination combines entries and source polynomials in lockstep
-        S, T = pair
-        space = sc.build_vanishing_space(S, T, 2)
-        s_ord, t_ord = S.ordered(), T.ordered()
-        mats = [sc.sum_matrix(P, s_ord, t_ord) for P in space.basis]
-        pb = sc.pivot_basis(mats)
-        for mat in pb.matrices:
-            assert sc.sum_matrix(mat.source, s_ord, t_ord).entries == mat.entries
 
     @given(set_pairs(primes=(2, 3), allow_empty=False))
     @settings(deadline=None)
@@ -80,15 +65,61 @@ class TestPivotBasis:
         S, T = pair
         space = sc.build_vanishing_space(S, T, 2)
         s_ord, t_ord = S.ordered(), T.ordered()
-        mats = [sc.sum_matrix(P, s_ord, t_ord) for P in space.basis]
-        pb = sc.pivot_basis(mats)
-        flat_in = [[v for row in m.entries for v in row] for m in mats]
-        flat_out = [[v for row in m.entries for v in row] for m in pb.matrices]
+        grids = [sc.sum_matrix(P, s_ord, t_ord).entries for P in space.basis]
+        reduced, _ = pivot_basis(grids, S.q)
+        flat_in = [[v for row in m for v in row] for m in grids]
+        flat_out = [[v for row in m for v in row] for m in reduced]
         if flat_in:
             q = S.q
             r = sc.matrix_rank(flat_in, q)
             assert sc.matrix_rank(flat_out, q) == r
             assert sc.matrix_rank(flat_in + flat_out, q) == r
+
+
+def _seeded_pair(q, n, seed):
+    rng = random.Random(seed)
+    pts = list(itertools.product(range(q), repeat=n))
+    size = max(1, min(len(pts) // 3, 12))
+    S = sc.PointSet.from_coords(q, n, rng.sample(pts, rng.randint(1, size)))
+    T = sc.PointSet.from_coords(q, n, rng.sample(pts, rng.randint(1, size)))
+    return S, T
+
+
+class TestSumPivots:
+    """sum_pivots against the reference sum-matrix elimination."""
+
+    def check(self, S, T, degree):
+        space = sc.build_vanishing_space(S, T, degree)
+        s_ord, t_ord = S.ordered(), T.ordered()
+        pivots = sc.sum_pivots(space, s_ord, t_ord)
+        assert list(pivots) == sorted(set(pivots))
+        assert len(pivots) == space.dim
+        assert set(pivots) == reference_pivots(space, s_ord, t_ord)
+
+    @pytest.mark.parametrize(
+        "q, n",
+        [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 5)] + [(5, 2), (7, 2)],
+    )
+    def test_matches_reference_seeded(self, q, n):
+        best = sc.choose_degree(q, n)[0]
+        for seed in range(6):
+            S, T = _seeded_pair(q, n, seed)
+            for degree in {max(best - 1, 0), best, best + 1}:
+                self.check(S, T, degree)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    @given(set_pairs(primes=(2, 3, 5), allow_empty=False))
+    @settings(deadline=None, max_examples=40)
+    def test_matches_reference_hypothesis(self, degree, pair):
+        S, T = pair
+        self.check(S, T, degree)
+
+    def test_empty_space_has_no_pivots(self):
+        # S+T is one point, so no nonzero constant vanishes off it
+        S = sc.PointSet.from_coords(3, 2, [(0, 0)])
+        space = sc.build_vanishing_space(S, S, 0)
+        assert space.dim == 0
+        assert sc.sum_pivots(space, S.ordered(), S.ordered()) == ()
 
 
 class TestLineCover:

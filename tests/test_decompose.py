@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -105,7 +110,7 @@ class TestDecompose:
         line_sums = sc.sumset(dec.certificate.covered_rows, T).union(
             sc.sumset(S, dec.certificate.covered_cols)
         )
-        pivot_sums = {s_ord[i] + t_ord[j] for i, j in run.pivots.pivots}
+        pivot_sums = {s_ord[i] + t_ord[j] for i, j in run.pivots}
         assert len(pivot_sums) == run.space.dim
         assert all(w in line_sums for w in pivot_sums)
 
@@ -167,3 +172,41 @@ class TestVerifyDecomposition:
     def test_empty_instance_trivially_covered(self):
         empty = sc.PointSet.empty(2, 2)
         assert sc.verify_decomposition(empty, empty, empty, empty)
+
+
+class TestOptimizedInterpreter:
+    # Under python -O every assert statement is stripped; the certified
+    # inequalities must still raise.  An empty line cover leaves all of S+T
+    # to the patch step, more than the q^n - m_d sums it may take here.
+    SCRIPT = textwrap.dedent(
+        """
+        import importlib, itertools, random, sys
+        if __debug__:
+            sys.exit("expected an optimized interpreter")
+        import sumsetcover as sc
+        # the package attribute `decompose` is the function, not the module
+        dec_mod = importlib.import_module("sumsetcover.decompose")
+        dec_mod.line_cover = lambda pivots, rank_bound: sc.LineCover((), ())
+        rng = random.Random(5)
+        pts = list(itertools.product(range(3), repeat=3))
+        S = sc.PointSet.from_coords(3, 3, rng.sample(pts, 6))
+        T = sc.PointSet.from_coords(3, 3, rng.sample(pts, 6))
+        try:
+            sc.decompose(S, T)
+        except sc.BoundViolated as exc:
+            print("BoundViolated:", exc)
+        else:
+            print("no error")
+        """
+    )
+
+    def test_bound_checks_survive_optimize(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sc.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", self.SCRIPT],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("BoundViolated:"), proc.stdout
