@@ -25,7 +25,6 @@ from .errors import (
     DegreeTooHigh,
     DimensionMismatch,
     EnumerationTooLarge,
-    NotPrime,
     ParseError,
     PreconditionFailed,
     SearchTooLarge,
@@ -36,13 +35,11 @@ from .field import (
     DEFAULT_ENUM_CAP,
     FieldVector,
     PointSet,
-    PrimeField,
     all_points,
     complement,
     is_prime,
-    make_field,
+    sum_index,
     sumset,
-    vec_add,
 )
 from .linalg import matrix_rank, null_space, rref
 from .monomials import (

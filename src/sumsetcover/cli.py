@@ -31,7 +31,6 @@ from .errors import (
     DegreeTooHigh,
     DimensionMismatch,
     EnumerationTooLarge,
-    NotPrime,
     ParseError,
     SearchTooLarge,
     ValidationError,
@@ -175,11 +174,7 @@ def _cmd_bound(args) -> tuple[dict, list[str], int]:
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     table = degree_counts(q, n)
-    prefix = []
-    acc = 0
-    for c in table.counts:
-        acc += c
-        prefix.append(acc)
+    prefix = table.cumulative
     rows = [
         {"d": d, "m_d": prefix[d], "bound_at_d": 2 * prefix[d // 2] + q**n - prefix[d]}
         for d in range(0, (q - 1) * n + 1)
@@ -307,7 +302,7 @@ def _cmd_decompose(args) -> tuple[dict, list[str], int]:
     outputs = {
         "q": inst.q,
         "n": inst.n,
-        "sizes": {"S": len(S), "T": len(T), "S+T": len(sumset(S, T))},
+        "sizes": {"S": len(S), "T": len(T), "S+T": len(run.sum_set) if run else 0},
         "degree": dec.degree,
         "degree_source": "minimized" if chose else "forced",
         "bound": dec.bound,
@@ -692,7 +687,7 @@ def run_command(argv: list[str]) -> int:
     started = time.perf_counter()
     try:
         report, human, code = args.handler(args)
-    except (ParseError, ValidationError, NotPrime, DimensionMismatch, DegreeTooHigh, ValueError) as exc:
+    except (ParseError, ValidationError, DimensionMismatch, DegreeTooHigh, ValueError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except (EnumerationTooLarge, SearchTooLarge) as exc:

@@ -3,10 +3,11 @@
 Two steps feed the witness construction.  First, the row-major pivot
 positions of the span of the sum matrices (P(s_i + t_j)) over the vanishing
 basis are read off one elimination of the basis evaluated once per distinct
-sum; no |S| x |T| matrix is built.  Second, the pivot positions are
-covered by as few lines (full rows or columns) as possible: a maximum
-bipartite matching via Hopcroft-Karp, then the Koenig construction turns it
-into a minimum vertex cover of the same size.  When every matrix in the span
+sum, at the keys of field.sum_index; no |S| x |T| matrix is built and
+S x T is not enumerated again.  Second, the pivot positions are covered by
+as few lines (full rows or columns) as possible: a maximum bipartite
+matching via Hopcroft-Karp, then the Koenig construction turns it into a
+minimum vertex cover of the same size.  When every matrix in the span
 has rank at most r, the minimum cover provably has size at most r, so
 exceeding a supplied rank budget is reported as a bug, not as data.
 """
@@ -19,7 +20,6 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BoundViolated
-from .field import FieldVector
 from .linalg import rref
 from .monomials import Monomial
 from .polynomials import eval_monomial
@@ -27,32 +27,28 @@ from .vanishing import PolySubspace
 
 
 def sum_pivots(
-    space: PolySubspace,
-    s_ord: Sequence[FieldVector],
-    t_ord: Sequence[FieldVector],
+    space: PolySubspace, index: Mapping[tuple[int, ...], tuple[int, int]]
 ) -> tuple[tuple[int, int], ...]:
     """Row-major pivot positions of the span of the basis sum matrices.
 
-    The sum matrix of P holds P(s_i + t_j) at (i, j), so its row-major first
-    nonzero sits at the first occurrence of the first sum, in order of first
-    occurrence, where P is nonzero.  The pivot positions of the span are
-    therefore the pivot columns of the reduced row echelon form of the
-    dim x |S+T| table of basis values at the distinct sums, mapped back to
-    their first (i, j).  Pivot sets do not depend on the basis, and a
-    nonzero reduced polynomial vanishing off S+T is nonzero somewhere on
-    S+T, so there is one pivot per basis polynomial.  Returned sorted.
+    `index` is field.sum_index(S, T): each sum's coordinates mapped to its
+    first row-major (i, j), keys in order of first occurrence.  The sum
+    matrix of P holds P(s_i + t_j) at (i, j), so its row-major first nonzero
+    sits at the first occurrence of the first sum, in that order, where P is
+    nonzero.  The pivot positions of the span are therefore the pivot
+    columns of the reduced row echelon form of the dim x |S+T| table of
+    basis values at the keys, mapped back to their first (i, j).  Pivot
+    sets do not depend on the basis, and a nonzero reduced polynomial
+    vanishing off S+T is nonzero somewhere on S+T, so there is one pivot per
+    basis polynomial.  Returned sorted.
     """
-    first: dict[FieldVector, tuple[int, int]] = {}
-    for i, s in enumerate(s_ord):
-        for j, t in enumerate(t_ord):
-            first.setdefault(s + t, (i, j))
     q = space.q
-    index: dict[Monomial, int] = {}
-    supports = [[index.setdefault(m, len(index)) for m in P.terms] for P in space.basis]
+    columns: dict[Monomial, int] = {}
+    supports = [[columns.setdefault(m, len(columns)) for m in P.terms] for P in space.basis]
     coeffs = [list(P.terms.values()) for P in space.basis]
     table: list[list[int]] = [[] for _ in supports]
-    for w in first:
-        values = [eval_monomial(m, w) for m in index]
+    for w in index:
+        values = [eval_monomial(m, w, q) for m in columns]
         for row, ks, cs in zip(table, supports, coeffs):
             row.append(sum(map(mul, cs, map(values.__getitem__, ks))) % q)
     _, pivot_cols = rref(table, q)
@@ -60,7 +56,7 @@ def sum_pivots(
         raise BoundViolated(
             f"{len(pivot_cols)} pivots for a vanishing space of dimension {space.dim}"
         )
-    positions = list(first.values())
+    positions = list(index.values())
     return tuple(sorted(positions[c] for c in pivot_cols))
 
 

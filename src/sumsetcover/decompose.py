@@ -5,7 +5,9 @@ Given S, T in F_q^n, the goal is a pair S* in S, T* in T with
     (S* + T) union (S + T*) = S + T
 
 and |S*| + |T*| at most 2*m(q, n, floor(d/2)) + q^n - m(q, n, d) for a
-degree d of our choosing (minimized by default).  The construction:
+degree d of our choosing (minimized by default).  S x T is enumerated
+once, by field.sum_index, which maps each sum to its first row-major
+(i, j); its keys are S+T in order of first occurrence.  The construction:
 
  1. build the space of degree-<= d polynomials vanishing off S+T; its
     dimension is at least m_d - q^n + |S+T|;
@@ -15,13 +17,14 @@ degree d of our choosing (minimized by default).  The construction:
     matrix by the CLI under --certify-rank);
  3. take the row-major pivot positions of that span.  A sum matrix depends
     only on s + t, so they come from one elimination of the basis evaluated
-    once per distinct sum, the pivot sums are pairwise distinct, and there
-    is one pivot per basis polynomial;
+    at the keys of the sum index, the pivot sums are pairwise distinct, and
+    there is one pivot per basis polynomial;
  4. cover the pivots by a minimum set of lines (rows from S, columns from T);
     the cover size is at most the rank budget, and the covered lines reach
     at least dim-many elements of S+T;
  5. the sums still missing number at most q^n - m_d; patch each with one
-    representative from S (lexicographically smallest).
+    representative from S: the row of its first occurrence in the sum
+    index, which is the lexicographically smallest s with w - s in T.
 
 Covered rows plus patch representatives form S*; covered columns form T*.
 Every inequality used along the way is checked by an explicit raise of
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 from .cover import LineCover, line_cover, sum_pivots
 from .errors import BoundViolated
-from .field import DEFAULT_ENUM_CAP, PointSet, sumset
+from .field import DEFAULT_ENUM_CAP, PointSet, sum_index, sumset
 from .monomials import count_m, degree_counts
 from .vanishing import PolySubspace, build_vanishing_space
 
@@ -91,13 +94,8 @@ def choose_degree(q: int, n: int) -> tuple[int, int]:
     Scans every integer d in [0, (q-1)*n] using exact counts only, so this
     stays cheap even for n in the hundreds.
     """
-    table = degree_counts(q, n)
+    prefix = degree_counts(q, n).cumulative
     space = q**n
-    prefix: list[int] = []
-    acc = 0
-    for c in table.counts:
-        acc += c
-        prefix.append(acc)
     best_d, best_bound = 0, 2 * prefix[0] + space - prefix[0]
     for d in range(0, (q - 1) * n + 1):
         b = 2 * prefix[d // 2] + space - prefix[d]
@@ -124,11 +122,12 @@ def run_pipeline(
         bound = degree_bound(q, n, degree)
     rank_bound = 2 * count_m(q, n, degree // 2)
 
-    covered_sums = sumset(S, T)
-    space = build_vanishing_space(S, T, degree, cap=cap)
+    index = sum_index(S, T)
+    covered_sums = PointSet.from_coords(q, n, index)
+    space = build_vanishing_space(covered_sums, degree, cap=cap)
+    pivots = sum_pivots(space, index)
     s_ord = S.ordered()
     t_ord = T.ordered()
-    pivots = sum_pivots(space, s_ord, t_ord)
 
     pivot_sums = {s_ord[i] + t_ord[j] for i, j in pivots}
     if len(pivot_sums) != len(pivots):
@@ -144,10 +143,7 @@ def run_pipeline(
     if len(uncovered) > missable:
         raise BoundViolated(f"{len(uncovered)} missed sums exceed q^n - m_d = {missable}")
 
-    reps = []
-    for w in uncovered:
-        reps.append(next(s for s in s_ord if (w - s) in T))
-    patch = PointSet.from_vectors(q, n, reps)
+    patch = PointSet.from_vectors(q, n, (s_ord[index[w.coords][0]] for w in uncovered))
 
     s_witness = covered_rows.union(patch)
     t_witness = covered_cols

@@ -5,10 +5,6 @@ class SumsetCoverError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NotPrime(SumsetCoverError):
-    """The requested field modulus is composite (or < 2)."""
-
-
 class DimensionMismatch(SumsetCoverError):
     """Operands live over different moduli or ambient dimensions."""
 

@@ -1,9 +1,13 @@
-"""Prime fields, points of F_q^n, and duplicate-free point sets.
+"""Points of F_q^n, duplicate-free point sets, and the sum index of S x T.
 
 Everything here is immutable and every operation is a pure function, so values
 can be shared freely between threads.  Vectors are ordered lexicographically
 by coordinate tuple; that order is the canonical ordering used whenever a
 deterministic choice has to be made downstream.
+
+`sum_index` is where the witness pipeline enumerates S x T: it maps each
+sum's coordinates to its first row-major position, so the sumset, the pivot
+columns and the patch representatives all come from one pass.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import DimensionMismatch, EnumerationTooLarge, NotPrime
+from .errors import DimensionMismatch, EnumerationTooLarge
 
 # Full-space enumeration is refused above this many points unless the caller
 # raises the cap explicitly; the witness construction is inherently O(q^n).
@@ -33,25 +37,6 @@ def is_prime(q: int) -> bool:
             return False
         f += 2
     return True
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    """The prime field F_q; construction rejects composite moduli."""
-
-    q: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.q):
-            raise NotPrime(f"modulus must be prime, got {self.q}")
-
-    def inv(self, a: int) -> int:
-        return pow(a, -1, self.q)
-
-
-def make_field(q: int) -> PrimeField:
-    """Return F_q, raising NotPrime for composite q."""
-    return PrimeField(q)
 
 
 @dataclass(frozen=True, order=True)
@@ -86,17 +71,6 @@ class FieldVector:
             return NotImplemented
         self._check_compatible(other)
         return FieldVector(self.q, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> FieldVector:
-        return FieldVector(self.q, tuple(-a for a in self.coords))
-
-    def scale(self, k: int) -> FieldVector:
-        return FieldVector(self.q, tuple(k * a for a in self.coords))
-
-
-def vec_add(u: FieldVector, v: FieldVector) -> FieldVector:
-    """Coordinatewise sum mod q; raises DimensionMismatch on unlike spaces."""
-    return u + v
 
 
 @dataclass(frozen=True)
@@ -162,10 +136,27 @@ class PointSet:
             )
 
 
+def sum_index(S: PointSet, T: PointSet) -> dict[tuple[int, ...], tuple[int, int]]:
+    """Each sum's coordinates mapped to its first row-major position (i, j).
+
+    One pass over S.ordered() x T.ordered() on coordinate tuples, rows
+    outer.  The keys, in insertion order, are S+T in order of first
+    occurrence.  The row i of a sum w is the index of the smallest s in S
+    with w - s in T.  Empty iff S or T is empty.
+    """
+    S._check_compatible(T)
+    q = S.q
+    t_coords = sorted(t.coords for t in T.members)
+    first: dict[tuple[int, ...], tuple[int, int]] = {}
+    for i, s in enumerate(sorted(v.coords for v in S.members)):
+        for j, t in enumerate(t_coords):
+            first.setdefault(tuple([(a + b) % q for a, b in zip(s, t)]), (i, j))
+    return first
+
+
 def sumset(S: PointSet, T: PointSet) -> PointSet:
     """All pairwise sums {s + t}; empty iff S or T is empty."""
-    S._check_compatible(T)
-    return PointSet(S.q, S.n, frozenset(s + t for s in S.members for t in T.members))
+    return PointSet.from_coords(S.q, S.n, sum_index(S, T))
 
 
 def all_points(q: int, n: int, *, cap: int = DEFAULT_ENUM_CAP) -> PointSet:

@@ -14,7 +14,8 @@ monomial list itself would have astronomically many entries.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Iterator
 
@@ -35,17 +36,25 @@ def monomial_key(m: Monomial) -> tuple[int, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class CountTable:
-    """Exact counts of reduced monomials by total degree, 0 .. (q-1)*n."""
+    """Exact counts of reduced monomials by total degree, 0 .. (q-1)*n.
+
+    cumulative[d] is the number of monomials of total degree <= d, summed
+    once at construction.
+    """
 
     q: int
     n: int
     counts: tuple[int, ...]
+    cumulative: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cumulative", tuple(itertools.accumulate(self.counts)))
 
     def prefix(self, d: int) -> int:
         """Number of monomials of total degree <= d (clamped to the range)."""
         if d < 0:
             return 0
-        return sum(self.counts[: d + 1])
+        return self.cumulative[min(d, len(self.cumulative) - 1)]
 
 
 def _convolve_window(counts: list[int], q: int) -> list[int]:

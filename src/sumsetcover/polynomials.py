@@ -10,7 +10,7 @@ fresh term maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch
 from .field import FieldVector
@@ -78,11 +78,12 @@ def poly_sub(P: Polynomial, Q: Polynomial) -> Polynomial:
     return poly_add(P, poly_scale(Q, -1))
 
 
-def eval_monomial(mono: Monomial, x: FieldVector) -> int:
+def eval_monomial(mono: Monomial, coords: Sequence[int], q: int) -> int:
+    """The monomial at the point with the given coordinates, mod q."""
     v = 1
-    for xi, e in zip(x.coords, mono):
+    for xi, e in zip(coords, mono):
         if e:
-            v = (v * pow(xi, e, x.q)) % x.q
+            v = (v * pow(xi, e, q)) % q
     return v
 
 
@@ -92,7 +93,7 @@ def eval_poly(P: Polynomial, x: FieldVector) -> int:
         raise DimensionMismatch(
             f"polynomial over (q={P.q}, n={P.n}) evaluated at point over (q={x.q}, n={x.n})"
         )
-    return sum(c * eval_monomial(m, x) for m, c in P.terms.items()) % P.q
+    return sum(c * eval_monomial(m, x.coords, P.q) for m, c in P.terms.items()) % P.q
 
 
 def _check_same_space(P: Polynomial, Q: Polynomial) -> None:

@@ -1,13 +1,14 @@
-"""The space of low-degree polynomials that vanish off a sumset.
+"""The space of low-degree polynomials that vanish off a set.
 
-Given S, T and a total-degree budget d, the space collects every reduced
-polynomial of total degree <= d that is zero at each point outside S+T.
-Each complement point contributes one linear constraint on the coefficient
-vector, so a canonical basis falls out of an exact null-space computation:
-the constraint matrix has one row per complement point and one column per
-monomial of degree <= d.  Its null space has dimension at least
+Given a set A (the pipeline passes A = S+T) and a total-degree budget d,
+the space collects every reduced polynomial of total degree <= d that is
+zero at each point outside A.  Each complement point contributes one linear
+constraint on the coefficient vector, so a canonical basis falls out of an
+exact null-space computation: the constraint matrix has one row per
+complement point and one column per monomial of degree <= d.  Its null
+space has dimension at least
 
-    (number of monomials of degree <= d) - q^n + |S+T|,
+    (number of monomials of degree <= d) - q^n + |A|,
 
 the counting fact the witness construction leans on.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import DEFAULT_ENUM_CAP, FieldVector, PointSet, complement, sumset
+from .field import DEFAULT_ENUM_CAP, FieldVector, PointSet, complement
 from .linalg import null_space
 from .monomials import enumerate_monomials
 from .polynomials import Polynomial, eval_monomial, poly_from_terms
@@ -39,19 +40,17 @@ class PolySubspace:
 
 
 def build_vanishing_space(
-    S: PointSet, T: PointSet, degree: int, *, cap: int = DEFAULT_ENUM_CAP
+    sums: PointSet, degree: int, *, cap: int = DEFAULT_ENUM_CAP
 ) -> PolySubspace:
-    """Canonical basis of the degree-<= d polynomials vanishing off S+T.
+    """Canonical basis of the degree-<= d polynomials vanishing off sums.
 
     Basis vectors come from the reduced row echelon form of the constraint
     system, one per free monomial column, so repeated runs agree exactly.
     """
-    S._check_compatible(T)
-    q, n = S.q, S.n
-    covered = sumset(S, T)
-    outside = complement(covered, cap=cap).ordered()
+    q, n = sums.q, sums.n
+    outside = complement(sums, cap=cap).ordered()
     monos = enumerate_monomials(q, n, degree, cap=cap)
-    rows = [[eval_monomial(m, p) for m in monos] for p in outside]
+    rows = [[eval_monomial(m, p.coords, q) for m in monos] for p in outside]
     kernel = null_space(rows, len(monos), q)
     basis = tuple(
         poly_from_terms(q, n, {monos[i]: v[i] for i in range(len(monos)) if v[i]})

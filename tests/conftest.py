@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from functools import lru_cache
 
 import hypothesis.strategies as st
@@ -60,6 +61,42 @@ def brute_sumset(S: sc.PointSet, T: sc.PointSet) -> set[tuple[int, ...]]:
         for s in S.members
         for t in T.members
     }
+
+
+def brute_first_occurrence(
+    S: sc.PointSet, T: sc.PointSet
+) -> dict[tuple[int, ...], tuple[int, int]]:
+    """Smallest row-major (i, j) with s_i + t_j = w, per sum w, on raw tuples.
+
+    Items come in order of their positions, i.e. order of first occurrence.
+    """
+    q = S.q
+    s_list = [s.coords for s in S.ordered()]
+    t_list = [t.coords for t in T.ordered()]
+    first = {
+        w: min(
+            (i, j)
+            for i, s in enumerate(s_list)
+            for j, t in enumerate(t_list)
+            if all((a + b - c) % q == 0 for a, b, c in zip(s, t, w))
+        )
+        for w in brute_sumset(S, T)
+    }
+    return dict(sorted(first.items(), key=lambda item: item[1]))
+
+
+# (q, n) grid for the seeded differential tests of the sum index and pivots
+SEEDED_GRID = [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 5)] + [(5, 2), (7, 2)]
+
+
+def seeded_pair(q: int, n: int, seed: int) -> tuple[sc.PointSet, sc.PointSet]:
+    """A reproducible nonempty pair of at most 12 points each."""
+    rng = random.Random(seed)
+    pts = list(itertools.product(range(q), repeat=n))
+    size = max(1, min(len(pts) // 3, 12))
+    S = sc.PointSet.from_coords(q, n, rng.sample(pts, rng.randint(1, size)))
+    T = sc.PointSet.from_coords(q, n, rng.sample(pts, rng.randint(1, size)))
+    return S, T
 
 
 def brute_monomials(q: int, n: int, d: int) -> set[tuple[int, ...]]:

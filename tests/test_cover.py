@@ -1,6 +1,3 @@
-import itertools
-import random
-
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -8,7 +5,7 @@ import hypothesis.strategies as st
 import sumsetcover as sc
 from sumsetcover.errors import BoundViolated
 
-from conftest import set_pairs
+from conftest import SEEDED_GRID, seeded_pair, set_pairs
 from reference import first_nonzero_position, pivot_basis, reference_pivots
 
 
@@ -51,7 +48,7 @@ class TestPivotBasis:
 
     def test_pipeline_basis_f2(self):
         F = sc.all_points(2, 2)
-        space = sc.build_vanishing_space(F, F, 1)
+        space = sc.build_vanishing_space(sc.sumset(F, F), 1)
         pts = F.ordered()
         _, pivots = pivot_basis([sc.sum_matrix(P, pts, pts).entries for P in space.basis], 2)
         assert len(pivots) == space.dim
@@ -63,7 +60,7 @@ class TestPivotBasis:
     @settings(deadline=None)
     def test_span_preserved(self, pair):
         S, T = pair
-        space = sc.build_vanishing_space(S, T, 2)
+        space = sc.build_vanishing_space(sc.sumset(S, T), 2)
         s_ord, t_ord = S.ordered(), T.ordered()
         grids = [sc.sum_matrix(P, s_ord, t_ord).entries for P in space.basis]
         reduced, _ = pivot_basis(grids, S.q)
@@ -76,34 +73,22 @@ class TestPivotBasis:
             assert sc.matrix_rank(flat_in + flat_out, q) == r
 
 
-def _seeded_pair(q, n, seed):
-    rng = random.Random(seed)
-    pts = list(itertools.product(range(q), repeat=n))
-    size = max(1, min(len(pts) // 3, 12))
-    S = sc.PointSet.from_coords(q, n, rng.sample(pts, rng.randint(1, size)))
-    T = sc.PointSet.from_coords(q, n, rng.sample(pts, rng.randint(1, size)))
-    return S, T
-
-
 class TestSumPivots:
     """sum_pivots against the reference sum-matrix elimination."""
 
     def check(self, S, T, degree):
-        space = sc.build_vanishing_space(S, T, degree)
+        space = sc.build_vanishing_space(sc.sumset(S, T), degree)
         s_ord, t_ord = S.ordered(), T.ordered()
-        pivots = sc.sum_pivots(space, s_ord, t_ord)
+        pivots = sc.sum_pivots(space, sc.sum_index(S, T))
         assert list(pivots) == sorted(set(pivots))
         assert len(pivots) == space.dim
         assert set(pivots) == reference_pivots(space, s_ord, t_ord)
 
-    @pytest.mark.parametrize(
-        "q, n",
-        [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 5)] + [(5, 2), (7, 2)],
-    )
+    @pytest.mark.parametrize("q, n", SEEDED_GRID)
     def test_matches_reference_seeded(self, q, n):
         best = sc.choose_degree(q, n)[0]
         for seed in range(6):
-            S, T = _seeded_pair(q, n, seed)
+            S, T = seeded_pair(q, n, seed)
             for degree in {max(best - 1, 0), best, best + 1}:
                 self.check(S, T, degree)
 
@@ -117,9 +102,9 @@ class TestSumPivots:
     def test_empty_space_has_no_pivots(self):
         # S+T is one point, so no nonzero constant vanishes off it
         S = sc.PointSet.from_coords(3, 2, [(0, 0)])
-        space = sc.build_vanishing_space(S, S, 0)
+        space = sc.build_vanishing_space(sc.sumset(S, S), 0)
         assert space.dim == 0
-        assert sc.sum_pivots(space, S.ordered(), S.ordered()) == ()
+        assert sc.sum_pivots(space, sc.sum_index(S, S)) == ()
 
 
 class TestLineCover:

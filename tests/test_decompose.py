@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 import sumsetcover as sc
 
-from conftest import set_pairs, subset_from_mask
+from conftest import SEEDED_GRID, seeded_pair, set_pairs, subset_from_mask
 
 
 class TestChooseDegree:
@@ -113,6 +113,31 @@ class TestDecompose:
         pivot_sums = {s_ord[i] + t_ord[j] for i, j in run.pivots}
         assert len(pivot_sums) == run.space.dim
         assert all(w in line_sums for w in pivot_sums)
+
+    def check_patch_reps(self, S, T):
+        # each uncovered w is patched by the smallest s in S with w - s in T
+        q = S.q
+        t_coords = {t.coords for t in T.members}
+        cert = sc.run_pipeline(S, T).decomposition.certificate
+        smallest = {
+            min(
+                s
+                for s in S.ordered()
+                if tuple((a - b) % q for a, b in zip(w.coords, s.coords)) in t_coords
+            )
+            for w in cert.uncovered_sums
+        }
+        assert cert.patch_reps.members == smallest
+
+    @pytest.mark.parametrize("q, n", SEEDED_GRID)
+    def test_patch_reps_smallest_seeded(self, q, n):
+        for seed in range(6):
+            self.check_patch_reps(*seeded_pair(q, n, seed))
+
+    @given(set_pairs(allow_empty=False))
+    @settings(deadline=None)
+    def test_patch_reps_smallest_hypothesis(self, pair):
+        self.check_patch_reps(*pair)
 
     def test_run_pipeline_rejects_empty(self):
         S = sc.PointSet.empty(2, 1)

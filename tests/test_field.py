@@ -3,9 +3,17 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import sumsetcover as sc
-from sumsetcover.errors import DimensionMismatch, EnumerationTooLarge, NotPrime
+from sumsetcover.errors import DimensionMismatch, EnumerationTooLarge
 
-from conftest import brute_sumset, point_sets, set_pairs, space_points
+from conftest import (
+    SEEDED_GRID,
+    brute_first_occurrence,
+    brute_sumset,
+    point_sets,
+    seeded_pair,
+    set_pairs,
+    space_points,
+)
 
 
 def vec(q, *coords):
@@ -13,50 +21,46 @@ def vec(q, *coords):
 
 
 class TestMakeField:
+    """The modulus check the CLI applies to q (is_prime)."""
+
     def test_three_is_prime(self):
-        assert sc.make_field(3).q == 3
+        assert sc.is_prime(3)
 
     def test_four_rejected(self):
-        with pytest.raises(NotPrime):
-            sc.make_field(4)
+        assert not sc.is_prime(4)
 
     def test_two_smallest_prime(self):
-        assert sc.make_field(2).q == 2
+        assert sc.is_prime(2)
 
     @pytest.mark.parametrize("q", [0, 1, 6, 9, 15, 21])
     def test_composites_rejected(self, q):
-        with pytest.raises(NotPrime):
-            sc.make_field(q)
-
-    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
-    def test_inverse(self, q):
-        field = sc.make_field(q)
-        for a in range(1, q):
-            assert (a * field.inv(a)) % q == 1
+        assert not sc.is_prime(q)
 
 
 class TestVecAdd:
+    """FieldVector addition."""
+
     def test_reduction_mod_three(self):
-        assert sc.vec_add(vec(3, 1, 2), vec(3, 2, 2)) == vec(3, 0, 1)
+        assert vec(3, 1, 2) + vec(3, 2, 2) == vec(3, 0, 1)
 
     def test_zero_is_identity(self):
         v = vec(5, 3, 1, 4)
-        assert sc.vec_add(v, vec(5, 0, 0, 0)) == v
+        assert v + vec(5, 0, 0, 0) == v
 
     def test_characteristic_two(self):
         v = vec(2, 1, 0, 1)
-        assert sc.vec_add(v, v) == vec(2, 0, 0, 0)
+        assert v + v == vec(2, 0, 0, 0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            sc.vec_add(vec(3, 1), vec(3, 1, 2))
+            vec(3, 1) + vec(3, 1, 2)
         with pytest.raises(DimensionMismatch):
-            sc.vec_add(vec(3, 1), vec(5, 1))
+            vec(3, 1) + vec(5, 1)
 
     @given(point_sets(allow_empty=False))
     def test_group_inverse(self, S):
         for v in S:
-            assert v + v.scale(v.q - 1) == vec(v.q, *([0] * v.n))
+            assert v + sc.FieldVector(v.q, [-c for c in v.coords]) == vec(v.q, *([0] * v.n))
 
     @given(point_sets(allow_empty=False))
     def test_commutative_and_associative(self, S):
@@ -109,6 +113,24 @@ class TestSumset:
         sub = sc.PointSet.from_vectors(S.q, S.n, S.ordered()[: len(S) // 2])
         assert sc.sumset(sub, T).issubset(sc.sumset(S, T))
 
+
+class TestSumIndex:
+    """sum_index against a brute-force first-occurrence scan on plain tuples."""
+
+    def check(self, S, T):
+        index = sc.sum_index(S, T)
+        # dict equality ignores order, so compare the item sequences
+        assert list(index.items()) == list(brute_first_occurrence(S, T).items())
+        assert set(index) == brute_sumset(S, T)
+
+    @pytest.mark.parametrize("q, n", SEEDED_GRID)
+    def test_matches_brute_force_seeded(self, q, n):
+        for seed in range(6):
+            self.check(*seeded_pair(q, n, seed))
+
+    @given(set_pairs())
+    def test_matches_brute_force_hypothesis(self, pair):
+        self.check(*pair)
 
 class TestComplement:
     def test_full_space(self):

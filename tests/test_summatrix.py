@@ -120,7 +120,7 @@ class TestInjectivity:
         # the sum matrix vanishes everywhere, hence is zero
         S, T = pair
         q = S.q
-        space = sc.build_vanishing_space(S, T, (q - 1) * S.n // 2)
+        space = sc.build_vanishing_space(sc.sumset(S, T), (q - 1) * S.n // 2)
         if not space.basis:
             return
         coeffs = data.draw(

@@ -8,7 +8,7 @@ from conftest import set_pairs, space_points
 class TestBuildVanishingSpace:
     def test_empty_complement_gives_all_monomials(self):
         F = sc.all_points(2, 2)
-        space = sc.build_vanishing_space(F, F, 1)
+        space = sc.build_vanishing_space(sc.sumset(F, F), 1)
         assert space.dim == space.ambient_dim == 3
         assert [P.terms for P in space.basis] == [
             {(0, 0): 1},
@@ -19,7 +19,7 @@ class TestBuildVanishingSpace:
     def test_one_point_sumset_over_f2(self):
         # S = T = {0} in F_2: the only degree-<=1 polynomial vanishing at 1 is 1 + x
         S = sc.PointSet.from_coords(2, 1, [(0,)])
-        space = sc.build_vanishing_space(S, S, 1)
+        space = sc.build_vanishing_space(sc.sumset(S, S), 1)
         assert space.ambient_dim == 2
         assert space.dim == 1 == space.ambient_dim - 2 + 1
         assert space.basis[0].terms == {(0,): 1, (1,): 1}
@@ -28,7 +28,7 @@ class TestBuildVanishingSpace:
     @settings(deadline=None)
     def test_dimension_lower_bound(self, pair):
         S, T = pair
-        space = sc.build_vanishing_space(S, T, 3)
+        space = sc.build_vanishing_space(sc.sumset(S, T), 3)
         st_size = len(sc.sumset(S, T))
         assert space.dim >= space.ambient_dim - S.q**S.n + st_size
 
@@ -37,7 +37,7 @@ class TestBuildVanishingSpace:
     def test_basis_vanishes_on_constraints(self, pair):
         S, T = pair
         d = (S.q - 1) * S.n // 2
-        space = sc.build_vanishing_space(S, T, d)
+        space = sc.build_vanishing_space(sc.sumset(S, T), d)
         for P in space.basis:
             assert sc.poly_degree(P) <= d
             for point in space.constraints:
@@ -47,7 +47,7 @@ class TestBuildVanishingSpace:
     @settings(deadline=None)
     def test_basis_linearly_independent(self, pair):
         S, T = pair
-        space = sc.build_vanishing_space(S, T, 2)
+        space = sc.build_vanishing_space(sc.sumset(S, T), 2)
         monos = sc.enumerate_monomials(S.q, S.n, 2)
         rows = [[P.terms.get(m, 0) for m in monos] for P in space.basis]
         if rows:
@@ -56,7 +56,7 @@ class TestBuildVanishingSpace:
     def test_deterministic(self):
         S = sc.PointSet.from_coords(3, 2, [(0, 0), (1, 2)])
         T = sc.PointSet.from_coords(3, 2, [(2, 1)])
-        assert sc.build_vanishing_space(S, T, 3) == sc.build_vanishing_space(S, T, 3)
+        assert sc.build_vanishing_space(sc.sumset(S, T), 3) == sc.build_vanishing_space(sc.sumset(S, T), 3)
 
 
 class TestFunctionRepresentation:
@@ -66,5 +66,5 @@ class TestFunctionRepresentation:
         for q, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (2, 3)]:
             monos = sc.enumerate_monomials(q, n, (q - 1) * n)
             pts = space_points(q, n)
-            rows = [[sc.eval_monomial(m, p) for m in monos] for p in pts]
+            rows = [[sc.eval_monomial(m, p.coords, q) for m in monos] for p in pts]
             assert sc.null_space(rows, len(monos), q) == []
