@@ -4,7 +4,9 @@ Two steps feed the witness construction.  First, the row-major pivot
 positions of the span of the sum matrices (P(s_i + t_j)) over the vanishing
 basis are read off one elimination of the basis evaluated once per distinct
 sum, at the keys of field.sum_index; no |S| x |T| matrix is built and
-S x T is not enumerated again.  Second, the pivot positions are covered by
+S x T is not enumerated again.  The table of values comes from
+polynomials.value_table (packed, without `pow`, at q = 3) and goes to
+linalg.rref.  Second, the pivot positions are covered by
 as few lines (full rows or columns) as possible: a maximum bipartite
 matching via Hopcroft-Karp, then the Koenig construction turns it into a
 minimum vertex cover of the same size.  When every matrix in the span
@@ -16,13 +18,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BoundViolated
 from .linalg import rref
-from .monomials import Monomial
-from .polynomials import eval_monomial
+from .polynomials import value_table
 from .vanishing import PolySubspace
 
 
@@ -42,16 +42,7 @@ def sum_pivots(
     vanishing off S+T is nonzero somewhere on S+T, so there is one pivot per
     basis polynomial.  Returned sorted.
     """
-    q = space.q
-    columns: dict[Monomial, int] = {}
-    supports = [[columns.setdefault(m, len(columns)) for m in P.terms] for P in space.basis]
-    coeffs = [list(P.terms.values()) for P in space.basis]
-    table: list[list[int]] = [[] for _ in supports]
-    for w in index:
-        values = [eval_monomial(m, w, q) for m in columns]
-        for row, ks, cs in zip(table, supports, coeffs):
-            row.append(sum(map(mul, cs, map(values.__getitem__, ks))) % q)
-    _, pivot_cols = rref(table, q)
+    _, pivot_cols = rref(value_table(space.basis, list(index), space.q), space.q)
     if len(pivot_cols) != space.dim:
         raise BoundViolated(
             f"{len(pivot_cols)} pivots for a vanishing space of dimension {space.dim}"

@@ -1,0 +1,166 @@
+"""Matrices over F_3 packed into two Python-int bitplanes per row.
+
+Entry k of a row is bit k of one of two ints: `ones` has the bits of the
+columns holding 1, `twos` those holding 2, and ones & twos == 0.  Adding or
+subtracting two rows is then a few big-int boolean operations instead of a
+multiply-and-mod per entry (bitslicing in the style of Boothby and Bradshaw,
+arXiv:0901.1413).  This module is the only one that knows the format:
+`linalg` eliminates through it at q = 3 and `polynomials` builds its
+evaluation tables with it, and both treat a `Matrix3` as an opaque value.
+
+Evaluation tables need no `pow`: over F_3 a monomial prod x_i^e_i is 0 at p
+when some e_i > 0 has p_i = 0, and otherwise (-1) raised to the number of
+i with e_i = 1 and p_i = 2.  Per-coordinate column masks give a whole row
+in O(n) big-int operations.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
+
+
+@dataclass(frozen=True)
+class Matrix3:
+    """Rows over F_3 with `ncols` columns, as parallel bitplane tuples."""
+
+    ncols: int
+    ones: tuple[int, ...]
+    twos: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.ones)
+
+
+def pack(rows: Iterable[Sequence[int]], ncols: int) -> Matrix3:
+    """Integer rows of length ncols (any integers, read mod 3)."""
+    ones: list[int] = []
+    twos: list[int] = []
+    for row in rows:
+        digits = [v % 3 for v in row]
+        ones.append(sum(1 << c for c, v in enumerate(digits) if v == 1))
+        twos.append(sum(1 << c for c, v in enumerate(digits) if v == 2))
+    return Matrix3(ncols, tuple(ones), tuple(twos))
+
+
+def unpack(m: Matrix3) -> list[list[int]]:
+    """The rows as lists of entries in [0, 3)."""
+    return [
+        [(a >> c & 1) | (b >> c & 1) << 1 for c in range(m.ncols)]
+        for a, b in zip(m.ones, m.twos)
+    ]
+
+
+def _plus(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """(a, b) + (c, d), entrywise over F_3."""
+    t = (a | d) ^ (b | c)
+    return (b | d) ^ t, (a | c) ^ t
+
+
+def _clear(a: int, b: int, bit: int, pa: int, pb: int) -> tuple[int, int]:
+    """Row (a, b) minus its entry at `bit` times the row (pa, pb), whose entry there is 1."""
+    if a & bit:
+        return _plus(a, b, pb, pa)  # entry 1: add the negation, planes swapped
+    return _plus(a, b, pa, pb)  # entry 2 = -1: add
+
+
+def rref(m: Matrix3) -> tuple[Matrix3, list[int]]:
+    """Reduced row echelon form: (nonzero rows, pivot column indices).
+
+    Gauss-Jordan column by column, as in linalg's list code, with each row
+    operation done on the two bitplanes at once.
+    """
+    ones, twos = list(m.ones), list(m.twos)
+    nrows = len(ones)
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.ncols):
+        bit = 1 << c
+        pr = next((i for i in range(r, nrows) if (ones[i] | twos[i]) & bit), None)
+        if pr is None:
+            continue
+        ones[r], ones[pr], twos[r], twos[pr] = ones[pr], ones[r], twos[pr], twos[r]
+        if twos[r] & bit:  # scale by 2 = -1 so the pivot entry is 1
+            ones[r], twos[r] = twos[r], ones[r]
+        pa, pb = ones[r], twos[r]
+        for i in range(nrows):
+            if i != r and (ones[i] | twos[i]) & bit:
+                ones[i], twos[i] = _clear(ones[i], twos[i], bit, pa, pb)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return Matrix3(m.ncols, tuple(ones[:r]), tuple(twos[:r])), pivots
+
+
+def monomial_rows(monos: Sequence[tuple[int, ...]], points: Iterable[Sequence[int]]) -> Matrix3:
+    """Row per point, column per monomial: the monomial's value there."""
+    ncols = len(monos)
+    full = (1 << ncols) - 1
+    n = len(monos[0]) if monos else 0
+    # live[i]: columns with e_i == 0 (they survive x_i = 0); odd[i]: e_i == 1
+    live = [full] * n
+    odd = [0] * n
+    for k, mono in enumerate(monos):
+        bit = 1 << k
+        for i, e in enumerate(mono):
+            if e:
+                live[i] ^= bit
+                if e == 1:
+                    odd[i] |= bit
+    ones: list[int] = []
+    twos: list[int] = []
+    for p in points:
+        nonzero, minus = full, 0
+        for x, keep, flip in zip(p, live, odd):
+            if x == 0:
+                nonzero &= keep
+            elif x == 2:
+                minus ^= flip
+        ones.append(nonzero & ~minus)
+        twos.append(nonzero & minus)
+    return Matrix3(ncols, tuple(ones), tuple(twos))
+
+
+def _monomial_planes(
+    mono: tuple[int, ...], full: int, zero: Sequence[int], two: Sequence[int]
+) -> tuple[int, int]:
+    """One monomial's values over columns whose coordinate i is 0 at zero[i], 2 at two[i]."""
+    nonzero, minus = full, 0
+    for e, z, t in zip(mono, zero, two):
+        if e:
+            nonzero &= ~z
+            if e == 1:
+                minus ^= t
+    return nonzero & ~minus, nonzero & minus
+
+
+def value_rows(
+    polys: Sequence[Mapping[tuple[int, ...], int]], points: Sequence[Sequence[int]]
+) -> Matrix3:
+    """Row per polynomial, column per point: its value there.
+
+    A polynomial is a term map with coefficients 1 or 2 mod 3.  Each term's
+    monomial row is built from the masks afresh, O(n) big-int operations.
+    """
+    ncols = len(points)
+    full = (1 << ncols) - 1
+    n = len(points[0]) if points else 0
+    zero, two = [0] * n, [0] * n
+    for j, p in enumerate(points):
+        for i, x in enumerate(p):
+            if x == 0:
+                zero[i] |= 1 << j
+            elif x == 2:
+                two[i] |= 1 << j
+    ones: list[int] = []
+    twos: list[int] = []
+    for terms in polys:
+        a = b = 0
+        for mono, coeff in terms.items():
+            plus, minus = _monomial_planes(mono, full, zero, two)
+            # a coefficient 2 = -1 adds the negation: the planes swapped
+            a, b = _plus(a, b, plus, minus) if coeff % 3 == 1 else _plus(a, b, minus, plus)
+        ones.append(a)
+        twos.append(b)
+    return Matrix3(ncols, tuple(ones), tuple(twos))

@@ -1,18 +1,51 @@
 """Exact dense linear algebra over a prime field.
 
-Matrices are plain lists of row lists with integer entries mod q.  Pivoting
-is by position (exact arithmetic has no magnitude concerns), so the reduced
+Matrices are lists of row lists with integer entries, read mod q.  Rows
+must all have the same length; ragged rows raise ValueError.  Pivoting is
+by position (exact arithmetic has no magnitude concerns), so the reduced
 row echelon form, ranks, and null-space bases are all canonical.
+
+At q = 3 the work runs on two bitplanes per row (`gf3`), and a matrix may
+also be a `gf3.Matrix3` built by the evaluation tables of `polynomials`;
+`rref` then returns its reduced rows in that form too.  Every other q runs
+the list code below, which is also the reference the packed path is tested
+against.
 """
 
 from __future__ import annotations
 
+from typing import Sequence, Union
 
-def rref(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
+from . import gf3
+
+Rows = Union[Sequence[Sequence[int]], gf3.Matrix3]
+
+
+def _width(rows: Sequence[Sequence[int]]) -> int:
+    """The common row length (0 for no rows); ValueError for ragged rows."""
+    ncols = len(rows[0]) if rows else 0
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError(f"row of length {len(row)} in a {ncols}-column system")
+    return ncols
+
+
+def rref(rows: Rows, q: int) -> tuple[list[list[int]] | gf3.Matrix3, list[int]]:
     """Reduced row echelon form.
 
     Returns (nonzero rows, pivot column indices); the input is not mutated.
     """
+    if q == 3:
+        if isinstance(rows, gf3.Matrix3):
+            return gf3.rref(rows)
+        reduced, pivots = gf3.rref(gf3.pack(rows, _width(rows)))
+        return gf3.unpack(reduced), pivots
+    return _rref_lists(rows, q)
+
+
+def _rref_lists(rows: Sequence[Sequence[int]], q: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan on lists, one multiply-and-mod per entry; any prime q."""
+    _width(rows)
     m = [[v % q for v in row] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
@@ -36,23 +69,31 @@ def rref(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
     return m[:r], pivots
 
 
-def matrix_rank(rows: list[list[int]], q: int) -> int:
+def matrix_rank(rows: Rows, q: int) -> int:
     """Exact rank over F_q."""
-    reduced, _ = rref(rows, q)
-    return len(reduced)
+    return len(rref(rows, q)[1])
 
 
-def null_space(rows: list[list[int]], ncols: int, q: int) -> list[list[int]]:
+def null_space(rows: Rows, ncols: int, q: int) -> list[list[int]]:
     """Canonical basis of {x : A x = 0} for the ncols-column matrix A.
 
     One basis vector per free column (ascending), carrying 1 at its own free
     column and the negated echelon entries at the pivot columns.  An empty
     row list means no constraints: the identity basis comes back.
     """
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError(f"row of length {len(row)} in a {ncols}-column system")
+    if len(rows):
+        width = rows.ncols if isinstance(rows, gf3.Matrix3) else len(rows[0])
+        if width != ncols:
+            raise ValueError(f"row of length {width} in a {ncols}-column system")
     reduced, pivots = rref(rows, q)
+    if isinstance(reduced, gf3.Matrix3):
+        reduced = gf3.unpack(reduced)
+    return _kernel_basis(reduced, pivots, ncols, q)
+
+
+def _kernel_basis(
+    reduced: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int, q: int
+) -> list[list[int]]:
     pivot_set = set(pivots)
     basis: list[list[int]] = []
     for free in range(ncols):

@@ -10,8 +10,11 @@ fresh term maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import compress
+from operator import mul
+from typing import Iterable, Mapping, Sequence
 
+from . import gf3
 from .errors import DimensionMismatch
 from .field import FieldVector
 from .monomials import Monomial
@@ -24,18 +27,35 @@ class Polynomial:
     terms: dict[Monomial, int]
 
 
-def poly_from_terms(q: int, n: int, terms: Mapping[Monomial, int]) -> Polynomial:
-    """Normalize a term map: reduce coefficients mod q and drop zeros."""
-    clean: dict[Monomial, int] = {}
-    for mono, coeff in terms.items():
+def _check_monomials(q: int, n: int, monos: Iterable[Monomial]) -> None:
+    for mono in monos:
         if len(mono) != n:
             raise ValueError(f"exponent tuple {mono} has length != {n}")
         if any(e < 0 or e > q - 1 for e in mono):
             raise ValueError(f"exponent tuple {mono} not reduced for q={q}")
+
+
+def poly_from_terms(q: int, n: int, terms: Mapping[Monomial, int]) -> Polynomial:
+    """Normalize a term map: reduce coefficients mod q and drop zeros."""
+    _check_monomials(q, n, terms)
+    clean: dict[Monomial, int] = {}
+    for mono, coeff in terms.items():
         c = coeff % q
         if c:
             clean[mono] = c
     return Polynomial(q, n, clean)
+
+
+def polys_from_rows(
+    q: int, n: int, monos: Sequence[Monomial], rows: Iterable[Sequence[int]]
+) -> tuple[Polynomial, ...]:
+    """One polynomial per coefficient row over the monomial columns.
+
+    Row entries must already lie in [0, q); the monomials are checked once
+    for all rows.
+    """
+    _check_monomials(q, n, monos)
+    return tuple(Polynomial(q, n, dict(compress(zip(monos, row), row))) for row in rows)
 
 
 def poly_zero(q: int, n: int) -> Polynomial:
@@ -85,6 +105,39 @@ def eval_monomial(mono: Monomial, coords: Sequence[int], q: int) -> int:
         if e:
             v = (v * pow(xi, e, q)) % q
     return v
+
+
+def monomial_table(
+    monos: Sequence[Monomial], points: Sequence[Sequence[int]], q: int
+) -> list[list[int]] | gf3.Matrix3:
+    """Row per point (coordinates), column per monomial: its value there.
+
+    At q = 3 the table is packed, for linalg to eliminate, without `pow`.
+    """
+    if q == 3:
+        return gf3.monomial_rows(monos, points)
+    return [[eval_monomial(m, p, q) for m in monos] for p in points]
+
+
+def value_table(
+    polys: Sequence[Polynomial], points: Sequence[Sequence[int]], q: int
+) -> list[list[int]] | gf3.Matrix3:
+    """Row per polynomial, column per point (coordinates): its value there.
+
+    Each monomial is evaluated once per point.  At q = 3 the table is
+    packed, for linalg to eliminate, without `pow`.
+    """
+    if q == 3:
+        return gf3.value_rows([P.terms for P in polys], points)
+    columns: dict[Monomial, int] = {}
+    supports = [[columns.setdefault(m, len(columns)) for m in P.terms] for P in polys]
+    coeffs = [list(P.terms.values()) for P in polys]
+    table: list[list[int]] = [[] for _ in supports]
+    for w in points:
+        values = [eval_monomial(m, w, q) for m in columns]
+        for row, ks, cs in zip(table, supports, coeffs):
+            row.append(sum(map(mul, cs, map(values.__getitem__, ks))) % q)
+    return table
 
 
 def eval_poly(P: Polynomial, x: FieldVector) -> int:

@@ -10,7 +10,10 @@ space has dimension at least
 
     (number of monomials of degree <= d) - q^n + |A|,
 
-the counting fact the witness construction leans on.
+the counting fact the witness construction leans on.  The constraint matrix
+comes from polynomials.monomial_table, which at q = 3 builds it packed from
+bit masks (no `pow`), and the null space from linalg, which eliminates it
+there on bitplanes.  The basis polynomials are read off the kernel rows.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from .field import DEFAULT_ENUM_CAP, FieldVector, PointSet, complement
 from .linalg import null_space
 from .monomials import enumerate_monomials
-from .polynomials import Polynomial, eval_monomial, poly_from_terms
+from .polynomials import Polynomial, monomial_table, polys_from_rows
 
 
 @dataclass(frozen=True)
@@ -50,10 +53,6 @@ def build_vanishing_space(
     q, n = sums.q, sums.n
     outside = complement(sums, cap=cap).ordered()
     monos = enumerate_monomials(q, n, degree, cap=cap)
-    rows = [[eval_monomial(m, p.coords, q) for m in monos] for p in outside]
-    kernel = null_space(rows, len(monos), q)
-    basis = tuple(
-        poly_from_terms(q, n, {monos[i]: v[i] for i in range(len(monos)) if v[i]})
-        for v in kernel
-    )
+    rows = monomial_table(monos, [p.coords for p in outside], q)
+    basis = polys_from_rows(q, n, monos, null_space(rows, len(monos), q))
     return PolySubspace(q, n, degree, basis, len(monos), outside)

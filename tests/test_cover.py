@@ -99,6 +99,15 @@ class TestSumPivots:
         S, T = pair
         self.check(S, T, degree)
 
+    def test_matches_reference_q3_n5(self):
+        # m_d = 222 monomials and 94 sums: the packed constraint rows and the
+        # pivot table both span several 64-bit words
+        S, T = seeded_pair(3, 5, 37)
+        space = sc.build_vanishing_space(sc.sumset(S, T), sc.choose_degree(3, 5)[0])
+        assert space.ambient_dim == 222
+        assert len(sc.sum_index(S, T)) == 94
+        self.check(S, T, space.degree)
+
     def test_empty_space_has_no_pivots(self):
         # S+T is one point, so no nonzero constant vanishes off it
         S = sc.PointSet.from_coords(3, 2, [(0, 0)])

@@ -1,7 +1,15 @@
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import sumsetcover as sc
+from sumsetcover import gf3
+from sumsetcover.linalg import _kernel_basis, _rref_lists
+
+
+def list_null_space(m, ncols, q):
+    """The null space from the list elimination, whatever q is."""
+    return _kernel_basis(*_rref_lists(m, q), ncols, q)
 
 
 @st.composite
@@ -14,6 +22,29 @@ def gf_matrices(draw, max_dim=5):
         for _ in range(rows)
     ]
     return q, m
+
+
+@st.composite
+def wide_integer_matrices(draw, max_rows=10, max_cols=150):
+    """Integer matrices read mod 3, up to several 64-bit words wide.
+
+    Entries range over [-5, 8], so negatives and values above q occur.  A
+    row is fresh, zero mod 3 (multiples of 3, negatives among them), or a
+    combination of two earlier rows, so ranks below the row count are common.
+    """
+    ncols = draw(st.integers(1, max_cols))
+    entries = st.lists(st.integers(-5, 8), min_size=ncols, max_size=ncols)
+    rows: list[list[int]] = []
+    for kind in draw(st.lists(st.sampled_from(["fresh", "zero", "combo"]), max_size=max_rows)):
+        if kind == "fresh" or not rows:
+            rows.append(draw(entries))
+        elif kind == "zero":
+            rows.append([3 * (v % 5 - 2) for v in draw(entries)])
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            k = draw(st.integers(-4, 4))
+            rows.append([x + k * y for x, y in zip(a, b)])
+    return rows
 
 
 def mat_vec(m, v, q):
@@ -84,3 +115,62 @@ class TestNullSpace:
         q, m = qm
         ncols = len(m[0])
         assert sc.null_space(m, ncols, q) == sc.null_space(m, ncols, q)
+
+
+class TestRaggedRows:
+    """Rows of unequal length are refused by every entry point, at any q."""
+
+    @pytest.mark.parametrize("q", [3, 5])
+    @pytest.mark.parametrize("rows", [[[1], [1, 2]], [[0, 1, 2], [1, 1]]])
+    def test_rejected(self, q, rows):
+        with pytest.raises(ValueError, match="row of length"):
+            sc.rref(rows, q)
+        with pytest.raises(ValueError, match="row of length"):
+            sc.matrix_rank(rows, q)
+        with pytest.raises(ValueError, match="row of length"):
+            sc.null_space(rows, 3, q)
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_row_width_must_match_ncols(self, q):
+        with pytest.raises(ValueError, match="row of length 2 in a 3-column system"):
+            sc.null_space([[1, 2], [0, 1]], 3, q)
+
+
+class TestPackedMatchesLists:
+    """At q = 3 the bitplane path gives exactly what the list path gives."""
+
+    @given(wide_integer_matrices())
+    @settings(deadline=None)
+    def test_rref(self, m):
+        expected = _rref_lists(m, 3)
+        assert sc.rref(m, 3) == expected
+        # a packed matrix, as the evaluation tables pass, comes back packed
+        reduced, pivots = sc.rref(gf3.pack(m, len(m[0]) if m else 0), 3)
+        assert isinstance(reduced, gf3.Matrix3)
+        assert (gf3.unpack(reduced), pivots) == expected
+
+    @given(wide_integer_matrices())
+    @settings(deadline=None)
+    def test_null_space_and_rank(self, m):
+        ncols = len(m[0]) if m else 7
+        assert sc.null_space(m, ncols, 3) == list_null_space(m, ncols, 3)
+        assert sc.matrix_rank(m, 3) == len(_rref_lists(m, 3)[0])
+
+    def test_empty_row_list(self):
+        assert sc.rref([], 3) == _rref_lists([], 3) == ([], [])
+        assert sc.matrix_rank([], 3) == 0
+        assert sc.null_space([], 4, 3) == list_null_space([], 4, 3)
+
+    def test_zero_width_rows(self):
+        assert sc.rref([[], []], 3) == _rref_lists([[], []], 3) == ([], [])
+        assert sc.null_space([[], []], 0, 3) == []
+
+    def test_input_not_mutated(self):
+        m = [[2, -1, 4], [5, 5, 0]]
+        sc.rref(m, 3)
+        sc.null_space(m, 3, 3)
+        assert m == [[2, -1, 4], [5, 5, 0]]
+
+    def test_pack_round_trip(self):
+        rows = [[0, 1, 2, -1, 4, 3], [0] * 6]
+        assert gf3.unpack(gf3.pack(rows, 6)) == [[v % 3 for v in r] for r in rows]

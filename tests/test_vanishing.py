@@ -1,8 +1,11 @@
+import pytest
 from hypothesis import given, settings
 
 import sumsetcover as sc
+from sumsetcover import gf3
+from sumsetcover.polynomials import monomial_table, value_table
 
-from conftest import set_pairs, space_points
+from conftest import polynomials, set_pairs, space_points
 
 
 class TestBuildVanishingSpace:
@@ -68,3 +71,23 @@ class TestFunctionRepresentation:
             pts = space_points(q, n)
             rows = [[sc.eval_monomial(m, p.coords, q) for m in monos] for p in pts]
             assert sc.null_space(rows, len(monos), q) == []
+
+
+class TestPackedTables:
+    """At q = 3 the tables are built from bit masks; they must equal eval_monomial and eval_poly."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_monomial_rows_every_point_every_degree(self, n):
+        pts = [p.coords for p in space_points(3, n)]
+        for d in range(2 * n + 1):
+            monos = sc.enumerate_monomials(3, n, d)
+            expected = [[sc.eval_monomial(m, p, 3) for m in monos] for p in pts]
+            assert gf3.unpack(monomial_table(monos, pts, 3)) == expected
+
+    @given(polynomials(q=3, n=5, max_degree=4), polynomials(q=3, n=5))
+    @settings(deadline=None, max_examples=20)
+    def test_value_rows_every_point(self, P, Q):
+        # 243 columns: four 64-bit words
+        pts = space_points(3, 5)
+        expected = [[sc.eval_poly(R, p) for p in pts] for R in (P, Q)]
+        assert gf3.unpack(value_table([P, Q], [p.coords for p in pts], 3)) == expected
