@@ -46,8 +46,7 @@ from .oracle import (
     is_matching_sumfree,
     oracle_min_decomposition,
 )
-from .summatrix import clp_decompose, clp_reconstruct, sum_matrix
-from .linalg import matrix_rank
+from .summatrix import rank_audit
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -261,29 +260,6 @@ def _decompose_checks(run, dec, chose_degree: bool) -> list[dict]:
     return checks
 
 
-def _clp_report(run) -> tuple[list[dict], dict]:
-    """Per-basis-element rank certificates for a pipeline run."""
-    s_ord, t_ord = run.s_input.ordered(), run.t_input.ordered()
-    max_rank = 0
-    max_terms = 0
-    ok_reconstruct = True
-    for P in run.space.basis:
-        mat = sum_matrix(P, s_ord, t_ord)
-        cert = clp_decompose(P, run.degree)
-        rebuilt = clp_reconstruct(cert, mat.rows, mat.cols)
-        ok_reconstruct = ok_reconstruct and rebuilt == mat.entries
-        rank = matrix_rank([list(r) for r in mat.entries], mat.q)
-        max_rank = max(max_rank, rank)
-        max_terms = max(max_terms, cert.term_count)
-    checks = [
-        _check("clp_reconstructions_exact", ok_reconstruct),
-        _check("max_rank<=max_term_count", max_rank <= max_terms if run.space.basis else True, max_rank, max_terms),
-        _check("max_term_count<=rank_bound", max_terms <= run.rank_bound, max_terms, run.rank_bound),
-    ]
-    summary = {"max_rank": max_rank, "max_term_count": max_terms, "rank_bound": run.rank_bound}
-    return checks, summary
-
-
 def _cmd_decompose(args) -> tuple[dict, list[str], int]:
     inst = parse_instance(args.input)
     S, T = inst.s_set, _require_t(inst)
@@ -297,8 +273,14 @@ def _cmd_decompose(args) -> tuple[dict, list[str], int]:
         dec = run.decomposition
         checks = _decompose_checks(run, dec, chose)
         if args.certify_rank:
-            clp_checks, clp_summary = _clp_report(run)
-            checks.extend(clp_checks)
+            audit = rank_audit(run)
+            checks += [
+                _check("clp_reconstructions_exact", audit.exact),
+                _check("max_rank<=max_term_count", audit.ranks_within_terms,
+                       audit.max_rank, audit.max_term_count),
+                _check("max_term_count<=rank_bound", audit.max_term_count <= run.rank_bound,
+                       audit.max_term_count, run.rank_bound),
+            ]
     outputs = {
         "q": inst.q,
         "n": inst.n,
@@ -319,7 +301,11 @@ def _cmd_decompose(args) -> tuple[dict, list[str], int]:
         },
     }
     if run is not None and args.certify_rank:
-        outputs["rank_certificates"] = clp_summary
+        outputs["rank_certificates"] = {
+            "max_rank": audit.max_rank,
+            "max_term_count": audit.max_term_count,
+            "rank_bound": run.rank_bound,
+        }
     if args.output:
         payload = {
             "q": inst.q,

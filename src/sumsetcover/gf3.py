@@ -5,8 +5,9 @@ columns holding 1, `twos` those holding 2, and ones & twos == 0.  Adding or
 subtracting two rows is then a few big-int boolean operations instead of a
 multiply-and-mod per entry (bitslicing in the style of Boothby and Bradshaw,
 arXiv:0901.1413).  This module is the only one that knows the format:
-`linalg` eliminates through it at q = 3 and `polynomials` builds its
-evaluation tables with it, and both treat a `Matrix3` as an opaque value.
+`linalg` eliminates through it at q = 3, `polynomials` builds its
+evaluation tables with it and `summatrix` multiplies them with it, and all
+three treat a `Matrix3` as an opaque value.
 
 Evaluation tables need no `pow`: over F_3 a monomial prod x_i^e_i is 0 at p
 when some e_i > 0 has p_i = 0, and otherwise (-1) raised to the number of
@@ -91,6 +92,27 @@ def rref(m: Matrix3) -> tuple[Matrix3, list[int]]:
         if r == nrows:
             break
     return Matrix3(m.ncols, tuple(ones[:r]), tuple(twos[:r])), pivots
+
+
+def combine(weights: Iterable[Iterable[tuple[int, int]]], m: Matrix3) -> Matrix3:
+    """Row i is the sum of c times row k of m over the pairs (k, c) of weights[i].
+
+    Weights lie in [0, 3); a weight 2 = -1 adds the row's negation, its
+    planes swapped.
+    """
+    ones: list[int] = []
+    twos: list[int] = []
+    m_ones, m_twos = m.ones, m.twos
+    for w in weights:
+        a = b = 0
+        for k, c in w:
+            if c == 1:
+                a, b = _plus(a, b, m_ones[k], m_twos[k])
+            elif c == 2:
+                a, b = _plus(a, b, m_twos[k], m_ones[k])
+        ones.append(a)
+        twos.append(b)
+    return Matrix3(m.ncols, tuple(ones), tuple(twos))
 
 
 def monomial_rows(monos: Sequence[tuple[int, ...]], points: Iterable[Sequence[int]]) -> Matrix3:

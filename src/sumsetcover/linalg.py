@@ -7,14 +7,14 @@ row echelon form, ranks, and null-space bases are all canonical.
 
 At q = 3 the work runs on two bitplanes per row (`gf3`), and a matrix may
 also be a `gf3.Matrix3` built by the evaluation tables of `polynomials`;
-`rref` then returns its reduced rows in that form too.  Every other q runs
-the list code below, which is also the reference the packed path is tested
-against.
+`rref` and `combine_rows` then return their rows in that form too.  Every
+other q runs the list code below, which is also the reference the packed
+path is tested against.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from . import gf3
 
@@ -72,6 +72,26 @@ def _rref_lists(rows: Sequence[Sequence[int]], q: int) -> tuple[list[list[int]],
 def matrix_rank(rows: Rows, q: int) -> int:
     """Exact rank over F_q."""
     return len(rref(rows, q)[1])
+
+
+def combine_rows(
+    weights: Iterable[Iterable[tuple[int, int]]], rows: Rows, ncols: int, q: int
+) -> Rows:
+    """Linear combinations of rows: output row i is the sum of c * rows[k]
+    over the pairs (k, c) of weights[i], with c in [0, q).
+
+    A `gf3.Matrix3` is combined on its bitplanes and the result comes back
+    packed; list rows of width ncols give list rows.
+    """
+    if isinstance(rows, gf3.Matrix3):
+        return gf3.combine(weights, rows)
+    out: list[list[int]] = []
+    for w in weights:
+        acc = [0] * ncols
+        for k, c in w:
+            acc = [a + c * v for a, v in zip(acc, rows[k])]
+        out.append([a % q for a in acc])
+    return out
 
 
 def null_space(rows: Rows, ncols: int, q: int) -> list[list[int]]:

@@ -1,4 +1,4 @@
-"""Sum-evaluation matrices and their low-rank split certificates.
+"""Sum-evaluation matrices, their low-rank split certificates, and the audit.
 
 For a polynomial P and ordered point lists (rows from S, columns from T),
 the sum matrix holds P(s + t) at position (s, t).  Positions with equal
@@ -10,6 +10,16 @@ x^a y^b in the expansion has |a| + |b| <= deg P, so one of the two sides has
 total degree <= floor(d/2).  Grouping the expansion by that low-degree side
 writes the matrix as a sum of rank-one terms, at most m(q, n, floor(d/2))
 anchored on the row side plus as many anchored on the column side.
+
+`rank_audit` checks this for every basis polynomial of a pipeline run (the
+CLI's --certify-rank).  All evaluation goes through
+polynomials.value_table, packed at q = 3: the basis once at the distinct
+sums, whose grid of sum ids fills each matrix, and every monomial of degree
+<= d once at S and once at T.  A certificate's factors are combinations of
+those monomial rows, and the matrix it sums to is the product of its row
+sides at S with its column sides at T; linalg.combine_rows forms both on
+bitplanes at q = 3.  The rank is taken on the same rows.  `sum_matrix` and
+`clp_reconstruct` share these helpers.
 """
 
 from __future__ import annotations
@@ -17,20 +27,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .errors import BoundViolated, DegreeTooHigh
+from . import gf3
+from .errors import BoundViolated, DegreeTooHigh, DimensionMismatch
 from .field import FieldVector
-from .monomials import Monomial, count_m, monomial_key
-from .polynomials import (
-    Polynomial,
-    eval_poly,
-    monomial_poly,
-    poly_degree,
-    poly_from_terms,
-)
+from .linalg import Rows, combine_rows, matrix_rank
+from .monomials import Monomial, count_m, enumerate_monomials, monomial_key
+from .polynomials import Polynomial, poly_degree, value_table
+
+if TYPE_CHECKING:
+    from .decompose import PipelineRun
 
 Entries = tuple[tuple[int, ...], ...]
+Coords = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -51,27 +61,45 @@ class SumMatrix:
         return (len(self.rows), len(self.cols))
 
 
+def _coords(q: int, n: int, points: Sequence[FieldVector]) -> list[Coords]:
+    """The points' coordinates; DimensionMismatch for a point outside F_q^n."""
+    for x in points:
+        if x.q != q or x.n != n:
+            raise DimensionMismatch(
+                f"polynomial over (q={q}, n={n}) evaluated at point over (q={x.q}, n={x.n})"
+            )
+    return [x.coords for x in points]
+
+
+def _sum_grid(
+    rows: Sequence[Coords], cols: Sequence[Coords], q: int
+) -> tuple[list[Coords], list[list[int]]]:
+    """The distinct sums in row-major order of first occurrence, and each cell's sum id."""
+    ids: dict[Coords, int] = {}
+    grid = [
+        [ids.setdefault(tuple([(a + b) % q for a, b in zip(s, t)]), len(ids)) for t in cols]
+        for s in rows
+    ]
+    return list(ids), grid
+
+
+def _lists(table: Rows) -> list[list[int]]:
+    """The rows as lists, unpacked from a gf3.Matrix3."""
+    return gf3.unpack(table) if isinstance(table, gf3.Matrix3) else table
+
+
 def sum_matrix(
     P: Polynomial, row_points: Sequence[FieldVector], col_points: Sequence[FieldVector]
 ) -> SumMatrix:
     """Evaluate P on every s + t; entries agree wherever sums agree.
 
-    Distinct sums number at most q^n, so P is evaluated once per sum value
-    and the grid is filled by lookup.
+    P is evaluated once per distinct sum and the grid is filled by lookup.
     """
-    values: dict[FieldVector, int] = {}
-    entries = []
-    for s in row_points:
-        row = []
-        for t in col_points:
-            w = s + t
-            v = values.get(w)
-            if v is None:
-                v = eval_poly(P, w)
-                values[w] = v
-            row.append(v)
-        entries.append(tuple(row))
-    return SumMatrix(tuple(row_points), tuple(col_points), tuple(entries), P)
+    rows, cols = _coords(P.q, P.n, row_points), _coords(P.q, P.n, col_points)
+    sums, grid = _sum_grid(rows, cols, P.q)
+    (values,) = _lists(value_table([P], sums, P.q))
+    entries = tuple(tuple([values[k] for k in ids]) for ids in grid)
+    return SumMatrix(tuple(row_points), tuple(col_points), entries, P)
 
 
 @dataclass(frozen=True)
@@ -99,7 +127,8 @@ def clp_decompose(P: Polynomial, degree: int) -> ClpCertificate:
     Every expansion term x^a y^b with |a| <= floor(d/2) joins a group keyed
     by a (row anchored); the rest necessarily have |b| <= floor(d/2) and are
     grouped by b (column anchored).  Group counts never exceed
-    m(q, n, floor(d/2)) per side.
+    m(q, n, floor(d/2)) per side.  The parts a, b of a reduced monomial are
+    reduced, so the factors are built without re-checking their exponents.
     """
     if poly_degree(P) > degree:
         raise DegreeTooHigh(
@@ -109,33 +138,30 @@ def clp_decompose(P: Polynomial, degree: int) -> ClpCertificate:
     split = degree // 2
     left: dict[Monomial, dict[Monomial, int]] = {}
     right: dict[Monomial, dict[Monomial, int]] = {}
+    top = max(map(max, P.terms), default=0)
+    binoms = [tuple(math.comb(e, r) for r in range(e + 1)) for e in range(top + 1)]
     for full, coeff in P.terms.items():
-        for row_part in itertools.product(*(range(e + 1) for e in full)):
-            mult = 1
-            for e, r in zip(full, row_part):
-                mult = (mult * math.comb(e, r)) % q
-            if mult == 0:
+        # row parts a, their column parts full - a, and the binomials, in step
+        ranges = [range(e + 1) for e in full]
+        for a, b, cs in zip(
+            itertools.product(*ranges),
+            itertools.product(*[r[::-1] for r in ranges]),
+            itertools.product(*[binoms[e] for e in full]),
+        ):
+            w = coeff * math.prod(cs) % q
+            if not w:
                 continue
-            col_part = tuple(e - r for e, r in zip(full, row_part))
-            w = (coeff * mult) % q
-            if sum(row_part) <= split:
-                group = left.setdefault(row_part, {})
-                group[col_part] = (group.get(col_part, 0) + w) % q
+            # a and b determine full = a + b, so no pair is met twice
+            if sum(a) <= split:
+                left.setdefault(a, {})[b] = w
             else:
-                group = right.setdefault(col_part, {})
-                group[row_part] = (group.get(row_part, 0) + w) % q
+                right.setdefault(b, {})[a] = w
 
     def _factors(groups: dict[Monomial, dict[Monomial, int]], row_anchored: bool):
         out = []
         for anchor in sorted(groups, key=monomial_key):
-            cofactor = poly_from_terms(q, n, groups[anchor])
-            if not cofactor.terms:
-                continue
-            anchor_poly = monomial_poly(q, n, anchor)
-            if row_anchored:
-                out.append((anchor_poly, cofactor))
-            else:
-                out.append((cofactor, anchor_poly))
+            cofactor, anchor_poly = Polynomial(q, n, groups[anchor]), Polynomial(q, n, {anchor: 1})
+            out.append((anchor_poly, cofactor) if row_anchored else (cofactor, anchor_poly))
         return tuple(out)
 
     left_factors = _factors(left, row_anchored=True)
@@ -147,20 +173,119 @@ def clp_decompose(P: Polynomial, degree: int) -> ClpCertificate:
     return ClpCertificate(q, n, degree, split, left_factors, right_factors, term_count)
 
 
+def _monomial_tables(
+    monos: Sequence[Monomial], rows: Sequence[Coords], cols: Sequence[Coords], q: int, n: int
+) -> tuple[dict[Monomial, int], Rows, Rows]:
+    """Each monomial's row index, and its values at the row and at the column points."""
+    units = [Polynomial(q, n, {m: 1}) for m in monos]
+    index = {m: k for k, m in enumerate(monos)}
+    return index, value_table(units, rows, q), value_table(units, cols, q)
+
+
+def _rebuild(
+    cert: ClpCertificate,
+    index: dict[Monomial, int],
+    at_rows: Rows,
+    at_cols: Rows,
+    nrows: int,
+    ncols: int,
+) -> Rows:
+    """Row i is sum_k f_k(s_i) * (g_k at every t), over the rank-one terms (f_k, g_k).
+
+    Each factor is a combination of the monomial rows at_rows or at_cols
+    (indexed by `index`).  Packed (gf3.Matrix3) at q = 3, lists otherwise.
+    """
+    q = cert.q
+    factors = cert.left_factors + cert.right_factors
+
+    def side(polys: list[Polynomial], table: Rows, width: int) -> Rows:
+        weights = (zip(map(index.__getitem__, f.terms), f.terms.values()) for f in polys)
+        return combine_rows(weights, table, width, q)
+
+    row_side = _lists(side([f for f, _ in factors], at_rows, nrows))
+    col_side = side([g for _, g in factors], at_cols, ncols)
+    weights = (enumerate([v[i] for v in row_side]) for i in range(nrows))
+    return combine_rows(weights, col_side, ncols, q)
+
+
 def clp_reconstruct(
     cert: ClpCertificate,
     row_points: Sequence[FieldVector],
     col_points: Sequence[FieldVector],
 ) -> Entries:
     """Sum the certificate's rank-one terms back into a full matrix."""
-    q = cert.q
+    q, n = cert.q, cert.n
+    rows, cols = _coords(q, n, row_points), _coords(q, n, col_points)
     factors = cert.left_factors + cert.right_factors
-    row_vals = [[eval_poly(f, s) for s in row_points] for f, _ in factors]
-    col_vals = [[eval_poly(g, t) for t in col_points] for _, g in factors]
-    return tuple(
-        tuple(
-            sum(rv[i] * cv[j] for rv, cv in zip(row_vals, col_vals)) % q
-            for j in range(len(col_points))
-        )
-        for i in range(len(row_points))
-    )
+    monos = list(dict.fromkeys(m for pair in factors for f in pair for m in f.terms))
+    tables = _monomial_tables(monos, rows, cols, q, n)
+    return tuple(map(tuple, _lists(_rebuild(cert, *tables, len(rows), len(cols)))))
+
+
+@dataclass(frozen=True)
+class MatrixAudit:
+    """One basis polynomial's sum matrix beside its certificate's rebuild.
+
+    `entries` and `rebuilt` are linalg rows over the column points: packed
+    (gf3.Matrix3) at q = 3, lists otherwise, so equal matrices compare
+    equal.  `rank` is the exact rank of `entries`.
+    """
+
+    entries: Rows
+    rebuilt: Rows
+    rank: int
+    term_count: int
+
+
+def audit_matrices(
+    polys: Sequence[Polynomial],
+    degree: int,
+    row_points: Sequence[FieldVector],
+    col_points: Sequence[FieldVector],
+) -> Iterator[MatrixAudit]:
+    """Audit each polynomial's sum matrix in turn, one at a time.
+
+    The polynomials are evaluated together once at the distinct sums; each
+    matrix is filled from the grid of sum ids.
+    """
+    if not polys:
+        return
+    q, n = polys[0].q, polys[0].n
+    rows, cols = _coords(q, n, row_points), _coords(q, n, col_points)
+    sums, grid = _sum_grid(rows, cols, q)
+    # every factor's monomials have degree <= d; they number at most q^n
+    tables = _monomial_tables(enumerate_monomials(q, n, degree, cap=q**n), rows, cols, q, n)
+    for P, values in zip(polys, _lists(value_table(polys, sums, q))):
+        entries: Rows = [[values[k] for k in ids] for ids in grid]
+        if q == 3:
+            entries = gf3.pack(entries, len(cols))
+        cert = clp_decompose(P, degree)
+        rebuilt = _rebuild(cert, *tables, len(rows), len(cols))
+        yield MatrixAudit(entries, rebuilt, matrix_rank(entries, q), cert.term_count)
+
+
+@dataclass(frozen=True)
+class RankAudit:
+    """The --certify-rank verdict over every basis sum matrix of a run.
+
+    exact: every certificate sums back to its matrix.  ranks_within_terms:
+    rank <= term count for every matrix, each against its own certificate.
+    """
+
+    exact: bool
+    ranks_within_terms: bool
+    max_rank: int
+    max_term_count: int
+
+
+def rank_audit(run: PipelineRun) -> RankAudit:
+    """Check the rank-one split of every basis sum matrix of a pipeline run."""
+    exact = within = True
+    max_rank = max_terms = 0
+    s_ord, t_ord = run.s_input.ordered(), run.t_input.ordered()
+    for a in audit_matrices(run.space.basis, run.degree, s_ord, t_ord):
+        exact = exact and a.entries == a.rebuilt
+        within = within and a.rank <= a.term_count
+        max_rank = max(max_rank, a.rank)
+        max_terms = max(max_terms, a.term_count)
+    return RankAudit(exact, within, max_rank, max_terms)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import DEFAULT_ENUM_CAP, FieldVector, PointSet, complement
+from .field import DEFAULT_ENUM_CAP, PointSet, complement
 from .linalg import null_space
 from .monomials import enumerate_monomials
 from .polynomials import Polynomial, monomial_table, polys_from_rows
@@ -28,14 +28,13 @@ from .polynomials import Polynomial, monomial_table, polys_from_rows
 
 @dataclass(frozen=True)
 class PolySubspace:
-    """A basis of polynomials vanishing at every stored constraint point."""
+    """A basis of the degree-<= d polynomials vanishing off a set of points."""
 
     q: int
     n: int
     degree: int
     basis: tuple[Polynomial, ...]
     ambient_dim: int
-    constraints: tuple[FieldVector, ...]
 
     @property
     def dim(self) -> int:
@@ -55,4 +54,4 @@ def build_vanishing_space(
     monos = enumerate_monomials(q, n, degree, cap=cap)
     rows = monomial_table(monos, [p.coords for p in outside], q)
     basis = polys_from_rows(q, n, monos, null_space(rows, len(monos), q))
-    return PolySubspace(q, n, degree, basis, len(monos), outside)
+    return PolySubspace(q, n, degree, basis, len(monos))

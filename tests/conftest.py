@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from functools import lru_cache
 
 import hypothesis.strategies as st
 
 import sumsetcover as sc
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment with the imported package's source root first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sc.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @lru_cache(maxsize=None)

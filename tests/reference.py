@@ -1,20 +1,127 @@
-"""Reference pivot path: sum-matrix grids and row-major matrix elimination.
+"""Reference paths: per-cell sum matrices, the rank audit, and pivots.
 
 The library reads the pivot positions off one elimination of the vanishing
-basis evaluated once per distinct sum (`sumsetcover.cover.sum_pivots`).
-This module keeps the direct construction for the tests to check it
-against: build the |S| x |T| sum matrix of every basis polynomial, then
-eliminate the matrices in input order until their row-major first nonzero
-positions are pairwise distinct.  Only tests use it.
+basis evaluated once per distinct sum (`sumsetcover.cover.sum_pivots`), and
+audits the rank certificates from evaluation tables
+(`sumsetcover.summatrix.audit_matrices`).  This module keeps the direct
+constructions for the tests to check them against: `eval_poly` once per
+distinct sum of each matrix, the expansion of P(x + y) through
+`poly_from_terms`, `eval_poly` once per factor and point for the rebuild, and
+the |S| x |T| sum matrix of every basis polynomial eliminated in input order
+until their row-major first nonzero positions are pairwise distinct.  Only
+tests use it.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import itertools
+import math
+from typing import NamedTuple, Sequence
 
 import sumsetcover as sc
+from sumsetcover.monomials import monomial_key
 
 Grid = tuple[tuple[int, ...], ...]
+
+
+def sum_grid(
+    P: sc.Polynomial, row_points: Sequence[sc.FieldVector], col_points: Sequence[sc.FieldVector]
+) -> Grid:
+    """P(s + t) cell by cell, `eval_poly` once per distinct sum."""
+    values: dict[sc.FieldVector, int] = {}
+    entries = []
+    for s in row_points:
+        row = []
+        for t in col_points:
+            w = s + t
+            if w not in values:
+                values[w] = sc.eval_poly(P, w)
+            row.append(values[w])
+        entries.append(tuple(row))
+    return tuple(entries)
+
+
+def clp_decompose(P: sc.Polynomial, degree: int) -> sc.ClpCertificate:
+    """The rank-one split of P(x + y), term by term with `poly_from_terms`."""
+    if sc.poly_degree(P) > degree:
+        raise sc.DegreeTooHigh(
+            f"polynomial of total degree {sc.poly_degree(P)} exceeds budget {degree}"
+        )
+    q, n = P.q, P.n
+    split = degree // 2
+    left: dict = {}
+    right: dict = {}
+    for full, coeff in P.terms.items():
+        for row_part in itertools.product(*(range(e + 1) for e in full)):
+            mult = 1
+            for e, r in zip(full, row_part):
+                mult = (mult * math.comb(e, r)) % q
+            if mult == 0:
+                continue
+            col_part = tuple(e - r for e, r in zip(full, row_part))
+            w = (coeff * mult) % q
+            if sum(row_part) <= split:
+                group = left.setdefault(row_part, {})
+                group[col_part] = (group.get(col_part, 0) + w) % q
+            else:
+                group = right.setdefault(col_part, {})
+                group[row_part] = (group.get(row_part, 0) + w) % q
+
+    def factors(groups: dict, row_anchored: bool):
+        out = []
+        for anchor in sorted(groups, key=monomial_key):
+            cofactor = sc.poly_from_terms(q, n, groups[anchor])
+            if not cofactor.terms:
+                continue
+            anchor_poly = sc.monomial_poly(q, n, anchor)
+            out.append((anchor_poly, cofactor) if row_anchored else (cofactor, anchor_poly))
+        return tuple(out)
+
+    lf, rf = factors(left, True), factors(right, False)
+    return sc.ClpCertificate(q, n, degree, split, lf, rf, len(lf) + len(rf))
+
+
+def clp_reconstruct(
+    cert: sc.ClpCertificate,
+    row_points: Sequence[sc.FieldVector],
+    col_points: Sequence[sc.FieldVector],
+) -> Grid:
+    """Sum the rank-one terms cell by cell, `eval_poly` once per factor and point."""
+    q = cert.q
+    factors = cert.left_factors + cert.right_factors
+    row_vals = [[sc.eval_poly(f, s) for s in row_points] for f, _ in factors]
+    col_vals = [[sc.eval_poly(g, t) for t in col_points] for _, g in factors]
+    return tuple(
+        tuple(
+            sum(rv[i] * cv[j] for rv, cv in zip(row_vals, col_vals)) % q
+            for j in range(len(col_points))
+        )
+        for i in range(len(row_points))
+    )
+
+
+class MatrixAudit(NamedTuple):
+    entries: Grid
+    rebuilt: Grid
+    rank: int
+    term_count: int
+
+
+def audit_matrices(
+    polys: Sequence[sc.Polynomial],
+    degree: int,
+    row_points: Sequence[sc.FieldVector],
+    col_points: Sequence[sc.FieldVector],
+) -> list[MatrixAudit]:
+    """Per polynomial: its sum matrix, the certificate's rebuild, rank and term count."""
+    out = []
+    for P in polys:
+        entries = sum_grid(P, row_points, col_points)
+        cert = clp_decompose(P, degree)
+        rank = sc.matrix_rank([list(r) for r in entries], P.q)
+        rebuilt = clp_reconstruct(cert, row_points, col_points)
+        out.append(MatrixAudit(entries, rebuilt, rank, cert.term_count))
+    return out
 
 
 def first_nonzero_position(entries: Sequence[Sequence[int]]) -> tuple[int, int]:
@@ -66,5 +173,5 @@ def reference_pivots(
     t_ord: Sequence[sc.FieldVector],
 ) -> set[tuple[int, int]]:
     """Pivot positions of the span of the basis sum matrices, the direct way."""
-    grids = [sc.sum_matrix(P, s_ord, t_ord).entries for P in space.basis]
+    grids = [sum_grid(P, s_ord, t_ord) for P in space.basis]
     return set(pivot_basis(grids, space.q)[1])

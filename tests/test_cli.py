@@ -8,6 +8,8 @@ import pytest
 from sumsetcover.cli import parse_instance, run_command
 from sumsetcover.errors import ParseError, ValidationError
 
+from conftest import subprocess_env
+
 
 def write_instance(tmp_path, name="inst.json", **payload):
     path = tmp_path / name
@@ -251,7 +253,7 @@ class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "sumsetcover.cli", "bound", "--q", "2", "--n", "1", "--json"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=subprocess_env(),
         )
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
@@ -260,6 +262,6 @@ class TestEntryPoint:
     def test_unknown_subcommand_exit_two(self):
         proc = subprocess.run(
             [sys.executable, "-m", "sumsetcover.cli", "frobnicate"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=subprocess_env(),
         )
         assert proc.returncode == 2

@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 import textwrap
@@ -9,7 +8,7 @@ import hypothesis.strategies as st
 
 import sumsetcover as sc
 
-from conftest import SEEDED_GRID, seeded_pair, set_pairs, subset_from_mask
+from conftest import SEEDED_GRID, seeded_pair, set_pairs, subprocess_env, subset_from_mask
 
 
 class TestChooseDegree:
@@ -226,12 +225,9 @@ class TestOptimizedInterpreter:
     )
 
     def test_bound_checks_survive_optimize(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(sc.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-O", "-c", self.SCRIPT],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("BoundViolated:"), proc.stdout

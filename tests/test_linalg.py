@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 
 import sumsetcover as sc
 from sumsetcover import gf3
-from sumsetcover.linalg import _kernel_basis, _rref_lists
+from sumsetcover.linalg import _kernel_basis, _rref_lists, combine_rows
 
 
 def list_null_space(m, ncols, q):
@@ -170,6 +170,21 @@ class TestPackedMatchesLists:
         sc.rref(m, 3)
         sc.null_space(m, 3, 3)
         assert m == [[2, -1, 4], [5, 5, 0]]
+
+    @given(wide_integer_matrices(), st.data())
+    @settings(deadline=None)
+    def test_combine_rows(self, m, data):
+        # the product W·M by explicit sums, against the list and packed paths
+        m = [[v % 3 for v in row] for row in m]
+        ncols = len(m[0]) if m else 5
+        pair = st.tuples(st.integers(0, max(len(m) - 1, 0)), st.integers(0, 2))
+        weights = data.draw(st.lists(st.lists(pair, max_size=6 if m else 0), max_size=5))
+        expected = [
+            [sum(c * m[k][j] for k, c in w) % 3 for j in range(ncols)] for w in weights
+        ]
+        assert combine_rows(weights, m, ncols, 3) == expected
+        packed = combine_rows(weights, gf3.pack(m, ncols), ncols, 3)
+        assert isinstance(packed, gf3.Matrix3) and gf3.unpack(packed) == expected
 
     def test_pack_round_trip(self):
         rows = [[0, 1, 2, -1, 4, 3], [0] * 6]

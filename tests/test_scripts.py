@@ -1,22 +1,18 @@
 """Smoke runs of the experiment scripts, so an API change cannot break them silently."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-import sumsetcover as sc
+from conftest import subprocess_env
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run_script(name: str, *args: str) -> list[str]:
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sc.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / name), *args],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=subprocess_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()

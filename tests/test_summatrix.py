@@ -1,11 +1,22 @@
+import contextlib
+import dataclasses
+import io
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import sumsetcover as sc
-from sumsetcover.errors import DegreeTooHigh
+from sumsetcover import gf3, summatrix
+from sumsetcover.cli import parse_instance, run_command
+from sumsetcover.errors import DegreeTooHigh, DimensionMismatch
 
-from conftest import polynomials, set_pairs, space_points
+import reference
+from conftest import SEEDED_GRID, polynomials, seeded_pair, set_pairs, space_points
+
+GOLDEN = sorted((Path(__file__).parent / "golden").glob("*.json"))
 
 
 F3 = space_points(3, 1)
@@ -24,6 +35,12 @@ class TestSumMatrix:
     def test_zero_polynomial(self):
         M = sc.sum_matrix(sc.poly_zero(3, 1), F3, F3)
         assert M.entries == ((0, 0, 0),) * 3
+
+    def test_points_outside_the_space(self):
+        with pytest.raises(DimensionMismatch):
+            sc.sum_matrix(sc.poly_const(3, 2, 1), F3, F3)
+        with pytest.raises(DimensionMismatch):
+            sc.clp_reconstruct(sc.clp_decompose(sc.poly_const(3, 2, 1), 0), F3, F3)
 
     @given(polynomials())
     @settings(deadline=None)
@@ -135,3 +152,116 @@ class TestInjectivity:
             combo = sc.poly_add(combo, sc.poly_scale(P, c))
         M = sc.sum_matrix(combo, S.ordered(), T.ordered())
         assert any(v for row in M.entries for v in row)
+
+
+def _grid(rows) -> tuple[tuple[int, ...], ...]:
+    """Packed or list rows as a tuple grid."""
+    return tuple(map(tuple, gf3.unpack(rows) if isinstance(rows, gf3.Matrix3) else rows))
+
+
+def _assert_audit_matches_reference(run):
+    s_ord, t_ord = run.s_input.ordered(), run.t_input.ordered()
+    basis = run.space.basis
+    got = list(summatrix.audit_matrices(basis, run.degree, s_ord, t_ord))
+    want = reference.audit_matrices(basis, run.degree, s_ord, t_ord)
+    assert len(got) == len(want) == len(basis)
+    for P, a, r in zip(basis, got, want):
+        assert _grid(a.entries) == r.entries
+        assert _grid(a.rebuilt) == r.rebuilt
+        assert (a.rank, a.term_count) == (r.rank, r.term_count)
+        assert sc.clp_decompose(P, run.degree) == reference.clp_decompose(P, run.degree)
+    audit = summatrix.rank_audit(run)
+    assert audit == summatrix.RankAudit(
+        all(r.entries == r.rebuilt for r in want),
+        all(r.rank <= r.term_count for r in want),
+        max((r.rank for r in want), default=0),
+        max((r.term_count for r in want), default=0),
+    )
+    assert audit.exact and audit.ranks_within_terms
+
+
+class TestAuditMatchesReference:
+    """The table-driven audit against the per-cell loops of tests/reference.py."""
+
+    @pytest.mark.parametrize("q,n", SEEDED_GRID)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_grid(self, q, n, seed):
+        _assert_audit_matches_reference(sc.run_pipeline(*seeded_pair(q, n, seed)))
+
+    @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
+    def test_golden_instances(self, path):
+        inst = parse_instance(str(path))
+        _assert_audit_matches_reference(sc.run_pipeline(inst.s_set, inst.t_set))
+
+    @given(set_pairs(primes=(2, 3, 5), allow_empty=False), st.integers(0, 8))
+    @settings(deadline=None, max_examples=40)
+    def test_hypothesis_pairs(self, pair, d):
+        S, T = pair
+        _assert_audit_matches_reference(sc.run_pipeline(S, T, min(d, (S.q - 1) * S.n)))
+
+    @given(polynomials(q=3, n=3, max_degree=5), polynomials(q=5, n=2, max_degree=5))
+    @settings(deadline=None, max_examples=30)
+    def test_single_matrices(self, P3, P5):
+        for P, d in ((P3, 5), (P5, 5)):
+            pts = space_points(P.q, P.n)[::2]
+            cert = sc.clp_decompose(P, d)
+            assert cert == reference.clp_decompose(P, d)
+            assert sc.sum_matrix(P, pts, pts[::-1]).entries == reference.sum_grid(P, pts, pts[::-1])
+            rebuilt = reference.clp_reconstruct(cert, pts, pts[::-1])
+            assert sc.clp_reconstruct(cert, pts, pts[::-1]) == rebuilt
+
+
+GOLDEN_Q3_N5 = str(Path(__file__).parent / "golden" / "q3_n5.json")
+
+
+def _failed_checks_with_first_certificate(monkeypatch, breaker) -> tuple[int, dict, list[str]]:
+    """Run the CLI audit with the first basis polynomial's certificate broken."""
+    real = summatrix.clp_decompose
+    calls = []
+
+    def broken(P, degree):
+        calls.append(P)
+        cert = real(P, degree)
+        return breaker(cert) if len(calls) == 1 else cert
+
+    monkeypatch.setattr(summatrix, "clp_decompose", broken)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run_command(["decompose", "--input", GOLDEN_Q3_N5, "--json", "--certify-rank"])
+    report = json.loads(out.getvalue())
+    checks = {c["name"]: c for c in report["checks"]}
+    return code, checks, [name for name, c in checks.items() if not c["passed"]]
+
+
+def test_rank_check_is_per_matrix(monkeypatch):
+    # The first basis matrix's certificate is cut to rank - 1 terms; the
+    # largest rank still stays within the largest term count of the others,
+    # so only a per-matrix comparison sees the break.
+    inst = parse_instance(GOLDEN_Q3_N5)
+    run = sc.run_pipeline(inst.s_set, inst.t_set)
+    audits = list(summatrix.audit_matrices(
+        run.space.basis, run.degree, run.s_input.ordered(), run.t_input.ordered()
+    ))
+    first = audits[0]
+    assert first.rank >= 1
+    assert max(a.rank for a in audits) <= max(a.term_count for a in audits[1:])
+
+    code, checks, failed = _failed_checks_with_first_certificate(
+        monkeypatch, lambda cert: dataclasses.replace(cert, term_count=first.rank - 1)
+    )
+    check = checks["max_rank<=max_term_count"]
+    assert code == 1 and failed == ["max_rank<=max_term_count"]
+    assert check["lhs"] <= check["rhs"]
+
+
+def test_inexact_reconstruction_fails(monkeypatch):
+    # The first left factor is (1, P): adding 1 to its column side adds the
+    # all-ones matrix to the rebuild.
+    def breaker(cert):
+        (f, g), *rest = cert.left_factors
+        one = sc.poly_const(cert.q, cert.n, 1)
+        assert f == one
+        return dataclasses.replace(cert, left_factors=((f, sc.poly_add(g, one)), *rest))
+
+    code, _, failed = _failed_checks_with_first_certificate(monkeypatch, breaker)
+    assert code == 1 and failed == ["clp_reconstructions_exact"]
