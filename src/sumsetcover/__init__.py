@@ -6,6 +6,10 @@ by an explicit monomial-counting budget, and certifies every inequality used
 along the way.  Brute-force oracles and consequence checkers (progression-free
 sets, matching-only sum-free families) provide independent ground truth at
 desk scale.
+
+The package re-exports the function `decompose` under its module's name, so
+`sumsetcover.decompose` and `import sumsetcover.decompose as m` give the
+function; `importlib.import_module("sumsetcover.decompose")` gives the module.
 """
 
 from .cover import LineCover, line_cover, maximum_matching, sum_pivots
@@ -69,22 +73,10 @@ from .polynomials import (
     Polynomial,
     eval_monomial,
     eval_poly,
-    monomial_poly,
-    poly_add,
-    poly_const,
     poly_degree,
     poly_from_terms,
-    poly_scale,
-    poly_sub,
-    poly_zero,
 )
-from .summatrix import (
-    ClpCertificate,
-    SumMatrix,
-    clp_decompose,
-    clp_reconstruct,
-    sum_matrix,
-)
+from .summatrix import ClpCertificate, clp_decompose
 from .vanishing import PolySubspace, build_vanishing_space
 
 __version__ = "0.1.0"

@@ -72,7 +72,7 @@ def _coords_field(raw: dict, key: str, q: int, n: int) -> list[tuple[int, ...]]:
         raise ParseError(f"field {key!r} must be a list of coordinate lists")
     out: list[tuple[int, ...]] = []
     for idx, item in enumerate(value):
-        if not isinstance(item, list) or not all(isinstance(c, int) for c in item):
+        if not isinstance(item, list) or not all(type(c) is int for c in item):
             raise ParseError(f"{key}[{idx}] must be a list of integers")
         if len(item) != n:
             raise ValidationError(f"{key}[{idx}] has length {len(item)}, expected n={n}")
@@ -104,7 +104,8 @@ def parse_instance(path: str) -> ParsedInstance:
         if field not in raw:
             raise ParseError(f"missing required field {field!r}")
     q, n = raw["q"], raw["n"]
-    if not isinstance(q, int) or not isinstance(n, int):
+    # type(), not isinstance(): JSON true/false load as bool, a subclass of int
+    if type(q) is not int or type(n) is not int:
         raise ParseError("fields 'q' and 'n' must be integers")
     if not is_prime(q):
         raise ValidationError(f"q = {q} is not prime")
@@ -313,9 +314,12 @@ def _cmd_decompose(args) -> tuple[dict, list[str], int]:
             "S_witness": outputs["S_witness"],
             "T_witness": outputs["T_witness"],
         }
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise OSError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     ok = all(c["passed"] for c in checks)
     human = [
         f"decompose: q={inst.q}, n={inst.n}, |S|={len(S)}, |T|={len(T)}, |S+T|={outputs['sizes']['S+T']}",
@@ -484,6 +488,8 @@ def _cmd_trials(args) -> tuple[dict, list[str], int]:
         raise ValidationError(f"q = {args.q} is not prime")
     if args.n < 1:
         raise ValidationError(f"n must be >= 1, got {args.n}")
+    if args.count < 0:
+        raise ValidationError(f"count must be >= 0, got {args.count}")
     if not (0.0 <= args.p <= 1.0):
         raise ValidationError(f"inclusion probability must be in [0, 1], got {args.p}")
     rng = random.Random(args.seed)
@@ -682,6 +688,10 @@ def run_command(argv: list[str]) -> int:
     except BoundViolated as exc:
         print(f"error: certified bound violated (bug): {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
+    except OSError as exc:
+        # reads raise ParseError; what reaches here is the --output write
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
     report["argv"] = list(argv)
     report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     _emit(report, human, args.json)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from .cover import LineCover, line_cover, sum_pivots
 from .errors import BoundViolated
-from .field import DEFAULT_ENUM_CAP, PointSet, sum_index, sumset
+from .field import DEFAULT_ENUM_CAP, PointSet, is_prime, sum_index, sumset
 from .monomials import count_m, degree_counts
 from .vanishing import PolySubspace, build_vanishing_space
 
@@ -104,6 +104,13 @@ def choose_degree(q: int, n: int) -> tuple[int, int]:
     return best_d, best_bound
 
 
+def _check_inputs(S: PointSet, T: PointSet) -> None:
+    """S and T in one space F_q^n with q prime; ValueError names a bad q."""
+    S._check_compatible(T)
+    if not is_prime(S.q):
+        raise ValueError(f"q = {S.q} is not prime")
+
+
 def run_pipeline(
     S: PointSet,
     T: PointSet,
@@ -112,7 +119,7 @@ def run_pipeline(
     cap: int = DEFAULT_ENUM_CAP,
 ) -> PipelineRun:
     """Execute the full construction on nonempty S, T and keep every stage."""
-    S._check_compatible(T)
+    _check_inputs(S, T)
     if not S.members or not T.members:
         raise ValueError("run_pipeline needs nonempty inputs; decompose handles empty sets")
     q, n = S.q, S.n
@@ -183,7 +190,7 @@ def decompose(
     Empty S or T short-circuits to empty witnesses (the sumset is empty, so
     nothing needs covering) without enumerating the ambient space.
     """
-    S._check_compatible(T)
+    _check_inputs(S, T)
     q, n = S.q, S.n
     if not S.members or not T.members:
         if degree is None:

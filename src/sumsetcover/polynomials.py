@@ -3,8 +3,9 @@
 A polynomial is a map {exponent tuple: nonzero coefficient} with every
 exponent at most q-1 per variable.  Reduced polynomials represent functions
 F_q^n -> F_q uniquely, which is what makes the vanishing-space constructions
-downstream exact.  Instances are treated as immutable: all arithmetic builds
-fresh term maps.
+downstream exact.  Instances are treated as immutable.  `poly_from_terms`
+builds one from any term map, checking the exponents and reducing the
+coefficients; `polys_from_rows` reads rows already reduced mod q.
 """
 
 from __future__ import annotations
@@ -58,44 +59,9 @@ def polys_from_rows(
     return tuple(Polynomial(q, n, dict(compress(zip(monos, row), row))) for row in rows)
 
 
-def poly_zero(q: int, n: int) -> Polynomial:
-    return Polynomial(q, n, {})
-
-
-def poly_const(q: int, n: int, c: int) -> Polynomial:
-    return poly_from_terms(q, n, {(0,) * n: c})
-
-
-def monomial_poly(q: int, n: int, mono: Monomial, coeff: int = 1) -> Polynomial:
-    return poly_from_terms(q, n, {mono: coeff})
-
-
 def poly_degree(P: Polynomial) -> int:
     """Total degree; -1 for the zero polynomial."""
     return max((sum(m) for m in P.terms), default=-1)
-
-
-def poly_add(P: Polynomial, Q: Polynomial) -> Polynomial:
-    _check_same_space(P, Q)
-    terms = dict(P.terms)
-    for mono, coeff in Q.terms.items():
-        c = (terms.get(mono, 0) + coeff) % P.q
-        if c:
-            terms[mono] = c
-        else:
-            terms.pop(mono, None)
-    return Polynomial(P.q, P.n, terms)
-
-
-def poly_scale(P: Polynomial, k: int) -> Polynomial:
-    k %= P.q
-    if k == 0:
-        return poly_zero(P.q, P.n)
-    return Polynomial(P.q, P.n, {m: (k * c) % P.q for m, c in P.terms.items()})
-
-
-def poly_sub(P: Polynomial, Q: Polynomial) -> Polynomial:
-    return poly_add(P, poly_scale(Q, -1))
 
 
 def eval_monomial(mono: Monomial, coords: Sequence[int], q: int) -> int:
@@ -147,10 +113,3 @@ def eval_poly(P: Polynomial, x: FieldVector) -> int:
             f"polynomial over (q={P.q}, n={P.n}) evaluated at point over (q={x.q}, n={x.n})"
         )
     return sum(c * eval_monomial(m, x.coords, P.q) for m, c in P.terms.items()) % P.q
-
-
-def _check_same_space(P: Polynomial, Q: Polynomial) -> None:
-    if P.q != Q.q or P.n != Q.n:
-        raise DimensionMismatch(
-            f"polynomials over (q={P.q}, n={P.n}) and (q={Q.q}, n={Q.n})"
-        )

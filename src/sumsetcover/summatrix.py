@@ -11,15 +11,17 @@ total degree <= floor(d/2).  Grouping the expansion by that low-degree side
 writes the matrix as a sum of rank-one terms, at most m(q, n, floor(d/2))
 anchored on the row side plus as many anchored on the column side.
 
-`rank_audit` checks this for every basis polynomial of a pipeline run (the
-CLI's --certify-rank).  All evaluation goes through
-polynomials.value_table, packed at q = 3: the basis once at the distinct
-sums, whose grid of sum ids fills each matrix, and every monomial of degree
-<= d once at S and once at T.  A certificate's factors are combinations of
-those monomial rows, and the matrix it sums to is the product of its row
-sides at S with its column sides at T; linalg.combine_rows forms both on
-bitplanes at q = 3.  The rank is taken on the same rows.  `sum_matrix` and
-`clp_reconstruct` share these helpers.
+`audit_matrices`, and `rank_audit` over it for every basis polynomial of a
+pipeline run (the CLI's --certify-rank), are the library's only path that
+builds a sum matrix or rebuilds one from its certificate.  All evaluation
+goes through polynomials.value_table, packed at q = 3: the polynomials once
+at the distinct sums, whose grid of sum ids fills each matrix, and every
+monomial of degree <= d once at S and once at T.  A certificate's factors
+are combinations of those monomial rows, and the matrix it sums to is the
+product of its row sides at S with its column sides at T;
+linalg.combine_rows forms both on bitplanes at q = 3.  The rank is taken on
+the same rows.  tests/reference.py keeps the per-cell constructions the
+audit is checked against.
 """
 
 from __future__ import annotations
@@ -39,26 +41,7 @@ from .polynomials import Polynomial, poly_degree, value_table
 if TYPE_CHECKING:
     from .decompose import PipelineRun
 
-Entries = tuple[tuple[int, ...], ...]
 Coords = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SumMatrix:
-    """P evaluated on all pairwise sums of the ordered row/column points."""
-
-    rows: tuple[FieldVector, ...]
-    cols: tuple[FieldVector, ...]
-    entries: Entries
-    source: Polynomial
-
-    @property
-    def q(self) -> int:
-        return self.source.q
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.cols))
 
 
 def _coords(q: int, n: int, points: Sequence[FieldVector]) -> list[Coords]:
@@ -71,35 +54,9 @@ def _coords(q: int, n: int, points: Sequence[FieldVector]) -> list[Coords]:
     return [x.coords for x in points]
 
 
-def _sum_grid(
-    rows: Sequence[Coords], cols: Sequence[Coords], q: int
-) -> tuple[list[Coords], list[list[int]]]:
-    """The distinct sums in row-major order of first occurrence, and each cell's sum id."""
-    ids: dict[Coords, int] = {}
-    grid = [
-        [ids.setdefault(tuple([(a + b) % q for a, b in zip(s, t)]), len(ids)) for t in cols]
-        for s in rows
-    ]
-    return list(ids), grid
-
-
 def _lists(table: Rows) -> list[list[int]]:
     """The rows as lists, unpacked from a gf3.Matrix3."""
     return gf3.unpack(table) if isinstance(table, gf3.Matrix3) else table
-
-
-def sum_matrix(
-    P: Polynomial, row_points: Sequence[FieldVector], col_points: Sequence[FieldVector]
-) -> SumMatrix:
-    """Evaluate P on every s + t; entries agree wherever sums agree.
-
-    P is evaluated once per distinct sum and the grid is filled by lookup.
-    """
-    rows, cols = _coords(P.q, P.n, row_points), _coords(P.q, P.n, col_points)
-    sums, grid = _sum_grid(rows, cols, P.q)
-    (values,) = _lists(value_table([P], sums, P.q))
-    entries = tuple(tuple([values[k] for k in ids]) for ids in grid)
-    return SumMatrix(tuple(row_points), tuple(col_points), entries, P)
 
 
 @dataclass(frozen=True)
@@ -173,15 +130,6 @@ def clp_decompose(P: Polynomial, degree: int) -> ClpCertificate:
     return ClpCertificate(q, n, degree, split, left_factors, right_factors, term_count)
 
 
-def _monomial_tables(
-    monos: Sequence[Monomial], rows: Sequence[Coords], cols: Sequence[Coords], q: int, n: int
-) -> tuple[dict[Monomial, int], Rows, Rows]:
-    """Each monomial's row index, and its values at the row and at the column points."""
-    units = [Polynomial(q, n, {m: 1}) for m in monos]
-    index = {m: k for k, m in enumerate(monos)}
-    return index, value_table(units, rows, q), value_table(units, cols, q)
-
-
 def _rebuild(
     cert: ClpCertificate,
     index: dict[Monomial, int],
@@ -206,20 +154,6 @@ def _rebuild(
     col_side = side([g for _, g in factors], at_cols, ncols)
     weights = (enumerate([v[i] for v in row_side]) for i in range(nrows))
     return combine_rows(weights, col_side, ncols, q)
-
-
-def clp_reconstruct(
-    cert: ClpCertificate,
-    row_points: Sequence[FieldVector],
-    col_points: Sequence[FieldVector],
-) -> Entries:
-    """Sum the certificate's rank-one terms back into a full matrix."""
-    q, n = cert.q, cert.n
-    rows, cols = _coords(q, n, row_points), _coords(q, n, col_points)
-    factors = cert.left_factors + cert.right_factors
-    monos = list(dict.fromkeys(m for pair in factors for f in pair for m in f.terms))
-    tables = _monomial_tables(monos, rows, cols, q, n)
-    return tuple(map(tuple, _lists(_rebuild(cert, *tables, len(rows), len(cols)))))
 
 
 @dataclass(frozen=True)
@@ -252,15 +186,23 @@ def audit_matrices(
         return
     q, n = polys[0].q, polys[0].n
     rows, cols = _coords(q, n, row_points), _coords(q, n, col_points)
-    sums, grid = _sum_grid(rows, cols, q)
+    # each cell's sum id; the ids number the distinct sums in row-major order
+    ids: dict[Coords, int] = {}
+    grid = [
+        [ids.setdefault(tuple([(a + b) % q for a, b in zip(s, t)]), len(ids)) for t in cols]
+        for s in rows
+    ]
     # every factor's monomials have degree <= d; they number at most q^n
-    tables = _monomial_tables(enumerate_monomials(q, n, degree, cap=q**n), rows, cols, q, n)
-    for P, values in zip(polys, _lists(value_table(polys, sums, q))):
+    monos = enumerate_monomials(q, n, degree, cap=q**n)
+    index = {m: k for k, m in enumerate(monos)}
+    units = [Polynomial(q, n, {m: 1}) for m in monos]
+    at_rows, at_cols = value_table(units, rows, q), value_table(units, cols, q)
+    for P, values in zip(polys, _lists(value_table(polys, list(ids), q))):
         entries: Rows = [[values[k] for k in ids] for ids in grid]
         if q == 3:
             entries = gf3.pack(entries, len(cols))
         cert = clp_decompose(P, degree)
-        rebuilt = _rebuild(cert, *tables, len(rows), len(cols))
+        rebuilt = _rebuild(cert, index, at_rows, at_cols, len(rows), len(cols))
         yield MatrixAudit(entries, rebuilt, matrix_rank(entries, q), cert.term_count)
 
 

@@ -1,9 +1,10 @@
 """Reference paths: per-cell sum matrices, the rank audit, and pivots.
 
 The library reads the pivot positions off one elimination of the vanishing
-basis evaluated once per distinct sum (`sumsetcover.cover.sum_pivots`), and
-audits the rank certificates from evaluation tables
-(`sumsetcover.summatrix.audit_matrices`).  This module keeps the direct
+basis evaluated once per distinct sum (`sumsetcover.cover.sum_pivots`).  Its
+only code that builds a sum matrix, or rebuilds one from its certificate, is
+the table-driven audit (`sumsetcover.summatrix.audit_matrices`, folded by
+`rank_audit` for --certify-rank).  This module keeps the direct
 constructions for the tests to check them against: `eval_poly` once per
 distinct sum of each matrix, the expansion of P(x + y) through
 `poly_from_terms`, `eval_poly` once per factor and point for the rebuild, and
@@ -73,7 +74,7 @@ def clp_decompose(P: sc.Polynomial, degree: int) -> sc.ClpCertificate:
             cofactor = sc.poly_from_terms(q, n, groups[anchor])
             if not cofactor.terms:
                 continue
-            anchor_poly = sc.monomial_poly(q, n, anchor)
+            anchor_poly = sc.poly_from_terms(q, n, {anchor: 1})
             out.append((anchor_poly, cofactor) if row_anchored else (cofactor, anchor_poly))
         return tuple(out)
 

@@ -29,6 +29,7 @@ import pytest
 
 import sumsetcover as sc
 from sumsetcover.cli import run_command
+from sumsetcover.summatrix import audit_matrices, rank_audit
 
 from conftest import space_points, subset_from_mask
 
@@ -147,24 +148,17 @@ def test_criterion_05_clp_certificates(f2_bundle, f3_bundle):
     ok = True
     checked = 0
     for run in itertools.chain(f2_bundle.pipeline_runs, f3_bundle.pipeline_runs):
-        s_ord, t_ord = run.s_input.ordered(), run.t_input.ordered()
-        for P in run.space.basis:
-            mat = sc.sum_matrix(P, s_ord, t_ord)
-            cert = sc.clp_decompose(mat.source, run.degree)
-            ok = ok and sc.clp_reconstruct(cert, mat.rows, mat.cols) == mat.entries
-            rank = sc.matrix_rank([list(r) for r in mat.entries], mat.q)
-            ok = ok and rank <= cert.term_count <= run.rank_bound
-            checked += 1
+        audit = rank_audit(run)
+        ok = ok and audit.exact and audit.ranks_within_terms
+        ok = ok and audit.max_term_count <= run.rank_bound
+        checked += len(run.space.basis)
     # concrete instance: squaring over F_3 at degree budget 2
     pts = space_points(3, 1)
-    P = sc.monomial_poly(3, 1, (2,))
-    M = sc.sum_matrix(P, pts, pts)
-    cert = sc.clp_decompose(P, 2)
-    rank = sc.matrix_rank([list(r) for r in M.entries], 3)
-    ok = ok and sc.clp_reconstruct(cert, pts, pts) == M.entries
-    ok = ok and rank == 3 and cert.term_count <= 4
+    (a,) = audit_matrices([sc.poly_from_terms(3, 1, {(2,): 1})], 2, pts, pts)
+    ok = ok and a.rebuilt == a.entries
+    ok = ok and a.rank == 3 and a.term_count <= 4
     report("05", "rank split certificates", ok,
-           f"({checked} basis elements; concrete rank {rank} <= {cert.term_count} <= 4)")
+           f"({checked} basis elements; concrete rank {a.rank} <= {a.term_count} <= 4)")
     assert ok
 
 

@@ -62,6 +62,23 @@ class TestParseInstance:
         with pytest.raises(ValidationError):
             parse_instance(path)
 
+    @pytest.mark.parametrize("payload", [
+        {"q": 3, "n": True, "S": [[True], [2]], "T": [[0]]},
+        {"q": True, "n": 1, "S": [[0]], "T": [[0]]},
+    ])
+    def test_boolean_q_or_n_rejected(self, tmp_path, payload):
+        # JSON true loads as bool, a subclass of int
+        path = write_instance(tmp_path, **payload)
+        with pytest.raises(ParseError):
+            parse_instance(path)
+        assert run_command(["decompose", "--input", path]) == 2
+
+    def test_boolean_coordinate_rejected(self, tmp_path):
+        path = write_instance(tmp_path, q=3, n=2, S=[[0, False]], T=[[1, 1]])
+        with pytest.raises(ParseError):
+            parse_instance(path)
+        assert run_command(["decompose", "--input", path]) == 2
+
     def test_explicit_orders(self, tmp_path):
         path = write_instance(
             tmp_path, q=5, n=1, S=[[0], [1]], T=[[0], [1]],
@@ -126,6 +143,21 @@ class TestDecomposeCommand:
         )
         assert code == 1
         assert not report["outputs"]["verified"]
+
+    def test_boolean_witness_coordinate_exit_two(self, tmp_path, capsys):
+        path = write_instance(tmp_path, q=3, n=1, S=[[0], [1]], T=[[0], [1]])
+        witness = tmp_path / "bool.json"
+        witness.write_text(json.dumps({"S_witness": [[True]], "T_witness": [[0]]}))
+        assert run_command(["verify", "--input", path, "--witness", str(witness)]) == 2
+        assert "S_witness[0] must be a list of integers" in capsys.readouterr().err
+
+    def test_unwritable_output_exit_two(self, tmp_path, capsys):
+        path = write_instance(tmp_path, q=2, n=1, S=[[0]], T=[[1]])
+        target = str(tmp_path / "no_such_dir" / "witness.json")
+        assert run_command(["decompose", "--input", path, "--output", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {target}")
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_forced_degree(self, tmp_path, capsys):
         path = write_instance(tmp_path, q=3, n=1, S=[[0], [1]], T=[[0], [2]])
@@ -247,6 +279,12 @@ class TestTrialsCommand:
     def test_bad_probability_exit_two(self, capsys):
         argv = ["trials", "--q", "2", "--n", "1", "--count", "1", "--seed", "0", "--p", "1.5"]
         assert run_command(argv) == 2
+
+    def test_negative_count_exit_two(self, capsys):
+        argv = ["trials", "--q", "2", "--n", "1", "--count", "-1", "--seed", "0"]
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert "count must be >= 0" in captured.err and captured.out == ""
 
 
 class TestEntryPoint:

@@ -1,6 +1,8 @@
+import importlib
 import subprocess
 import sys
 import textwrap
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,30 @@ class TestDecompose:
         S = sc.PointSet.empty(2, 1)
         with pytest.raises(ValueError):
             sc.run_pipeline(S, S)
+
+    @pytest.mark.parametrize("q", [1, 4, 6])
+    def test_non_prime_q_rejected_before_any_work(self, q, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the pipeline started on a non-prime q")
+
+        module = importlib.import_module("sumsetcover.decompose")
+        monkeypatch.setattr(module, "choose_degree", no_work)
+        S = sc.PointSet.from_coords(q, 2, [(0, 0), (0, 1)])
+        T = sc.PointSet.from_coords(q, 2, [(1, 0)])
+        empty = sc.PointSet.empty(q, 2)
+        for call in (sc.run_pipeline, sc.decompose):
+            for a, b in ((S, T), (empty, T)):
+                with pytest.raises(ValueError, match=f"q = {q} is not prime"):
+                    call(a, b)
+
+
+def test_decompose_name_is_the_function_and_the_module_stays_reachable():
+    # the package re-exports the function under its module's name
+    module = importlib.import_module("sumsetcover.decompose")
+    assert isinstance(module, types.ModuleType)
+    assert isinstance(sc.decompose, types.FunctionType)
+    assert sc.decompose is module.decompose
+    assert module.run_pipeline is sc.run_pipeline
 
 
 class TestSymmetricSubset:

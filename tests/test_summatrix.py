@@ -20,39 +20,52 @@ GOLDEN = sorted((Path(__file__).parent / "golden").glob("*.json"))
 
 
 F3 = space_points(3, 1)
+SQUARE = sc.poly_from_terms(3, 1, {(2,): 1})
+
+
+def _grid(rows) -> tuple[tuple[int, ...], ...]:
+    """Packed or list rows as a tuple grid."""
+    return tuple(map(tuple, gf3.unpack(rows) if isinstance(rows, gf3.Matrix3) else rows))
+
+
+def _audit(P, degree, row_points, col_points) -> summatrix.MatrixAudit:
+    """The audit of P's one sum matrix."""
+    (a,) = summatrix.audit_matrices([P], degree, row_points, col_points)
+    return a
 
 
 class TestSumMatrix:
     def test_constant_gives_all_ones(self):
-        M = sc.sum_matrix(sc.poly_const(3, 1, 1), F3, F3)
-        assert M.entries == ((1, 1, 1),) * 3
-        assert sc.matrix_rank([list(r) for r in M.entries], 3) == 1
+        a = _audit(sc.poly_from_terms(3, 1, {(0,): 1}), 2, F3, F3)
+        assert _grid(a.entries) == ((1, 1, 1),) * 3
+        assert a.rank == sc.matrix_rank([[1] * 3] * 3, 3) == 1
 
     def test_square_polynomial(self):
-        M = sc.sum_matrix(sc.monomial_poly(3, 1, (2,)), F3, F3)
-        assert M.entries == ((0, 1, 1), (1, 1, 0), (1, 0, 1))
+        assert _grid(_audit(SQUARE, 2, F3, F3).entries) == ((0, 1, 1), (1, 1, 0), (1, 0, 1))
 
     def test_zero_polynomial(self):
-        M = sc.sum_matrix(sc.poly_zero(3, 1), F3, F3)
-        assert M.entries == ((0, 0, 0),) * 3
+        a = _audit(sc.poly_from_terms(3, 1, {}), 2, F3, F3)
+        assert _grid(a.entries) == ((0, 0, 0),) * 3
+        assert a.rank == a.term_count == 0
 
     def test_points_outside_the_space(self):
+        one = sc.poly_from_terms(3, 2, {(0, 0): 1})
         with pytest.raises(DimensionMismatch):
-            sc.sum_matrix(sc.poly_const(3, 2, 1), F3, F3)
+            list(summatrix.audit_matrices([one], 0, F3, space_points(3, 2)))
         with pytest.raises(DimensionMismatch):
-            sc.clp_reconstruct(sc.clp_decompose(sc.poly_const(3, 2, 1), 0), F3, F3)
+            list(summatrix.audit_matrices([one], 0, space_points(3, 2), space_points(5, 2)))
 
     @given(polynomials())
     @settings(deadline=None)
     def test_equal_entries_on_equal_sums(self, P):
         pts = space_points(3, 2)
-        M = sc.sum_matrix(P, pts, pts)
+        entries = _grid(_audit(P, 4, pts, pts).entries)
         values = {}
         for i, s in enumerate(pts):
             for j, t in enumerate(pts):
                 key = (s + t).coords
-                values.setdefault(key, M.entries[i][j])
-                assert values[key] == M.entries[i][j]
+                values.setdefault(key, entries[i][j])
+                assert values[key] == entries[i][j]
 
 
 class TestMatrixRank:
@@ -64,13 +77,13 @@ class TestMatrixRank:
         assert sc.matrix_rank([[1] * 4 for _ in range(4)], 5) == 1
 
     def test_square_matrix_is_invertible(self):
-        M = sc.sum_matrix(sc.monomial_poly(3, 1, (2,)), F3, F3)
-        assert sc.matrix_rank([list(r) for r in M.entries], 3) == 3
+        a = _audit(SQUARE, 2, F3, F3)
+        assert a.rank == sc.matrix_rank([list(r) for r in _grid(a.entries)], 3) == 3
 
 
 class TestClpDecompose:
     def test_constant(self):
-        cert = sc.clp_decompose(sc.poly_const(3, 1, 2), 2)
+        cert = sc.clp_decompose(sc.poly_from_terms(3, 1, {(0,): 2}), 2)
         assert cert.term_count == 1
         assert len(cert.left_factors) == 1
         f, g = cert.left_factors[0]
@@ -79,7 +92,7 @@ class TestClpDecompose:
 
     def test_square_split(self):
         # (x+y)^2 = x^2*1 + 2x*y + 1*y^2 over F_3; split at degree 1
-        cert = sc.clp_decompose(sc.monomial_poly(3, 1, (2,)), 2)
+        cert = sc.clp_decompose(SQUARE, 2)
         assert cert.split == 1
         assert cert.term_count == 3
         assert [(f.terms, g.terms) for f, g in cert.left_factors] == [
@@ -92,33 +105,30 @@ class TestClpDecompose:
         assert cert.term_count <= 2 * sc.count_m(3, 1, 1)
 
     def test_reconstruction_matches(self):
-        P = sc.monomial_poly(3, 1, (2,))
-        cert = sc.clp_decompose(P, 2)
-        M = sc.sum_matrix(P, F3, F3)
-        assert sc.clp_reconstruct(cert, F3, F3) == M.entries
+        a = _audit(SQUARE, 2, F3, F3)
+        assert a.rebuilt == a.entries
+        assert _grid(a.rebuilt) == reference.clp_reconstruct(sc.clp_decompose(SQUARE, 2), F3, F3)
 
     def test_degree_gate(self):
         with pytest.raises(DegreeTooHigh):
-            sc.clp_decompose(sc.monomial_poly(3, 1, (2,)), 1)
+            sc.clp_decompose(SQUARE, 1)
+        with pytest.raises(DegreeTooHigh):
+            list(summatrix.audit_matrices([SQUARE], 1, F3, F3))
 
     def test_zero_polynomial(self):
-        cert = sc.clp_decompose(sc.poly_zero(3, 2), 3)
-        assert cert.term_count == 0
-        assert sc.clp_reconstruct(cert, space_points(3, 2)[:2], space_points(3, 2)[:2]) == (
-            (0, 0),
-            (0, 0),
-        )
+        zero = sc.poly_from_terms(3, 2, {})
+        assert sc.clp_decompose(zero, 3).term_count == 0
+        pts = space_points(3, 2)[:2]
+        assert _grid(_audit(zero, 3, pts, pts).rebuilt) == ((0, 0), (0, 0))
 
     @given(polynomials(max_degree=3))
     @settings(deadline=None)
     def test_random_certificates(self, P):
         pts = space_points(3, 2)
-        cert = sc.clp_decompose(P, 3)
-        M = sc.sum_matrix(P, pts, pts)
-        assert sc.clp_reconstruct(cert, pts, pts) == M.entries
-        assert cert.term_count <= 2 * sc.count_m(3, 2, 1) == 6
-        rank = sc.matrix_rank([list(r) for r in M.entries], 3)
-        assert rank <= cert.term_count
+        a = _audit(P, 3, pts, pts)
+        assert a.rebuilt == a.entries
+        assert a.term_count == sc.clp_decompose(P, 3).term_count <= 2 * sc.count_m(3, 2, 1) == 6
+        assert a.rank <= a.term_count
 
     def test_left_anchors_have_low_degree(self):
         P = sc.poly_from_terms(3, 2, {(2, 1): 1, (1, 1): 2, (0, 0): 1})
@@ -137,7 +147,8 @@ class TestInjectivity:
         # the sum matrix vanishes everywhere, hence is zero
         S, T = pair
         q = S.q
-        space = sc.build_vanishing_space(sc.sumset(S, T), (q - 1) * S.n // 2)
+        degree = (q - 1) * S.n // 2
+        space = sc.build_vanishing_space(sc.sumset(S, T), degree)
         if not space.basis:
             return
         coeffs = data.draw(
@@ -147,16 +158,13 @@ class TestInjectivity:
                 max_size=len(space.basis),
             ).filter(lambda cs: any(cs))
         )
-        combo = sc.poly_zero(q, S.n)
+        terms = {}
         for c, P in zip(coeffs, space.basis):
-            combo = sc.poly_add(combo, sc.poly_scale(P, c))
-        M = sc.sum_matrix(combo, S.ordered(), T.ordered())
-        assert any(v for row in M.entries for v in row)
-
-
-def _grid(rows) -> tuple[tuple[int, ...], ...]:
-    """Packed or list rows as a tuple grid."""
-    return tuple(map(tuple, gf3.unpack(rows) if isinstance(rows, gf3.Matrix3) else rows))
+            for mono, coeff in P.terms.items():
+                terms[mono] = terms.get(mono, 0) + c * coeff
+        combo = sc.poly_from_terms(q, S.n, terms)
+        a = _audit(combo, degree, S.ordered(), T.ordered())
+        assert any(v for row in _grid(a.entries) for v in row)
 
 
 def _assert_audit_matches_reference(run):
@@ -206,9 +214,9 @@ class TestAuditMatchesReference:
             pts = space_points(P.q, P.n)[::2]
             cert = sc.clp_decompose(P, d)
             assert cert == reference.clp_decompose(P, d)
-            assert sc.sum_matrix(P, pts, pts[::-1]).entries == reference.sum_grid(P, pts, pts[::-1])
-            rebuilt = reference.clp_reconstruct(cert, pts, pts[::-1])
-            assert sc.clp_reconstruct(cert, pts, pts[::-1]) == rebuilt
+            a = _audit(P, d, pts, pts[::-1])
+            assert _grid(a.entries) == reference.sum_grid(P, pts, pts[::-1])
+            assert _grid(a.rebuilt) == reference.clp_reconstruct(cert, pts, pts[::-1])
 
 
 GOLDEN_Q3_N5 = str(Path(__file__).parent / "golden" / "q3_n5.json")
@@ -259,9 +267,10 @@ def test_inexact_reconstruction_fails(monkeypatch):
     # all-ones matrix to the rebuild.
     def breaker(cert):
         (f, g), *rest = cert.left_factors
-        one = sc.poly_const(cert.q, cert.n, 1)
-        assert f == one
-        return dataclasses.replace(cert, left_factors=((f, sc.poly_add(g, one)), *rest))
+        zero = (0,) * cert.n
+        assert f == sc.poly_from_terms(cert.q, cert.n, {zero: 1})
+        g_plus_one = sc.poly_from_terms(cert.q, cert.n, {**g.terms, zero: g.terms.get(zero, 0) + 1})
+        return dataclasses.replace(cert, left_factors=((f, g_plus_one), *rest))
 
     code, _, failed = _failed_checks_with_first_certificate(monkeypatch, breaker)
     assert code == 1 and failed == ["clp_reconstructions_exact"]
