@@ -7,7 +7,9 @@ The only guaranteed order is
 
     oracle minimum <= greedy cover,  oracle minimum <= pipeline total <= bound
 
-(the oracle runs only when |S| + |T| fits the exhaustive-search cap).  The
+(the oracle runs only when |S| + |T| fits the exhaustive-search cap).  A
+witness that fails to cover S+T, or an oracle minimum above either total,
+stops the script with exit code 1; these checks also run under python -O.  The
 greedy cover is a heuristic: it usually lands at or below the pipeline, but
 nothing bounds it by the pipeline or by the bound, so the script counts the
 instances where it exceeds either instead of asserting an order.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import sys
 from collections import Counter
 
 import sumsetcover as sc
@@ -43,14 +46,17 @@ def main() -> None:
         S = sc.PointSet.from_vectors(args.q, args.n, [p for p in points if rng.random() < args.p])
         T = sc.PointSet.from_vectors(args.q, args.n, [p for p in points if rng.random() < args.p])
         dec = sc.decompose(S, T)
-        assert sc.verify_decomposition(S, T, dec.s_witness, dec.t_witness)
+        if not sc.verify_decomposition(S, T, dec.s_witness, dec.t_witness):
+            sys.exit(f"trial {trial}: the pipeline witness pair does not cover S+T")
         gs, gt = sc.greedy_decomposition(S, T)
         greedy = len(gs) + len(gt)
         oracle = None
         if len(S) + len(T) <= args.search_cap:
             oracle = sc.oracle_min_decomposition(S, T, search_cap=args.search_cap).best_total
-            assert oracle <= greedy
-            assert oracle <= dec.witness_total
+            if oracle > greedy:
+                sys.exit(f"trial {trial}: oracle minimum {oracle} exceeds the greedy cover {greedy}")
+            if oracle > dec.witness_total:
+                sys.exit(f"trial {trial}: oracle minimum {oracle} exceeds the pipeline total {dec.witness_total}")
             gaps[dec.witness_total - oracle] += 1
         rows.append((trial, len(S), len(T), oracle, greedy, dec.witness_total, dec.bound))
 

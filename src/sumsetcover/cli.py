@@ -7,6 +7,9 @@ with --json).  Every checked inequality appears in the report with both
 sides evaluated, so a report can be audited without the library.
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid input, 3 cap refusal.
+A printed report decides its own code: 1 exactly when the report's `ok` is
+false (some check failed), else 0.  Without a report, 2 and 3 name the
+refusal, and 1 means the pipeline raised BoundViolated (a bug).
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import time
 from dataclasses import dataclass
 
 from .decompose import (
+    _degree_and_bound,
     choose_degree,
     decompose,
-    degree_bound,
     run_pipeline,
     verify_decomposition,
 )
@@ -84,6 +87,23 @@ def _coords_field(raw: dict, key: str, q: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _read_json(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _check_space(q: int, n: int) -> None:
+    if not is_prime(q):
+        raise ValidationError(f"q = {q} is not prime")
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+
+
 def parse_instance(path: str) -> ParsedInstance:
     """Read and validate a JSON instance file.
 
@@ -91,13 +111,7 @@ def parse_instance(path: str) -> ParsedInstance:
     T_order for the paired-family checks (defaulting to the file order of
     S and T).
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ParseError("instance file must be a JSON object")
     for field in ("q", "n", "S"):
@@ -107,10 +121,7 @@ def parse_instance(path: str) -> ParsedInstance:
     # type(), not isinstance(): JSON true/false load as bool, a subclass of int
     if type(q) is not int or type(n) is not int:
         raise ParseError("fields 'q' and 'n' must be integers")
-    if not is_prime(q):
-        raise ValidationError(f"q = {q} is not prime")
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    _check_space(q, n)
 
     s_coords = _coords_field(raw, "S", q, n)
     s_set = PointSet.from_coords(q, n, s_coords)
@@ -164,15 +175,15 @@ def _require_t(inst: ParsedInstance) -> PointSet:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (report dict, human lines, exit code)
+# subcommand handlers; each returns (inputs payload, outputs, checks, human
+# lines), and run_command builds the report and exit code from them
+
+HandlerResult = tuple[dict, dict, list[dict], list[str]]
 
 
-def _cmd_bound(args) -> tuple[dict, list[str], int]:
+def _cmd_bound(args) -> HandlerResult:
     q, n = args.q, args.n
-    if not is_prime(q):
-        raise ValidationError(f"q = {q} is not prime")
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    _check_space(q, n)
     table = degree_counts(q, n)
     prefix = table.cumulative
     rows = [
@@ -208,9 +219,7 @@ def _cmd_bound(args) -> tuple[dict, list[str], int]:
         human.append(f"growth of bound^(1/n) up to n={args.growth_to}:")
         for i, c in enumerate(seq, start=1):
             human.append(f"  n={i:<4} {c}")
-    ok = all(c["passed"] for c in checks)
-    report = _report("bound", {"q": q, "n": n, "growth_to": args.growth_to}, outputs, checks)
-    return report, human, EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return {"q": q, "n": n, "growth_to": args.growth_to}, outputs, checks, human
 
 
 def _decompose_checks(run, dec, chose_degree: bool) -> list[dict]:
@@ -261,7 +270,7 @@ def _decompose_checks(run, dec, chose_degree: bool) -> list[dict]:
     return checks
 
 
-def _cmd_decompose(args) -> tuple[dict, list[str], int]:
+def _cmd_decompose(args) -> HandlerResult:
     inst = parse_instance(args.input)
     S, T = inst.s_set, _require_t(inst)
     chose = args.d is None
@@ -320,32 +329,19 @@ def _cmd_decompose(args) -> tuple[dict, list[str], int]:
                 fh.write("\n")
         except OSError as exc:
             raise OSError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
-    ok = all(c["passed"] for c in checks)
     human = [
         f"decompose: q={inst.q}, n={inst.n}, |S|={len(S)}, |T|={len(T)}, |S+T|={outputs['sizes']['S+T']}",
         f"degree d={dec.degree} ({outputs['degree_source']}), bound {dec.bound}",
         f"witness sizes |S*|={len(dec.s_witness)}, |T*|={len(dec.t_witness)} (total {dec.witness_total})",
         _human_checks(checks),
     ]
-    report = _report(
-        "decompose",
-        _instance_payload(inst, d=args.d, cap=args.cap),
-        outputs,
-        checks,
-    )
-    return report, human, EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return _instance_payload(inst, d=args.d, cap=args.cap), outputs, checks, human
 
 
-def _cmd_verify(args) -> tuple[dict, list[str], int]:
+def _cmd_verify(args) -> HandlerResult:
     inst = parse_instance(args.input)
     S, T = inst.s_set, _require_t(inst)
-    try:
-        with open(args.witness, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.witness}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{args.witness} is not valid JSON: {exc}") from exc
+    raw = _read_json(args.witness)
     if not isinstance(raw, dict) or "S_witness" not in raw or "T_witness" not in raw:
         raise ParseError("witness file must be a JSON object with S_witness and T_witness")
     sw = PointSet.from_coords(inst.q, inst.n, _coords_field(raw, "S_witness", inst.q, inst.n))
@@ -360,11 +356,10 @@ def _cmd_verify(args) -> tuple[dict, list[str], int]:
         f"verify: witness total {len(sw) + len(tw)}",
         _human_checks(checks),
     ]
-    report = _report("verify", _instance_payload(inst, witness=raw), outputs, checks)
-    return report, human, EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return _instance_payload(inst, witness=raw), outputs, checks, human
 
 
-def _cmd_symmetric(args) -> tuple[dict, list[str], int]:
+def _cmd_symmetric(args) -> HandlerResult:
     inst = parse_instance(args.input)
     S = inst.s_set
     dec = decompose(S, S, args.d, cap=args.cap)
@@ -384,16 +379,14 @@ def _cmd_symmetric(args) -> tuple[dict, list[str], int]:
         "witness_size": len(witness),
         "set_size": len(S),
     }
-    ok = all(c["passed"] for c in checks)
     human = [
         f"symmetric witness: |B| = {len(witness)} of |S| = {len(S)}, bound {dec.bound}",
         _human_checks(checks),
     ]
-    report = _report("symmetric", _instance_payload(inst, d=args.d, cap=args.cap), outputs, checks)
-    return report, human, EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return _instance_payload(inst, d=args.d, cap=args.cap), outputs, checks, human
 
 
-def _cmd_check_capset(args) -> tuple[dict, list[str], int]:
+def _cmd_check_capset(args) -> HandlerResult:
     inst = parse_instance(args.input)
     rep = check_capset_bound(inst.s_set, cap=args.cap)
     # inapplicable inputs (q = 2 or a progression present) fail nothing
@@ -413,11 +406,10 @@ def _cmd_check_capset(args) -> tuple[dict, list[str], int]:
         + ("" if rep.applicable else "  (not applicable)"),
         _human_checks(checks),
     ]
-    report = _report("check-capset", _instance_payload(inst, cap=args.cap), outputs, checks)
-    return report, human, EXIT_OK if rep.passed else EXIT_VERIFY_FAILED
+    return _instance_payload(inst, cap=args.cap), outputs, checks, human
 
 
-def _cmd_check_sumfree(args) -> tuple[dict, list[str], int]:
+def _cmd_check_sumfree(args) -> HandlerResult:
     inst = parse_instance(args.input)
     if inst.t_order is None:
         raise ValidationError("check-sumfree needs 'T' or 'T_order' in the instance file")
@@ -441,16 +433,14 @@ def _cmd_check_sumfree(args) -> tuple[dict, list[str], int]:
                 "passed": rep.passed,
             }
         )
-    ok = all(c["passed"] for c in checks)
     human = [
         f"check-sumfree: N={len(fam)}, matching_sumfree={matching}",
         _human_checks(checks),
     ]
-    report = _report("check-sumfree", _instance_payload(inst, cap=args.cap), outputs, checks)
-    return report, human, EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return _instance_payload(inst, cap=args.cap), outputs, checks, human
 
 
-def _cmd_oracle(args) -> tuple[dict, list[str], int]:
+def _cmd_oracle(args) -> HandlerResult:
     inst = parse_instance(args.input)
     S, T = inst.s_set, _require_t(inst)
     res = oracle_min_decomposition(S, T, search_cap=args.search_cap)
@@ -471,23 +461,16 @@ def _cmd_oracle(args) -> tuple[dict, list[str], int]:
         "pipeline_total": dec.witness_total,
         "bound": dec.bound,
     }
-    ok = all(c["passed"] for c in checks)
     human = [
         f"oracle: minimum witness total {res.best_total} "
         f"(greedy {greedy_total}, pipeline {dec.witness_total}, bound {dec.bound})",
         _human_checks(checks),
     ]
-    report = _report(
-        "oracle", _instance_payload(inst, search_cap=args.search_cap, cap=args.cap), outputs, checks
-    )
-    return report, human, EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return _instance_payload(inst, search_cap=args.search_cap, cap=args.cap), outputs, checks, human
 
 
-def _cmd_trials(args) -> tuple[dict, list[str], int]:
-    if not is_prime(args.q):
-        raise ValidationError(f"q = {args.q} is not prime")
-    if args.n < 1:
-        raise ValidationError(f"n must be >= 1, got {args.n}")
+def _cmd_trials(args) -> HandlerResult:
+    _check_space(args.q, args.n)
     if args.count < 0:
         raise ValidationError(f"count must be >= 0, got {args.count}")
     if not (0.0 <= args.p <= 1.0):
@@ -521,8 +504,7 @@ def _cmd_trials(args) -> tuple[dict, list[str], int]:
         if oracle_total is not None:
             row["oracle_total"] = oracle_total
         rows.append(row)
-    d_used = args.d if args.d is not None else choose_degree(args.q, args.n)[0]
-    bound = degree_bound(args.q, args.n, d_used)
+    d_used, bound = _degree_and_bound(args.q, args.n, args.d)
     checks = [
         _check("all_trials_verified", all_ok),
         _check("max_witness_total<=bound", worst_total <= bound, worst_total, bound),
@@ -543,16 +525,7 @@ def _cmd_trials(args) -> tuple[dict, list[str], int]:
         f"degree d={d_used}, bound {bound}, max witness total {worst_total}",
         _human_checks(checks),
     ]
-    payload = {
-        "q": args.q,
-        "n": args.n,
-        "count": args.count,
-        "seed": args.seed,
-        "p": args.p,
-        "d": args.d,
-    }
-    report = _report("trials", payload, outputs, checks)
-    return report, human, EXIT_OK if all_ok else EXIT_VERIFY_FAILED
+    return {k: getattr(args, k) for k in ("q", "n", "count", "seed", "p", "d")}, outputs, checks, human
 
 
 # ---------------------------------------------------------------------------
@@ -601,58 +574,46 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="machine-readable output only")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_sub(name: str, help_text: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help_text, parents=[common])
+    def add_sub(name: str, help_text: str, handler, *, instance: bool, cap: bool):
+        """A subparser that runs handler, with --input and --cap when asked."""
+        p = sub.add_parser(name, help=help_text, parents=[common])
+        p.set_defaults(handler=handler)
+        if instance:
+            p.add_argument("--input", required=True, help="instance JSON file")
+        if cap:
+            p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP,
+                           help="maximum q^n allowed for full-space enumeration")
+        return p
 
-    def add_cap(p):
-        p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP,
-                       help="maximum q^n allowed for full-space enumeration")
-
-    p = add_sub("bound", "monomial counts, budgets, and growth")
+    p = add_sub("bound", "monomial counts, budgets, and growth", _cmd_bound, instance=False, cap=False)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--growth-to", type=int, default=0, help="also print bound^(1/n) up to this n")
     p.add_argument("--digits", type=int, default=30, help="decimal precision for growth values")
-    p.set_defaults(handler=_cmd_bound)
 
-    p = add_sub("decompose", "construct a certified witness pair")
-    p.add_argument("--input", required=True, help="instance JSON file")
+    p = add_sub("decompose", "construct a certified witness pair", _cmd_decompose, instance=True, cap=True)
     p.add_argument("--d", type=int, default=None, help="force the degree instead of minimizing")
     p.add_argument("--output", default=None, help="write the witness pair to this JSON file")
     p.add_argument("--certify-rank", action="store_true",
                    help="also emit per-basis-element rank certificates")
-    add_cap(p)
-    p.set_defaults(handler=_cmd_decompose)
 
-    p = add_sub("verify", "re-check a witness pair by enumeration")
-    p.add_argument("--input", required=True)
+    p = add_sub("verify", "re-check a witness pair by enumeration", _cmd_verify, instance=True, cap=False)
     p.add_argument("--witness", required=True, help="JSON file with S_witness and T_witness")
-    p.set_defaults(handler=_cmd_verify)
 
-    p = add_sub("symmetric", "witness subset B with B + S = S + S")
-    p.add_argument("--input", required=True)
+    p = add_sub("symmetric", "witness subset B with B + S = S + S", _cmd_symmetric, instance=True, cap=True)
     p.add_argument("--d", type=int, default=None)
-    add_cap(p)
-    p.set_defaults(handler=_cmd_symmetric)
 
-    p = add_sub("check-capset", "progression-free size check")
-    p.add_argument("--input", required=True)
-    add_cap(p)
-    p.set_defaults(handler=_cmd_check_capset)
+    add_sub("check-capset", "progression-free size check", _cmd_check_capset, instance=True, cap=True)
+    add_sub("check-sumfree", "matching-only sum-free family check", _cmd_check_sumfree,
+            instance=True, cap=True)
 
-    p = add_sub("check-sumfree", "matching-only sum-free family check")
-    p.add_argument("--input", required=True)
-    add_cap(p)
-    p.set_defaults(handler=_cmd_check_sumfree)
-
-    p = add_sub("oracle", "exhaustive minimum witness total (tiny instances)")
-    p.add_argument("--input", required=True)
+    p = add_sub("oracle", "exhaustive minimum witness total (tiny instances)", _cmd_oracle,
+                instance=True, cap=True)
     p.add_argument("--search-cap", type=int, default=DEFAULT_SEARCH_CAP,
                    help="maximum |S|+|T| for the exhaustive search")
-    add_cap(p)
-    p.set_defaults(handler=_cmd_oracle)
 
-    p = add_sub("trials", "seeded random instances, decomposed and verified")
+    p = add_sub("trials", "seeded random instances, decomposed and verified", _cmd_trials,
+                instance=False, cap=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
@@ -662,8 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="also run the exhaustive oracle when instances are small enough")
     p.add_argument("--search-cap", type=int, default=DEFAULT_SEARCH_CAP)
-    add_cap(p)
-    p.set_defaults(handler=_cmd_trials)
 
     return parser
 
@@ -678,7 +637,7 @@ def run_command(argv: list[str]) -> int:
         return int(code) if isinstance(code, int) else EXIT_INVALID_INPUT
     started = time.perf_counter()
     try:
-        report, human, code = args.handler(args)
+        inputs_payload, outputs, checks, human = args.handler(args)
     except (ParseError, ValidationError, DimensionMismatch, DegreeTooHigh, ValueError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
@@ -692,10 +651,11 @@ def run_command(argv: list[str]) -> int:
         # reads raise ParseError; what reaches here is the --output write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    report = _report(args.subcommand, inputs_payload, outputs, checks)
     report["argv"] = list(argv)
     report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     _emit(report, human, args.json)
-    return code
+    return EXIT_OK if report["ok"] else EXIT_VERIFY_FAILED
 
 
 def main() -> None:

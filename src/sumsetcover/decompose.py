@@ -104,6 +104,13 @@ def choose_degree(q: int, n: int) -> tuple[int, int]:
     return best_d, best_bound
 
 
+def _degree_and_bound(q: int, n: int, degree: int | None) -> tuple[int, int]:
+    """The given degree and its budget; the minimizing pair when degree is None."""
+    if degree is None:
+        return choose_degree(q, n)
+    return degree, degree_bound(q, n, degree)
+
+
 def _check_inputs(S: PointSet, T: PointSet) -> None:
     """S and T in one space F_q^n with q prime; ValueError names a bad q."""
     S._check_compatible(T)
@@ -123,10 +130,7 @@ def run_pipeline(
     if not S.members or not T.members:
         raise ValueError("run_pipeline needs nonempty inputs; decompose handles empty sets")
     q, n = S.q, S.n
-    if degree is None:
-        degree, bound = choose_degree(q, n)
-    else:
-        bound = degree_bound(q, n, degree)
+    degree, bound = _degree_and_bound(q, n, degree)
     rank_bound = 2 * count_m(q, n, degree // 2)
 
     index = sum_index(S, T)
@@ -193,10 +197,7 @@ def decompose(
     _check_inputs(S, T)
     q, n = S.q, S.n
     if not S.members or not T.members:
-        if degree is None:
-            degree, bound = choose_degree(q, n)
-        else:
-            bound = degree_bound(q, n, degree)
+        degree, bound = _degree_and_bound(q, n, degree)
         empty = PointSet.empty(q, n)
         cert = DecompositionCertificate(empty, empty, empty, empty, 0, 0)
         return Decomposition(empty, empty, degree, bound, cert)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence, Union
 
 from . import gf3
+from .field import is_prime
 
 Rows = Union[Sequence[Sequence[int]], gf3.Matrix3]
 
@@ -34,7 +35,10 @@ def rref(rows: Rows, q: int) -> tuple[list[list[int]] | gf3.Matrix3, list[int]]:
     """Reduced row echelon form.
 
     Returns (nonzero rows, pivot column indices); the input is not mutated.
+    ValueError for a composite q, where Z/q is not a field.
     """
+    if not is_prime(q):
+        raise ValueError(f"q = {q} is not prime")
     if q == 3:
         if isinstance(rows, gf3.Matrix3):
             return gf3.rref(rows)

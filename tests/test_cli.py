@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import subprocess
@@ -5,8 +6,9 @@ import sys
 
 import pytest
 
-from sumsetcover.cli import parse_instance, run_command
+from sumsetcover.cli import build_parser, parse_instance, run_command
 from sumsetcover.errors import ParseError, ValidationError
+from sumsetcover.field import DEFAULT_ENUM_CAP
 
 from conftest import subprocess_env
 
@@ -303,3 +305,33 @@ class TestEntryPoint:
             capture_output=True, text=True, env=subprocess_env(),
         )
         assert proc.returncode == 2
+
+
+# subcommand -> {option: (required, default)}; every subcommand also has
+# -h/--help and --json
+PARSER_OPTIONS = {
+    "bound": {"--q": (True, None), "--n": (True, None), "--growth-to": (False, 0), "--digits": (False, 30)},
+    "decompose": {"--input": (True, None), "--d": (False, None), "--output": (False, None),
+                  "--certify-rank": (False, False), "--cap": (False, DEFAULT_ENUM_CAP)},
+    "verify": {"--input": (True, None), "--witness": (True, None)},
+    "symmetric": {"--input": (True, None), "--d": (False, None), "--cap": (False, DEFAULT_ENUM_CAP)},
+    "check-capset": {"--input": (True, None), "--cap": (False, DEFAULT_ENUM_CAP)},
+    "check-sumfree": {"--input": (True, None), "--cap": (False, DEFAULT_ENUM_CAP)},
+    "oracle": {"--input": (True, None), "--search-cap": (False, 16), "--cap": (False, DEFAULT_ENUM_CAP)},
+    "trials": {"--q": (True, None), "--n": (True, None), "--count": (True, None), "--seed": (True, None),
+               "--p": (False, 0.5), "--d": (False, None), "--oracle": (False, False),
+               "--search-cap": (False, 16), "--cap": (False, DEFAULT_ENUM_CAP)},
+}
+
+
+def test_parser_options_pinned():
+    """No subcommand gains or loses a flag, a required mark or a default."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(PARSER_OPTIONS)
+    for name, sub in subparsers.choices.items():
+        actions = sub._actions
+        assert {o for a in actions for o in a.option_strings} == {"-h", "--help", "--json", *PARSER_OPTIONS[name]}
+        assert {
+            a.option_strings[-1]: (a.required, a.default) for a in actions if a.dest not in ("help", "json")
+        } == PARSER_OPTIONS[name], name

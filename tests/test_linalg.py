@@ -136,6 +136,19 @@ class TestRaggedRows:
             sc.null_space([[1, 2], [0, 1]], 3, q)
 
 
+class TestCompositeModulus:
+    """Z/q with q composite is not a field: every elimination refuses it first."""
+
+    @pytest.mark.parametrize("q", [0, 1, 4, 9])
+    def test_every_entry_point_refuses(self, q):
+        # over Z/4, 2 has no inverse: the rank of diag(2, 2) is not defined
+        rows = [[2, 0], [0, 2]]
+        for call in (lambda: sc.rref(rows, q), lambda: sc.matrix_rank(rows, q),
+                     lambda: sc.null_space(rows, 2, q)):
+            with pytest.raises(ValueError, match=f"^q = {q} is not prime$"):
+                call()
+
+
 class TestPackedMatchesLists:
     """At q = 3 the bitplane path gives exactly what the list path gives."""
 

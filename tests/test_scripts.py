@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import subprocess_env
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -33,3 +35,27 @@ def test_bound_slack():
     assert len([line for line in lines[1:6] if line.split()]) == 5
     assert any(line.startswith("greedy > bound: ") and line.endswith(" of 5 instances") for line in lines)
     assert any(line.startswith("greedy > pipeline: ") and line.endswith(" of 5 instances") for line in lines)
+
+
+@pytest.mark.parametrize("patch, message", [
+    ("sc.verify_decomposition = lambda *args: False",
+     "trial 0: the pipeline witness pair does not cover S+T"),
+    ("sc.oracle_min_decomposition = lambda *args, **kw: types.SimpleNamespace(best_total=99)",
+     "trial 0: oracle minimum 99 exceeds the greedy cover"),
+], ids=["unverified-witness", "oracle-above-greedy"])
+def test_bound_slack_checks_run_under_optimize(patch, message):
+    """The script's certified checks are explicit, so python -O keeps them."""
+    script = str(SCRIPTS / "bound_slack.py")
+    code = "\n".join([
+        "import runpy, sys, types",
+        "import sumsetcover as sc",
+        patch,
+        f"sys.argv = [{script!r}, '--q', '2', '--n', '2', '--count', '3', '--seed', '1']",
+        f"runpy.run_path({script!r}, run_name='__main__')",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=subprocess_env(), timeout=120,
+    )
+    assert proc.returncode == 1
+    assert message in proc.stderr

@@ -57,6 +57,13 @@ class TestBuildVanishingSpace:
         if rows:
             assert sc.matrix_rank(rows, S.q) == space.dim
 
+    def test_composite_modulus_refused(self):
+        # over Z/4 the elimination would need 2 to be invertible; it refuses
+        # the modulus instead of returning a basis such as (x + 3)
+        sums = sc.PointSet.from_coords(4, 1, [(1,)])
+        with pytest.raises(ValueError, match="^q = 4 is not prime$"):
+            sc.build_vanishing_space(sums, 1)
+
     def test_deterministic(self):
         S = sc.PointSet.from_coords(3, 2, [(0, 0), (1, 2)])
         T = sc.PointSet.from_coords(3, 2, [(2, 1)])
