@@ -15,6 +15,7 @@ refusal, and 1 means the pipeline raised BoundViolated (a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -627,11 +628,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parse_args reads it and changes nothing in it."""
+    return build_parser()
+
+
 def run_command(argv: list[str]) -> int:
     """Execute one CLI invocation and return its exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else EXIT_INVALID_INPUT

@@ -98,7 +98,8 @@ def combine(weights: Iterable[Iterable[tuple[int, int]]], m: Matrix3) -> Matrix3
     """Row i is the sum of c times row k of m over the pairs (k, c) of weights[i].
 
     Weights lie in [0, 3); a weight 2 = -1 adds the row's negation, its
-    planes swapped.
+    planes swapped.  The addition is `_plus` written out, since this loop
+    runs once per weight.
     """
     ones: list[int] = []
     twos: list[int] = []
@@ -107,9 +108,13 @@ def combine(weights: Iterable[Iterable[tuple[int, int]]], m: Matrix3) -> Matrix3
         a = b = 0
         for k, c in w:
             if c == 1:
-                a, b = _plus(a, b, m_ones[k], m_twos[k])
+                c1, c2 = m_ones[k], m_twos[k]
             elif c == 2:
-                a, b = _plus(a, b, m_twos[k], m_ones[k])
+                c1, c2 = m_twos[k], m_ones[k]
+            else:
+                continue
+            t = (a | c2) ^ (b | c1)
+            a, b = (b | c2) ^ t, (a | c1) ^ t
         ones.append(a)
         twos.append(b)
     return Matrix3(m.ncols, tuple(ones), tuple(twos))

@@ -16,7 +16,9 @@ pipeline run (the CLI's --certify-rank), are the library's only path that
 builds a sum matrix or rebuilds one from its certificate.  All evaluation
 goes through polynomials.value_table, packed at q = 3: the polynomials once
 at the distinct sums, whose grid of sum ids fills each matrix, and every
-monomial of degree <= d once at S and once at T.  A certificate's factors
+monomial of degree <= d once at S and once at T.  Each distinct monomial
+of the basis is expanded into its x^a y^b terms once per audit, and every
+certificate containing it looks them up.  A certificate's factors
 are combinations of those monomial rows, and the matrix it sums to is the
 product of its row sides at S with its column sides at T;
 linalg.combine_rows forms both on bitplanes at q = 3.  The rank is taken on
@@ -26,9 +28,10 @@ audit is checked against.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import gf3
@@ -78,14 +81,96 @@ class ClpCertificate:
     term_count: int
 
 
+# (low, high) for one monomial x^full at one (q, split): low holds (a, b, w)
+# for the terms w x^a y^b of (x + y)^full with |a| <= split, high holds
+# (b, a, w) for the rest, each with its anchor first.
+_Split = tuple[Monomial, Monomial, int]
+_Splits = tuple[tuple[_Split, ...], tuple[_Split, ...]]
+
+
+def _expand(full: Monomial, q: int, split: int) -> _Splits:
+    """The terms x^a y^b of (x + y)^full whose binomial weight is nonzero mod q.
+
+    a runs over itertools.product order; b = full - a.  A reduced monomial's
+    parts are reduced, so they are used without re-checking their exponents.
+    """
+    ranges = [range(e + 1) for e in full]
+    low: list[_Split] = []
+    high: list[_Split] = []
+    for a, b, cs in zip(
+        itertools.product(*ranges),
+        itertools.product(*[r[::-1] for r in ranges]),
+        itertools.product(*[[math.comb(e, r) for r in range(e + 1)] for e in full]),
+    ):
+        w = math.prod(cs) % q
+        if w:
+            if sum(a) <= split:
+                low.append((a, b, w))
+            else:
+                high.append((b, a, w))
+    return tuple(low), tuple(high)
+
+
+@dataclass
+class _Expansions:
+    """Each monomial's split lists at one (q, split), and its anchors' sort keys."""
+
+    splits: dict[Monomial, _Splits] = field(default_factory=dict)
+    keys: dict[Monomial, tuple[int, tuple[int, ...]]] = field(default_factory=dict)
+
+
+# The expansions shared by the clp_decompose calls of the audit in progress,
+# by (q, split); None outside an audit, where each call expands into a table
+# of its own.  It is module state because clp_decompose keeps its public
+# signature (P, degree); only _shared_expansions sets it, for one audit.
+_audit_expansions: dict[tuple[int, int], _Expansions] | None = None
+
+
+@contextlib.contextmanager
+def _shared_expansions() -> Iterator[None]:
+    """Let every clp_decompose call until exit expand each monomial once.
+
+    An enclosing (or interleaved) audit that already shares a table keeps
+    it; the owner drops it on exit, so no table outlives its audit.
+    """
+    global _audit_expansions
+    if _audit_expansions is not None:
+        yield
+        return
+    _audit_expansions = {}
+    try:
+        yield
+    finally:
+        _audit_expansions = None
+
+
+def _group(
+    groups: dict[Monomial, dict[Monomial, int]],
+    entries: Sequence[_Split],
+    coeff: int,
+    q: int,
+) -> None:
+    """Add coeff times each entry (anchor, other, w) to the anchor's cofactor."""
+    for anchor, other, w in entries:
+        w = coeff * w % q
+        if w:
+            # the anchor and the other part determine the monomial, so no
+            # pair is met twice
+            group = groups.get(anchor)
+            if group is None:
+                groups[anchor] = {other: w}
+            else:
+                group[other] = w
+
+
 def clp_decompose(P: Polynomial, degree: int) -> ClpCertificate:
     """Split P(x + y) into rank-one terms with one low-degree side each.
 
     Every expansion term x^a y^b with |a| <= floor(d/2) joins a group keyed
     by a (row anchored); the rest necessarily have |b| <= floor(d/2) and are
     grouped by b (column anchored).  Group counts never exceed
-    m(q, n, floor(d/2)) per side.  The parts a, b of a reduced monomial are
-    reduced, so the factors are built without re-checking their exponents.
+    m(q, n, floor(d/2)) per side.  Within an audit each monomial is
+    expanded once, and every polynomial containing it looks its terms up.
     """
     if poly_degree(P) > degree:
         raise DegreeTooHigh(
@@ -93,30 +178,24 @@ def clp_decompose(P: Polynomial, degree: int) -> ClpCertificate:
         )
     q, n = P.q, P.n
     split = degree // 2
+    shared = _audit_expansions
+    table = _Expansions() if shared is None else shared.setdefault((q, split), _Expansions())
+    splits, keys = table.splits, table.keys
     left: dict[Monomial, dict[Monomial, int]] = {}
     right: dict[Monomial, dict[Monomial, int]] = {}
-    top = max(map(max, P.terms), default=0)
-    binoms = [tuple(math.comb(e, r) for r in range(e + 1)) for e in range(top + 1)]
     for full, coeff in P.terms.items():
-        # row parts a, their column parts full - a, and the binomials, in step
-        ranges = [range(e + 1) for e in full]
-        for a, b, cs in zip(
-            itertools.product(*ranges),
-            itertools.product(*[r[::-1] for r in ranges]),
-            itertools.product(*[binoms[e] for e in full]),
-        ):
-            w = coeff * math.prod(cs) % q
-            if not w:
-                continue
-            # a and b determine full = a + b, so no pair is met twice
-            if sum(a) <= split:
-                left.setdefault(a, {})[b] = w
-            else:
-                right.setdefault(b, {})[a] = w
+        entries = splits.get(full)
+        if entries is None:
+            entries = splits[full] = _expand(full, q, split)
+        _group(left, entries[0], coeff, q)
+        _group(right, entries[1], coeff, q)
 
     def _factors(groups: dict[Monomial, dict[Monomial, int]], row_anchored: bool):
+        for anchor in groups:
+            if anchor not in keys:
+                keys[anchor] = monomial_key(anchor)
         out = []
-        for anchor in sorted(groups, key=monomial_key):
+        for anchor in sorted(groups, key=keys.__getitem__):
             cofactor, anchor_poly = Polynomial(q, n, groups[anchor]), Polynomial(q, n, {anchor: 1})
             out.append((anchor_poly, cofactor) if row_anchored else (cofactor, anchor_poly))
         return tuple(out)
@@ -197,13 +276,14 @@ def audit_matrices(
     index = {m: k for k, m in enumerate(monos)}
     units = [Polynomial(q, n, {m: 1}) for m in monos]
     at_rows, at_cols = value_table(units, rows, q), value_table(units, cols, q)
-    for P, values in zip(polys, _lists(value_table(polys, list(ids), q))):
-        entries: Rows = [[values[k] for k in ids] for ids in grid]
-        if q == 3:
-            entries = gf3.pack(entries, len(cols))
-        cert = clp_decompose(P, degree)
-        rebuilt = _rebuild(cert, index, at_rows, at_cols, len(rows), len(cols))
-        yield MatrixAudit(entries, rebuilt, matrix_rank(entries, q), cert.term_count)
+    with _shared_expansions():
+        for P, values in zip(polys, _lists(value_table(polys, list(ids), q))):
+            entries: Rows = [[values[k] for k in ids] for ids in grid]
+            if q == 3:
+                entries = gf3.pack(entries, len(cols))
+            cert = clp_decompose(P, degree)
+            rebuilt = _rebuild(cert, index, at_rows, at_cols, len(rows), len(cols))
+            yield MatrixAudit(entries, rebuilt, matrix_rank(entries, q), cert.term_count)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,11 @@ the table-driven audit (`sumsetcover.summatrix.audit_matrices`, folded by
 `rank_audit` for --certify-rank).  This module keeps the direct
 constructions for the tests to check them against: `eval_poly` once per
 distinct sum of each matrix, the expansion of P(x + y) through
-`poly_from_terms`, `eval_poly` once per factor and point for the rebuild, and
-the |S| x |T| sum matrix of every basis polynomial eliminated in input order
-until their row-major first nonzero positions are pairwise distinct.  Only
-tests use it.
+`poly_from_terms` (and term by term of each P, with no expansion shared
+across polynomials), `eval_poly` once per factor and point for the rebuild,
+and the |S| x |T| sum matrix of every basis polynomial eliminated in input
+order until their row-major first nonzero positions are pairwise distinct.
+Only tests use it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,10 @@ import math
 from typing import NamedTuple, Sequence
 
 import sumsetcover as sc
-from sumsetcover.monomials import monomial_key
+from sumsetcover.errors import BoundViolated, DegreeTooHigh
+from sumsetcover.monomials import Monomial, count_m, monomial_key
+from sumsetcover.polynomials import Polynomial, poly_degree
+from sumsetcover.summatrix import ClpCertificate
 
 Grid = tuple[tuple[int, ...], ...]
 
@@ -80,6 +84,55 @@ def clp_decompose(P: sc.Polynomial, degree: int) -> sc.ClpCertificate:
 
     lf, rf = factors(left, True), factors(right, False)
     return sc.ClpCertificate(q, n, degree, split, lf, rf, len(lf) + len(rf))
+
+
+def clp_decompose_per_polynomial(P: sc.Polynomial, degree: int) -> sc.ClpCertificate:
+    """The rank-one split of P(x + y), each term of P expanded afresh.
+
+    The library's split before it expanded each monomial once per audit,
+    kept as it was.
+    """
+    if poly_degree(P) > degree:
+        raise DegreeTooHigh(
+            f"polynomial of total degree {poly_degree(P)} exceeds budget {degree}"
+        )
+    q, n = P.q, P.n
+    split = degree // 2
+    left: dict[Monomial, dict[Monomial, int]] = {}
+    right: dict[Monomial, dict[Monomial, int]] = {}
+    top = max(map(max, P.terms), default=0)
+    binoms = [tuple(math.comb(e, r) for r in range(e + 1)) for e in range(top + 1)]
+    for full, coeff in P.terms.items():
+        # row parts a, their column parts full - a, and the binomials, in step
+        ranges = [range(e + 1) for e in full]
+        for a, b, cs in zip(
+            itertools.product(*ranges),
+            itertools.product(*[r[::-1] for r in ranges]),
+            itertools.product(*[binoms[e] for e in full]),
+        ):
+            w = coeff * math.prod(cs) % q
+            if not w:
+                continue
+            # a and b determine full = a + b, so no pair is met twice
+            if sum(a) <= split:
+                left.setdefault(a, {})[b] = w
+            else:
+                right.setdefault(b, {})[a] = w
+
+    def _factors(groups: dict[Monomial, dict[Monomial, int]], row_anchored: bool):
+        out = []
+        for anchor in sorted(groups, key=monomial_key):
+            cofactor, anchor_poly = Polynomial(q, n, groups[anchor]), Polynomial(q, n, {anchor: 1})
+            out.append((anchor_poly, cofactor) if row_anchored else (cofactor, anchor_poly))
+        return tuple(out)
+
+    left_factors = _factors(left, row_anchored=True)
+    right_factors = _factors(right, row_anchored=False)
+    term_count = len(left_factors) + len(right_factors)
+    budget = 2 * count_m(q, n, split)
+    if term_count > budget:
+        raise BoundViolated(f"{term_count} rank-one terms exceed 2*m(q, n, {split}) = {budget}")
+    return ClpCertificate(q, n, degree, split, left_factors, right_factors, term_count)
 
 
 def clp_reconstruct(

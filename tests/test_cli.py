@@ -3,9 +3,11 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from sumsetcover import cli
 from sumsetcover.cli import build_parser, parse_instance, run_command
 from sumsetcover.errors import ParseError, ValidationError
 from sumsetcover.field import DEFAULT_ENUM_CAP
@@ -335,3 +337,28 @@ def test_parser_options_pinned():
         assert {
             a.option_strings[-1]: (a.required, a.default) for a in actions if a.dest not in ("help", "json")
         } == PARSER_OPTIONS[name], name
+
+
+GOLDEN_Q3_N3 = str(Path(__file__).parent / "golden" / "q3_n3.json")
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    """The parser is built once per process, and no flag of one call reaches the next."""
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    decompose = ["decompose", "--input", GOLDEN_Q3_N3]
+
+    code, certified = run_json(capsys, decompose + ["--certify-rank"])
+    assert code == 0 and "rank_certificates" in certified["outputs"]
+    code, plain = run_json(capsys, decompose)
+    assert code == 0 and "rank_certificates" not in plain["outputs"]
+
+    code, forced = run_json(capsys, decompose + ["--d", "2"])
+    assert code == 0 and (forced["outputs"]["degree"], forced["outputs"]["degree_source"]) == (2, "forced")
+    code, chosen = run_json(capsys, decompose)
+    assert code == 0 and chosen["outputs"]["degree_source"] == "minimized"
+    assert chosen["outputs"]["degree"] == 3
+    assert chosen == {**plain, "argv": chosen["argv"], "timing_ms": chosen["timing_ms"]}
+    assert built == [1]

@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 import sumsetcover as sc
 
 from conftest import SEEDED_GRID, seeded_pair, set_pairs, subprocess_env, subset_from_mask
+from test_golden import DIGESTS as GOLDEN_DIGESTS, GOLDEN_DIR
 
 
 class TestChooseDegree:
@@ -228,14 +229,18 @@ class TestOptimizedInterpreter:
     # Under python -O every assert statement is stripped; the certified
     # inequalities must still raise.  An empty line cover leaves all of S+T
     # to the patch step, more than the q^n - m_d sums it may take here.
+    # With the cover restored, `decompose --certify-rank` on the golden
+    # q=3, n=5 instance (argv[1]) must print its pinned report.
     SCRIPT = textwrap.dedent(
         """
-        import importlib, itertools, random, sys
+        import contextlib, hashlib, importlib, io, itertools, json, random, sys
         if __debug__:
             sys.exit("expected an optimized interpreter")
         import sumsetcover as sc
+        from sumsetcover.cli import run_command
         # the package attribute `decompose` is the function, not the module
         dec_mod = importlib.import_module("sumsetcover.decompose")
+        real_line_cover = dec_mod.line_cover
         dec_mod.line_cover = lambda pivots, rank_bound: sc.LineCover((), ())
         rng = random.Random(5)
         pts = list(itertools.product(range(3), repeat=3))
@@ -247,13 +252,21 @@ class TestOptimizedInterpreter:
             print("BoundViolated:", exc)
         else:
             print("no error")
+        dec_mod.line_cover = real_line_cover
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run_command(["decompose", "--input", sys.argv[1], "--json", "--certify-rank"])
+        report = json.loads(out.getvalue())
+        del report["argv"], report["timing_ms"]
+        print("certify-rank:", code, hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest())
         """
     )
 
     def test_bound_checks_survive_optimize(self):
         proc = subprocess.run(
-            [sys.executable, "-O", "-c", self.SCRIPT],
+            [sys.executable, "-O", "-c", self.SCRIPT, str(GOLDEN_DIR / "q3_n5.json")],
             capture_output=True, text=True, env=subprocess_env(), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("BoundViolated:"), proc.stdout
+        assert proc.stdout.splitlines()[-1] == f"certify-rank: 0 {GOLDEN_DIGESTS['q3_n5.json']}"

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -274,3 +275,93 @@ def test_inexact_reconstruction_fails(monkeypatch):
 
     code, _, failed = _failed_checks_with_first_certificate(monkeypatch, breaker)
     assert code == 1 and failed == ["clp_reconstructions_exact"]
+
+
+# q -> largest n whose every degree 0..(q-1)n the differential tests cover
+EXPANSION_SPACES = {2: 4, 3: 3, 5: 2, 7: 2}
+
+
+def _cert_items(cert):
+    """The certificate with each factor's terms in their dict order."""
+    return cert, [
+        (list(f.terms.items()), list(g.terms.items()))
+        for f, g in cert.left_factors + cert.right_factors
+    ]
+
+
+def _assert_same_split(P, degree):
+    """clp_decompose equals the per-polynomial expansion, or both refuse."""
+    if sc.poly_degree(P) > degree:
+        with pytest.raises(DegreeTooHigh):
+            sc.clp_decompose(P, degree)
+        with pytest.raises(DegreeTooHigh):
+            reference.clp_decompose_per_polynomial(P, degree)
+        return
+    got = sc.clp_decompose(P, degree)
+    assert _cert_items(got) == _cert_items(reference.clp_decompose_per_polynomial(P, degree))
+
+
+def _seeded_polynomials(q, n, seed):
+    """The zero polynomial, then sparse and dense random ones over F_q^n."""
+    rng = random.Random(f"{q}:{n}:{seed}")
+    monos = sc.enumerate_monomials(q, n, (q - 1) * n)
+    yield sc.poly_from_terms(q, n, {})
+    for density in (0.2, 0.6, 1.0):
+        yield sc.poly_from_terms(q, n, {m: rng.randrange(q) for m in monos if rng.random() < density})
+
+
+class TestExpansionTable:
+    """The table-driven split against the per-polynomial expansion it replaced."""
+
+    @pytest.mark.parametrize("q,n", [(q, n) for q, top in EXPANSION_SPACES.items() for n in range(1, top + 1)])
+    def test_seeded_every_degree(self, q, n):
+        polys = [P for seed in range(2) for P in _seeded_polynomials(q, n, seed)]
+        for degree in range((q - 1) * n + 1):
+            for P in polys:
+                _assert_same_split(P, degree)
+        # inside an audit's shared table too, every degree in one table
+        with summatrix._shared_expansions():
+            for degree in range((q - 1) * n + 1):
+                for P in polys:
+                    _assert_same_split(P, degree)
+        assert summatrix._audit_expansions is None
+
+    @given(st.sampled_from(sorted(EXPANSION_SPACES)).flatmap(
+        lambda q: polynomials(q=q, n=min(EXPANSION_SPACES[q], 2))
+    ), st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_hypothesis_polynomials(self, P, data):
+        degree = data.draw(st.integers(0, (P.q - 1) * P.n))
+        _assert_same_split(P, degree)
+        with summatrix._shared_expansions():
+            _assert_same_split(P, degree)
+            _assert_same_split(P, (P.q - 1) * P.n)
+
+    def test_expands_each_monomial_once_per_audit(self, monkeypatch):
+        inst = parse_instance(GOLDEN_Q3_N5)
+        run = sc.run_pipeline(inst.s_set, inst.t_set)
+        real = summatrix._expand
+        expanded = []
+
+        def counting(full, q, split):
+            expanded.append(full)
+            return real(full, q, split)
+
+        monkeypatch.setattr(summatrix, "_expand", counting)
+        audit = summatrix.rank_audit(run)
+        assert audit.exact and audit.ranks_within_terms
+        distinct = set().union(*(P.terms for P in run.space.basis))
+        assert len(run.space.basis) > 1 and len(distinct) < sum(len(P.terms) for P in run.space.basis)
+        assert len(expanded) == len(distinct)
+        assert summatrix._audit_expansions is None
+
+    def test_table_dropped_when_audit_abandoned(self):
+        inst = parse_instance(GOLDEN_Q3_N5)
+        run = sc.run_pipeline(inst.s_set, inst.t_set)
+        audits = summatrix.audit_matrices(
+            run.space.basis, run.degree, run.s_input.ordered(), run.t_input.ordered()
+        )
+        next(audits)
+        assert summatrix._audit_expansions
+        audits.close()
+        assert summatrix._audit_expansions is None
