@@ -5,9 +5,10 @@ positions of the span of the sum matrices (P(s_i + t_j)) over the vanishing
 basis are read off one elimination of the basis evaluated once per distinct
 sum, at the keys of field.sum_index; no |S| x |T| matrix is built and
 S x T is not enumerated again.  The table of values comes from
-polynomials.value_table (packed, without `pow`, at q = 3) and goes to
-linalg.rref.  Second, the pivot positions are covered by
-as few lines (full rows or columns) as possible: a maximum bipartite
+polynomials.value_table: each distinct monomial of the basis evaluated
+once at the keys, its rows combined by the coefficients (packed, without
+`pow`, at q = 3).  It goes to linalg.rref.  Second, the pivot positions are
+covered by as few lines (full rows or columns) as possible: a maximum bipartite
 matching via Hopcroft-Karp, then the Koenig construction turns it into a
 minimum vertex cover of the same size.  When every matrix in the span
 has rank at most r, the minimum cover provably has size at most r, so

@@ -5,20 +5,21 @@ columns holding 1, `twos` those holding 2, and ones & twos == 0.  Adding or
 subtracting two rows is then a few big-int boolean operations instead of a
 multiply-and-mod per entry (bitslicing in the style of Boothby and Bradshaw,
 arXiv:0901.1413).  This module is the only one that knows the format:
-`linalg` eliminates through it at q = 3, `polynomials` builds its
-evaluation tables with it and `summatrix` multiplies them with it, and all
-three treat a `Matrix3` as an opaque value.
+`polynomials` builds its monomial tables with it, `linalg` eliminates and
+combines rows through it at q = 3, and every other module treats a
+`Matrix3` as an opaque value.
 
-Evaluation tables need no `pow`: over F_3 a monomial prod x_i^e_i is 0 at p
+Monomial tables need no `pow`: over F_3 a monomial prod x_i^e_i is 0 at p
 when some e_i > 0 has p_i = 0, and otherwise (-1) raised to the number of
 i with e_i = 1 and p_i = 2.  Per-coordinate column masks give a whole row
-in O(n) big-int operations.
+in O(n) big-int operations.  A polynomial's values are then its monomials'
+rows combined by its coefficients (`combine`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -162,13 +163,11 @@ def _monomial_planes(
     return nonzero & ~minus, nonzero & minus
 
 
-def value_rows(
-    polys: Sequence[Mapping[tuple[int, ...], int]], points: Sequence[Sequence[int]]
-) -> Matrix3:
-    """Row per polynomial, column per point: its value there.
+def monomial_values(monos: Sequence[tuple[int, ...]], points: Sequence[Sequence[int]]) -> Matrix3:
+    """Row per monomial, column per point: its value there.
 
-    A polynomial is a term map with coefficients 1 or 2 mod 3.  Each term's
-    monomial row is built from the masks afresh, O(n) big-int operations.
+    Each row is built from per-coordinate column masks, O(n) big-int
+    operations per monomial.
     """
     ncols = len(points)
     full = (1 << ncols) - 1
@@ -180,14 +179,5 @@ def value_rows(
                 zero[i] |= 1 << j
             elif x == 2:
                 two[i] |= 1 << j
-    ones: list[int] = []
-    twos: list[int] = []
-    for terms in polys:
-        a = b = 0
-        for mono, coeff in terms.items():
-            plus, minus = _monomial_planes(mono, full, zero, two)
-            # a coefficient 2 = -1 adds the negation: the planes swapped
-            a, b = _plus(a, b, plus, minus) if coeff % 3 == 1 else _plus(a, b, minus, plus)
-        ones.append(a)
-        twos.append(b)
-    return Matrix3(ncols, tuple(ones), tuple(twos))
+    planes = [_monomial_planes(mono, full, zero, two) for mono in monos]
+    return Matrix3(ncols, tuple(a for a, _ in planes), tuple(b for _, b in planes))

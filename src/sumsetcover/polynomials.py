@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from . import gf3
 from .errors import DimensionMismatch
 from .field import FieldVector
+from .linalg import combine_rows
 from .monomials import Monomial
 
 
@@ -85,25 +85,32 @@ def monomial_table(
     return [[eval_monomial(m, p, q) for m in monos] for p in points]
 
 
+def monomial_values(
+    monos: Sequence[Monomial], points: Sequence[Sequence[int]], q: int
+) -> list[list[int]] | gf3.Matrix3:
+    """Row per monomial, column per point (coordinates): its value there.
+
+    At q = 3 the table is packed, without `pow`.
+    """
+    if q == 3:
+        return gf3.monomial_values(monos, points)
+    return [[eval_monomial(m, p, q) for p in points] for m in monos]
+
+
 def value_table(
     polys: Sequence[Polynomial], points: Sequence[Sequence[int]], q: int
 ) -> list[list[int]] | gf3.Matrix3:
     """Row per polynomial, column per point (coordinates): its value there.
 
-    Each monomial is evaluated once per point.  At q = 3 the table is
-    packed, for linalg to eliminate, without `pow`.
+    Each distinct monomial is evaluated once at every point, and each row
+    combines those monomial rows by its coefficients mod q (packed at q = 3,
+    for linalg to eliminate).
     """
-    if q == 3:
-        return gf3.value_rows([P.terms for P in polys], points)
     columns: dict[Monomial, int] = {}
-    supports = [[columns.setdefault(m, len(columns)) for m in P.terms] for P in polys]
-    coeffs = [list(P.terms.values()) for P in polys]
-    table: list[list[int]] = [[] for _ in supports]
-    for w in points:
-        values = [eval_monomial(m, w, q) for m in columns]
-        for row, ks, cs in zip(table, supports, coeffs):
-            row.append(sum(map(mul, cs, map(values.__getitem__, ks))) % q)
-    return table
+    weights = [
+        [(columns.setdefault(m, len(columns)), c % q) for m, c in P.terms.items()] for P in polys
+    ]
+    return combine_rows(weights, monomial_values(list(columns), points, q), len(points), q)
 
 
 def eval_poly(P: Polynomial, x: FieldVector) -> int:

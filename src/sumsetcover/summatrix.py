@@ -13,22 +13,22 @@ anchored on the row side plus as many anchored on the column side.
 
 `audit_matrices`, and `rank_audit` over it for every basis polynomial of a
 pipeline run (the CLI's --certify-rank), are the library's only path that
-builds a sum matrix or rebuilds one from its certificate.  All evaluation
-goes through polynomials.value_table, packed at q = 3: the polynomials once
-at the distinct sums, whose grid of sum ids fills each matrix, and every
-monomial of degree <= d once at S and once at T.  Each distinct monomial
-of the basis is expanded into its x^a y^b terms once per audit, and every
-certificate containing it looks them up.  A certificate's factors
-are combinations of those monomial rows, and the matrix it sums to is the
-product of its row sides at S with its column sides at T;
-linalg.combine_rows forms both on bitplanes at q = 3.  The rank is taken on
-the same rows.  tests/reference.py keeps the per-cell constructions the
-audit is checked against.
+builds a sum matrix or rebuilds one from its certificate.  Every table it
+evaluates is rows of distinct monomials (polynomials.monomial_values,
+packed at q = 3) combined by coefficients (linalg.combine_rows, on
+bitplanes at q = 3).  The basis polynomials are evaluated once at the
+distinct sums (polynomials.value_table), whose grid of sum ids fills each
+matrix.  A certificate's factors are combinations of the rows of every
+monomial of degree <= d at S and at T, and the matrix it sums to is the
+product of its row sides at S with its column sides at T.  The rank is
+taken on the same rows.  Each distinct monomial of the basis is expanded
+into its x^a y^b terms once per audit, in a table local to that audit, and
+every certificate containing it looks them up.  tests/reference.py keeps
+the per-cell constructions the audit is checked against.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -39,7 +39,7 @@ from .errors import BoundViolated, DegreeTooHigh, DimensionMismatch
 from .field import FieldVector
 from .linalg import Rows, combine_rows, matrix_rank
 from .monomials import Monomial, count_m, enumerate_monomials, monomial_key
-from .polynomials import Polynomial, poly_degree, value_table
+from .polynomials import Polynomial, monomial_values, poly_degree, value_table
 
 if TYPE_CHECKING:
     from .decompose import PipelineRun
@@ -119,31 +119,6 @@ class _Expansions:
     keys: dict[Monomial, tuple[int, tuple[int, ...]]] = field(default_factory=dict)
 
 
-# The expansions shared by the clp_decompose calls of the audit in progress,
-# by (q, split); None outside an audit, where each call expands into a table
-# of its own.  It is module state because clp_decompose keeps its public
-# signature (P, degree); only _shared_expansions sets it, for one audit.
-_audit_expansions: dict[tuple[int, int], _Expansions] | None = None
-
-
-@contextlib.contextmanager
-def _shared_expansions() -> Iterator[None]:
-    """Let every clp_decompose call until exit expand each monomial once.
-
-    An enclosing (or interleaved) audit that already shares a table keeps
-    it; the owner drops it on exit, so no table outlives its audit.
-    """
-    global _audit_expansions
-    if _audit_expansions is not None:
-        yield
-        return
-    _audit_expansions = {}
-    try:
-        yield
-    finally:
-        _audit_expansions = None
-
-
 def _group(
     groups: dict[Monomial, dict[Monomial, int]],
     entries: Sequence[_Split],
@@ -169,8 +144,16 @@ def clp_decompose(P: Polynomial, degree: int) -> ClpCertificate:
     Every expansion term x^a y^b with |a| <= floor(d/2) joins a group keyed
     by a (row anchored); the rest necessarily have |b| <= floor(d/2) and are
     grouped by b (column anchored).  Group counts never exceed
-    m(q, n, floor(d/2)) per side.  Within an audit each monomial is
-    expanded once, and every polynomial containing it looks its terms up.
+    m(q, n, floor(d/2)) per side.
+    """
+    return _certificate(P, degree, _Expansions())
+
+
+def _certificate(P: Polynomial, degree: int, table: _Expansions) -> ClpCertificate:
+    """clp_decompose, looking each monomial's expansion up in `table` first.
+
+    The table must hold expansions at (P.q, degree // 2) only; an audit
+    passes one table to every certificate, so each monomial is expanded once.
     """
     if poly_degree(P) > degree:
         raise DegreeTooHigh(
@@ -178,8 +161,6 @@ def clp_decompose(P: Polynomial, degree: int) -> ClpCertificate:
         )
     q, n = P.q, P.n
     split = degree // 2
-    shared = _audit_expansions
-    table = _Expansions() if shared is None else shared.setdefault((q, split), _Expansions())
     splits, keys = table.splits, table.keys
     left: dict[Monomial, dict[Monomial, int]] = {}
     right: dict[Monomial, dict[Monomial, int]] = {}
@@ -274,16 +255,15 @@ def audit_matrices(
     # every factor's monomials have degree <= d; they number at most q^n
     monos = enumerate_monomials(q, n, degree, cap=q**n)
     index = {m: k for k, m in enumerate(monos)}
-    units = [Polynomial(q, n, {m: 1}) for m in monos]
-    at_rows, at_cols = value_table(units, rows, q), value_table(units, cols, q)
-    with _shared_expansions():
-        for P, values in zip(polys, _lists(value_table(polys, list(ids), q))):
-            entries: Rows = [[values[k] for k in ids] for ids in grid]
-            if q == 3:
-                entries = gf3.pack(entries, len(cols))
-            cert = clp_decompose(P, degree)
-            rebuilt = _rebuild(cert, index, at_rows, at_cols, len(rows), len(cols))
-            yield MatrixAudit(entries, rebuilt, matrix_rank(entries, q), cert.term_count)
+    at_rows, at_cols = monomial_values(monos, rows, q), monomial_values(monos, cols, q)
+    expansions = _Expansions()
+    for P, values in zip(polys, _lists(value_table(polys, list(ids), q))):
+        entries: Rows = [[values[k] for k in ids] for ids in grid]
+        if q == 3:
+            entries = gf3.pack(entries, len(cols))
+        cert = _certificate(P, degree, expansions)
+        rebuilt = _rebuild(cert, index, at_rows, at_cols, len(rows), len(cols))
+        yield MatrixAudit(entries, rebuilt, matrix_rank(entries, q), cert.term_count)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import random
 from pathlib import Path
@@ -225,15 +226,15 @@ GOLDEN_Q3_N5 = str(Path(__file__).parent / "golden" / "q3_n5.json")
 
 def _failed_checks_with_first_certificate(monkeypatch, breaker) -> tuple[int, dict, list[str]]:
     """Run the CLI audit with the first basis polynomial's certificate broken."""
-    real = summatrix.clp_decompose
+    real = summatrix._certificate
     calls = []
 
-    def broken(P, degree):
+    def broken(P, degree, table):
         calls.append(P)
-        cert = real(P, degree)
+        cert = real(P, degree, table)
         return breaker(cert) if len(calls) == 1 else cert
 
-    monkeypatch.setattr(summatrix, "clp_decompose", broken)
+    monkeypatch.setattr(summatrix, "_certificate", broken)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = run_command(["decompose", "--input", GOLDEN_Q3_N5, "--json", "--certify-rank"])
@@ -289,15 +290,24 @@ def _cert_items(cert):
     ]
 
 
-def _assert_same_split(P, degree):
-    """clp_decompose equals the per-polynomial expansion, or both refuse."""
+def _assert_same_split(P, degree, tables=None):
+    """clp_decompose equals the per-polynomial expansion, or both refuse.
+
+    With `tables` (split -> expansion table) the certificate is built from
+    the shared table of its split, as inside an audit.
+    """
+    def split():
+        if tables is None:
+            return sc.clp_decompose(P, degree)
+        return summatrix._certificate(P, degree, tables.setdefault(degree // 2, summatrix._Expansions()))
+
     if sc.poly_degree(P) > degree:
         with pytest.raises(DegreeTooHigh):
-            sc.clp_decompose(P, degree)
+            split()
         with pytest.raises(DegreeTooHigh):
             reference.clp_decompose_per_polynomial(P, degree)
         return
-    got = sc.clp_decompose(P, degree)
+    got = split()
     assert _cert_items(got) == _cert_items(reference.clp_decompose_per_polynomial(P, degree))
 
 
@@ -319,12 +329,11 @@ class TestExpansionTable:
         for degree in range((q - 1) * n + 1):
             for P in polys:
                 _assert_same_split(P, degree)
-        # inside an audit's shared table too, every degree in one table
-        with summatrix._shared_expansions():
-            for degree in range((q - 1) * n + 1):
-                for P in polys:
-                    _assert_same_split(P, degree)
-        assert summatrix._audit_expansions is None
+        # from tables shared as inside an audit too, one table per split
+        tables = {}
+        for degree in range((q - 1) * n + 1):
+            for P in polys:
+                _assert_same_split(P, degree, tables)
 
     @given(st.sampled_from(sorted(EXPANSION_SPACES)).flatmap(
         lambda q: polynomials(q=q, n=min(EXPANSION_SPACES[q], 2))
@@ -333,9 +342,9 @@ class TestExpansionTable:
     def test_hypothesis_polynomials(self, P, data):
         degree = data.draw(st.integers(0, (P.q - 1) * P.n))
         _assert_same_split(P, degree)
-        with summatrix._shared_expansions():
-            _assert_same_split(P, degree)
-            _assert_same_split(P, (P.q - 1) * P.n)
+        tables = {}
+        _assert_same_split(P, degree, tables)
+        _assert_same_split(P, (P.q - 1) * P.n, tables)
 
     def test_expands_each_monomial_once_per_audit(self, monkeypatch):
         inst = parse_instance(GOLDEN_Q3_N5)
@@ -353,15 +362,38 @@ class TestExpansionTable:
         distinct = set().union(*(P.terms for P in run.space.basis))
         assert len(run.space.basis) > 1 and len(distinct) < sum(len(P.terms) for P in run.space.basis)
         assert len(expanded) == len(distinct)
-        assert summatrix._audit_expansions is None
 
-    def test_table_dropped_when_audit_abandoned(self):
+    def test_interleaved_audits_expand_each_monomial_once(self, monkeypatch):
+        # audit B starts inside audit A and outlives it; each keeps a table
+        # of its own, so neither expands a monomial twice
         inst = parse_instance(GOLDEN_Q3_N5)
         run = sc.run_pipeline(inst.s_set, inst.t_set)
-        audits = summatrix.audit_matrices(
-            run.space.basis, run.degree, run.s_input.ordered(), run.t_input.ordered()
-        )
-        next(audits)
-        assert summatrix._audit_expansions
-        audits.close()
-        assert summatrix._audit_expansions is None
+        real = summatrix._expand
+        expanded = []
+
+        def counting(full, q, split):
+            expanded.append(full)
+            return real(full, q, split)
+
+        monkeypatch.setattr(summatrix, "_expand", counting)
+        audits = {
+            name: summatrix.audit_matrices(
+                run.space.basis, run.degree, run.s_input.ordered(), run.t_input.ordered()
+            )
+            for name in "AB"
+        }
+        counts = {"A": 0, "B": 0}
+
+        def advance(name, matrices=None):
+            """Audit that many more matrices (all that are left for None)."""
+            before = len(expanded)
+            list(itertools.islice(audits[name], matrices))
+            counts[name] += len(expanded) - before
+
+        advance("A", 1)
+        advance("B", 1)
+        advance("A")
+        advance("B")
+        distinct = set().union(*(P.terms for P in run.space.basis))
+        assert len(distinct) == 220 < sum(len(P.terms) for P in run.space.basis)
+        assert counts == {"A": 220, "B": 220}

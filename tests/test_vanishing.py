@@ -1,11 +1,35 @@
+import itertools
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import sumsetcover as sc
-from sumsetcover import gf3
-from sumsetcover.polynomials import monomial_table, value_table
+from sumsetcover import gf3, polynomials as polys_module
+from sumsetcover.cli import parse_instance
+from sumsetcover.polynomials import monomial_table, monomial_values, value_table
 
 from conftest import polynomials, set_pairs, space_points
+
+GOLDEN = Path(__file__).parent / "golden"
+# q -> n whose every point the differential tables cover
+TABLE_SPACES = {2: 4, 3: 3, 5: 2, 7: 2}
+
+
+def _lists(table):
+    """Packed or list rows as lists."""
+    return gf3.unpack(table) if isinstance(table, gf3.Matrix3) else table
+
+
+@st.composite
+def _table_cases(draw):
+    """(q, n, polynomials, points): up to three polynomials, any point list."""
+    q = draw(st.sampled_from(sorted(TABLE_SPACES)))
+    n = TABLE_SPACES[q]
+    polys = draw(st.lists(polynomials(q=q, n=n), max_size=3))
+    points = draw(st.lists(st.sampled_from(space_points(q, n)), max_size=q**n))
+    return q, n, polys, points
 
 
 class TestBuildVanishingSpace:
@@ -82,7 +106,7 @@ class TestFunctionRepresentation:
 
 
 class TestPackedTables:
-    """At q = 3 the tables are built from bit masks; they must equal eval_monomial and eval_poly."""
+    """The tables must equal eval_monomial and eval_poly at every q; at q = 3 they are built from bit masks."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_monomial_rows_every_point_every_degree(self, n):
@@ -99,3 +123,76 @@ class TestPackedTables:
         pts = space_points(3, 5)
         expected = [[sc.eval_poly(R, p) for p in pts] for R in (P, Q)]
         assert gf3.unpack(value_table([P, Q], [p.coords for p in pts], 3)) == expected
+
+    @given(_table_cases())
+    @settings(deadline=None, max_examples=80)
+    def test_tables_every_q(self, case):
+        q, n, polys, pts = case
+        coords = [p.coords for p in pts]
+        expected = [[sc.eval_poly(P, p) for p in pts] for P in polys]
+        assert _lists(value_table(polys, coords, q)) == expected
+        monos = sc.enumerate_monomials(q, n, (q - 1) * n)
+        expected = [[sc.eval_monomial(m, c, q) for c in coords] for m in monos]
+        assert _lists(monomial_values(monos, coords, q)) == expected
+
+    @pytest.mark.parametrize("q", sorted(TABLE_SPACES))
+    def test_tables_empty_cases(self, q):
+        n = 2
+        zero, one = sc.poly_from_terms(q, n, {}), sc.poly_from_terms(q, n, {(0, 0): 1})
+        coords = [p.coords for p in space_points(q, n)]
+        monos = sc.enumerate_monomials(q, n, 1)
+        assert _lists(value_table([zero, one], coords, q)) == [[0] * q**n, [1] * q**n]
+        assert _lists(value_table([], coords, q)) == []
+        assert _lists(value_table([zero, one], [], q)) == [[], []]
+        assert _lists(monomial_values([], coords, q)) == []
+        assert _lists(monomial_values(monos, [], q)) == [[]] * len(monos)
+
+    @pytest.mark.parametrize("q,coeffs", [(3, (0, 3, 4, -1)), (5, (0, 5, 7, -1))])
+    def test_coefficients_read_mod_q(self, q, coeffs):
+        # built directly, so the coefficients are neither reduced nor dropped
+        assert _lists(value_table([sc.Polynomial(3, 1, {(1,): 3})], [(0,), (1,), (2,)], 3)) == [[0, 0, 0]]
+        n = 2
+        pts = space_points(q, n)
+        monos = sc.enumerate_monomials(q, n, (q - 1) * n)
+        polys = [sc.Polynomial(q, n, {m: c}) for m in monos for c in coeffs]
+        polys.append(sc.Polynomial(q, n, dict(zip(monos, itertools.cycle(coeffs)))))
+        expected = [[sc.eval_poly(P, p) for p in pts] for P in polys]
+        assert _lists(value_table(polys, [p.coords for p in pts], q)) == expected
+
+
+class TestEvaluationWork:
+    """value_table evaluates each distinct monomial once, not once per term."""
+
+    @staticmethod
+    def _basis_at_sums(name):
+        inst = parse_instance(str(GOLDEN / name))
+        run = sc.run_pipeline(inst.s_set, inst.t_set)
+        sums = list(sc.sum_index(run.s_input, run.t_input))
+        distinct = set().union(*(P.terms for P in run.space.basis))
+        assert len(distinct) < sum(len(P.terms) for P in run.space.basis)
+        return run.space.basis, sums, distinct
+
+    def test_one_plane_build_per_distinct_monomial_q3(self, monkeypatch):
+        basis, sums, distinct = self._basis_at_sums("q3_n5.json")
+        assert len(distinct) == 220 and sum(len(P.terms) for P in basis) == 8071
+        real, built = gf3._monomial_planes, []
+
+        def counting(mono, *masks):
+            built.append(mono)
+            return real(mono, *masks)
+
+        monkeypatch.setattr(gf3, "_monomial_planes", counting)
+        value_table(basis, sums, 3)
+        assert len(built) == len(set(built)) == len(distinct)
+
+    def test_one_evaluation_per_distinct_monomial_and_point_q5(self, monkeypatch):
+        basis, sums, distinct = self._basis_at_sums("q5_n2.json")
+        real, calls = polys_module.eval_monomial, []
+
+        def counting(mono, coords, q):
+            calls.append(mono)
+            return real(mono, coords, q)
+
+        monkeypatch.setattr(polys_module, "eval_monomial", counting)
+        value_table(basis, sums, 5)
+        assert len(calls) == len(distinct) * len(sums)
