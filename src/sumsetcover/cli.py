@@ -186,9 +186,8 @@ def _cmd_bound(args) -> HandlerResult:
     q, n = args.q, args.n
     _check_space(q, n)
     table = degree_counts(q, n)
-    prefix = table.cumulative
     rows = [
-        {"d": d, "m_d": prefix[d], "bound_at_d": 2 * prefix[d // 2] + q**n - prefix[d]}
+        {"d": d, "m_d": table.prefix(d), "bound_at_d": table.budget(d)}
         for d in range(0, (q - 1) * n + 1)
     ]
     best_d, best_bound = choose_degree(q, n)

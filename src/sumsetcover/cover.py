@@ -84,20 +84,32 @@ def maximum_matching(adj: Mapping[int, Sequence[int]]) -> dict[int, int]:
                     queue.append(w)
         return found
 
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = match_r.get(v)
-            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = INF
-        return False
+    def augment(root: int) -> None:
+        # depth-first along the BFS layers on an explicit stack, so a long
+        # path stays within the recursion limit; path[k] leaves stack[k]
+        stack, path = [(root, iter(adj[root]))], []
+        while stack:
+            u, edges = stack[-1]
+            for v in edges:
+                w = match_r.get(v)
+                if w is None or dist[w] == dist[u] + 1:
+                    path.append(v)
+                    if w is None:
+                        for (x, _), y in zip(stack, path):
+                            match_l[x], match_r[y] = y, x
+                        return
+                    stack.append((w, iter(adj[w])))
+                    break
+            else:
+                dist[u] = INF
+                stack.pop()
+                if path:
+                    path.pop()
 
     while bfs():
         for u in lefts:
             if u not in match_l:
-                dfs(u)
+                augment(u)
     return match_l
 
 

@@ -85,7 +85,9 @@ class PipelineRun:
 
 def degree_bound(q: int, n: int, degree: int) -> int:
     """Witness-size budget 2*m(q,n,floor(d/2)) + q^n - m(q,n,d) at one d."""
-    return 2 * count_m(q, n, degree // 2) + q**n - count_m(q, n, degree)
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+    return degree_counts(q, n).budget(degree)
 
 
 def choose_degree(q: int, n: int) -> tuple[int, int]:
@@ -94,14 +96,9 @@ def choose_degree(q: int, n: int) -> tuple[int, int]:
     Scans every integer d in [0, (q-1)*n] using exact counts only, so this
     stays cheap even for n in the hundreds.
     """
-    prefix = degree_counts(q, n).cumulative
-    space = q**n
-    best_d, best_bound = 0, 2 * prefix[0] + space - prefix[0]
-    for d in range(0, (q - 1) * n + 1):
-        b = 2 * prefix[d // 2] + space - prefix[d]
-        if b < best_bound:
-            best_d, best_bound = d, b
-    return best_d, best_bound
+    table = degree_counts(q, n)
+    bound, d = min((table.budget(d), d) for d in range((q - 1) * n + 1))
+    return d, bound
 
 
 def _degree_and_bound(q: int, n: int, degree: int | None) -> tuple[int, int]:

@@ -6,14 +6,16 @@ subtracting two rows is then a few big-int boolean operations instead of a
 multiply-and-mod per entry (bitslicing in the style of Boothby and Bradshaw,
 arXiv:0901.1413).  This module is the only one that knows the format:
 `polynomials` builds its monomial tables with it, `linalg` eliminates and
-combines rows through it at q = 3, and every other module treats a
+combines the `Matrix3` values it is given, and every other module treats a
 `Matrix3` as an opaque value.
 
 Monomial tables need no `pow`: over F_3 a monomial prod x_i^e_i is 0 at p
 when some e_i > 0 has p_i = 0, and otherwise (-1) raised to the number of
-i with e_i = 1 and p_i = 2.  Per-coordinate column masks give a whole row
-in O(n) big-int operations.  A polynomial's values are then its monomials'
-rows combined by its coefficients (`combine`).
+i with e_i = 1 and p_i = 2.  So `monomial_table` masks, per coordinate,
+the columns whose digit can make the value 0 and those whose digit can flip
+its sign, and builds each row, per monomial or per point, from the masks
+its own digits select in O(n) big-int operations.  A polynomial's values
+are its monomials' rows combined by its coefficients (`combine`).
 """
 
 from __future__ import annotations
@@ -121,63 +123,39 @@ def combine(weights: Iterable[Iterable[tuple[int, int]]], m: Matrix3) -> Matrix3
     return Matrix3(m.ncols, tuple(ones), tuple(twos))
 
 
-def monomial_rows(monos: Sequence[tuple[int, ...]], points: Iterable[Sequence[int]]) -> Matrix3:
-    """Row per point, column per monomial: the monomial's value there."""
-    ncols = len(monos)
+# (digits that can make a monomial's value 0, digits that can flip its sign),
+# for an exponent and for a point coordinate
+_EXPONENT_DIGITS = (frozenset({1, 2}), frozenset({1}))
+_POINT_DIGITS = (frozenset({0}), frozenset({2}))
+
+
+def monomial_table(
+    monos: Sequence[tuple[int, ...]], points: Sequence[Sequence[int]], *, by_point: bool = False
+) -> Matrix3:
+    """Each monomial's value at each point: a row per monomial and a column per
+    point, or a row per point and a column per monomial when by_point."""
+    sides = [(monos, _EXPONENT_DIGITS), (points, _POINT_DIGITS)]
+    (rows, (row_zero, row_flip)), (cols, (col_zero, col_flip)) = sides[::-1] if by_point else sides
+    ncols = len(cols)
     full = (1 << ncols) - 1
-    n = len(monos[0]) if monos else 0
-    # live[i]: columns with e_i == 0 (they survive x_i = 0); odd[i]: e_i == 1
-    live = [full] * n
-    odd = [0] * n
-    for k, mono in enumerate(monos):
+    n = len(cols[0]) if cols else 0
+    keep, flip = [full] * n, [0] * n
+    for k, col in enumerate(cols):
         bit = 1 << k
-        for i, e in enumerate(mono):
-            if e:
-                live[i] ^= bit
-                if e == 1:
-                    odd[i] |= bit
+        for i, x in enumerate(col):
+            if x in col_zero:
+                keep[i] ^= bit
+            if x in col_flip:
+                flip[i] |= bit
     ones: list[int] = []
     twos: list[int] = []
-    for p in points:
+    for row in rows:
         nonzero, minus = full, 0
-        for x, keep, flip in zip(p, live, odd):
-            if x == 0:
-                nonzero &= keep
-            elif x == 2:
-                minus ^= flip
+        for x, kp, fl in zip(row, keep, flip):
+            if x in row_zero:
+                nonzero &= kp
+            if x in row_flip:
+                minus ^= fl
         ones.append(nonzero & ~minus)
         twos.append(nonzero & minus)
     return Matrix3(ncols, tuple(ones), tuple(twos))
-
-
-def _monomial_planes(
-    mono: tuple[int, ...], full: int, zero: Sequence[int], two: Sequence[int]
-) -> tuple[int, int]:
-    """One monomial's values over columns whose coordinate i is 0 at zero[i], 2 at two[i]."""
-    nonzero, minus = full, 0
-    for e, z, t in zip(mono, zero, two):
-        if e:
-            nonzero &= ~z
-            if e == 1:
-                minus ^= t
-    return nonzero & ~minus, nonzero & minus
-
-
-def monomial_values(monos: Sequence[tuple[int, ...]], points: Sequence[Sequence[int]]) -> Matrix3:
-    """Row per monomial, column per point: its value there.
-
-    Each row is built from per-coordinate column masks, O(n) big-int
-    operations per monomial.
-    """
-    ncols = len(points)
-    full = (1 << ncols) - 1
-    n = len(points[0]) if points else 0
-    zero, two = [0] * n, [0] * n
-    for j, p in enumerate(points):
-        for i, x in enumerate(p):
-            if x == 0:
-                zero[i] |= 1 << j
-            elif x == 2:
-                two[i] |= 1 << j
-    planes = [_monomial_planes(mono, full, zero, two) for mono in monos]
-    return Matrix3(ncols, tuple(a for a, _ in planes), tuple(b for _, b in planes))

@@ -5,11 +5,12 @@ must all have the same length; ragged rows raise ValueError.  Pivoting is
 by position (exact arithmetic has no magnitude concerns), so the reduced
 row echelon form, ranks, and null-space bases are all canonical.
 
-At q = 3 the work runs on two bitplanes per row (`gf3`), and a matrix may
-also be a `gf3.Matrix3` built by the evaluation tables of `polynomials`;
-`rref` and `combine_rows` then return their rows in that form too.  Every
-other q runs the list code below, which is also the reference the packed
-path is tested against.
+A matrix is either a list of rows or, at q = 3, a `gf3.Matrix3` (two
+bitplanes per row) as the evaluation tables of `polynomials` build it.  The
+form picks the path: a `Matrix3` is eliminated and combined on its
+bitplanes by `gf3` and comes back packed, and list rows always run the
+list code below, at every q, which is also the reference the packed path
+is tested against.
 """
 
 from __future__ import annotations
@@ -34,25 +35,24 @@ def _width(rows: Sequence[Sequence[int]]) -> int:
 def rref(rows: Rows, q: int) -> tuple[list[list[int]] | gf3.Matrix3, list[int]]:
     """Reduced row echelon form.
 
-    Returns (nonzero rows, pivot column indices); the input is not mutated.
-    ValueError for a composite q, where Z/q is not a field.
+    Returns (nonzero rows, pivot column indices), the rows in the input's
+    form; the input is not mutated.  ValueError for a composite q, where Z/q
+    is not a field, and for a `gf3.Matrix3` at any q but 3.
     """
     if not is_prime(q):
         raise ValueError(f"q = {q} is not prime")
-    if q == 3:
-        if isinstance(rows, gf3.Matrix3):
-            return gf3.rref(rows)
-        reduced, pivots = gf3.rref(gf3.pack(rows, _width(rows)))
-        return gf3.unpack(reduced), pivots
+    if isinstance(rows, gf3.Matrix3):
+        if q != 3:
+            raise ValueError(f"a packed F_3 matrix cannot be eliminated over F_{q}")
+        return gf3.rref(rows)
     return _rref_lists(rows, q)
 
 
 def _rref_lists(rows: Sequence[Sequence[int]], q: int) -> tuple[list[list[int]], list[int]]:
     """Gauss-Jordan on lists, one multiply-and-mod per entry; any prime q."""
-    _width(rows)
+    ncols = _width(rows)
     m = [[v % q for v in row] for row in rows]
     nrows = len(m)
-    ncols = len(m[0]) if m else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):

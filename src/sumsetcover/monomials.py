@@ -56,6 +56,10 @@ class CountTable:
             return 0
         return self.cumulative[min(d, len(self.cumulative) - 1)]
 
+    def budget(self, d: int) -> int:
+        """Witness-size budget 2*m(q,n,floor(d/2)) + q^n - m(q,n,d), clamped as prefix is."""
+        return 2 * self.prefix(d // 2) + self.q**self.n - self.prefix(d)
+
 
 def _convolve_window(counts: list[int], q: int) -> list[int]:
     """Multiply a coefficient list by 1 + x + ... + x^(q-1), exactly."""

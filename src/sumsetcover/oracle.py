@@ -10,6 +10,7 @@ consequences (progression-free sets and matching-only sum-free families).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .decompose import decompose, symmetric_subset
@@ -107,18 +108,12 @@ class OrderedPairFamily:
 def is_matching_sumfree(fam: OrderedPairFamily) -> bool:
     """True iff s_i + t_i = s_j + t_k forces (j, k) = (i, i).
 
-    Exhaustive over all index triples; the verdict depends only on the
-    pairing, not on list positions.
+    Equivalently, every diagonal sum s_i + t_i occurs once among the N^2
+    sums s_j + t_k, so one count of those sums decides it.  The verdict
+    depends only on the pairing, not on list positions.
     """
-    s, t = fam.s_order, fam.t_order
-    N = len(fam)
-    for i in range(N):
-        diag = s[i] + t[i]
-        for j in range(N):
-            for k in range(N):
-                if (j, k) != (i, i) and s[j] + t[k] == diag:
-                    return False
-    return True
+    counts = Counter(s + t for s in fam.s_order for t in fam.t_order)
+    return all(counts[s + t] == 1 for s, t in zip(fam.s_order, fam.t_order))
 
 
 @dataclass(frozen=True)

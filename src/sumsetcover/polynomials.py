@@ -6,6 +6,10 @@ F_q^n -> F_q uniquely, which is what makes the vanishing-space constructions
 downstream exact.  Instances are treated as immutable.  `poly_from_terms`
 builds one from any term map, checking the exponents and reducing the
 coefficients; `polys_from_rows` reads rows already reduced mod q.
+
+`monomial_table` (row per point) and `monomial_values` (row per monomial)
+come packed, without `pow`, from the one builder `gf3.monomial_table` at
+q = 3, and cell by cell from `eval_monomial` otherwise.
 """
 
 from __future__ import annotations
@@ -76,24 +80,18 @@ def eval_monomial(mono: Monomial, coords: Sequence[int], q: int) -> int:
 def monomial_table(
     monos: Sequence[Monomial], points: Sequence[Sequence[int]], q: int
 ) -> list[list[int]] | gf3.Matrix3:
-    """Row per point (coordinates), column per monomial: its value there.
-
-    At q = 3 the table is packed, for linalg to eliminate, without `pow`.
-    """
+    """Row per point (coordinates), column per monomial: its value there."""
     if q == 3:
-        return gf3.monomial_rows(monos, points)
+        return gf3.monomial_table(monos, points, by_point=True)
     return [[eval_monomial(m, p, q) for m in monos] for p in points]
 
 
 def monomial_values(
     monos: Sequence[Monomial], points: Sequence[Sequence[int]], q: int
 ) -> list[list[int]] | gf3.Matrix3:
-    """Row per monomial, column per point (coordinates): its value there.
-
-    At q = 3 the table is packed, without `pow`.
-    """
+    """Row per monomial, column per point (coordinates): its value there."""
     if q == 3:
-        return gf3.monomial_values(monos, points)
+        return gf3.monomial_table(monos, points)
     return [[eval_monomial(m, p, q) for p in points] for m in monos]
 
 

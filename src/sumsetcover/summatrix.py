@@ -245,6 +245,9 @@ def audit_matrices(
     if not polys:
         return
     q, n = polys[0].q, polys[0].n
+    for P in polys:
+        if (P.q, P.n) != (q, n):
+            raise DimensionMismatch(f"polynomial over (q={P.q}, n={P.n}) audited with q={q}, n={n}")
     rows, cols = _coords(q, n, row_points), _coords(q, n, col_points)
     # each cell's sum id; the ids number the distinct sums in row-major order
     ids: dict[Coords, int] = {}

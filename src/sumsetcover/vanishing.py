@@ -12,8 +12,9 @@ space has dimension at least
 
 the counting fact the witness construction leans on.  The constraint matrix
 comes from polynomials.monomial_table, which at q = 3 builds it packed from
-bit masks (no `pow`), and the null space from linalg, which eliminates it
-there on bitplanes.  The basis polynomials are read off the kernel rows.
+bit masks (no `pow`) with the same builder as every other monomial table,
+and the null space from linalg, which eliminates a packed table on its
+bitplanes.  The basis polynomials are read off the kernel rows.
 """
 
 from __future__ import annotations

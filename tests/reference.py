@@ -11,13 +11,17 @@ distinct sum of each matrix, the expansion of P(x + y) through
 across polynomials), `eval_poly` once per factor and point for the rebuild,
 and the |S| x |T| sum matrix of every basis polynomial eliminated in input
 order until their row-major first nonzero positions are pairwise distinct.
-Only tests use it.
+It also keeps the recursive Hopcroft-Karp search that
+`sumsetcover.cover.maximum_matching` runs with an explicit stack, and the
+triple loop over index triples that `sumsetcover.oracle.is_matching_sumfree`
+replaces by one count of the sums.  Only tests use it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from typing import NamedTuple, Sequence
 
 import sumsetcover as sc
@@ -229,3 +233,61 @@ def reference_pivots(
     """Pivot positions of the span of the basis sum matrices, the direct way."""
     grids = [sum_grid(P, s_ord, t_ord) for P in space.basis]
     return set(pivot_basis(grids, space.q)[1])
+
+
+def maximum_matching_recursive(adj: dict[int, Sequence[int]]) -> dict[int, int]:
+    """Hopcroft-Karp with a recursive depth-first search, left sorted, edges as given."""
+    INF = -1
+    match_l: dict[int, int] = {}
+    match_r: dict[int, int] = {}
+    lefts = sorted(adj)
+    dist: dict[int, int] = {}
+
+    def bfs() -> bool:
+        queue: deque[int] = deque()
+        for u in lefts:
+            if u not in match_l:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = INF
+        found = False
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                w = match_r.get(v)
+                if w is None:
+                    found = True
+                elif dist[w] == INF:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found
+
+    def dfs(u: int) -> bool:
+        for v in adj[u]:
+            w = match_r.get(v)
+            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
+                match_l[u] = v
+                match_r[v] = u
+                return True
+        dist[u] = INF
+        return False
+
+    while bfs():
+        for u in lefts:
+            if u not in match_l:
+                dfs(u)
+    return match_l
+
+
+def is_matching_sumfree_triples(fam: sc.OrderedPairFamily) -> bool:
+    """s_i + t_i = s_j + t_k forces (j, k) = (i, i), over every index triple."""
+    s, t = fam.s_order, fam.t_order
+    N = len(fam)
+    for i in range(N):
+        diag = s[i] + t[i]
+        for j in range(N):
+            for k in range(N):
+                if (j, k) != (i, i) and s[j] + t[k] == diag:
+                    return False
+    return True

@@ -6,7 +6,13 @@ import sumsetcover as sc
 from sumsetcover.errors import BoundViolated
 
 from conftest import SEEDED_GRID, seeded_pair, set_pairs
-from reference import first_nonzero_position, pivot_basis, reference_pivots, sum_grid
+from reference import (
+    first_nonzero_position,
+    maximum_matching_recursive,
+    pivot_basis,
+    reference_pivots,
+    sum_grid,
+)
 
 
 class TestFirstNonzero:
@@ -166,3 +172,24 @@ class TestMaximumMatching:
     def test_star(self):
         adj = {0: [0], 1: [0], 2: [0]}
         assert len(sc.maximum_matching(adj)) == 1
+
+    def test_long_augmenting_path(self):
+        # the last left vertex frees up only along a 1501-step augmenting
+        # path, deeper than the default recursion limit
+        adj = {i: [i, i + 1] for i in range(1500)}
+        adj[1500] = [0]
+        match = sc.maximum_matching(adj)
+        assert len(match) == 1501
+        assert match == {**{i: i + 1 for i in range(1500)}, 1500: 0}
+        pivots = [(i, j) for i, js in adj.items() for j in js]
+        assert sc.line_cover(pivots, 1501).size == 1501
+
+    @given(st.dictionaries(
+        st.integers(0, 8), st.lists(st.integers(0, 8), min_size=1, max_size=5, unique=True),
+        max_size=9,
+    ))
+    def test_matches_recursive_search(self, adj):
+        # same visiting order, so the same matching, in the same key order
+        match = sc.maximum_matching(adj)
+        expected = maximum_matching_recursive(adj)
+        assert list(match.items()) == list(expected.items())

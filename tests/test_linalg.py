@@ -166,17 +166,31 @@ class TestPackedMatchesLists:
     @settings(deadline=None)
     def test_null_space_and_rank(self, m):
         ncols = len(m[0]) if m else 7
-        assert sc.null_space(m, ncols, 3) == list_null_space(m, ncols, 3)
-        assert sc.matrix_rank(m, 3) == len(_rref_lists(m, 3)[0])
+        expected_basis, expected_rank = list_null_space(m, ncols, 3), len(_rref_lists(m, 3)[0])
+        assert sc.null_space(m, ncols, 3) == expected_basis
+        assert sc.matrix_rank(m, 3) == expected_rank
+        packed = gf3.pack(m, ncols)
+        assert sc.null_space(packed, ncols, 3) == expected_basis
+        assert sc.matrix_rank(packed, 3) == expected_rank
 
     def test_empty_row_list(self):
         assert sc.rref([], 3) == _rref_lists([], 3) == ([], [])
         assert sc.matrix_rank([], 3) == 0
         assert sc.null_space([], 4, 3) == list_null_space([], 4, 3)
+        empty = gf3.pack([], 4)
+        assert sc.matrix_rank(empty, 3) == 0
+        assert sc.null_space(empty, 4, 3) == list_null_space([], 4, 3)
 
     def test_zero_width_rows(self):
         assert sc.rref([[], []], 3) == _rref_lists([[], []], 3) == ([], [])
         assert sc.null_space([[], []], 0, 3) == []
+        assert sc.null_space(gf3.pack([[], []], 0), 0, 3) == []
+
+    @pytest.mark.parametrize("q", [2, 5])
+    def test_packed_rows_need_q3(self, q):
+        # the bitplanes hold F_3 entries; no other field may eliminate them
+        with pytest.raises(ValueError, match=f"over F_{q}$"):
+            sc.rref(gf3.pack([[1, 2]], 2), q)
 
     def test_input_not_mutated(self):
         m = [[2, -1, 4], [5, 5, 0]]

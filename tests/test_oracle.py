@@ -8,6 +8,7 @@ import sumsetcover as sc
 from sumsetcover.errors import PreconditionFailed, SearchTooLarge, ValidationError
 
 from conftest import point_sets, set_pairs, space_points, subset_from_mask
+from reference import is_matching_sumfree_triples
 
 
 def ap_free_reference(S):
@@ -110,6 +111,17 @@ class TestMatchingSumfree:
             tuple(s_list[i] for i in perm), tuple(t_list[i] for i in perm)
         )
         assert sc.is_matching_sumfree(family) == sc.is_matching_sumfree(shuffled)
+
+    @given(st.sampled_from([(2, 3), (3, 2), (5, 1), (7, 1)]), st.data())
+    @settings(deadline=None)
+    def test_matches_triple_loop(self, space, data):
+        q, n = space
+        pts = space_points(q, n)
+        size = data.draw(st.integers(0, min(len(pts), 6)))
+        s_list = data.draw(st.permutations(pts))[:size]
+        t_list = data.draw(st.permutations(pts))[:size]
+        family = sc.OrderedPairFamily(tuple(s_list), tuple(t_list))
+        assert sc.is_matching_sumfree(family) == is_matching_sumfree_triples(family)
 
 
 class TestCheckSumfree:

@@ -57,6 +57,16 @@ class TestSumMatrix:
         with pytest.raises(DimensionMismatch):
             list(summatrix.audit_matrices([one], 0, space_points(3, 2), space_points(5, 2)))
 
+    @pytest.mark.parametrize("other", [
+        sc.poly_from_terms(5, 1, {(2,): 1}),  # was audited over F_3 and reported exact
+        sc.poly_from_terms(5, 1, {(4,): 1}),  # was a KeyError on the exponent 4
+        sc.poly_from_terms(3, 2, {(1, 0): 1}),
+    ])
+    def test_polynomials_from_other_spaces(self, other):
+        first = sc.poly_from_terms(3, 1, {(1,): 1})
+        with pytest.raises(DimensionMismatch, match="audited with"):
+            list(summatrix.audit_matrices([first, other], 4, F3, F3))
+
     @given(polynomials())
     @settings(deadline=None)
     def test_equal_entries_on_equal_sums(self, P):

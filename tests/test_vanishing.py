@@ -146,6 +146,8 @@ class TestPackedTables:
         assert _lists(value_table([zero, one], [], q)) == [[], []]
         assert _lists(monomial_values([], coords, q)) == []
         assert _lists(monomial_values(monos, [], q)) == [[]] * len(monos)
+        assert _lists(monomial_table([], coords, q)) == [[]] * len(coords)
+        assert _lists(monomial_table(monos, [], q)) == []
 
     @pytest.mark.parametrize("q,coeffs", [(3, (0, 3, 4, -1)), (5, (0, 5, 7, -1))])
     def test_coefficients_read_mod_q(self, q, coeffs):
@@ -175,15 +177,16 @@ class TestEvaluationWork:
     def test_one_plane_build_per_distinct_monomial_q3(self, monkeypatch):
         basis, sums, distinct = self._basis_at_sums("q3_n5.json")
         assert len(distinct) == 220 and sum(len(P.terms) for P in basis) == 8071
-        real, built = gf3._monomial_planes, []
+        real, built = gf3.monomial_table, []
 
-        def counting(mono, *masks):
-            built.append(mono)
-            return real(mono, *masks)
+        def counting(monos, points, **layout):
+            built.extend(monos)
+            return real(monos, points, **layout)
 
-        monkeypatch.setattr(gf3, "_monomial_planes", counting)
+        # the one builder makes a row (a pair of planes) per monomial it is given
+        monkeypatch.setattr(gf3, "monomial_table", counting)
         value_table(basis, sums, 3)
-        assert len(built) == len(set(built)) == len(distinct)
+        assert len(built) == len(distinct) and set(built) == distinct
 
     def test_one_evaluation_per_distinct_monomial_and_point_q5(self, monkeypatch):
         basis, sums, distinct = self._basis_at_sums("q5_n2.json")
