@@ -9,15 +9,17 @@ polynomials.value_table: each distinct monomial of the basis evaluated
 once at the keys, its rows combined by the coefficients (packed, without
 `pow`, at q = 3).  It goes to linalg.rref.  Second, the pivot positions are
 covered by as few lines (full rows or columns) as possible: a maximum bipartite
-matching via Hopcroft-Karp, then the Koenig construction turns it into a
-minimum vertex cover of the same size.  When every matrix in the span
-has rank at most r, the minimum cover provably has size at most r, so
-exceeding a supplied rank budget is reported as a bug, not as data.
+matching by augmenting paths, then the Koenig construction turns it into a
+minimum vertex cover of the same size; one alternating-path search serves
+both.  That cover is the same for every maximum matching
+(Dulmage-Mendelsohn), so which matching is found does not change it.  When
+every matrix in the span has rank at most r, the minimum cover provably has
+size at most r, so exceeding a supplied rank budget is reported as a bug,
+not as data.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -52,64 +54,48 @@ def sum_pivots(
     return tuple(sorted(positions[c] for c in pivot_cols))
 
 
-def maximum_matching(adj: Mapping[int, Sequence[int]]) -> dict[int, int]:
-    """Hopcroft-Karp maximum matching, left index -> right index.
+def _alternating_search(
+    adj: Mapping[int, Sequence[int]], match_r: Mapping[int, int], roots: Iterable[int]
+) -> tuple[int | None, dict[int, int]]:
+    """Breadth-first search along alternating paths from the left roots.
 
-    Left vertices are visited in sorted order and adjacency lists are
-    traversed as given, so the matching is reproducible.
+    A row leads to every column in its adjacency list, a matched column
+    only to its partner row, and each column is entered once.  Returns the
+    first unmatched column reached (None when every reached column is
+    matched) and, per reached column, the row it was reached from.  The
+    rows to visit are a list that grows as it is read, so a long path
+    needs no recursion.
     """
-    INF = -1
+    came_from: dict[int, int] = {}
+    rows = list(roots)
+    for u in rows:
+        for v in adj[u]:
+            if v in came_from:
+                continue
+            came_from[v] = u
+            w = match_r.get(v)
+            if w is None:
+                return v, came_from
+            rows.append(w)
+    return None, came_from
+
+
+def maximum_matching(adj: Mapping[int, Sequence[int]]) -> dict[int, int]:
+    """Maximum matching by augmenting paths, left index -> right index.
+
+    Each left vertex in sorted order searches for an augmenting path, its
+    adjacency list traversed as given, and the path found is flipped, so
+    the matching is reproducible.
+    """
     match_l: dict[int, int] = {}
     match_r: dict[int, int] = {}
-    lefts = sorted(adj)
-    dist: dict[int, int] = {}
-
-    def bfs() -> bool:
-        queue: deque[int] = deque()
-        for u in lefts:
-            if u not in match_l:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = INF
-        found = False
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                w = match_r.get(v)
-                if w is None:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
-
-    def augment(root: int) -> None:
-        # depth-first along the BFS layers on an explicit stack, so a long
-        # path stays within the recursion limit; path[k] leaves stack[k]
-        stack, path = [(root, iter(adj[root]))], []
-        while stack:
-            u, edges = stack[-1]
-            for v in edges:
-                w = match_r.get(v)
-                if w is None or dist[w] == dist[u] + 1:
-                    path.append(v)
-                    if w is None:
-                        for (x, _), y in zip(stack, path):
-                            match_l[x], match_r[y] = y, x
-                        return
-                    stack.append((w, iter(adj[w])))
-                    break
-            else:
-                dist[u] = INF
-                stack.pop()
-                if path:
-                    path.pop()
-
-    while bfs():
-        for u in lefts:
-            if u not in match_l:
-                augment(u)
+    for u in sorted(adj):
+        v, came_from = _alternating_search(adj, match_r, (u,))
+        while v is not None:
+            w = came_from[v]
+            prev = match_l.get(w)
+            match_l[w], match_r[v] = v, w
+            v = prev
     return match_l
 
 
@@ -128,38 +114,29 @@ class LineCover:
 def line_cover(pivots: Iterable[tuple[int, int]], rank_bound: int) -> LineCover:
     """Minimum set of lines covering the given positions.
 
-    Maximum matching plus the Koenig alternating-reachability construction;
-    the cover size equals the matching size.  A result above rank_bound is
-    impossible when rank_bound really bounds every rank in the generating
-    subspace, so it raises BoundViolated to flag an upstream bug.
+    A maximum matching, then the Koenig construction: the rows that are not
+    reached and the columns that are reached along alternating paths from
+    the unmatched rows.  The cover size equals the matching size.  A result
+    above rank_bound is impossible when rank_bound really bounds every rank
+    in the generating subspace, so it raises BoundViolated to flag an
+    upstream bug.
     """
     pts = sorted(set(pivots))
     adj: dict[int, list[int]] = {}
     for i, j in pts:
         adj.setdefault(i, []).append(j)
-    for i in adj:
-        adj[i].sort()
     match_l = maximum_matching(adj)
     match_r = {v: u for u, v in match_l.items()}
 
-    reach_l = {u for u in adj if u not in match_l}
-    reach_r: set[int] = set()
-    frontier = sorted(reach_l)
-    while frontier:
-        nxt: list[int] = []
-        for u in frontier:
-            for v in adj[u]:
-                if v in reach_r:
-                    continue
-                reach_r.add(v)
-                w = match_r.get(v)
-                if w is not None and w not in reach_l:
-                    reach_l.add(w)
-                    nxt.append(w)
-        frontier = sorted(nxt)
-
-    cover_rows = tuple(sorted(u for u in adj if u not in reach_l))
-    cover_cols = tuple(sorted(reach_r))
+    free_rows = [u for u in adj if u not in match_l]
+    free_col, came_from = _alternating_search(adj, match_r, free_rows)
+    if free_col is not None:
+        raise BoundViolated(
+            f"column {free_col} is reachable from an unmatched row: the matching is not maximum"
+        )
+    reach_l = set(free_rows).union(match_r[v] for v in came_from)
+    cover_rows = tuple(u for u in adj if u not in reach_l)
+    cover_cols = tuple(sorted(came_from))
     cover = LineCover(cover_rows, cover_cols)
     if cover.size != len(match_l):
         raise BoundViolated(f"Koenig cover {cover.size} differs from matching {len(match_l)}")

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from .cover import LineCover, line_cover, sum_pivots
 from .errors import BoundViolated
-from .field import DEFAULT_ENUM_CAP, PointSet, is_prime, sum_index, sumset
+from .field import DEFAULT_ENUM_CAP, PointSet, check_enumeration_cap, is_prime, sum_index, sumset
 from .monomials import count_m, degree_counts
 from .vanishing import PolySubspace, build_vanishing_space
 
@@ -127,6 +127,9 @@ def run_pipeline(
     if not S.members or not T.members:
         raise ValueError("run_pipeline needs nonempty inputs; decompose handles empty sets")
     q, n = S.q, S.n
+    # the vanishing space enumerates F_q^n: refuse before counting monomials
+    # by degree, which alone takes long when q is huge
+    check_enumeration_cap(q, n, cap)
     degree, bound = _degree_and_bound(q, n, degree)
     rank_bound = 2 * count_m(q, n, degree // 2)
 

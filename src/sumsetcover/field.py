@@ -159,11 +159,16 @@ def sumset(S: PointSet, T: PointSet) -> PointSet:
     return PointSet.from_coords(S.q, S.n, sum_index(S, T))
 
 
-def all_points(q: int, n: int, *, cap: int = DEFAULT_ENUM_CAP) -> PointSet:
-    """The full space F_q^n; refuses when q^n exceeds the enumeration cap."""
+def check_enumeration_cap(q: int, n: int, cap: int) -> None:
+    """EnumerationTooLarge when q^n exceeds the enumeration cap."""
     size = q**n
     if size > cap:
         raise EnumerationTooLarge(f"q^n = {size} exceeds enumeration cap {cap}")
+
+
+def all_points(q: int, n: int, *, cap: int = DEFAULT_ENUM_CAP) -> PointSet:
+    """The full space F_q^n; refuses when q^n exceeds the enumeration cap."""
+    check_enumeration_cap(q, n, cap)
     vecs = (FieldVector(q, c) for c in itertools.product(range(q), repeat=n))
     return PointSet(q, n, frozenset(vecs))
 

@@ -100,7 +100,7 @@ def rref(m: Matrix3) -> tuple[Matrix3, list[int]]:
 def combine(weights: Iterable[Iterable[tuple[int, int]]], m: Matrix3) -> Matrix3:
     """Row i is the sum of c times row k of m over the pairs (k, c) of weights[i].
 
-    Weights lie in [0, 3); a weight 2 = -1 adds the row's negation, its
+    Weights are read mod 3; a weight 2 = -1 adds the row's negation, its
     planes swapped.  The addition is `_plus` written out, since this loop
     runs once per weight.
     """
@@ -110,9 +110,10 @@ def combine(weights: Iterable[Iterable[tuple[int, int]]], m: Matrix3) -> Matrix3
     for w in weights:
         a = b = 0
         for k, c in w:
+            c %= 3
             if c == 1:
                 c1, c2 = m_ones[k], m_twos[k]
-            elif c == 2:
+            elif c:
                 c1, c2 = m_twos[k], m_ones[k]
             else:
                 continue

@@ -82,12 +82,15 @@ def combine_rows(
     weights: Iterable[Iterable[tuple[int, int]]], rows: Rows, ncols: int, q: int
 ) -> Rows:
     """Linear combinations of rows: output row i is the sum of c * rows[k]
-    over the pairs (k, c) of weights[i], with c in [0, q).
+    over the pairs (k, c) of weights[i], with c read mod q.
 
     A `gf3.Matrix3` is combined on its bitplanes and the result comes back
-    packed; list rows of width ncols give list rows.
+    packed (ValueError at any q but 3); list rows of width ncols give list
+    rows.
     """
     if isinstance(rows, gf3.Matrix3):
+        if q != 3:
+            raise ValueError(f"a packed F_3 matrix cannot be combined over F_{q}")
         return gf3.combine(weights, rows)
     out: list[list[int]] = []
     for w in weights:

@@ -11,9 +11,12 @@ distinct sum of each matrix, the expansion of P(x + y) through
 across polynomials), `eval_poly` once per factor and point for the rebuild,
 and the |S| x |T| sum matrix of every basis polynomial eliminated in input
 order until their row-major first nonzero positions are pairwise distinct.
-It also keeps the recursive Hopcroft-Karp search that
-`sumsetcover.cover.maximum_matching` runs with an explicit stack, and the
-triple loop over index triples that `sumsetcover.oracle.is_matching_sumfree`
+It also keeps a recursive Hopcroft-Karp matching and the line cover built
+from it by a separate breadth-first Koenig pass.  `sumsetcover.cover`
+replaces both by one alternating-path search: its augmenting-path matching
+may differ from Hopcroft-Karp's, but the Koenig cover is the same for every
+maximum matching (Dulmage-Mendelsohn), so the covers must be equal.  Last,
+the triple loop over index triples that `sumsetcover.oracle.is_matching_sumfree`
 replaces by one count of the sums.  Only tests use it.
 """
 
@@ -278,6 +281,39 @@ def maximum_matching_recursive(adj: dict[int, Sequence[int]]) -> dict[int, int]:
             if u not in match_l:
                 dfs(u)
     return match_l
+
+
+def line_cover_hopcroft_karp(pivots) -> sc.LineCover:
+    """Minimum line cover from the Hopcroft-Karp matching and a Koenig BFS.
+
+    The rows not reached and the columns reached, breadth first, along
+    alternating paths from the unmatched rows; rows sorted, edges ascending.
+    """
+    pts = sorted(set(pivots))
+    adj: dict[int, list[int]] = {}
+    for i, j in pts:
+        adj.setdefault(i, []).append(j)
+    match_l = maximum_matching_recursive(adj)
+    match_r = {v: u for u, v in match_l.items()}
+
+    reach_l = {u for u in adj if u not in match_l}
+    reach_r: set[int] = set()
+    frontier = sorted(reach_l)
+    while frontier:
+        nxt: list[int] = []
+        for u in frontier:
+            for v in adj[u]:
+                if v in reach_r:
+                    continue
+                reach_r.add(v)
+                w = match_r.get(v)
+                if w is not None and w not in reach_l:
+                    reach_l.add(w)
+                    nxt.append(w)
+        frontier = sorted(nxt)
+    return sc.LineCover(
+        tuple(sorted(u for u in adj if u not in reach_l)), tuple(sorted(reach_r))
+    )
 
 
 def is_matching_sumfree_triples(fam: sc.OrderedPairFamily) -> bool:

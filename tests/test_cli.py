@@ -181,6 +181,8 @@ class TestDecomposeCommand:
     def test_cap_refusal_exit_three(self, tmp_path, capsys):
         path = write_instance(tmp_path, q=3, n=2, S=[[0, 0]], T=[[1, 1]])
         assert run_command(["decompose", "--input", path, "--cap", "8"]) == 3
+        path = write_instance(tmp_path, q=10000019, n=2, S=[[0, 0]], T=[[0, 1]])
+        assert run_command(["decompose", "--input", path]) == 3
 
     def test_empty_sets(self, tmp_path, capsys):
         path = write_instance(tmp_path, q=3, n=2, S=[], T=[[1, 1]])

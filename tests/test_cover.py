@@ -3,11 +3,13 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import sumsetcover as sc
+import sumsetcover.cover as cover_module
 from sumsetcover.errors import BoundViolated
 
 from conftest import SEEDED_GRID, seeded_pair, set_pairs
 from reference import (
     first_nonzero_position,
+    line_cover_hopcroft_karp,
     maximum_matching_recursive,
     pivot_basis,
     reference_pivots,
@@ -158,6 +160,32 @@ class TestLineCover:
             adj.setdefault(i, []).append(j)
         assert cover.size == len(sc.maximum_matching(adj))
 
+    @given(st.sets(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=60))
+    def test_matches_reference_hypothesis(self, pivots):
+        # the Koenig cover is the same for every maximum matching
+        assert sc.line_cover(pivots, 100) == line_cover_hopcroft_karp(pivots)
+
+    @pytest.mark.parametrize("q, n", SEEDED_GRID)
+    def test_matches_reference_seeded(self, q, n):
+        for seed in range(6):
+            run = sc.run_pipeline(*seeded_pair(q, n, seed))
+            assert run.cover == line_cover_hopcroft_karp(run.pivots)
+
+    @pytest.mark.parametrize("pivots", [
+        [(0, 0)],
+        [(0, 0), (1, 1), (2, 2)],
+        [(0, 0), (0, 1), (1, 0), (2, 2)],
+    ])
+    def test_matching_short_of_maximum_raises(self, pivots, monkeypatch):
+        def drop_one_pair(adj):
+            match = sc.maximum_matching(adj)
+            del match[min(match)]
+            return match
+
+        monkeypatch.setattr(cover_module, "maximum_matching", drop_one_pair)
+        with pytest.raises(BoundViolated, match="the matching is not maximum"):
+            sc.line_cover(pivots, 100)
+
 
 class TestMaximumMatching:
     def test_perfect(self):
@@ -189,7 +217,8 @@ class TestMaximumMatching:
         max_size=9,
     ))
     def test_matches_recursive_search(self, adj):
-        # same visiting order, so the same matching, in the same key order
+        # a valid matching, as large as the Hopcroft-Karp one
         match = sc.maximum_matching(adj)
-        expected = maximum_matching_recursive(adj)
-        assert list(match.items()) == list(expected.items())
+        assert all(u in adj and v in adj[u] for u, v in match.items())
+        assert len(set(match.values())) == len(match)
+        assert len(match) == len(maximum_matching_recursive(adj))

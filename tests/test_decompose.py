@@ -161,6 +161,22 @@ class TestDecompose:
                 with pytest.raises(ValueError, match=f"q = {q} is not prime"):
                     call(a, b)
 
+    def test_huge_space_refused_before_any_work(self, monkeypatch):
+        # counting monomials by degree at q = 10000019 alone takes seconds
+        def no_work(*args, **kwargs):
+            raise AssertionError("the pipeline started on a space above the cap")
+
+        module = importlib.import_module("sumsetcover.decompose")
+        monkeypatch.setattr(module, "choose_degree", no_work)
+        monkeypatch.setattr(module, "degree_bound", no_work)
+        q = 10000019
+        S = sc.PointSet.from_coords(q, 2, [(0, 0)])
+        T = sc.PointSet.from_coords(q, 2, [(0, 1)])
+        for call in (sc.run_pipeline, sc.decompose):
+            for degree in (None, 0):
+                with pytest.raises(sc.EnumerationTooLarge, match=f"q\\^n = {q**2} exceeds"):
+                    call(S, T, degree)
+
 
 def test_decompose_name_is_the_function_and_the_module_stays_reachable():
     # the package re-exports the function under its module's name

@@ -201,10 +201,11 @@ class TestPackedMatchesLists:
     @given(wide_integer_matrices(), st.data())
     @settings(deadline=None)
     def test_combine_rows(self, m, data):
-        # the product W·M by explicit sums, against the list and packed paths
+        # the product W·M by explicit sums, against the list and packed paths;
+        # weights outside [0, 3), negatives among them, are read mod 3
         m = [[v % 3 for v in row] for row in m]
         ncols = len(m[0]) if m else 5
-        pair = st.tuples(st.integers(0, max(len(m) - 1, 0)), st.integers(0, 2))
+        pair = st.tuples(st.integers(0, max(len(m) - 1, 0)), st.integers(-4, 8))
         weights = data.draw(st.lists(st.lists(pair, max_size=6 if m else 0), max_size=5))
         expected = [
             [sum(c * m[k][j] for k, c in w) % 3 for j in range(ncols)] for w in weights
@@ -212,6 +213,8 @@ class TestPackedMatchesLists:
         assert combine_rows(weights, m, ncols, 3) == expected
         packed = combine_rows(weights, gf3.pack(m, ncols), ncols, 3)
         assert isinstance(packed, gf3.Matrix3) and gf3.unpack(packed) == expected
+        with pytest.raises(ValueError, match="cannot be combined over F_5"):
+            combine_rows(weights, gf3.pack(m, ncols), ncols, 5)
 
     def test_pack_round_trip(self):
         rows = [[0, 1, 2, -1, 4, 3], [0] * 6]

@@ -1,5 +1,7 @@
-"""Smoke runs of the experiment scripts, so an API change cannot break them silently."""
+"""Smoke runs of the experiment scripts and of the README's Python examples,
+so an API change cannot break them silently."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,8 @@ import pytest
 
 from conftest import subprocess_env
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def run_script(name: str, *args: str) -> list[str]:
@@ -59,3 +62,16 @@ def test_bound_slack_checks_run_under_optimize(patch, message):
     )
     assert proc.returncode == 1
     assert message in proc.stderr
+
+
+
+def test_readme_python_examples_run():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert blocks
+    for code in blocks:
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
+        )
+        assert proc.returncode == 0, code + proc.stderr
