@@ -14,6 +14,7 @@ function; `importlib.import_module("sumsetcover.decompose")` gives the module.
 
 from .cover import LineCover, line_cover, maximum_matching, sum_pivots
 from .decompose import (
+    Check,
     Decomposition,
     DecompositionCertificate,
     PipelineRun,

@@ -6,6 +6,12 @@ to stdout as a human-readable summary followed by a JSON block (or JSON only
 with --json).  Every checked inequality appears in the report with both
 sides evaluated, so a report can be audited without the library.
 
+The decompose report lists coverage_equals_sumset (the independent
+verify_decomposition re-check), then the certified checks exactly as
+run_pipeline recorded them in the certificate (this module evaluates no
+pipeline inequality itself), then, under --certify-rank, the three checks
+of the rank audit.
+
 Exit codes: 0 ok, 1 verification failure, 2 invalid input, 3 cap refusal.
 A printed report decides its own code: 1 exactly when the report's `ok` is
 false (some check failed), else 0.  Without a report, 2 and 3 name the
@@ -222,75 +228,24 @@ def _cmd_bound(args) -> HandlerResult:
     return {"q": q, "n": n, "growth_to": args.growth_to}, outputs, checks, human
 
 
-def _decompose_checks(run, dec, chose_degree: bool) -> list[dict]:
-    q, n = dec.s_witness.q, dec.s_witness.n
-    space_size = q**n
-    m_d = run.space.ambient_dim
-    st_size = len(run.sum_set)
-    dim_lower = m_d - space_size + st_size
-    pivot_list = list(run.pivots)
-    s_ord = run.s_input.ordered()
-    t_ord = run.t_input.ordered()
-    pivot_sums = [s_ord[i] + t_ord[j] for i, j in pivot_list]
-    line_sums = sumset(run.decomposition.certificate.covered_rows, run.t_input).union(
-        sumset(run.s_input, run.decomposition.certificate.covered_cols)
-    )
-    checks = [
-        _check(
-            "coverage_equals_sumset",
-            verify_decomposition(run.s_input, run.t_input, dec.s_witness, dec.t_witness),
-        ),
-        _check("witness_total<=bound", dec.witness_total <= dec.bound, dec.witness_total, dec.bound),
-        _check("dim_vanishing>=m_d-q^n+|S+T|", run.space.dim >= dim_lower, run.space.dim, dim_lower),
-        _check(
-            "uncovered<=q^n-m_d",
-            len(dec.certificate.uncovered_sums) <= space_size - m_d,
-            len(dec.certificate.uncovered_sums),
-            space_size - m_d,
-        ),
-        _check("cover_size<=rank_bound", run.cover.size <= run.rank_bound, run.cover.size, run.rank_bound),
-        _check("pivot_positions_distinct", len(set(pivot_list)) == len(pivot_list)),
-        _check("pivot_sums_distinct", len(set(pivot_sums)) == len(pivot_sums)),
-        _check(
-            "lines_cover>=dim_vanishing_sums",
-            sum(1 for w in pivot_sums if w in line_sums) >= run.space.dim,
-            sum(1 for w in pivot_sums if w in line_sums),
-            run.space.dim,
-        ),
-    ]
-    if chose_degree:
-        checks.append(
-            _check(
-                "chosen_bound<=capset_bound",
-                dec.bound <= capset_bound_M(q, n),
-                dec.bound,
-                capset_bound_M(q, n),
-            )
-        )
-    return checks
-
-
 def _cmd_decompose(args) -> HandlerResult:
     inst = parse_instance(args.input)
     S, T = inst.s_set, _require_t(inst)
     chose = args.d is None
-    if not S.members or not T.members:
-        dec = decompose(S, T, args.d, cap=args.cap)
-        checks = [_check("coverage_equals_sumset", verify_decomposition(S, T, dec.s_witness, dec.t_witness))]
-        run = None
-    else:
-        run = run_pipeline(S, T, args.d, cap=args.cap)
-        dec = run.decomposition
-        checks = _decompose_checks(run, dec, chose)
-        if args.certify_rank:
-            audit = rank_audit(run)
-            checks += [
-                _check("clp_reconstructions_exact", audit.exact),
-                _check("max_rank<=max_term_count", audit.ranks_within_terms,
-                       audit.max_rank, audit.max_term_count),
-                _check("max_term_count<=rank_bound", audit.max_term_count <= run.rank_bound,
-                       audit.max_term_count, run.rank_bound),
-            ]
+    # empty S or T: no pipeline runs, and the certificate records no checks
+    run = run_pipeline(S, T, args.d, cap=args.cap) if S.members and T.members else None
+    dec = run.decomposition if run else decompose(S, T, args.d, cap=args.cap)
+    checks = [_check("coverage_equals_sumset", verify_decomposition(S, T, dec.s_witness, dec.t_witness))]
+    checks += [_check(*c) for c in dec.certificate.checks]
+    if run is not None and args.certify_rank:
+        audit = rank_audit(run)
+        checks += [
+            _check("clp_reconstructions_exact", audit.exact),
+            _check("max_rank<=max_term_count", audit.ranks_within_terms,
+                   audit.max_rank, audit.max_term_count),
+            _check("max_term_count<=rank_bound", audit.max_term_count <= run.rank_bound,
+                   audit.max_term_count, run.rank_bound),
+        ]
     outputs = {
         "q": inst.q,
         "n": inst.n,

@@ -37,10 +37,13 @@ class Matrix3:
 
 
 def pack(rows: Iterable[Sequence[int]], ncols: int) -> Matrix3:
-    """Integer rows of length ncols (any integers, read mod 3)."""
+    """Integer rows of length ncols (any integers, read mod 3); ValueError
+    for a row of another length."""
     ones: list[int] = []
     twos: list[int] = []
     for row in rows:
+        if len(row) != ncols:
+            raise ValueError(f"row of length {len(row)} in a {ncols}-column system")
         digits = [v % 3 for v in row]
         ones.append(sum(1 << c for c, v in enumerate(digits) if v == 1))
         twos.append(sum(1 << c for c, v in enumerate(digits) if v == 2))

@@ -23,9 +23,11 @@ from .field import is_prime
 Rows = Union[Sequence[Sequence[int]], gf3.Matrix3]
 
 
-def _width(rows: Sequence[Sequence[int]]) -> int:
-    """The common row length (0 for no rows); ValueError for ragged rows."""
-    ncols = len(rows[0]) if rows else 0
+def _width(rows: Sequence[Sequence[int]], ncols: int | None = None) -> int:
+    """The common row length (ncols, or 0, for no rows); ValueError for
+    ragged rows and for rows whose length is not a given ncols."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
     for row in rows:
         if len(row) != ncols:
             raise ValueError(f"row of length {len(row)} in a {ncols}-column system")
@@ -85,13 +87,14 @@ def combine_rows(
     over the pairs (k, c) of weights[i], with c read mod q.
 
     A `gf3.Matrix3` is combined on its bitplanes and the result comes back
-    packed (ValueError at any q but 3); list rows of width ncols give list
-    rows.
+    packed (ValueError at any q but 3); list rows give list rows, and
+    ValueError when one is not ncols long.
     """
     if isinstance(rows, gf3.Matrix3):
         if q != 3:
             raise ValueError(f"a packed F_3 matrix cannot be combined over F_{q}")
         return gf3.combine(weights, rows)
+    _width(rows, ncols)
     out: list[list[int]] = []
     for w in weights:
         acc = [0] * ncols

@@ -1,4 +1,7 @@
+import dataclasses
 import importlib
+import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -176,6 +179,56 @@ class TestDecompose:
             for degree in (None, 0):
                 with pytest.raises(sc.EnumerationTooLarge, match=f"q\\^n = {q**2} exceeds"):
                     call(S, T, degree)
+
+
+class TestCertifiedChecks:
+    # decompose() itself raises BoundViolated naming the first certified
+    # check that fails.  On the golden q=3, n=5 instance the vanishing
+    # dimension and the sums its pivots' lines reach both equal their bound
+    # (108), so one basis polynomial or one line less breaks exactly these.
+    @staticmethod
+    def golden_pair():
+        raw = json.loads((GOLDEN_DIR / "q3_n5.json").read_text())
+        return (sc.PointSet.from_coords(3, 5, raw["S"]), sc.PointSet.from_coords(3, 5, raw["T"]))
+
+    def test_records_every_check_in_report_order(self):
+        dec = sc.decompose(*self.golden_pair())
+        assert [tuple(c) for c in dec.certificate.checks] == [
+            ("witness_total<=bound", True, 10, 123),
+            ("dim_vanishing>=m_d-q^n+|S+T|", True, 108, 108),
+            ("uncovered<=q^n-m_d", True, 9, 21),
+            ("cover_size<=rank_bound", True, 9, 102),
+            ("pivot_positions_distinct", True, None, None),
+            ("pivot_sums_distinct", True, None, None),
+            ("lines_cover>=dim_vanishing_sums", True, 108, 108),
+            ("chosen_bound<=capset_bound", True, 123, 153),
+        ]
+        forced = sc.decompose(*self.golden_pair(), degree=7).certificate.checks
+        assert [c.name for c in forced] == [c.name for c in dec.certificate.checks][:-1]
+
+    def test_vanishing_space_short_of_its_dimension_bound(self, monkeypatch):
+        module = importlib.import_module("sumsetcover.decompose")
+        real = module.build_vanishing_space
+
+        def one_short(*args, **kwargs):
+            space = real(*args, **kwargs)
+            return dataclasses.replace(space, basis=space.basis[:-1])
+
+        monkeypatch.setattr(module, "build_vanishing_space", one_short)
+        with pytest.raises(sc.BoundViolated, match=re.escape("dim_vanishing>=m_d-q^n+|S+T| failed: 107 vs 108")):
+            sc.decompose(*self.golden_pair())
+
+    def test_lines_reaching_fewer_sums_than_the_dimension(self, monkeypatch):
+        module = importlib.import_module("sumsetcover.decompose")
+        real = module.line_cover
+
+        def one_line_short(pivots, rank_bound):
+            cover = real(pivots, rank_bound)
+            return sc.LineCover(cover.cover_rows[1:], cover.cover_cols)
+
+        monkeypatch.setattr(module, "line_cover", one_line_short)
+        with pytest.raises(sc.BoundViolated, match=re.escape("lines_cover>=dim_vanishing_sums failed")):
+            sc.decompose(*self.golden_pair())
 
 
 def test_decompose_name_is_the_function_and_the_module_stays_reachable():

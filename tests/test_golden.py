@@ -45,3 +45,48 @@ def test_report_digest_pinned(name):
     del report["argv"], report["timing_ms"]
     blob = json.dumps(report, indent=2).encode()
     assert hashlib.sha256(blob).hexdigest() == DIGESTS[name]
+
+
+# `decompose` outputs the pins above do not reach: the human-readable mode,
+# runs without --certify-rank, a forced degree (its report has no
+# chosen_bound check) and an empty T (no pipeline run).  Stdout is hashed
+# with the report's `argv` (it holds the instance path) and `timing_ms`
+# dropped; every other byte, the human lines included, is kept.
+MARKER = "--- report (json) ---\n"
+EMPTY_T = {"q": 3, "n": 3, "S": [[0, 0, 0], [0, 1, 1], [1, 2, 2]], "T": []}
+
+VARIANTS = [
+    pytest.param("q3_n5.json", (), "6c116198bb4d0aeac26256def3637b610e3fe55b7768341c9a0007b8ae23991e",
+                 id="q3_n5-human"),
+    pytest.param("q2_n6.json", ("--certify-rank",),
+                 "823000162daed1c0580ef529fb075f341ac7746a37d8cab7c2935199fe7408c1",
+                 id="q2_n6-human-certify"),
+    pytest.param("q5_n2.json", ("--json",), "d5bf585cc227d1034ace65b56d701fe75c0ebf45386fe85108b17f0a24a2eab2",
+                 id="q5_n2-json"),
+    pytest.param("q3_n3.json", ("--json", "--certify-rank", "--d", "2"),
+                 "b536c7b688fabd07a2f81b9c4f35265b0d5bb46076f661a37856077b7e755429",
+                 id="q3_n3-json-certify-d2"),
+    pytest.param("q7_n2.json", ("--d", "2"), "229b779563e364b6828b961cf7fc404297848a902fef112ea5dc74c5fce95609",
+                 id="q7_n2-human-d2"),
+    pytest.param("empty_t", ("--json",), "990e802284f01d3fc45f6bb832c515de892eda836f0898a665f11f2de0adaa1c",
+                 id="empty_t-json"),
+    pytest.param("empty_t", ("--d", "2"), "d7c007470ff23c7629880e2ab3765bf6cf97fb9fcbe0967c6a1114be77505948",
+                 id="empty_t-human-d2"),
+]
+
+
+@pytest.mark.parametrize("name, extra, digest", VARIANTS)
+def test_decompose_variant_digest_pinned(name, extra, digest, tmp_path):
+    path = GOLDEN_DIR / name
+    if name == "empty_t":
+        path = tmp_path / "empty_t.json"
+        path.write_text(json.dumps(EMPTY_T))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run_command(["decompose", "--input", str(path), *extra])
+    assert code == 0
+    human, _, text = out.getvalue().rpartition(MARKER)
+    report = json.loads(text)
+    del report["argv"], report["timing_ms"]
+    blob = (human + json.dumps(report, indent=2)).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest

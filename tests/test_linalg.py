@@ -216,6 +216,14 @@ class TestPackedMatchesLists:
         with pytest.raises(ValueError, match="cannot be combined over F_5"):
             combine_rows(weights, gf3.pack(m, ncols), ncols, 5)
 
+    @pytest.mark.parametrize("rows, ncols", [([[1, 2]], 3), ([[1, 2, 3], [1]], 3), ([[1, 2, 1]], 2)])
+    def test_rows_of_another_width_refused(self, rows, ncols):
+        # no row is cut to ncols or read past it
+        with pytest.raises(ValueError, match="-column system"):
+            combine_rows([[(0, 1)], [(0, 1), (len(rows) - 1, 1)]], rows, ncols, 5)
+        with pytest.raises(ValueError, match="-column system"):
+            gf3.pack(rows, ncols)
+
     def test_pack_round_trip(self):
         rows = [[0, 1, 2, -1, 4, 3], [0] * 6]
         assert gf3.unpack(gf3.pack(rows, 6)) == [[v % 3 for v in r] for r in rows]
