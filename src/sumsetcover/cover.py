@@ -6,8 +6,8 @@ basis are read off one elimination of the basis evaluated once per distinct
 sum, at the keys of field.sum_index; no |S| x |T| matrix is built and
 S x T is not enumerated again.  The table of values comes from
 polynomials.value_table: each distinct monomial of the basis evaluated
-once at the keys, its rows combined by the coefficients (packed, without
-`pow`, at q = 3).  It goes to linalg.rref.  Second, the pivot positions are
+once at the keys, its rows combined by the coefficients, in the format
+linalg picks.  It goes to linalg.rref.  Second, the pivot positions are
 covered by as few lines (full rows or columns) as possible: a maximum bipartite
 matching by augmenting paths, then the Koenig construction turns it into a
 minimum vertex cover of the same size; one alternating-path search serves

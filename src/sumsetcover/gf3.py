@@ -4,10 +4,8 @@ Entry k of a row is bit k of one of two ints: `ones` has the bits of the
 columns holding 1, `twos` those holding 2, and ones & twos == 0.  Adding or
 subtracting two rows is then a few big-int boolean operations instead of a
 multiply-and-mod per entry (bitslicing in the style of Boothby and Bradshaw,
-arXiv:0901.1413).  This module is the only one that knows the format:
-`polynomials` builds its monomial tables with it, `linalg` eliminates and
-combines the `Matrix3` values it is given, and every other module treats a
-`Matrix3` as an opaque value.
+arXiv:0901.1413).  Only `linalg` uses this module, for its tables at q = 3;
+every other module passes a `Matrix3` on as an opaque linalg table.
 
 Monomial tables need no `pow`: over F_3 a monomial prod x_i^e_i is 0 at p
 when some e_i > 0 has p_i = 0, and otherwise (-1) raised to the number of
@@ -137,7 +135,8 @@ def monomial_table(
     monos: Sequence[tuple[int, ...]], points: Sequence[Sequence[int]], *, by_point: bool = False
 ) -> Matrix3:
     """Each monomial's value at each point: a row per monomial and a column per
-    point, or a row per point and a column per monomial when by_point."""
+    point, or a row per point and a column per monomial when by_point.  The
+    coordinates must lie in [0, 3); linalg.monomial_table reduces them."""
     sides = [(monos, _EXPONENT_DIGITS), (points, _POINT_DIGITS)]
     (rows, (row_zero, row_flip)), (cols, (col_zero, col_flip)) = sides[::-1] if by_point else sides
     ncols = len(cols)

@@ -1,16 +1,18 @@
-"""Exact dense linear algebra over a prime field.
+"""Exact dense linear algebra over a prime field, on tables in one format.
 
-Matrices are lists of row lists with integer entries, read mod q.  Rows
-must all have the same length; ragged rows raise ValueError.  Pivoting is
-by position (exact arithmetic has no magnitude concerns), so the reduced
-row echelon form, ranks, and null-space bases are all canonical.
+A table is a matrix over F_q in the format this module alone picks: a
+`gf3.Matrix3` (two bitplanes per row) at q = 3, lists of integer rows
+otherwise.  `monomial_table` builds tables of monomial values, `as_table`
+makes one of integer rows and `as_rows` reads its rows back; every other
+module passes tables on unopened.  A `Matrix3` is eliminated and combined
+on its bitplanes by `gf3` and comes back packed; list rows, at any q (3
+included), run the list code below, the reference the packed path is
+tested against.
 
-A matrix is either a list of rows or, at q = 3, a `gf3.Matrix3` (two
-bitplanes per row) as the evaluation tables of `polynomials` build it.  The
-form picks the path: a `Matrix3` is eliminated and combined on its
-bitplanes by `gf3` and comes back packed, and list rows always run the
-list code below, at every q, which is also the reference the packed path
-is tested against.
+Rows must all have the same length; in either format, ragged rows and rows
+whose length is not a given column count raise ValueError.  Pivoting is by
+position (exact arithmetic has no magnitude concerns), so the reduced row
+echelon form, ranks, and null-space bases are all canonical.
 """
 
 from __future__ import annotations
@@ -19,22 +21,55 @@ from typing import Iterable, Sequence, Union
 
 from . import gf3
 from .field import is_prime
+from .monomials import Monomial, eval_monomial
 
 Rows = Union[Sequence[Sequence[int]], gf3.Matrix3]
 
 
-def _width(rows: Sequence[Sequence[int]], ncols: int | None = None) -> int:
+def monomial_table(
+    monos: Sequence[Monomial], points: Sequence[Sequence[int]], q: int, *, by_point: bool = False
+) -> Rows:
+    """Each monomial's value at each point, the coordinates read mod q: a row
+    per monomial and a column per point, or a row per point and a column per
+    monomial when by_point.  At q = 3 built packed, without `pow`."""
+    points = [[x % q for x in p] for p in points]
+    if q == 3:
+        return gf3.monomial_table(monos, points, by_point=by_point)
+    if by_point:
+        return [[eval_monomial(m, p, q) for m in monos] for p in points]
+    return [[eval_monomial(m, p, q) for p in points] for m in monos]
+
+
+def as_table(rows: Sequence[Sequence[int]], ncols: int, q: int) -> Rows:
+    """Integer rows of length ncols as a table over F_q, entries read mod q."""
+    if q == 3:
+        return gf3.pack(rows, ncols)
+    _width(rows, ncols)
+    return [[v % q for v in row] for row in rows]
+
+
+def as_rows(table: Rows) -> Sequence[Sequence[int]]:
+    """A table's rows as integer rows, entries in [0, q) for a table built here."""
+    return gf3.unpack(table) if isinstance(table, gf3.Matrix3) else table
+
+
+def _width(rows: Rows, ncols: int | None = None) -> int:
     """The common row length (ncols, or 0, for no rows); ValueError for
-    ragged rows and for rows whose length is not a given ncols."""
+    ragged rows and for rows whose length is not a given ncols.  Every row
+    of a `gf3.Matrix3` is its ncols long."""
+    if isinstance(rows, gf3.Matrix3):
+        lengths = [rows.ncols] if len(rows) else []
+    else:
+        lengths = [len(row) for row in rows]
     if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError(f"row of length {len(row)} in a {ncols}-column system")
+        ncols = lengths[0] if lengths else 0
+    for length in lengths:
+        if length != ncols:
+            raise ValueError(f"row of length {length} in a {ncols}-column system")
     return ncols
 
 
-def rref(rows: Rows, q: int) -> tuple[list[list[int]] | gf3.Matrix3, list[int]]:
+def rref(rows: Rows, q: int) -> tuple[Rows, list[int]]:
     """Reduced row echelon form.
 
     Returns (nonzero rows, pivot column indices), the rows in the input's
@@ -87,14 +122,14 @@ def combine_rows(
     over the pairs (k, c) of weights[i], with c read mod q.
 
     A `gf3.Matrix3` is combined on its bitplanes and the result comes back
-    packed (ValueError at any q but 3); list rows give list rows, and
-    ValueError when one is not ncols long.
+    packed (ValueError at any q but 3); list rows give list rows.
+    ValueError when a row is not ncols long, in either format.
     """
+    _width(rows, ncols)
     if isinstance(rows, gf3.Matrix3):
         if q != 3:
             raise ValueError(f"a packed F_3 matrix cannot be combined over F_{q}")
         return gf3.combine(weights, rows)
-    _width(rows, ncols)
     out: list[list[int]] = []
     for w in weights:
         acc = [0] * ncols
@@ -111,14 +146,9 @@ def null_space(rows: Rows, ncols: int, q: int) -> list[list[int]]:
     column and the negated echelon entries at the pivot columns.  An empty
     row list means no constraints: the identity basis comes back.
     """
-    if len(rows):
-        width = rows.ncols if isinstance(rows, gf3.Matrix3) else len(rows[0])
-        if width != ncols:
-            raise ValueError(f"row of length {width} in a {ncols}-column system")
+    _width(rows, ncols)
     reduced, pivots = rref(rows, q)
-    if isinstance(reduced, gf3.Matrix3):
-        reduced = gf3.unpack(reduced)
-    return _kernel_basis(reduced, pivots, ncols, q)
+    return _kernel_basis(as_rows(reduced), pivots, ncols, q)
 
 
 def _kernel_basis(

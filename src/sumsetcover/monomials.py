@@ -1,4 +1,4 @@
-"""Reduced monomials: enumeration, exact counting, and the cap-set budget.
+"""Reduced monomials: evaluation, enumeration, exact counts, the cap-set budget.
 
 A monomial is an exponent tuple with every entry in [0, q-1] ("reduced":
 such monomials represent functions F_q^n -> F_q without redundancy).  We
@@ -17,7 +17,7 @@ import decimal
 import itertools
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import EnumerationTooLarge
 from .field import DEFAULT_ENUM_CAP
@@ -32,6 +32,15 @@ def monomial_key(m: Monomial) -> tuple[int, tuple[int, ...]]:
     comparing negated exponent tuples.
     """
     return (sum(m), tuple(-e for e in m))
+
+
+def eval_monomial(mono: Monomial, coords: Sequence[int], q: int) -> int:
+    """The monomial at the point with the given coordinates, mod q."""
+    v = 1
+    for xi, e in zip(coords, mono):
+        if e:
+            v = (v * pow(xi, e, q)) % q
+    return v
 
 
 @dataclass(frozen=True)

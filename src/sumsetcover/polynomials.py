@@ -7,9 +7,8 @@ downstream exact.  Instances are treated as immutable.  `poly_from_terms`
 builds one from any term map, checking the exponents and reducing the
 coefficients; `polys_from_rows` reads rows already reduced mod q.
 
-`monomial_table` (row per point) and `monomial_values` (row per monomial)
-come packed, without `pow`, from the one builder `gf3.monomial_table` at
-q = 3, and cell by cell from `eval_monomial` otherwise.
+`value_table` evaluates polynomials through linalg's one builder of
+monomial tables, `linalg.monomial_table`, and returns a linalg table.
 """
 
 from __future__ import annotations
@@ -18,11 +17,10 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
-from . import gf3
 from .errors import DimensionMismatch
 from .field import FieldVector
-from .linalg import combine_rows
-from .monomials import Monomial
+from .linalg import Rows, combine_rows, monomial_table
+from .monomials import Monomial, eval_monomial
 
 
 @dataclass(frozen=True)
@@ -68,47 +66,18 @@ def poly_degree(P: Polynomial) -> int:
     return max((sum(m) for m in P.terms), default=-1)
 
 
-def eval_monomial(mono: Monomial, coords: Sequence[int], q: int) -> int:
-    """The monomial at the point with the given coordinates, mod q."""
-    v = 1
-    for xi, e in zip(coords, mono):
-        if e:
-            v = (v * pow(xi, e, q)) % q
-    return v
-
-
-def monomial_table(
-    monos: Sequence[Monomial], points: Sequence[Sequence[int]], q: int
-) -> list[list[int]] | gf3.Matrix3:
-    """Row per point (coordinates), column per monomial: its value there."""
-    if q == 3:
-        return gf3.monomial_table(monos, points, by_point=True)
-    return [[eval_monomial(m, p, q) for m in monos] for p in points]
-
-
-def monomial_values(
-    monos: Sequence[Monomial], points: Sequence[Sequence[int]], q: int
-) -> list[list[int]] | gf3.Matrix3:
-    """Row per monomial, column per point (coordinates): its value there."""
-    if q == 3:
-        return gf3.monomial_table(monos, points)
-    return [[eval_monomial(m, p, q) for p in points] for m in monos]
-
-
-def value_table(
-    polys: Sequence[Polynomial], points: Sequence[Sequence[int]], q: int
-) -> list[list[int]] | gf3.Matrix3:
+def value_table(polys: Sequence[Polynomial], points: Sequence[Sequence[int]], q: int) -> Rows:
     """Row per polynomial, column per point (coordinates): its value there.
 
     Each distinct monomial is evaluated once at every point, and each row
-    combines those monomial rows by its coefficients mod q (packed at q = 3,
-    for linalg to eliminate).
+    combines those monomial rows by its coefficients mod q, in linalg's
+    table format for linalg to eliminate.
     """
     columns: dict[Monomial, int] = {}
     weights = [
         [(columns.setdefault(m, len(columns)), c % q) for m, c in P.terms.items()] for P in polys
     ]
-    return combine_rows(weights, monomial_values(list(columns), points, q), len(points), q)
+    return combine_rows(weights, monomial_table(list(columns), points, q), len(points), q)
 
 
 def eval_poly(P: Polynomial, x: FieldVector) -> int:

@@ -14,17 +14,18 @@ anchored on the row side plus as many anchored on the column side.
 `audit_matrices`, and `rank_audit` over it for every basis polynomial of a
 pipeline run (the CLI's --certify-rank), are the library's only path that
 builds a sum matrix or rebuilds one from its certificate.  Every table it
-evaluates is rows of distinct monomials (polynomials.monomial_values,
-packed at q = 3) combined by coefficients (linalg.combine_rows, on
-bitplanes at q = 3).  The basis polynomials are evaluated once at the
-distinct sums (polynomials.value_table), whose grid of sum ids fills each
-matrix.  A certificate's factors are combinations of the rows of every
-monomial of degree <= d at S and at T, and the matrix it sums to is the
-product of its row sides at S with its column sides at T.  The rank is
-taken on the same rows.  Each distinct monomial of the basis is expanded
-into its x^a y^b terms once per audit, in a table local to that audit, and
-every certificate containing it looks them up.  tests/reference.py keeps
-the per-cell constructions the audit is checked against.
+evaluates is rows of distinct monomials (linalg.monomial_table) combined by
+coefficients (linalg.combine_rows), in the format linalg alone picks; it
+reads rows out with linalg.as_rows and makes tables with linalg.as_table.
+The basis polynomials are evaluated once at the distinct sums
+(polynomials.value_table), whose grid of sum ids fills each matrix.  A
+certificate's factors are combinations of the rows of every monomial of
+degree <= d at S and at T, and the matrix it sums to is the product of its
+row sides at S with its column sides at T.  The rank is taken on the same
+rows.  Each distinct monomial of the basis is expanded into its x^a y^b
+terms once per audit, in a table local to that audit, and every
+certificate containing it looks them up.  tests/reference.py keeps the
+per-cell constructions the audit is checked against.
 """
 
 from __future__ import annotations
@@ -34,12 +35,11 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from . import gf3
 from .errors import BoundViolated, DegreeTooHigh, DimensionMismatch
 from .field import FieldVector
-from .linalg import Rows, combine_rows, matrix_rank
+from .linalg import Rows, as_rows, as_table, combine_rows, matrix_rank, monomial_table
 from .monomials import Monomial, count_m, enumerate_monomials, monomial_key
-from .polynomials import Polynomial, monomial_values, poly_degree, value_table
+from .polynomials import Polynomial, poly_degree, value_table
 
 if TYPE_CHECKING:
     from .decompose import PipelineRun
@@ -55,11 +55,6 @@ def _coords(q: int, n: int, points: Sequence[FieldVector]) -> list[Coords]:
                 f"polynomial over (q={q}, n={n}) evaluated at point over (q={x.q}, n={x.n})"
             )
     return [x.coords for x in points]
-
-
-def _lists(table: Rows) -> list[list[int]]:
-    """The rows as lists, unpacked from a gf3.Matrix3."""
-    return gf3.unpack(table) if isinstance(table, gf3.Matrix3) else table
 
 
 @dataclass(frozen=True)
@@ -201,7 +196,7 @@ def _rebuild(
     """Row i is sum_k f_k(s_i) * (g_k at every t), over the rank-one terms (f_k, g_k).
 
     Each factor is a combination of the monomial rows at_rows or at_cols
-    (indexed by `index`).  Packed (gf3.Matrix3) at q = 3, lists otherwise.
+    (indexed by `index`); the result is a linalg table.
     """
     q = cert.q
     factors = cert.left_factors + cert.right_factors
@@ -210,7 +205,7 @@ def _rebuild(
         weights = (zip(map(index.__getitem__, f.terms), f.terms.values()) for f in polys)
         return combine_rows(weights, table, width, q)
 
-    row_side = _lists(side([f for f, _ in factors], at_rows, nrows))
+    row_side = as_rows(side([f for f, _ in factors], at_rows, nrows))
     col_side = side([g for _, g in factors], at_cols, ncols)
     weights = (enumerate([v[i] for v in row_side]) for i in range(nrows))
     return combine_rows(weights, col_side, ncols, q)
@@ -220,9 +215,9 @@ def _rebuild(
 class MatrixAudit:
     """One basis polynomial's sum matrix beside its certificate's rebuild.
 
-    `entries` and `rebuilt` are linalg rows over the column points: packed
-    (gf3.Matrix3) at q = 3, lists otherwise, so equal matrices compare
-    equal.  `rank` is the exact rank of `entries`.
+    `entries` and `rebuilt` are linalg tables over the column points, both in
+    the format linalg picks at q, so equal matrices compare equal.  `rank`
+    is the exact rank of `entries`.
     """
 
     entries: Rows
@@ -258,12 +253,10 @@ def audit_matrices(
     # every factor's monomials have degree <= d; they number at most q^n
     monos = enumerate_monomials(q, n, degree, cap=q**n)
     index = {m: k for k, m in enumerate(monos)}
-    at_rows, at_cols = monomial_values(monos, rows, q), monomial_values(monos, cols, q)
+    at_rows, at_cols = monomial_table(monos, rows, q), monomial_table(monos, cols, q)
     expansions = _Expansions()
-    for P, values in zip(polys, _lists(value_table(polys, list(ids), q))):
-        entries: Rows = [[values[k] for k in ids] for ids in grid]
-        if q == 3:
-            entries = gf3.pack(entries, len(cols))
+    for P, values in zip(polys, as_rows(value_table(polys, list(ids), q))):
+        entries = as_table([[values[k] for k in ids] for ids in grid], len(cols), q)
         cert = _certificate(P, degree, expansions)
         rebuilt = _rebuild(cert, index, at_rows, at_cols, len(rows), len(cols))
         yield MatrixAudit(entries, rebuilt, matrix_rank(entries, q), cert.term_count)

@@ -11,10 +11,9 @@ space has dimension at least
     (number of monomials of degree <= d) - q^n + |A|,
 
 the counting fact the witness construction leans on.  The constraint matrix
-comes from polynomials.monomial_table, which at q = 3 builds it packed from
-bit masks (no `pow`) with the same builder as every other monomial table,
-and the null space from linalg, which eliminates a packed table on its
-bitplanes.  The basis polynomials are read off the kernel rows.
+comes from linalg.monomial_table (a row per point), the one builder of
+monomial tables, and its null space from linalg.null_space, in whatever
+format linalg chose.  The basis polynomials are read off the kernel rows.
 """
 
 from __future__ import annotations
@@ -22,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import DEFAULT_ENUM_CAP, PointSet, complement
-from .linalg import null_space
+from .linalg import monomial_table, null_space
 from .monomials import enumerate_monomials
-from .polynomials import Polynomial, monomial_table, polys_from_rows
+from .polynomials import Polynomial, polys_from_rows
 
 
 @dataclass(frozen=True)
@@ -53,6 +52,6 @@ def build_vanishing_space(
     q, n = sums.q, sums.n
     outside = complement(sums, cap=cap).ordered()
     monos = enumerate_monomials(q, n, degree, cap=cap)
-    rows = monomial_table(monos, [p.coords for p in outside], q)
+    rows = monomial_table(monos, [p.coords for p in outside], q, by_point=True)
     basis = polys_from_rows(q, n, monos, null_space(rows, len(monos), q))
     return PolySubspace(q, n, degree, basis, len(monos))

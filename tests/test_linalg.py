@@ -1,9 +1,12 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import sumsetcover as sc
-from sumsetcover import gf3
+from sumsetcover import gf3, linalg
 from sumsetcover.linalg import _kernel_basis, _rref_lists, combine_rows
 
 
@@ -224,6 +227,49 @@ class TestPackedMatchesLists:
         with pytest.raises(ValueError, match="-column system"):
             gf3.pack(rows, ncols)
 
+    @pytest.mark.parametrize("ncols", [1, 3, 5])
+    def test_packed_rows_of_another_width_refused(self, ncols):
+        # the packed path checks the width exactly as the list path does
+        with pytest.raises(ValueError, match=f"row of length 2 in a {ncols}-column system"):
+            combine_rows([[(0, 1)]], gf3.pack([[1, 2]], 2), ncols, 3)
+        with pytest.raises(ValueError, match=f"row of length 2 in a {ncols}-column system"):
+            sc.null_space(gf3.pack([[1, 2]], 2), ncols, 3)
+
     def test_pack_round_trip(self):
         rows = [[0, 1, 2, -1, 4, 3], [0] * 6]
         assert gf3.unpack(gf3.pack(rows, 6)) == [[v % 3 for v in r] for r in rows]
+
+
+class TestTableFormatOwner:
+    """linalg alone picks the table format: no other module reaches gf3."""
+
+    SRC = Path(linalg.__file__).resolve().parent
+
+    @staticmethod
+    def _reaches_gf3(tree: ast.AST) -> bool:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            if any(name.split(".")[-1] == "gf3" for name in names):
+                return True
+        return False
+
+    def test_only_linalg_imports_gf3(self):
+        modules = sorted(self.SRC.glob("*.py"))
+        assert {p.name for p in modules} >= {"linalg.py", "gf3.py", "polynomials.py", "summatrix.py"}
+        reaching = [p.name for p in modules if self._reaches_gf3(ast.parse(p.read_text(), str(p)))]
+        assert reaching == ["linalg.py"]
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_table_round_trip(self, q):
+        rows = [[0, 1, -1, q, 2 * q + 1], [4, 4, 4, 4, 4]]
+        table = linalg.as_table(rows, 5, q)
+        assert linalg.as_rows(table) == [[v % q for v in r] for r in rows]
+        with pytest.raises(ValueError, match="row of length 5 in a 4-column system"):
+            linalg.as_table(rows, 4, q)

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import sumsetcover as sc
-from sumsetcover import gf3, polynomials as polys_module
+from sumsetcover import gf3, linalg
 from sumsetcover.cli import parse_instance
-from sumsetcover.polynomials import monomial_table, monomial_values, value_table
+from sumsetcover.linalg import monomial_table
+from sumsetcover.polynomials import value_table
 
 from conftest import polynomials, set_pairs, space_points
 
@@ -114,7 +115,7 @@ class TestPackedTables:
         for d in range(2 * n + 1):
             monos = sc.enumerate_monomials(3, n, d)
             expected = [[sc.eval_monomial(m, p, 3) for m in monos] for p in pts]
-            assert gf3.unpack(monomial_table(monos, pts, 3)) == expected
+            assert gf3.unpack(monomial_table(monos, pts, 3, by_point=True)) == expected
 
     @given(polynomials(q=3, n=5, max_degree=4), polynomials(q=3, n=5))
     @settings(deadline=None, max_examples=20)
@@ -133,7 +134,26 @@ class TestPackedTables:
         assert _lists(value_table(polys, coords, q)) == expected
         monos = sc.enumerate_monomials(q, n, (q - 1) * n)
         expected = [[sc.eval_monomial(m, c, q) for c in coords] for m in monos]
-        assert _lists(monomial_values(monos, coords, q)) == expected
+        assert _lists(monomial_table(monos, coords, q)) == expected
+
+    @given(st.sampled_from(sorted(TABLE_SPACES)), st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_coordinates_read_mod_q(self, q, data):
+        # points given by coordinates outside [0, q), negatives among them,
+        # are read mod q by both formats, in both layouts
+        n = TABLE_SPACES[q]
+        coord = st.integers(-2 * q, 3 * q)
+        coords = data.draw(st.lists(st.tuples(*[coord] * n), max_size=8))
+        monos = sc.enumerate_monomials(q, n, (q - 1) * n)
+        expected = [[sc.eval_monomial(m, c, q) for c in coords] for m in monos]
+        assert _lists(monomial_table(monos, coords, q)) == expected
+        by_point = [list(col) for col in zip(*expected)] if monos else [[] for _ in coords]
+        assert _lists(monomial_table(monos, coords, q, by_point=True)) == by_point
+
+    def test_packed_value_table_reduces_coordinates(self):
+        # x at the points 3 = 0 and -1 = 2 of F_3
+        P = sc.poly_from_terms(3, 1, {(1,): 1})
+        assert _lists(value_table([P], [(3,), (-1,)], 3)) == [[0, 2]]
 
     @pytest.mark.parametrize("q", sorted(TABLE_SPACES))
     def test_tables_empty_cases(self, q):
@@ -144,10 +164,10 @@ class TestPackedTables:
         assert _lists(value_table([zero, one], coords, q)) == [[0] * q**n, [1] * q**n]
         assert _lists(value_table([], coords, q)) == []
         assert _lists(value_table([zero, one], [], q)) == [[], []]
-        assert _lists(monomial_values([], coords, q)) == []
-        assert _lists(monomial_values(monos, [], q)) == [[]] * len(monos)
-        assert _lists(monomial_table([], coords, q)) == [[]] * len(coords)
-        assert _lists(monomial_table(monos, [], q)) == []
+        assert _lists(monomial_table([], coords, q)) == []
+        assert _lists(monomial_table(monos, [], q)) == [[]] * len(monos)
+        assert _lists(monomial_table([], coords, q, by_point=True)) == [[]] * len(coords)
+        assert _lists(monomial_table(monos, [], q, by_point=True)) == []
 
     @pytest.mark.parametrize("q,coeffs", [(3, (0, 3, 4, -1)), (5, (0, 5, 7, -1))])
     def test_coefficients_read_mod_q(self, q, coeffs):
@@ -190,12 +210,12 @@ class TestEvaluationWork:
 
     def test_one_evaluation_per_distinct_monomial_and_point_q5(self, monkeypatch):
         basis, sums, distinct = self._basis_at_sums("q5_n2.json")
-        real, calls = polys_module.eval_monomial, []
+        real, calls = linalg.eval_monomial, []
 
         def counting(mono, coords, q):
             calls.append(mono)
             return real(mono, coords, q)
 
-        monkeypatch.setattr(polys_module, "eval_monomial", counting)
+        monkeypatch.setattr(linalg, "eval_monomial", counting)
         value_table(basis, sums, 5)
         assert len(calls) == len(distinct) * len(sums)
