@@ -2,20 +2,21 @@
 
 Two steps feed the witness construction.  First, the row-major pivot
 positions of the span of the sum matrices (P(s_i + t_j)) over the vanishing
-basis are read off one elimination of the basis evaluated once per distinct
-sum, at the keys of field.sum_index; no |S| x |T| matrix is built and
-S x T is not enumerated again.  The table of values comes from
-polynomials.value_table: each distinct monomial of the basis evaluated
-once at the keys, its rows combined by the coefficients, in the format
-linalg picks.  It goes to linalg.rref.  Second, the pivot positions are
-covered by as few lines (full rows or columns) as possible: a maximum bipartite
-matching by augmenting paths, then the Koenig construction turns it into a
-minimum vertex cover of the same size; one alternating-path search serves
-both.  That cover is the same for every maximum matching
-(Dulmage-Mendelsohn), so which matching is found does not change it.  When
-every matrix in the span has rank at most r, the minimum cover provably has
-size at most r, so exceeding a supplied rank budget is reported as a bug,
-not as data.
+basis: the pivot columns of W = V|_A, A = S+T in the order of field.sum_index
+and V the degree-<= d polynomials vanishing off A.  W is RM_q(d, n) shortened
+to A, so its dual is RM_q(d', n) punctured to A, d' = n(q-1) - d - 1
+(Kasami-Lin-Peterson 1968; Delsarte-Goethals-MacWilliams 1970).  One
+linalg.rref of the degree-<= d' monomials at A, sums reversed, takes the
+dual's information set greedily from the last sum; W's pivots are the other
+sums.  No basis polynomial is evaluated and no |S| x |T| matrix is built.
+Second, the pivot positions are covered by as few lines (full rows or
+columns) as possible: a maximum bipartite matching by augmenting paths, then
+the Koenig construction turns it into a minimum vertex cover of the same
+size; one alternating-path search serves both.  That cover is the same for
+every maximum matching (Dulmage-Mendelsohn), so which matching is found does
+not change it.  When every matrix in the span has rank at most r, the
+minimum cover provably has size at most r, so exceeding a supplied rank
+budget is reported as a bug, not as data.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BoundViolated
-from .linalg import rref
-from .polynomials import value_table
+from .linalg import monomial_table, rref
+from .monomials import enumerate_monomials
 from .vanishing import PolySubspace
 
 
@@ -35,23 +36,18 @@ def sum_pivots(
     """Row-major pivot positions of the span of the basis sum matrices.
 
     `index` is field.sum_index(S, T): each sum's coordinates mapped to its
-    first row-major (i, j), keys in order of first occurrence.  The sum
-    matrix of P holds P(s_i + t_j) at (i, j), so its row-major first nonzero
-    sits at the first occurrence of the first sum, in that order, where P is
-    nonzero.  The pivot positions of the span are therefore the pivot
-    columns of the reduced row echelon form of the dim x |S+T| table of
-    basis values at the keys, mapped back to their first (i, j).  Pivot
-    sets do not depend on the basis, and a nonzero reduced polynomial
-    vanishing off S+T is nonzero somewhere on S+T, so there is one pivot per
-    basis polynomial.  Returned sorted.
+    first row-major (i, j), keys in order of first occurrence.  The pivots
+    are the keys where no word of the dual code (the degree-<= d' monomials
+    at the keys) has its last nonzero, each mapped to its first (i, j); all
+    keys when d' < 0.  Reads only space.q, n and degree (run_pipeline checks
+    that the pivots number space.dim).  Returned sorted.
     """
-    _, pivot_cols = rref(value_table(space.basis, list(index), space.q), space.q)
-    if len(pivot_cols) != space.dim:
-        raise BoundViolated(
-            f"{len(pivot_cols)} pivots for a vanishing space of dimension {space.dim}"
-        )
-    positions = list(index.values())
-    return tuple(sorted(positions[c] for c in pivot_cols))
+    q, n, keys = space.q, space.n, list(index)
+    dual_degree = n * (q - 1) - space.degree - 1
+    monos = enumerate_monomials(q, n, dual_degree, cap=q**n) if dual_degree >= 0 else []
+    _, cols = rref(monomial_table(monos, keys[::-1], q), q)
+    dual_info = {len(keys) - 1 - c for c in cols}
+    return tuple(sorted(p for c, p in enumerate(index.values()) if c not in dual_info))
 
 
 def _alternating_search(

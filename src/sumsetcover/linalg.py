@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence, Union
 
 from . import gf3
+from .errors import DimensionMismatch
 from .field import is_prime
 from .monomials import Monomial, eval_monomial
 
@@ -31,8 +32,12 @@ def monomial_table(
 ) -> Rows:
     """Each monomial's value at each point, the coordinates read mod q: a row
     per monomial and a column per point, or a row per point and a column per
-    monomial when by_point.  At q = 3 built packed, without `pow`."""
+    monomial when by_point.  At q = 3 built packed, without `pow`.
+    DimensionMismatch, checked once per table, when the lengths differ."""
     points = [[x % q for x in p] for p in points]
+    lengths = {len(m) for m in monos} | {len(p) for p in points}
+    if monos and points and len(lengths) > 1:
+        raise DimensionMismatch(f"monomials and points of lengths {sorted(lengths)}")
     if q == 3:
         return gf3.monomial_table(monos, points, by_point=by_point)
     if by_point:

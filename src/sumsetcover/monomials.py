@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Iterator, Sequence
 
-from .errors import EnumerationTooLarge
+from .errors import DimensionMismatch, EnumerationTooLarge
 from .field import DEFAULT_ENUM_CAP
 
 Monomial = tuple[int, ...]
@@ -35,7 +35,9 @@ def monomial_key(m: Monomial) -> tuple[int, tuple[int, ...]]:
 
 
 def eval_monomial(mono: Monomial, coords: Sequence[int], q: int) -> int:
-    """The monomial at the point with the given coordinates, mod q."""
+    """The monomial at the point, mod q; DimensionMismatch for another length."""
+    if len(coords) != len(mono):
+        raise DimensionMismatch(f"point {tuple(coords)} for a monomial in {len(mono)} variables")
     v = 1
     for xi, e in zip(coords, mono):
         if e:

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -12,6 +15,7 @@ from reference import (
     line_cover_hopcroft_karp,
     maximum_matching_recursive,
     pivot_basis,
+    primal_pivots,
     reference_pivots,
     sum_grid,
 )
@@ -122,6 +126,69 @@ class TestSumPivots:
         space = sc.build_vanishing_space(sc.sumset(S, S), 0)
         assert space.dim == 0
         assert sc.sum_pivots(space, sc.sum_index(S, S)) == ()
+
+
+# (q, n) cells whose every degree the dual stage is checked at
+DUAL_GRID = [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 5)] + [(5, 1), (5, 2), (7, 1), (7, 2)]
+
+
+class TestDualPivots:
+    """sum_pivots (the dual Reed-Muller code) against the basis eliminated
+    at the sums (reference.primal_pivots), at every degree 0..(q-1)n."""
+
+    @staticmethod
+    def check(S, T, degree):
+        index = sc.sum_index(S, T)
+        space = sc.build_vanishing_space(sc.sumset(S, T), degree)
+        pivots = sc.sum_pivots(space, index)
+        assert pivots == primal_pivots(space, index)
+        return space, index, pivots
+
+    @pytest.mark.parametrize("q, n", DUAL_GRID)
+    def test_matches_primal_seeded(self, q, n):
+        for seed in range(3):
+            S, T = seeded_pair(q, n, seed)
+            for degree in range((q - 1) * n + 1):
+                self.check(S, T, degree)
+
+    @given(set_pairs(primes=(2, 3, 5, 7), allow_empty=False), st.data())
+    @settings(deadline=None, max_examples=80)
+    def test_matches_primal_hypothesis(self, pair, data):
+        S, T = pair
+        self.check(S, T, data.draw(st.integers(0, (S.q - 1) * S.n)))
+
+    @pytest.mark.parametrize("q, n", DUAL_GRID)
+    def test_top_degree_every_sum_is_a_pivot(self, q, n):
+        # d = (q-1)n: d' = -1, the dual code is empty and V|_A is all of F_q^A
+        S, T = seeded_pair(q, n, 0)
+        space, index, pivots = self.check(S, T, (q - 1) * n)
+        assert pivots == tuple(sorted(index.values()))
+        assert space.dim == len(index)
+
+
+class TestPivotStageImports:
+    """The pivot stage reads no polynomial: cover.py reaches neither
+    polynomials nor value_table."""
+
+    @staticmethod
+    def _names(tree: ast.AST) -> set[str]:
+        names: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names.update([node.module or ""] + [a.name for a in node.names])
+            elif isinstance(node, ast.Import):
+                names.update(a.name for a in node.names)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+        return {name.split(".")[-1] for name in names}
+
+    def test_cover_reaches_neither_polynomials_nor_value_table(self):
+        path = Path(cover_module.__file__)
+        names = self._names(ast.parse(path.read_text(), str(path)))
+        assert {"linalg", "rref", "monomial_table"} <= names
+        assert not names & {"polynomials", "value_table"}
 
 
 class TestLineCover:

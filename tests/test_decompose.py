@@ -180,6 +180,29 @@ class TestDecompose:
                 with pytest.raises(sc.EnumerationTooLarge, match=f"q\\^n = {q**2} exceeds"):
                     call(S, T, degree)
 
+    def test_empty_input_refused_before_counting(self, monkeypatch, tmp_path):
+        # counting monomials by degree at q = 10000019, n = 2 takes ~10^14 steps
+        def no_work(*args, **kwargs):
+            raise AssertionError("the degree count started on a space above the cap")
+
+        module = importlib.import_module("sumsetcover.decompose")
+        monkeypatch.setattr(module, "choose_degree", no_work)
+        monkeypatch.setattr(module, "degree_bound", no_work)
+        q = 10000019
+        empty, T = sc.PointSet.empty(q, 2), sc.PointSet.from_coords(q, 2, [(0, 1)])
+        for a, b in ((empty, T), (T, empty), (empty, empty)):
+            for degree in (None, 0):
+                with pytest.raises(sc.EnumerationTooLarge, match="counting monomials by degree"):
+                    sc.decompose(a, b, degree)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"q": q, "n": 2, "S": [], "T": [[0, 1]]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sumsetcover.cli", "decompose", "--input", str(path)],
+            capture_output=True, text=True, env=subprocess_env(), timeout=15,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "counting monomials by degree" in proc.stderr
+
 
 class TestCertifiedChecks:
     # decompose() itself raises BoundViolated naming the first certified
@@ -229,6 +252,70 @@ class TestCertifiedChecks:
         monkeypatch.setattr(module, "line_cover", one_line_short)
         with pytest.raises(sc.BoundViolated, match=re.escape("lines_cover>=dim_vanishing_sums failed")):
             sc.decompose(*self.golden_pair())
+
+
+class TestDualPivotFaults:
+    # A fault in the dual stage of sum_pivots must not reach a witness.  One
+    # dual pivot dropped hands run_pipeline one pivot too many, which only
+    # the pivot-count cross-check sees (109 pivots for dimension 108 on the
+    # golden q=3, n=5 instance).  A dual rank one too high drops a pivot; the
+    # pivots' sums the lines reach are at most the pivots, so the recorded
+    # check lines_cover>=dim_vanishing_sums fails first (107 vs 108).
+    FAULTS = {
+        "dual_pivot_dropped": ("lambda cols: cols[:-1]", "109 pivots for a vanishing space of dimension 108"),
+        "dual_rank_one_too_high": (
+            "lambda cols: sorted(cols + [next(c for c in range(len(cols) + 1) if c not in cols)])",
+            "certified check lines_cover>=dim_vanishing_sums failed: 107 vs 108",
+        ),
+    }
+    SCRIPT = textwrap.dedent(
+        """
+        import importlib, json, sys
+        if __debug__:
+            sys.exit("expected an optimized interpreter")
+        import sumsetcover as sc
+        cover = importlib.import_module("sumsetcover.cover")
+        real_rref, fault = cover.rref, eval(sys.argv[2])
+
+        def faulty_rref(table, q):
+            rows, cols = real_rref(table, q)
+            return rows, fault(list(cols))
+
+        cover.rref = faulty_rref
+        raw = json.loads(open(sys.argv[1]).read())
+        S, T = (sc.PointSet.from_coords(3, 5, raw[k]) for k in "ST")
+        try:
+            sc.decompose(S, T)
+        except sc.BoundViolated as exc:
+            print("BoundViolated:", exc)
+        else:
+            print("no error")
+        """
+    )
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_fault_raises(self, fault, monkeypatch):
+        module = importlib.import_module("sumsetcover.cover")
+        real, (code, message) = module.rref, self.FAULTS[fault]
+        alter = eval(code)
+
+        def faulty_rref(table, q):
+            rows, cols = real(table, q)
+            return rows, alter(list(cols))
+
+        monkeypatch.setattr(module, "rref", faulty_rref)
+        with pytest.raises(sc.BoundViolated, match=re.escape(message)):
+            sc.decompose(*TestCertifiedChecks.golden_pair())
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_fault_raises_under_optimize(self, fault):
+        code, message = self.FAULTS[fault]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", self.SCRIPT, str(GOLDEN_DIR / "q3_n5.json"), code],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"BoundViolated: {message}"
 
 
 def test_decompose_name_is_the_function_and_the_module_stays_reachable():

@@ -156,6 +156,24 @@ class TestPackedTables:
         assert _lists(value_table([P], [(3,), (-1,)], 3)) == [[0, 2]]
 
     @pytest.mark.parametrize("q", sorted(TABLE_SPACES))
+    def test_point_of_another_length_refused(self, q, monkeypatch):
+        for mono, coords in (((1, 1), (2,)), ((1,), (2, 0))):
+            with pytest.raises(sc.DimensionMismatch, match="for a monomial in"):
+                sc.eval_monomial(mono, coords, q)
+
+        # the table checks its sides once, before any entry is evaluated
+        def no_entry(*args, **kwargs):
+            raise AssertionError("an entry was evaluated")
+
+        monkeypatch.setattr(linalg, "eval_monomial", no_entry)
+        monkeypatch.setattr(gf3, "monomial_table", no_entry)
+        cases = [([(1, 1)], [(2,)]), ([(1,)], [(2, 0)]), ([(1, 0), (1,)], [(2, 0)]), ([(1, 0)], [(0, 0), (2,)])]
+        for monos, points in cases:
+            for by_point in (False, True):
+                with pytest.raises(sc.DimensionMismatch, match="monomials and points of lengths"):
+                    monomial_table(monos, points, q, by_point=by_point)
+
+    @pytest.mark.parametrize("q", sorted(TABLE_SPACES))
     def test_tables_empty_cases(self, q):
         n = 2
         zero, one = sc.poly_from_terms(q, n, {}), sc.poly_from_terms(q, n, {(0, 0): 1})
