@@ -46,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .field import DEFAULT_ENUM_CAP, FieldVector, PointSet, all_points, is_prime, sumset
-from .monomials import capset_bound_M, degree_counts, growth_estimate
+from .monomials import capset_bound_M, check_count_cap, degree_counts, growth_estimate
 from .oracle import (
     DEFAULT_SEARCH_CAP,
     OrderedPairFamily,
@@ -191,6 +191,7 @@ HandlerResult = tuple[dict, dict, list[dict], list[str]]
 def _cmd_bound(args) -> HandlerResult:
     q, n = args.q, args.n
     _check_space(q, n)
+    check_count_cap(q, n, DEFAULT_ENUM_CAP)
     table = degree_counts(q, n)
     rows = [
         {"d": d, "m_d": table.prefix(d), "bound_at_d": table.budget(d)}

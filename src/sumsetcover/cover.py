@@ -5,10 +5,12 @@ positions of the span of the sum matrices (P(s_i + t_j)) over the vanishing
 basis: the pivot columns of W = V|_A, A = S+T in the order of field.sum_index
 and V the degree-<= d polynomials vanishing off A.  W is RM_q(d, n) shortened
 to A, so its dual is RM_q(d', n) punctured to A, d' = n(q-1) - d - 1
-(Kasami-Lin-Peterson 1968; Delsarte-Goethals-MacWilliams 1970).  One
-linalg.rref of the degree-<= d' monomials at A, sums reversed, takes the
-dual's information set greedily from the last sum; W's pivots are the other
-sums.  No basis polynomial is evaluated and no |S| x |T| matrix is built.
+(Kasami-Lin-Peterson 1968; Delsarte-Goethals-MacWilliams 1970).  Of the two
+tables with those pivots, the one with fewer rows is eliminated by
+linalg.rref: the basis evaluated at A (dim rows, few at low degree), or the
+m_{d'} = q^n - m_d monomials of degree <= d' at A, sums reversed, whose
+information set taken greedily from the last sum the pivots avoid (few at
+the high degrees choose_degree picks).  No |S| x |T| matrix is built.
 Second, the pivot positions are covered by as few lines (full rows or
 columns) as possible: a maximum bipartite matching by augmenting paths, then
 the Koenig construction turns it into a minimum vertex cover of the same
@@ -27,6 +29,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import BoundViolated
 from .linalg import monomial_table, rref
 from .monomials import enumerate_monomials
+from .polynomials import value_table
 from .vanishing import PolySubspace
 
 
@@ -37,17 +40,33 @@ def sum_pivots(
 
     `index` is field.sum_index(S, T): each sum's coordinates mapped to its
     first row-major (i, j), keys in order of first occurrence.  The pivots
-    are the keys where no word of the dual code (the degree-<= d' monomials
-    at the keys) has its last nonzero, each mapped to its first (i, j); all
-    keys when d' < 0.  Reads only space.q, n and degree (run_pipeline checks
-    that the pivots number space.dim).  Returned sorted.
+    are the pivot columns of the basis values at the keys, each mapped to
+    its first (i, j), from primal_pivot_columns or dual_pivot_columns,
+    whichever table has fewer rows.  They are those of
+    build_vanishing_space(keys, space.degree): the dual stage reads only
+    space.q, n and degree, and neither stage checks that the pivots number
+    space.dim (run_pipeline does).  Returned sorted.
     """
-    q, n, keys = space.q, space.n, list(index)
+    dual_rows = space.q**space.n - space.ambient_dim
+    stage = primal_pivot_columns if space.dim <= dual_rows else dual_pivot_columns
+    positions = list(index.values())
+    return tuple(sorted(positions[c] for c in stage(space, list(index))))
+
+
+def primal_pivot_columns(space: PolySubspace, keys: Sequence[Sequence[int]]) -> list[int]:
+    """Pivot columns of the basis evaluated at the keys (space.dim rows)."""
+    return rref(value_table(space.basis, keys, space.q), space.q)[1]
+
+
+def dual_pivot_columns(space: PolySubspace, keys: Sequence[Sequence[int]]) -> list[int]:
+    """The keys where no word of the dual code (the m_{d'} degree-<= d'
+    monomials at the keys) has its last nonzero; all keys when d' < 0."""
+    q, n = space.q, space.n
     dual_degree = n * (q - 1) - space.degree - 1
     monos = enumerate_monomials(q, n, dual_degree, cap=q**n) if dual_degree >= 0 else []
     _, cols = rref(monomial_table(monos, keys[::-1], q), q)
     dual_info = {len(keys) - 1 - c for c in cols}
-    return tuple(sorted(p for c, p in enumerate(index.values()) if c not in dual_info))
+    return [c for c in range(len(keys)) if c not in dual_info]
 
 
 def _alternating_search(

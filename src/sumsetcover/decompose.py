@@ -16,9 +16,10 @@ once, by field.sum_index, which maps each sum to its first row-major
     the rank-one split certificate (a theorem on the span, audited per basis
     matrix by the CLI under --certify-rank);
  3. take the row-major pivot positions of that span.  A sum matrix depends
-    only on s + t, so they are the sums off the information set of the dual
-    Reed-Muller code at the keys (cover.sum_pivots), the pivot sums are
-    pairwise distinct, and there is one pivot per basis polynomial;
+    only on s + t, so they are the pivot columns of the basis at the keys
+    or, when fewer rows, the sums off the information set of the dual
+    Reed-Muller code there (cover.sum_pivots); the pivot sums are pairwise
+    distinct, and there is one pivot per basis polynomial;
  4. cover the pivots by a minimum set of lines (rows from S, columns from T);
     the cover size is at most the rank budget, and the covered lines reach
     at least dim-many elements of S+T;
@@ -45,9 +46,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cover import LineCover, line_cover, sum_pivots
-from .errors import BoundViolated, EnumerationTooLarge
+from .errors import BoundViolated
 from .field import DEFAULT_ENUM_CAP, PointSet, check_enumeration_cap, is_prime, sum_index, sumset
-from .monomials import capset_bound_M, count_m, degree_counts
+from .monomials import capset_bound_M, check_count_cap, count_m, degree_counts
 from .vanishing import PolySubspace, build_vanishing_space
 
 
@@ -206,7 +207,17 @@ def run_pipeline(
         checks=tuple(checks),
     )
     dec = Decomposition(s_witness, covered_cols, degree, bound, cert)
-    return PipelineRun(S, T, degree, rank_bound, covered_sums, space, pivots, cover, dec)
+    return PipelineRun(
+        s_input=S,
+        t_input=T,
+        degree=degree,
+        rank_bound=rank_bound,
+        sum_set=covered_sums,
+        space=space,
+        pivots=pivots,
+        cover=cover,
+        decomposition=dec,
+    )
 
 
 def decompose(
@@ -225,9 +236,7 @@ def decompose(
     _check_inputs(S, T)
     q, n = S.q, S.n
     if not S.members or not T.members:
-        # counting by degree slides n windows of width q over <= (q-1)n + 1 counts
-        if (work := q * (n + (q - 1) * n * (n - 1) // 2)) > cap:
-            raise EnumerationTooLarge(f"counting monomials by degree takes {work} steps > cap {cap}")
+        check_count_cap(q, n, cap)
         degree, bound = _degree_and_bound(q, n, degree)
         empty = PointSet.empty(q, n)
         cert = DecompositionCertificate(empty, empty, empty, empty, 0, 0)

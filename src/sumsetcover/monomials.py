@@ -90,6 +90,13 @@ def degree_counts(q: int, n: int) -> CountTable:
     return CountTable(q, n, tuple(counts))
 
 
+def check_count_cap(q: int, n: int, cap: int) -> None:
+    """EnumerationTooLarge when degree_counts(q, n) takes more than cap steps:
+    n window sums of width q over at most (q-1)n + 1 counts."""
+    if (steps := q * (n + (q - 1) * n * (n - 1) // 2)) > cap:
+        raise EnumerationTooLarge(f"counting monomials by degree takes {steps} steps > cap {cap}")
+
+
 def count_m(q: int, n: int, d: int) -> int:
     """Exact number of reduced monomials of total degree <= d.
 

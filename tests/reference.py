@@ -1,12 +1,8 @@
 """Reference paths: per-cell sum matrices, the rank audit, and pivots.
 
-The library reads the pivot positions off the dual Reed-Muller code: one
-elimination of the degree-<= d' monomials at the distinct sums, columns
-reversed, whose information set the pivots avoid
-(`sumsetcover.cover.sum_pivots`).  `primal_pivots` is the direct stage
-that elimination replaces: the vanishing basis evaluated once per distinct
-sum through `value_table` and eliminated, its pivot columns mapped to their
-first (i, j), raising when they do not number the basis.  The library's
+The library reads the pivot positions off one elimination of a table at
+the distinct sums: the vanishing basis or the dual Reed-Muller code,
+whichever has fewer rows (`sumsetcover.cover.sum_pivots`).  Its
 only code that builds a sum matrix, or rebuilds one from its certificate, is
 the table-driven audit (`sumsetcover.summatrix.audit_matrices`, folded by
 `rank_audit` for --certify-rank).  This module keeps the direct
@@ -34,9 +30,8 @@ from typing import NamedTuple, Sequence
 
 import sumsetcover as sc
 from sumsetcover.errors import BoundViolated, DegreeTooHigh
-from sumsetcover.linalg import rref
 from sumsetcover.monomials import Monomial, count_m, monomial_key
-from sumsetcover.polynomials import Polynomial, poly_degree, value_table
+from sumsetcover.polynomials import Polynomial, poly_degree
 from sumsetcover.summatrix import ClpCertificate
 
 Grid = tuple[tuple[int, ...], ...]
@@ -242,20 +237,6 @@ def reference_pivots(
     """Pivot positions of the span of the basis sum matrices, the direct way."""
     grids = [sum_grid(P, s_ord, t_ord) for P in space.basis]
     return set(pivot_basis(grids, space.q)[1])
-
-
-def primal_pivots(
-    space: sc.PolySubspace, index: dict[tuple[int, ...], tuple[int, int]]
-) -> tuple[tuple[int, int], ...]:
-    """Pivot positions from the basis itself: its values at the keys of the
-    sum index, eliminated, each pivot column mapped to its first (i, j)."""
-    _, pivot_cols = rref(value_table(space.basis, list(index), space.q), space.q)
-    if len(pivot_cols) != space.dim:
-        raise BoundViolated(
-            f"{len(pivot_cols)} pivots for a vanishing space of dimension {space.dim}"
-        )
-    positions = list(index.values())
-    return tuple(sorted(positions[c] for c in pivot_cols))
 
 
 def maximum_matching_recursive(adj: dict[int, Sequence[int]]) -> dict[int, int]:

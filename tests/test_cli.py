@@ -113,6 +113,15 @@ class TestBoundCommand:
     def test_composite_q_exit_two(self, capsys):
         assert run_command(["bound", "--q", "4", "--n", "1"]) == 2
 
+    def test_huge_q_refused_before_counting(self):
+        # counting monomials by degree at q = 10000019, n = 2 takes ~10^14 steps
+        proc = subprocess.run(
+            [sys.executable, "-m", "sumsetcover.cli", "bound", "--q", "10000019", "--n", "2"],
+            capture_output=True, text=True, env=subprocess_env(), timeout=15,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "counting monomials by degree" in proc.stderr
+
 
 class TestDecomposeCommand:
     def test_singletons(self, tmp_path, capsys):

@@ -1,6 +1,3 @@
-import ast
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -15,7 +12,6 @@ from reference import (
     line_cover_hopcroft_karp,
     maximum_matching_recursive,
     pivot_basis,
-    primal_pivots,
     reference_pivots,
     sum_grid,
 )
@@ -133,15 +129,21 @@ DUAL_GRID = [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 5)] + [(5,
 
 
 class TestDualPivots:
-    """sum_pivots (the dual Reed-Muller code) against the basis eliminated
-    at the sums (reference.primal_pivots), at every degree 0..(q-1)n."""
+    """The two pivot stages agree at every degree 0..(q-1)n: the dual
+    Reed-Muller code at the sums against the basis evaluated there, and
+    sum_pivots, whichever it takes, maps them to their first (i, j)."""
 
     @staticmethod
     def check(S, T, degree):
         index = sc.sum_index(S, T)
+        keys = list(index)
         space = sc.build_vanishing_space(sc.sumset(S, T), degree)
+        cols = cover_module.dual_pivot_columns(space, keys)
+        assert cols == cover_module.primal_pivot_columns(space, keys)
+        assert len(cols) == space.dim
+        positions = list(index.values())
         pivots = sc.sum_pivots(space, index)
-        assert pivots == primal_pivots(space, index)
+        assert pivots == tuple(sorted(positions[c] for c in cols))
         return space, index, pivots
 
     @pytest.mark.parametrize("q, n", DUAL_GRID)
@@ -166,29 +168,37 @@ class TestDualPivots:
         assert space.dim == len(index)
 
 
-class TestPivotStageImports:
-    """The pivot stage reads no polynomial: cover.py reaches neither
-    polynomials nor value_table."""
+class TestPivotStageChoice:
+    """sum_pivots eliminates the table with fewer rows: the dual code's
+    m_{d'} = q^n - m_d at the degrees choose_degree picks, the basis's dim
+    at low degree, where the dual table has nearly q^n rows."""
 
     @staticmethod
-    def _names(tree: ast.AST) -> set[str]:
-        names: set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                names.update([node.module or ""] + [a.name for a in node.names])
-            elif isinstance(node, ast.Import):
-                names.update(a.name for a in node.names)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.Name):
-                names.add(node.id)
-        return {name.split(".")[-1] for name in names}
+    def stages_called(monkeypatch, space, index):
+        called = []
+        for name in ("primal_pivot_columns", "dual_pivot_columns"):
+            real = getattr(cover_module, name)
+            monkeypatch.setattr(
+                cover_module, name, lambda *a, real=real, name=name: called.append(name) or real(*a)
+            )
+        sc.sum_pivots(space, index)
+        return called
 
-    def test_cover_reaches_neither_polynomials_nor_value_table(self):
-        path = Path(cover_module.__file__)
-        names = self._names(ast.parse(path.read_text(), str(path)))
-        assert {"linalg", "rref", "monomial_table"} <= names
-        assert not names & {"polynomials", "value_table"}
+    def test_chosen_degree_takes_the_dual_code(self, monkeypatch):
+        # q = 3, n = 5, 94 sums: dim 73 against m_{d'} = 21 dual rows
+        S, T = seeded_pair(3, 5, 37)
+        space = sc.build_vanishing_space(sc.sumset(S, T), sc.choose_degree(3, 5)[0])
+        assert (space.dim, 3**5 - space.ambient_dim) == (73, 21)
+        assert self.stages_called(monkeypatch, space, sc.sum_index(S, T)) == ["dual_pivot_columns"]
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_low_degree_takes_the_basis(self, monkeypatch, degree):
+        # q = 5, n = 4, 52 sums: the basis has no rows, the dual table 610
+        # to 624 (at 93 sums the dual stage took about 0.5 s a call)
+        S, T = seeded_pair(5, 4, 0)
+        space = sc.build_vanishing_space(sc.sumset(S, T), degree)
+        assert space.dim == 0
+        assert self.stages_called(monkeypatch, space, sc.sum_index(S, T)) == ["primal_pivot_columns"]
 
 
 class TestLineCover:
