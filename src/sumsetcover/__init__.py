@@ -18,11 +18,14 @@ from .decompose import (
     Decomposition,
     DecompositionCertificate,
     PipelineRun,
+    bound_checks,
+    certify,
     choose_degree,
     decompose,
     degree_bound,
     run_pipeline,
     symmetric_subset,
+    symmetric_witness,
     verify_decomposition,
 )
 from .errors import (
@@ -68,6 +71,7 @@ from .oracle import (
     greedy_decomposition,
     is_ap_free,
     is_matching_sumfree,
+    oracle_checks,
     oracle_min_decomposition,
 )
 from .polynomials import (

@@ -6,11 +6,14 @@ to stdout as a human-readable summary followed by a JSON block (or JSON only
 with --json).  Every checked inequality appears in the report with both
 sides evaluated, so a report can be audited without the library.
 
-The decompose report lists coverage_equals_sumset (the independent
-verify_decomposition re-check), then the certified checks exactly as
-run_pipeline recorded them in the certificate (this module evaluates no
-pipeline inequality itself), then, under --certify-rank, the three checks
-of the rank audit.
+Every check is a decompose.Check.  The library entry point that computes a
+theorem check's values certifies it (raises BoundViolated): run_pipeline's
+certificate, symmetric_witness, CapsetReport.checks, SumfreeReport.checks,
+oracle_checks and bound_checks; RankAudit.checks (--certify-rank) are
+reported, not raised.  This module formats them as they are and builds only
+data verdicts: witnesses_within_parents and coverage_equals_sumset (verify,
+and decompose's verify_decomposition re-check), matching_sumfree, and the
+trials aggregates all_trials_verified and max_witness_total<=bound.
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid input, 3 cap refusal.
 A printed report decides its own code: 1 exactly when the report's `ok` is
@@ -30,10 +33,13 @@ import time
 from dataclasses import dataclass
 
 from .decompose import (
+    Check,
     _degree_and_bound,
+    bound_checks,
     choose_degree,
     decompose,
     run_pipeline,
+    symmetric_witness,
     verify_decomposition,
 )
 from .errors import (
@@ -46,7 +52,7 @@ from .errors import (
     ValidationError,
 )
 from .field import DEFAULT_ENUM_CAP, FieldVector, PointSet, all_points, is_prime, sumset
-from .monomials import capset_bound_M, check_count_cap, degree_counts, growth_estimate
+from .monomials import check_count_cap, degree_counts, growth_estimate
 from .oracle import (
     DEFAULT_SEARCH_CAP,
     OrderedPairFamily,
@@ -54,6 +60,7 @@ from .oracle import (
     check_sumfree_bound,
     greedy_decomposition,
     is_matching_sumfree,
+    oracle_checks,
     oracle_min_decomposition,
 )
 from .summatrix import rank_audit
@@ -158,15 +165,6 @@ def _digest(payload) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _check(name: str, passed: bool, lhs=None, rhs=None) -> dict:
-    entry: dict = {"name": name, "passed": bool(passed)}
-    if lhs is not None:
-        entry["lhs"] = lhs
-    if rhs is not None:
-        entry["rhs"] = rhs
-    return entry
-
-
 def _emit(report: dict, human_lines: list[str], as_json: bool) -> None:
     if not as_json:
         for line in human_lines:
@@ -185,7 +183,7 @@ def _require_t(inst: ParsedInstance) -> PointSet:
 # subcommand handlers; each returns (inputs payload, outputs, checks, human
 # lines), and run_command builds the report and exit code from them
 
-HandlerResult = tuple[dict, dict, list[dict], list[str]]
+HandlerResult = tuple[dict, dict, tuple[Check, ...], list[str]]
 
 
 def _cmd_bound(args) -> HandlerResult:
@@ -198,11 +196,8 @@ def _cmd_bound(args) -> HandlerResult:
         for d in range(0, (q - 1) * n + 1)
     ]
     best_d, best_bound = choose_degree(q, n)
-    capset_bound = capset_bound_M(q, n)
-    checks = [
-        _check("chosen_bound<=capset_bound", best_bound <= capset_bound, best_bound, capset_bound),
-        _check("counts_sum_to_q^n", sum(table.counts) == q**n, sum(table.counts), q**n),
-    ]
+    checks = bound_checks(q, n, best_bound)
+    capset_bound = checks[0].rhs
     outputs = {
         "q": q,
         "n": n,
@@ -236,17 +231,11 @@ def _cmd_decompose(args) -> HandlerResult:
     # empty S or T: no pipeline runs, and the certificate records no checks
     run = run_pipeline(S, T, args.d, cap=args.cap) if S.members and T.members else None
     dec = run.decomposition if run else decompose(S, T, args.d, cap=args.cap)
-    checks = [_check("coverage_equals_sumset", verify_decomposition(S, T, dec.s_witness, dec.t_witness))]
-    checks += [_check(*c) for c in dec.certificate.checks]
+    covers = verify_decomposition(S, T, dec.s_witness, dec.t_witness)
+    checks = (Check("coverage_equals_sumset", covers), *dec.certificate.checks)
     if run is not None and args.certify_rank:
         audit = rank_audit(run)
-        checks += [
-            _check("clp_reconstructions_exact", audit.exact),
-            _check("max_rank<=max_term_count", audit.ranks_within_terms,
-                   audit.max_rank, audit.max_term_count),
-            _check("max_term_count<=rank_bound", audit.max_term_count <= run.rank_bound,
-                   audit.max_term_count, run.rank_bound),
-        ]
+        checks += audit.checks(run.rank_bound)
     outputs = {
         "q": inst.q,
         "n": inst.n,
@@ -303,10 +292,10 @@ def _cmd_verify(args) -> HandlerResult:
     sw = PointSet.from_coords(inst.q, inst.n, _coords_field(raw, "S_witness", inst.q, inst.n))
     tw = PointSet.from_coords(inst.q, inst.n, _coords_field(raw, "T_witness", inst.q, inst.n))
     ok = verify_decomposition(S, T, sw, tw)
-    checks = [
-        _check("witnesses_within_parents", sw.issubset(S) and tw.issubset(T)),
-        _check("coverage_equals_sumset", ok),
-    ]
+    checks = (
+        Check("witnesses_within_parents", sw.issubset(S) and tw.issubset(T)),
+        Check("coverage_equals_sumset", ok),
+    )
     outputs = {"witness_total": len(sw) + len(tw), "verified": ok}
     human = [
         f"verify: witness total {len(sw) + len(tw)}",
@@ -318,14 +307,7 @@ def _cmd_verify(args) -> HandlerResult:
 def _cmd_symmetric(args) -> HandlerResult:
     inst = parse_instance(args.input)
     S = inst.s_set
-    dec = decompose(S, S, args.d, cap=args.cap)
-    witness = dec.s_witness.union(dec.t_witness)
-    double = sumset(S, S)
-    checks = [
-        _check("witness_within_set", witness.issubset(S)),
-        _check("witness_plus_set_covers", sumset(witness, S) == double if len(S) else True),
-        _check("witness_size<=bound", len(witness) <= dec.bound, len(witness), dec.bound),
-    ]
+    witness, dec, checks = symmetric_witness(S, args.d, cap=args.cap)
     outputs = {
         "q": inst.q,
         "n": inst.n,
@@ -345,11 +327,6 @@ def _cmd_symmetric(args) -> HandlerResult:
 def _cmd_check_capset(args) -> HandlerResult:
     inst = parse_instance(args.input)
     rep = check_capset_bound(inst.s_set, cap=args.cap)
-    # inapplicable inputs (q = 2 or a progression present) fail nothing
-    checks = [
-        _check("size<=bound", rep.within_bound if rep.applicable else True, rep.set_size, rep.size_bound),
-        _check("symmetric_witness_is_whole_set", rep.recovers_whole_set if rep.applicable else True),
-    ]
     outputs = {
         "ap_free": rep.ap_free,
         "applicable": rep.applicable,
@@ -360,9 +337,9 @@ def _cmd_check_capset(args) -> HandlerResult:
     human = [
         f"check-capset: ap_free={rep.ap_free}, size {rep.set_size}, bound {rep.size_bound}"
         + ("" if rep.applicable else "  (not applicable)"),
-        _human_checks(checks),
+        _human_checks(rep.checks),
     ]
-    return _instance_payload(inst, cap=args.cap), outputs, checks, human
+    return _instance_payload(inst, cap=args.cap), outputs, rep.checks, human
 
 
 def _cmd_check_sumfree(args) -> HandlerResult:
@@ -371,24 +348,12 @@ def _cmd_check_sumfree(args) -> HandlerResult:
         raise ValidationError("check-sumfree needs 'T' or 'T_order' in the instance file")
     fam = OrderedPairFamily(inst.s_order, inst.t_order)
     matching = is_matching_sumfree(fam)
-    checks = [_check("matching_sumfree", matching)]
+    checks = (Check("matching_sumfree", matching),)
     outputs: dict = {"n_pairs": len(fam), "matching_sumfree": matching}
     if matching:
         rep = check_sumfree_bound(fam, cap=args.cap)
-        checks.extend(
-            [
-                _check("n_pairs<=bound", rep.within_bound, rep.n_pairs, rep.size_bound),
-                _check("n_pairs<=witness_total", rep.n_pairs <= rep.witness_total, rep.n_pairs, rep.witness_total),
-                _check("every_index_covered", rep.all_indices_covered),
-            ]
-        )
-        outputs.update(
-            {
-                "size_bound": rep.size_bound,
-                "witness_total": rep.witness_total,
-                "passed": rep.passed,
-            }
-        )
+        checks += rep.checks
+        outputs.update(size_bound=rep.size_bound, witness_total=rep.witness_total, passed=rep.passed)
     human = [
         f"check-sumfree: N={len(fam)}, matching_sumfree={matching}",
         _human_checks(checks),
@@ -403,12 +368,7 @@ def _cmd_oracle(args) -> HandlerResult:
     gs, gt = greedy_decomposition(S, T)
     dec = decompose(S, T, cap=args.cap)
     greedy_total = len(gs) + len(gt)
-    checks = [
-        _check("oracle_witness_valid", verify_decomposition(S, T, res.best_s, res.best_t)),
-        _check("oracle<=greedy", res.best_total <= greedy_total, res.best_total, greedy_total),
-        _check("oracle<=pipeline", res.best_total <= dec.witness_total, res.best_total, dec.witness_total),
-        _check("pipeline<=bound", dec.witness_total <= dec.bound, dec.witness_total, dec.bound),
-    ]
+    checks = oracle_checks(S, T, res, greedy_total, dec)
     outputs = {
         "best_total": res.best_total,
         "best_S": _point_set_json(res.best_s),
@@ -442,8 +402,8 @@ def _cmd_trials(args) -> HandlerResult:
         S = PointSet.from_vectors(args.q, args.n, s_members)
         T = PointSet.from_vectors(args.q, args.n, t_members)
         dec = decompose(S, T, args.d, cap=args.cap)
+        # decompose has certified witness_total<=bound
         ok = verify_decomposition(S, T, dec.s_witness, dec.t_witness)
-        ok = ok and dec.witness_total <= dec.bound
         oracle_total = None
         if args.oracle and len(S) + len(T) <= args.search_cap:
             res = oracle_min_decomposition(S, T, search_cap=args.search_cap)
@@ -461,10 +421,10 @@ def _cmd_trials(args) -> HandlerResult:
             row["oracle_total"] = oracle_total
         rows.append(row)
     d_used, bound = _degree_and_bound(args.q, args.n, args.d)
-    checks = [
-        _check("all_trials_verified", all_ok),
-        _check("max_witness_total<=bound", worst_total <= bound, worst_total, bound),
-    ]
+    checks = (
+        Check("all_trials_verified", all_ok),
+        Check("max_witness_total<=bound", worst_total <= bound, worst_total, bound),
+    )
     outputs = {
         "q": args.q,
         "n": args.n,
@@ -487,14 +447,12 @@ def _cmd_trials(args) -> HandlerResult:
 # ---------------------------------------------------------------------------
 
 
-def _human_checks(checks: list[dict]) -> str:
+def _human_checks(checks: tuple[Check, ...]) -> str:
     parts = []
     for c in checks:
-        tag = "ok" if c["passed"] else "FAIL"
-        if "lhs" in c:
-            parts.append(f"{c['name']} [{tag}: {c['lhs']} vs {c['rhs']}]")
-        else:
-            parts.append(f"{c['name']} [{tag}]")
+        tag = "ok" if c.passed else "FAIL"
+        sides = "" if c.lhs is None else f": {c.lhs} vs {c.rhs}"
+        parts.append(f"{c.name} [{tag}{sides}]")
     return "checks: " + "; ".join(parts)
 
 
@@ -511,13 +469,14 @@ def _instance_payload(inst: ParsedInstance, **extra) -> dict:
     return payload
 
 
-def _report(command: str, inputs_payload, outputs: dict, checks: list[dict]) -> dict:
+def _report(command: str, inputs_payload, outputs: dict, checks: tuple[Check, ...]) -> dict:
+    """The report dict; each check's lhs and rhs appear only when not None."""
     return {
         "command": command,
         "inputs_digest": _digest(inputs_payload),
         "outputs": outputs,
-        "checks": checks,
-        "ok": all(c["passed"] for c in checks),
+        "checks": [{k: v for k, v in c._asdict().items() if v is not None} for c in checks],
+        "ok": all(c.passed for c in checks),
     }
 
 

@@ -33,17 +33,21 @@ values are at hand, and records it in the certificate as a Check with both
 sides, in this order: witness_total<=bound, dim_vanishing>=m_d-q^n+|S+T|,
 uncovered<=q^n-m_d, cover_size<=rank_bound, pivot_positions_distinct,
 pivot_sums_distinct, lines_cover>=dim_vanishing_sums, and
-chosen_bound<=capset_bound when it chose the degree.  It raises
-BoundViolated naming the first check that fails, then (unrecorded) when the
-pivots do not number the basis, so decompose() returns only certified
-witnesses (the checks are explicit raises, not asserts, and still run under
-python -O).  The CLI's decompose report lists the recorded checks as they are.
+chosen_bound<=capset_bound (capset_check) when it chose the degree.
+certify raises BoundViolated naming the first check that fails, then
+run_pipeline raises (unrecorded) when the pivots do not number the basis, so
+decompose() returns only certified witnesses (the checks are explicit
+raises, not asserts, and still run under python -O).
+
+Check is the package's one check record and certify its one raise path.
+This module also owns the checks of symmetric_witness and bound_checks;
+oracle owns the checkers' and the oracle's, summatrix the rank audit's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .cover import LineCover, line_cover, sum_pivots
 from .errors import BoundViolated
@@ -59,6 +63,16 @@ class Check(NamedTuple):
     passed: bool
     lhs: int | None = None
     rhs: int | None = None
+
+
+def certify(checks: Iterable[Check]) -> tuple[Check, ...]:
+    """The checks as a tuple; BoundViolated names the first one that failed."""
+    checks = tuple(checks)
+    for check in checks:
+        if not check.passed:
+            sides = "" if check.lhs is None else f": {check.lhs} vs {check.rhs}"
+            raise BoundViolated(f"certified check {check.name} failed{sides}")
+    return checks
 
 
 @dataclass(frozen=True)
@@ -122,6 +136,18 @@ def choose_degree(q: int, n: int) -> tuple[int, int]:
     table = degree_counts(q, n)
     bound, d = min((table.budget(d), d) for d in range((q - 1) * n + 1))
     return d, bound
+
+
+def capset_check(q: int, n: int, bound: int) -> Check:
+    """chosen_bound<=capset_bound: the minimized budget within 3*m_((q-1)n/3)."""
+    capset = capset_bound_M(q, n)
+    return Check("chosen_bound<=capset_bound", bound <= capset, bound, capset)
+
+
+def bound_checks(q: int, n: int, bound: int) -> tuple[Check, ...]:
+    """The bound table's certified checks, for the minimized budget `bound`."""
+    total = sum(degree_counts(q, n).counts)
+    return certify([capset_check(q, n, bound), Check("counts_sum_to_q^n", total == q**n, total, q**n)])
 
 
 def _degree_and_bound(q: int, n: int, degree: int | None) -> tuple[int, int]:
@@ -188,12 +214,8 @@ def run_pipeline(
         Check("lines_cover>=dim_vanishing_sums", reached >= dim, reached, dim),
     ]
     if chose_degree:
-        capset = capset_bound_M(q, n)
-        checks.append(Check("chosen_bound<=capset_bound", bound <= capset, bound, capset))
-    for check in checks:
-        if not check.passed:
-            sides = "" if check.lhs is None else f": {check.lhs} vs {check.rhs}"
-            raise BoundViolated(f"certified check {check.name} failed{sides}")
+        checks.append(capset_check(q, n, bound))
+    checks = certify(checks)
     if len(pivots) != dim:  # sum_pivots never sees the basis: one pivot per polynomial
         raise BoundViolated(f"{len(pivots)} pivots for a vanishing space of dimension {dim}")
 
@@ -204,7 +226,7 @@ def run_pipeline(
         uncovered_sums=uncovered,
         dim_vanishing=dim,
         cover_size=cover.size,
-        checks=tuple(checks),
+        checks=checks,
     )
     dec = Decomposition(s_witness, covered_cols, degree, bound, cert)
     return PipelineRun(
@@ -244,16 +266,33 @@ def decompose(
     return run_pipeline(S, T, degree, cap=cap).decomposition
 
 
+class SymmetricWitness(NamedTuple):
+    """A subset B of S with B + S = S + S, its decomposition and checks."""
+
+    witness: PointSet
+    decomposition: Decomposition
+    checks: tuple[Check, ...]
+
+
+def symmetric_witness(
+    S: PointSet, degree: int | None = None, *, cap: int = DEFAULT_ENUM_CAP
+) -> SymmetricWitness:
+    """Merge both witness halves of the construction on (S, S) into B;
+    certified: B within S, B + S = S + S (by commutativity), |B| <= bound."""
+    dec = decompose(S, S, degree, cap=cap)
+    witness = dec.s_witness.union(dec.t_witness)
+    return SymmetricWitness(witness, dec, certify([
+        Check("witness_within_set", witness.issubset(S)),
+        Check("witness_plus_set_covers", sumset(witness, S) == sumset(S, S)),
+        Check("witness_size<=bound", len(witness) <= dec.bound, len(witness), dec.bound),
+    ]))
+
+
 def symmetric_subset(
     S: PointSet, degree: int | None = None, *, cap: int = DEFAULT_ENUM_CAP
 ) -> PointSet:
-    """A subset B of S with B + S = S + S, of witness-bounded size.
-
-    Runs the construction on (S, S) and merges both witness halves: their
-    line sumsets jointly cover S+S, and by commutativity so does the union.
-    """
-    dec = decompose(S, S, degree, cap=cap)
-    return dec.s_witness.union(dec.t_witness)
+    """A subset B of S with B + S = S + S, of witness-bounded size (certified)."""
+    return symmetric_witness(S, degree, cap=cap).witness
 
 
 def verify_decomposition(

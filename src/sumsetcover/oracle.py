@@ -5,6 +5,9 @@ provides the other side of every such claim: an exhaustive oracle for the
 true minimum witness total on tiny instances, a greedy baseline (a
 heuristic with no certified bound), and checkers for the two classic
 consequences (progression-free sets and matching-only sum-free families).
+
+It owns the certified checks (decompose.certify) of those claims:
+CapsetReport.checks, SumfreeReport.checks and oracle_checks.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .decompose import decompose, symmetric_subset
+from .decompose import Check, Decomposition, certify, decompose, symmetric_subset, verify_decomposition
 from .errors import BoundViolated, PreconditionFailed, SearchTooLarge, ValidationError
 from .field import DEFAULT_ENUM_CAP, FieldVector, PointSet, sumset
 from .monomials import capset_bound_M
@@ -49,12 +52,11 @@ class CapsetReport:
     size_bound: int
     within_bound: bool | None
     recovers_whole_set: bool | None
+    checks: tuple[Check, ...]
 
     @property
     def passed(self) -> bool:
-        if not self.applicable:
-            return True
-        return bool(self.within_bound and self.recovers_whole_set)
+        return all(c.passed for c in self.checks)
 
 
 def check_capset_bound(S: PointSet, *, cap: int = DEFAULT_ENUM_CAP) -> CapsetReport:
@@ -63,22 +65,20 @@ def check_capset_bound(S: PointSet, *, cap: int = DEFAULT_ENUM_CAP) -> CapsetRep
     Applicable only for q >= 3 and progression-free S.  Beyond the size
     bound itself, the underlying mechanism is re-derived: the symmetric
     witness subset must be all of S, because a proper subset B misses the
-    double 2s of any s outside B.
+    double 2s of any s outside B.  Both are certified; an inapplicable
+    input fails neither.
     """
     ap_free = is_ap_free(S)
     applicable = S.q >= 3 and ap_free
     bound = capset_bound_M(S.q, S.n)
-    if not applicable:
-        return CapsetReport(ap_free, False, len(S), bound, None, None)
-    witness = symmetric_subset(S, cap=cap)
-    return CapsetReport(
-        ap_free=True,
-        applicable=True,
-        set_size=len(S),
-        size_bound=bound,
-        within_bound=len(S) <= bound,
-        recovers_whole_set=witness == S,
-    )
+    within = recovers = None
+    if applicable:
+        within, recovers = len(S) <= bound, symmetric_subset(S, cap=cap) == S
+    checks = certify([
+        Check("size<=bound", within if applicable else True, len(S), bound),
+        Check("symmetric_witness_is_whole_set", recovers if applicable else True),
+    ])
+    return CapsetReport(ap_free, applicable, len(S), bound, within, recovers, checks)
 
 
 @dataclass(frozen=True)
@@ -125,10 +125,11 @@ class SumfreeReport:
     witness_total: int
     all_indices_covered: bool
     within_bound: bool
+    checks: tuple[Check, ...]
 
     @property
     def passed(self) -> bool:
-        return self.all_indices_covered and self.within_bound
+        return all(c.passed for c in self.checks)
 
 
 def check_sumfree_bound(
@@ -138,28 +139,28 @@ def check_sumfree_bound(
 
     Each diagonal sum s_i + t_i admits no other representation, so once the
     witness lines cover it, s_i must sit in the row witness or t_i in the
-    column witness; tracking which gives N <= |S*| + |T*|.
+    column witness; tracking which gives N <= |S*| + |T*|.  All three
+    inequalities are certified (an empty family reads 0 against 0).
     """
     if not is_matching_sumfree(fam):
         raise PreconditionFailed("family is not matching-only sum-free")
-    if len(fam) == 0:
-        return SumfreeReport(0, 0, 0, True, True)
-    q, n = fam.s_order[0].q, fam.s_order[0].n
-    S = PointSet.from_vectors(q, n, fam.s_order)
-    T = PointSet.from_vectors(q, n, fam.t_order)
-    dec = decompose(S, T, cap=cap)
-    covered = all(
-        s in dec.s_witness or t in dec.t_witness
-        for s, t in zip(fam.s_order, fam.t_order)
-    )
-    bound = capset_bound_M(q, n)
-    return SumfreeReport(
-        n_pairs=len(fam),
-        size_bound=bound,
-        witness_total=dec.witness_total,
-        all_indices_covered=covered,
-        within_bound=len(fam) <= bound,
-    )
+    pairs, bound, total, covered = len(fam), 0, 0, True
+    if pairs:
+        q, n = fam.s_order[0].q, fam.s_order[0].n
+        S = PointSet.from_vectors(q, n, fam.s_order)
+        T = PointSet.from_vectors(q, n, fam.t_order)
+        dec = decompose(S, T, cap=cap)
+        covered = all(
+            s in dec.s_witness or t in dec.t_witness
+            for s, t in zip(fam.s_order, fam.t_order)
+        )
+        bound, total = capset_bound_M(q, n), dec.witness_total
+    checks = certify([
+        Check("n_pairs<=bound", pairs <= bound, pairs, bound),
+        Check("n_pairs<=witness_total", pairs <= total, pairs, total),
+        Check("every_index_covered", covered),
+    ])
+    return SumfreeReport(pairs, bound, total, covered, pairs <= bound, checks)
 
 
 @dataclass(frozen=True)
@@ -203,6 +204,19 @@ def oracle_min_decomposition(
                             total,
                         )
     raise BoundViolated("(S, T) itself always covers, yet no cover was found")
+
+
+def oracle_checks(
+    S: PointSet, T: PointSet, result: OracleResult, greedy_total: int, dec: Decomposition
+) -> tuple[Check, ...]:
+    """Certify the oracle against its witness, greedy and dec, and dec's bound."""
+    best = result.best_total
+    return certify([
+        Check("oracle_witness_valid", verify_decomposition(S, T, result.best_s, result.best_t)),
+        Check("oracle<=greedy", best <= greedy_total, best, greedy_total),
+        Check("oracle<=pipeline", best <= dec.witness_total, best, dec.witness_total),
+        Check("pipeline<=bound", dec.witness_total <= dec.bound, dec.witness_total, dec.bound),
+    ])
 
 
 def greedy_decomposition(S: PointSet, T: PointSet) -> tuple[PointSet, PointSet]:

@@ -33,16 +33,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
+from .decompose import Check, PipelineRun
 from .errors import BoundViolated, DegreeTooHigh, DimensionMismatch
 from .field import FieldVector
 from .linalg import Rows, as_rows, as_table, combine_rows, matrix_rank, monomial_table
 from .monomials import Monomial, count_m, enumerate_monomials, monomial_key
 from .polynomials import Polynomial, poly_degree, value_table
-
-if TYPE_CHECKING:
-    from .decompose import PipelineRun
 
 Coords = tuple[int, ...]
 
@@ -274,6 +272,15 @@ class RankAudit:
     ranks_within_terms: bool
     max_rank: int
     max_term_count: int
+
+    def checks(self, rank_bound: int) -> tuple[Check, ...]:
+        """The audit's checks against a run's rank budget; reported, not raised."""
+        terms = self.max_term_count
+        return (
+            Check("clp_reconstructions_exact", self.exact),
+            Check("max_rank<=max_term_count", self.ranks_within_terms, self.max_rank, terms),
+            Check("max_term_count<=rank_bound", terms <= rank_bound, terms, rank_bound),
+        )
 
 
 def rank_audit(run: PipelineRun) -> RankAudit:

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import re
 import subprocess
@@ -373,3 +374,36 @@ def test_one_parser_serves_every_call(monkeypatch, capsys):
     assert chosen["outputs"]["degree"] == 3
     assert chosen == {**plain, "argv": chosen["argv"], "timing_ms": chosen["timing_ms"]}
     assert built == [1]
+
+
+class TestCheckOwner:
+    """The library evaluates every theorem check; cli.py builds only data verdicts."""
+
+    DATA_VERDICTS = {
+        "witnesses_within_parents",  # verify
+        "coverage_equals_sumset",  # verify, and decompose's re-check
+        "matching_sumfree",  # check-sumfree's precondition
+        "all_trials_verified",  # trials aggregates
+        "max_witness_total<=bound",
+    }
+    TREE = ast.parse(Path(cli.__file__).read_text())
+
+    def test_cli_defines_no_check_helper(self):
+        defined = set()
+        for node in ast.walk(self.TREE):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        assert "run_command" in defined and "_check" not in defined
+
+    def test_cli_builds_only_data_verdicts(self):
+        names = []
+        for node in ast.walk(self.TREE):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and "Check" in (getattr(func, "id", None), getattr(func, "attr", None)):
+                arg = node.args[0] if node.args else next(k.value for k in node.keywords if k.arg == "name")
+                assert isinstance(arg, ast.Constant), ast.unparse(node)
+                names.append(arg.value)
+        assert names and set(names) <= self.DATA_VERDICTS

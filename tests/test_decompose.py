@@ -318,6 +318,151 @@ class TestDualPivotFaults:
         assert proc.stdout.strip() == f"BoundViolated: {message}"
 
 
+class TestLibraryCheckFaults:
+    # Every theorem check that the library certifies outside run_pipeline,
+    # one row each: (entry, module, stage, fault, message).  The row replaces
+    # module.stage by fault(real stage), runs the entry on its fixed small
+    # instance and expects BoundViolated with exactly the message.  PRELUDE
+    # is the one source of the entries for the in-process rows and for the
+    # python -O subprocess.
+    PRELUDE = textwrap.dedent(
+        """
+        import importlib
+        from dataclasses import replace
+        import sumsetcover as sc
+        P = sc.PointSet.from_coords
+        oracle = importlib.import_module("sumsetcover.oracle")
+        CAPSET = P(3, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        F2_2 = P(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        F5_PAIRS = tuple(P(5, 1, [(0,), (1,)]).ordered())
+
+        def oracle_entry():
+            # the oracle subcommand's composition, each stage read off oracle
+            gs, gt = oracle.greedy_decomposition(F2_2, F2_2)
+            res = oracle.oracle_min_decomposition(F2_2, F2_2)
+            return sc.oracle_checks(F2_2, F2_2, res, len(gs) + len(gt), oracle.decompose(F2_2, F2_2))
+
+        ENTRIES = {
+            "symmetric": lambda: sc.symmetric_witness(P(3, 1, [(0,), (1,)])).checks,
+            "capset": lambda: sc.check_capset_bound(CAPSET).checks,
+            "sumfree": lambda: sc.check_sumfree_bound(sc.OrderedPairFamily(F5_PAIRS, F5_PAIRS)).checks,
+            "oracle": oracle_entry,
+            "bound": lambda: sc.bound_checks(3, 2, 7),  # 7: the minimized budget at q = 3, n = 2
+        }
+
+        def run_row(entry, module, stage, fault):
+            mod = importlib.import_module(module)
+            real = getattr(mod, stage)
+            setattr(mod, stage, eval(fault)(real))
+            try:
+                return ENTRIES[entry]()
+            finally:
+                setattr(mod, stage, real)
+        """
+    )
+    DEC, ORC = "sumsetcover.decompose", "sumsetcover.oracle"
+    ROWS = {
+        "witness_within_set": (
+            "symmetric", DEC, "decompose",
+            "lambda real: lambda *a, **k: replace(real(*a, **k), t_witness=P(3, 1, [(2,)]))",
+            "certified check witness_within_set failed"),
+        "witness_plus_set_covers": (
+            "symmetric", DEC, "decompose",
+            "lambda real: lambda S, *a, **k: replace(real(S, *a, **k), s_witness=S.empty(3, 1))",
+            "certified check witness_plus_set_covers failed"),
+        "witness_size<=bound": (
+            "symmetric", DEC, "decompose",
+            "lambda real: lambda *a, **k: replace(real(*a, **k), bound=1)",
+            "certified check witness_size<=bound failed: 2 vs 1"),
+        "size<=bound": (
+            "capset", ORC, "capset_bound_M", "lambda real: lambda q, n: 3",
+            "certified check size<=bound failed: 4 vs 3"),
+        "symmetric_witness_is_whole_set": (
+            "capset", ORC, "symmetric_subset",
+            "lambda real: lambda S, **k: P(S.q, S.n, [v.coords for v in S.ordered()[1:]])",
+            "certified check symmetric_witness_is_whole_set failed"),
+        "n_pairs<=bound": (
+            "sumfree", ORC, "capset_bound_M", "lambda real: lambda q, n: 1",
+            "certified check n_pairs<=bound failed: 2 vs 1"),
+        "n_pairs<=witness_total": (
+            "sumfree", ORC, "decompose",
+            "lambda real: lambda S, T, **k: replace(real(S, T, **k), s_witness=S.empty(5, 1), t_witness=S.empty(5, 1))",
+            "certified check n_pairs<=witness_total failed: 2 vs 0"),
+        "every_index_covered": (
+            # one witness point per side, but pair (1, 1) is on neither
+            "sumfree", ORC, "decompose",
+            "lambda real: lambda S, T, **k: replace(real(S, T, **k), s_witness=P(5, 1, [(0,)]), t_witness=P(5, 1, [(0,)]))",
+            "certified check every_index_covered failed"),
+        "oracle_witness_valid": (
+            "oracle", ORC, "oracle_min_decomposition",
+            "lambda real: lambda S, T, **k: replace(real(S, T, **k), best_s=S.empty(2, 2), best_t=S.empty(2, 2))",
+            "certified check oracle_witness_valid failed"),
+        "oracle<=greedy": (
+            "oracle", ORC, "greedy_decomposition", "lambda real: lambda S, T: (S.empty(2, 2), S.empty(2, 2))",
+            "certified check oracle<=greedy failed: 1 vs 0"),
+        "oracle<=pipeline": (
+            "oracle", ORC, "decompose",
+            "lambda real: lambda S, T, **k: replace(real(S, T, **k), s_witness=S.empty(2, 2), t_witness=S.empty(2, 2))",
+            "certified check oracle<=pipeline failed: 1 vs 0"),
+        "pipeline<=bound": (
+            "oracle", ORC, "decompose", "lambda real: lambda S, T, **k: replace(real(S, T, **k), bound=0)",
+            "certified check pipeline<=bound failed: 1 vs 0"),
+        "chosen_bound<=capset_bound": (
+            "bound", DEC, "capset_bound_M", "lambda real: lambda q, n: 6",
+            "certified check chosen_bound<=capset_bound failed: 7 vs 6"),
+        "counts_sum_to_q^n": (
+            "bound", DEC, "degree_counts", "lambda real: lambda q, n: sc.CountTable(q, n, real(q, n).counts[:-1])",
+            "certified check counts_sum_to_q^n failed: 8 vs 9"),
+    }
+    OPTIMIZED = ["witness_plus_set_covers", "every_index_covered", "oracle<=greedy"]
+    SCRIPT = PRELUDE + textwrap.dedent(
+        """
+        import json, sys
+        if __debug__:
+            sys.exit("expected an optimized interpreter")
+        try:
+            run_row(*json.loads(sys.argv[1]))
+        except sc.BoundViolated as exc:
+            print("BoundViolated:", exc)
+        else:
+            print("no error")
+        """
+    )
+
+    @pytest.fixture(scope="class")
+    def prelude(self):
+        namespace: dict = {}
+        exec(self.PRELUDE, namespace)
+        return namespace
+
+    def test_rows_name_every_check_in_order(self, prelude):
+        # unfaulted, each entry passes exactly the checks its rows name
+        for entry, run in prelude["ENTRIES"].items():
+            checks = run()
+            assert all(c.passed for c in checks), entry
+            assert [c.name for c in checks] == [name for name, row in self.ROWS.items() if row[0] == entry]
+
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_fault_raises(self, name, prelude):
+        entry, module, stage, fault, message = self.ROWS[name]
+        mod = importlib.import_module(module)
+        real = getattr(mod, stage)
+        with pytest.raises(sc.BoundViolated) as info:
+            prelude["run_row"](entry, module, stage, fault)
+        assert str(info.value) == message
+        assert getattr(mod, stage) is real
+
+    @pytest.mark.parametrize("name", OPTIMIZED)
+    def test_fault_raises_under_optimize(self, name):
+        entry, module, stage, fault, message = self.ROWS[name]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", self.SCRIPT, json.dumps([entry, module, stage, fault])],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"BoundViolated: {message}"
+
+
 def test_decompose_name_is_the_function_and_the_module_stays_reachable():
     # the package re-exports the function under its module's name
     module = importlib.import_module("sumsetcover.decompose")

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import sumsetcover as sc
-from sumsetcover import gf3, summatrix
+from sumsetcover import cli, gf3, summatrix
 from sumsetcover.cli import parse_instance, run_command
 from sumsetcover.errors import DegreeTooHigh, DimensionMismatch
 
@@ -286,6 +286,30 @@ def test_inexact_reconstruction_fails(monkeypatch):
 
     code, _, failed = _failed_checks_with_first_certificate(monkeypatch, breaker)
     assert code == 1 and failed == ["clp_reconstructions_exact"]
+
+
+def test_rank_budget_check_fails_alone(monkeypatch):
+    # max_term_count<=rank_bound is the one audit check that compares with
+    # the run: a budget one below the largest term count fails it alone,
+    # in the library and through the CLI, with both sides shown.
+    inst = parse_instance(GOLDEN_Q3_N5)
+    run = sc.run_pipeline(inst.s_set, inst.t_set)
+    audit = summatrix.rank_audit(run)
+    tight = audit.max_term_count - 1
+    checks = audit.checks(tight)
+    assert [c.name for c in checks if not c.passed] == ["max_term_count<=rank_bound"]
+    assert checks[-1] == ("max_term_count<=rank_bound", False, audit.max_term_count, tight)
+    assert all(c.passed for c in audit.checks(run.rank_bound))
+
+    real = cli.run_pipeline
+    monkeypatch.setattr(cli, "run_pipeline", lambda *a, **k: dataclasses.replace(real(*a, **k), rank_bound=tight))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run_command(["decompose", "--input", GOLDEN_Q3_N5, "--json", "--certify-rank"])
+    failed = [c for c in json.loads(out.getvalue())["checks"] if not c["passed"]]
+    assert code == 1
+    assert failed == [{"name": "max_term_count<=rank_bound", "passed": False,
+                       "lhs": audit.max_term_count, "rhs": tight}]
 
 
 # q -> largest n whose every degree 0..(q-1)n the differential tests cover
