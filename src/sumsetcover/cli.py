@@ -190,6 +190,8 @@ def _cmd_bound(args) -> HandlerResult:
     q, n = args.q, args.n
     _check_space(q, n)
     check_count_cap(q, n, DEFAULT_ENUM_CAP)
+    if args.growth_to:  # growth_estimate convolves up to n = growth_to
+        check_count_cap(q, args.growth_to, DEFAULT_ENUM_CAP)
     table = degree_counts(q, n)
     rows = [
         {"d": d, "m_d": table.prefix(d), "bound_at_d": table.budget(d)}

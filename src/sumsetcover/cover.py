@@ -7,8 +7,8 @@ and V the degree-<= d polynomials vanishing off A.  W is RM_q(d, n) shortened
 to A, so its dual is RM_q(d', n) punctured to A, d' = n(q-1) - d - 1
 (Kasami-Lin-Peterson 1968; Delsarte-Goethals-MacWilliams 1970).  Of the two
 tables with those pivots, the one with fewer rows is eliminated by
-linalg.rref: the basis evaluated at A (dim rows, few at low degree), or the
-m_{d'} = q^n - m_d monomials of degree <= d' at A, sums reversed, whose
+linalg.rref: the basis rows evaluated at A (dim rows, few at low degree),
+or the m_{d'} = q^n - m_d monomials of degree <= d' at A, sums reversed, whose
 information set taken greedily from the last sum the pivots avoid (few at
 the high degrees choose_degree picks).  No |S| x |T| matrix is built.
 Second, the pivot positions are covered by as few lines (full rows or
@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BoundViolated
-from .linalg import monomial_table, rref
+from .linalg import evaluate_rows, monomial_table, rref
 from .monomials import enumerate_monomials
-from .polynomials import value_table
 from .vanishing import PolySubspace
 
 
@@ -54,8 +53,8 @@ def sum_pivots(
 
 
 def primal_pivot_columns(space: PolySubspace, keys: Sequence[Sequence[int]]) -> list[int]:
-    """Pivot columns of the basis evaluated at the keys (space.dim rows)."""
-    return rref(value_table(space.basis, keys, space.q), space.q)[1]
+    """Pivot columns of the basis rows evaluated at the keys (space.dim rows)."""
+    return rref(evaluate_rows(space.monos, space.rows, keys, space.q), space.q)[1]
 
 
 def dual_pivot_columns(space: PolySubspace, keys: Sequence[Sequence[int]]) -> list[int]:

@@ -9,17 +9,17 @@ degree d of our choosing (minimized by default).  S x T is enumerated
 once, by field.sum_index, which maps each sum to its first row-major
 (i, j); its keys are S+T in order of first occurrence.  The construction:
 
- 1. build the space of degree-<= d polynomials vanishing off S+T; its
-    dimension is at least m_d - q^n + |S+T|;
- 2. each basis polynomial P defines the sum matrix (P(s + t)) over S x T;
-    every matrix in their span has rank at most 2*m(q, n, floor(d/2)) by
-    the rank-one split certificate (a theorem on the span, audited per basis
+ 1. build the space of degree-<= d polynomials vanishing off S+T: dim basis
+    rows of coefficients over the monomials, dim >= m_d - q^n + |S+T|;
+ 2. each basis row P defines the sum matrix (P(s + t)) over S x T; every
+    matrix in their span has rank at most 2*m(q, n, floor(d/2)) by the
+    rank-one split certificate (a theorem on the span, audited per basis
     matrix by the CLI under --certify-rank);
  3. take the row-major pivot positions of that span.  A sum matrix depends
     only on s + t, so they are the pivot columns of the basis at the keys
     or, when fewer rows, the sums off the information set of the dual
     Reed-Muller code there (cover.sum_pivots); the pivot sums are pairwise
-    distinct, and there is one pivot per basis polynomial;
+    distinct, and there is one pivot per basis row;
  4. cover the pivots by a minimum set of lines (rows from S, columns from T);
     the cover size is at most the rank budget, and the covered lines reach
     at least dim-many elements of S+T;
@@ -35,7 +35,7 @@ uncovered<=q^n-m_d, cover_size<=rank_bound, pivot_positions_distinct,
 pivot_sums_distinct, lines_cover>=dim_vanishing_sums, and
 chosen_bound<=capset_bound (capset_check) when it chose the degree.
 certify raises BoundViolated naming the first check that fails, then
-run_pipeline raises (unrecorded) when the pivots do not number the basis, so
+run_pipeline raises (unrecorded) when the pivots do not number dim, so
 decompose() returns only certified witnesses (the checks are explicit
 raises, not asserts, and still run under python -O).
 
@@ -216,7 +216,7 @@ def run_pipeline(
     if chose_degree:
         checks.append(capset_check(q, n, bound))
     checks = certify(checks)
-    if len(pivots) != dim:  # sum_pivots never sees the basis: one pivot per polynomial
+    if len(pivots) != dim:  # the dual stage never reads the rows: one pivot per row
         raise BoundViolated(f"{len(pivots)} pivots for a vanishing space of dimension {dim}")
 
     cert = DecompositionCertificate(

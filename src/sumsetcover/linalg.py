@@ -2,9 +2,10 @@
 
 A table is a matrix over F_q in the format this module alone picks: a
 `gf3.Matrix3` (two bitplanes per row) at q = 3, lists of integer rows
-otherwise.  `monomial_table` builds tables of monomial values, `as_table`
-makes one of integer rows and `as_rows` reads its rows back; every other
-module passes tables on unopened.  A `Matrix3` is eliminated and combined
+otherwise.  `monomial_table` builds tables of monomial values and
+`evaluate_rows` of polynomials given as coefficient rows, `as_table` makes
+one of integer rows and `as_rows` reads its rows back; every other module
+passes tables on unopened.  A `Matrix3` is eliminated and combined
 on its bitplanes by `gf3` and comes back packed; list rows, at any q (3
 included), run the list code below, the reference the packed path is
 tested against.
@@ -142,6 +143,21 @@ def combine_rows(
             acc = [a + c * v for a, v in zip(acc, rows[k])]
         out.append([a % q for a in acc])
     return out
+
+
+def evaluate_rows(
+    monos: Sequence[Monomial], rows: Sequence[Sequence[int]], points: Sequence[Sequence[int]], q: int
+) -> Rows:
+    """A row per coefficient row over monos, a column per point: the value
+    there.  Only the monomials some row uses are evaluated, once per point,
+    and combined by the coefficients read mod q.  ValueError for a row that
+    is not len(monos) long."""
+    _width(rows, len(monos))
+    weights = [[(k, c) for k, c in enumerate(row) if c % q] for row in rows]
+    used = sorted({k for w in weights for k, _ in w})
+    place = {k: i for i, k in enumerate(used)}
+    table = monomial_table([monos[k] for k in used], points, q)
+    return combine_rows(([(place[k], c) for k, c in w] for w in weights), table, len(points), q)
 
 
 def null_space(rows: Rows, ncols: int, q: int) -> list[list[int]]:

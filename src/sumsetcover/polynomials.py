@@ -1,14 +1,14 @@
-"""Reduced multivariate polynomials over F_q.
+"""Reduced multivariate polynomials over F_q, as term maps.
 
 A polynomial is a map {exponent tuple: nonzero coefficient} with every
 exponent at most q-1 per variable.  Reduced polynomials represent functions
 F_q^n -> F_q uniquely, which is what makes the vanishing-space constructions
 downstream exact.  Instances are treated as immutable.  `poly_from_terms`
 builds one from any term map, checking the exponents and reducing the
-coefficients; `polys_from_rows` reads rows already reduced mod q.
-
-`value_table` evaluates polynomials through linalg's one builder of
-monomial tables, `linalg.monomial_table`, and returns a linalg table.
+coefficients; `polys_from_rows` reads coefficient rows over a monomial
+list, the library's own format (vanishing.PolySubspace), already reduced
+mod q.  Only the rank-split API and callers that want term maps use this
+module: nothing that decompose.run_pipeline imports reaches it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch
 from .field import FieldVector
-from .linalg import Rows, combine_rows, monomial_table
 from .monomials import Monomial, eval_monomial
 
 
@@ -64,20 +63,6 @@ def polys_from_rows(
 def poly_degree(P: Polynomial) -> int:
     """Total degree; -1 for the zero polynomial."""
     return max((sum(m) for m in P.terms), default=-1)
-
-
-def value_table(polys: Sequence[Polynomial], points: Sequence[Sequence[int]], q: int) -> Rows:
-    """Row per polynomial, column per point (coordinates): its value there.
-
-    Each distinct monomial is evaluated once at every point, and each row
-    combines those monomial rows by its coefficients mod q, in linalg's
-    table format for linalg to eliminate.
-    """
-    columns: dict[Monomial, int] = {}
-    weights = [
-        [(columns.setdefault(m, len(columns)), c % q) for m, c in P.terms.items()] for P in polys
-    ]
-    return combine_rows(weights, monomial_table(list(columns), points, q), len(points), q)
 
 
 def eval_poly(P: Polynomial, x: FieldVector) -> int:

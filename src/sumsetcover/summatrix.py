@@ -11,36 +11,35 @@ total degree <= floor(d/2).  Grouping the expansion by that low-degree side
 writes the matrix as a sum of rank-one terms, at most m(q, n, floor(d/2))
 anchored on the row side plus as many anchored on the column side.
 
-`audit_matrices`, and `rank_audit` over it for every basis polynomial of a
-pipeline run (the CLI's --certify-rank), are the library's only path that
-builds a sum matrix or rebuilds one from its certificate.  Every table it
-evaluates is rows of distinct monomials (linalg.monomial_table) combined by
-coefficients (linalg.combine_rows), in the format linalg alone picks; it
-reads rows out with linalg.as_rows and makes tables with linalg.as_table.
-The basis polynomials are evaluated once at the distinct sums
-(polynomials.value_table), whose grid of sum ids fills each matrix.  A
-certificate's factors are combinations of the rows of every monomial of
-degree <= d at S and at T, and the matrix it sums to is the product of its
-row sides at S with its column sides at T.  The rank is taken on the same
-rows.  Each distinct monomial of the basis is expanded into its x^a y^b
-terms once per audit, in a table local to that audit, and every
-certificate containing it looks them up.  tests/reference.py keeps the
-per-cell constructions the audit is checked against.
+`audit_matrices`, and `rank_audit` on a pipeline run's basis rows (the
+CLI's --certify-rank), are the library's only path that builds a sum matrix
+or rebuilds one from its certificate.  Both work on coefficient rows over
+the graded monomials of degree <= d, the vanishing space's `monos`;
+audit_matrices reads its Polynomial arguments as such rows once.  The rows
+are evaluated once at the distinct sums (linalg.evaluate_rows), whose grid
+of sum ids fills each matrix.  A certificate's factors are (index, weight)
+lists combining the monomials' rows at S and at T (linalg.combine_rows), in
+the table format linalg alone picks, and the rank is taken on the same
+rows.  Each monomial is expanded once per audit, keyed by its place in the
+graded list; only clp_decompose wraps factors as Polynomial values.
+tests/reference.py keeps the per-cell constructions the audit is checked
+against.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .decompose import Check, PipelineRun
 from .errors import BoundViolated, DegreeTooHigh, DimensionMismatch
 from .field import FieldVector
-from .linalg import Rows, as_rows, as_table, combine_rows, matrix_rank, monomial_table
-from .monomials import Monomial, count_m, enumerate_monomials, monomial_key
-from .polynomials import Polynomial, poly_degree, value_table
+from .linalg import Rows, as_rows, as_table, combine_rows, evaluate_rows, matrix_rank, monomial_table
+from .monomials import Monomial, degree_counts, enumerate_monomials, monomial_key
+from .polynomials import Polynomial, poly_degree
 
 Coords = tuple[int, ...]
 
@@ -74,22 +73,20 @@ class ClpCertificate:
     term_count: int
 
 
-# (low, high) for one monomial x^full at one (q, split): low holds (a, b, w)
-# for the terms w x^a y^b of (x + y)^full with |a| <= split, high holds
-# (b, a, w) for the rest, each with its anchor first.
-_Split = tuple[Monomial, Monomial, int]
-_Splits = tuple[tuple[_Split, ...], tuple[_Split, ...]]
+# (low, high) for one monomial x^full at one (q, split), each monomial by
+# its place in a graded list: low holds (a, b, w) for the terms w x^a y^b of
+# (x + y)^full with |a| <= split, high holds (b, a, w) for the rest, each
+# with its anchor first.
+_Splits = tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, int, int], ...]]
 
 
-def _expand(full: Monomial, q: int, split: int) -> _Splits:
+def _expand(full: Monomial, q: int, split: int, index: dict[Monomial, int]) -> _Splits:
     """The terms x^a y^b of (x + y)^full whose binomial weight is nonzero mod q.
 
-    a runs over itertools.product order; b = full - a.  A reduced monomial's
-    parts are reduced, so they are used without re-checking their exponents.
+    a runs over itertools.product order; b = full - a; `index` numbers both.
     """
     ranges = [range(e + 1) for e in full]
-    low: list[_Split] = []
-    high: list[_Split] = []
+    low, high = [], []
     for a, b, cs in zip(
         itertools.product(*ranges),
         itertools.product(*[r[::-1] for r in ranges]),
@@ -98,37 +95,75 @@ def _expand(full: Monomial, q: int, split: int) -> _Splits:
         w = math.prod(cs) % q
         if w:
             if sum(a) <= split:
-                low.append((a, b, w))
+                low.append((index[a], index[b], w))
             else:
-                high.append((b, a, w))
+                high.append((index[b], index[a], w))
     return tuple(low), tuple(high)
 
 
-@dataclass
-class _Expansions:
-    """Each monomial's split lists at one (q, split), and its anchors' sort keys."""
+class _Expansions(dict):
+    """The split lists of monos[k] at one (q, split), by k, each made at its
+    first lookup; `monos` is in monomial_key order and holds both parts of
+    every term the rows' monomials expand into."""
 
-    splits: dict[Monomial, _Splits] = field(default_factory=dict)
-    keys: dict[Monomial, tuple[int, tuple[int, ...]]] = field(default_factory=dict)
+    def __init__(self, monos: Sequence[Monomial], q: int, n: int, split: int) -> None:
+        super().__init__()
+        self.monos, self.q, self.split = monos, q, split
+        self.index = {m: k for k, m in enumerate(monos)}
+        self.budget = 2 * degree_counts(q, n).prefix(split)  # m(q, n, split); 0 below 0
+
+    def __missing__(self, k: int) -> _Splits:
+        splits = self[k] = _expand(self.monos[k], self.q, self.split, self.index)
+        return splits
 
 
-def _group(
-    groups: dict[Monomial, dict[Monomial, int]],
-    entries: Sequence[_Split],
-    coeff: int,
-    q: int,
-) -> None:
-    """Add coeff times each entry (anchor, other, w) to the anchor's cofactor."""
-    for anchor, other, w in entries:
-        w = coeff * w % q
-        if w:
-            # the anchor and the other part determine the monomial, so no
-            # pair is met twice
-            group = groups.get(anchor)
-            if group is None:
-                groups[anchor] = {other: w}
-            else:
-                group[other] = w
+@dataclass(frozen=True)
+class _Certificate:
+    """Rank-one terms (anchor, cofactor (index, weight) list) over a table's
+    monos, `left` anchored on the row side; anchors ascend (graded order)."""
+
+    left: tuple[tuple[int, list[tuple[int, int]]], ...]
+    right: tuple[tuple[int, list[tuple[int, int]]], ...]
+    term_count: int
+
+
+def _certificate(row: Sequence[int], table: _Expansions) -> _Certificate:
+    """clp_decompose's grouping for the coefficient row `row` over
+    table.monos; BoundViolated above the 2 * m(q, n, split) budget."""
+    q = table.q
+    left, right = defaultdict(list), defaultdict(list)
+    for k in itertools.compress(range(len(row)), row):
+        for groups, entries in zip((left, right), table[k]):
+            for anchor, other, w in entries:
+                # anchor and other determine the monomial: no pair twice
+                if w := row[k] * w % q:
+                    groups[anchor].append((other, w))
+    term_count = len(left) + len(right)
+    if term_count > table.budget:
+        raise BoundViolated(
+            f"{term_count} rank-one terms exceed 2*m(q, n, {table.split}) = {table.budget}"
+        )
+    return _Certificate(tuple(sorted(left.items())), tuple(sorted(right.items())), term_count)
+
+
+def _row(P: Polynomial, degree: int, monos: Sequence[Monomial]) -> list[int]:
+    """P's coefficients over monos; DegreeTooHigh above the degree budget."""
+    if poly_degree(P) > degree:
+        raise DegreeTooHigh(f"polynomial of total degree {poly_degree(P)} exceeds budget {degree}")
+    return [P.terms.get(m, 0) for m in monos]
+
+
+def _clp_certificate(P: Polynomial, degree: int, table: _Expansions) -> ClpCertificate:
+    """clp_decompose from a table at (P.q, degree // 2) whose monos hold P's."""
+    q, n, monos = P.q, P.n, table.monos
+    cert = _certificate(_row(P, degree, monos), table)
+
+    def poly(weights: Sequence[tuple[int, int]]) -> Polynomial:
+        return Polynomial(q, n, {monos[k]: w for k, w in weights})
+
+    left = tuple((poly([(a, 1)]), poly(g)) for a, g in cert.left)
+    right = tuple((poly(g), poly([(a, 1)])) for a, g in cert.right)
+    return ClpCertificate(q, n, degree, table.split, left, right, cert.term_count)
 
 
 def clp_decompose(P: Polynomial, degree: int) -> ClpCertificate:
@@ -139,72 +174,22 @@ def clp_decompose(P: Polynomial, degree: int) -> ClpCertificate:
     grouped by b (column anchored).  Group counts never exceed
     m(q, n, floor(d/2)) per side.
     """
-    return _certificate(P, degree, _Expansions())
+    # the parts x^a, a <= full, of P's monomials: as many as its expansion has
+    parts = {a for full in P.terms for a in itertools.product(*[range(e + 1) for e in full])}
+    monos = sorted(parts, key=monomial_key)
+    return _clp_certificate(P, degree, _Expansions(monos, P.q, P.n, degree // 2))
 
 
-def _certificate(P: Polynomial, degree: int, table: _Expansions) -> ClpCertificate:
-    """clp_decompose, looking each monomial's expansion up in `table` first.
-
-    The table must hold expansions at (P.q, degree // 2) only; an audit
-    passes one table to every certificate, so each monomial is expanded once.
-    """
-    if poly_degree(P) > degree:
-        raise DegreeTooHigh(
-            f"polynomial of total degree {poly_degree(P)} exceeds budget {degree}"
-        )
-    q, n = P.q, P.n
-    split = degree // 2
-    splits, keys = table.splits, table.keys
-    left: dict[Monomial, dict[Monomial, int]] = {}
-    right: dict[Monomial, dict[Monomial, int]] = {}
-    for full, coeff in P.terms.items():
-        entries = splits.get(full)
-        if entries is None:
-            entries = splits[full] = _expand(full, q, split)
-        _group(left, entries[0], coeff, q)
-        _group(right, entries[1], coeff, q)
-
-    def _factors(groups: dict[Monomial, dict[Monomial, int]], row_anchored: bool):
-        for anchor in groups:
-            if anchor not in keys:
-                keys[anchor] = monomial_key(anchor)
-        out = []
-        for anchor in sorted(groups, key=keys.__getitem__):
-            cofactor, anchor_poly = Polynomial(q, n, groups[anchor]), Polynomial(q, n, {anchor: 1})
-            out.append((anchor_poly, cofactor) if row_anchored else (cofactor, anchor_poly))
-        return tuple(out)
-
-    left_factors = _factors(left, row_anchored=True)
-    right_factors = _factors(right, row_anchored=False)
-    term_count = len(left_factors) + len(right_factors)
-    budget = 2 * count_m(q, n, split)
-    if term_count > budget:
-        raise BoundViolated(f"{term_count} rank-one terms exceed 2*m(q, n, {split}) = {budget}")
-    return ClpCertificate(q, n, degree, split, left_factors, right_factors, term_count)
-
-
-def _rebuild(
-    cert: ClpCertificate,
-    index: dict[Monomial, int],
-    at_rows: Rows,
-    at_cols: Rows,
-    nrows: int,
-    ncols: int,
-) -> Rows:
+def _rebuild(cert: _Certificate, at_rows: Rows, at_cols: Rows, nrows: int, ncols: int, q: int) -> Rows:
     """Row i is sum_k f_k(s_i) * (g_k at every t), over the rank-one terms (f_k, g_k).
 
-    Each factor is a combination of the monomial rows at_rows or at_cols
-    (indexed by `index`); the result is a linalg table.
+    Each factor combines the monomial rows at_rows or at_cols by its
+    (index, weight) list; the result is a linalg table.
     """
-    q = cert.q
-    factors = cert.left_factors + cert.right_factors
-
-    def side(polys: list[Polynomial], table: Rows, width: int) -> Rows:
-        weights = (zip(map(index.__getitem__, f.terms), f.terms.values()) for f in polys)
-        return combine_rows(weights, table, width, q)
-
-    row_side = as_rows(side([f for f, _ in factors], at_rows, nrows))
-    col_side = side([g for _, g in factors], at_cols, ncols)
+    row_weights = [[(a, 1)] for a, _ in cert.left] + [g for _, g in cert.right]
+    col_weights = [g for _, g in cert.left] + [[(a, 1)] for a, _ in cert.right]
+    row_side = as_rows(combine_rows(row_weights, at_rows, nrows, q))
+    col_side = combine_rows(col_weights, at_cols, ncols, q)
     weights = (enumerate([v[i] for v in row_side]) for i in range(nrows))
     return combine_rows(weights, col_side, ncols, q)
 
@@ -230,11 +215,8 @@ def audit_matrices(
     row_points: Sequence[FieldVector],
     col_points: Sequence[FieldVector],
 ) -> Iterator[MatrixAudit]:
-    """Audit each polynomial's sum matrix in turn, one at a time.
-
-    The polynomials are evaluated together once at the distinct sums; each
-    matrix is filled from the grid of sum ids.
-    """
+    """Audit each polynomial's sum matrix in turn, one at a time, from its
+    coefficient row over the graded monomials of degree <= d."""
     if not polys:
         return
     q, n = polys[0].q, polys[0].n
@@ -242,21 +224,29 @@ def audit_matrices(
         if (P.q, P.n) != (q, n):
             raise DimensionMismatch(f"polynomial over (q={P.q}, n={P.n}) audited with q={q}, n={n}")
     rows, cols = _coords(q, n, row_points), _coords(q, n, col_points)
+    # every factor's monomials have degree <= d; they number at most q^n
+    monos = enumerate_monomials(q, n, degree, cap=q**n)
+    coeffs = [_row(P, degree, monos) for P in polys]
+    yield from _audit(_Expansions(monos, q, n, degree // 2), coeffs, rows, cols)
+
+
+def _audit(
+    table: _Expansions, coeffs: Sequence[Sequence[int]], rows: list[Coords], cols: list[Coords]
+) -> Iterator[MatrixAudit]:
+    """The audit of each coefficient row over table.monos (every monomial of
+    degree <= d) at the row and column coordinates."""
+    q, monos = table.q, table.monos
     # each cell's sum id; the ids number the distinct sums in row-major order
     ids: dict[Coords, int] = {}
     grid = [
         [ids.setdefault(tuple([(a + b) % q for a, b in zip(s, t)]), len(ids)) for t in cols]
         for s in rows
     ]
-    # every factor's monomials have degree <= d; they number at most q^n
-    monos = enumerate_monomials(q, n, degree, cap=q**n)
-    index = {m: k for k, m in enumerate(monos)}
     at_rows, at_cols = monomial_table(monos, rows, q), monomial_table(monos, cols, q)
-    expansions = _Expansions()
-    for P, values in zip(polys, as_rows(value_table(polys, list(ids), q))):
+    for row, values in zip(coeffs, as_rows(evaluate_rows(monos, coeffs, list(ids), q))):
         entries = as_table([[values[k] for k in ids] for ids in grid], len(cols), q)
-        cert = _certificate(P, degree, expansions)
-        rebuilt = _rebuild(cert, index, at_rows, at_cols, len(rows), len(cols))
+        cert = _certificate(row, table)
+        rebuilt = _rebuild(cert, at_rows, at_cols, len(rows), len(cols), q)
         yield MatrixAudit(entries, rebuilt, matrix_rank(entries, q), cert.term_count)
 
 
@@ -287,8 +277,10 @@ def rank_audit(run: PipelineRun) -> RankAudit:
     """Check the rank-one split of every basis sum matrix of a pipeline run."""
     exact = within = True
     max_rank = max_terms = 0
-    s_ord, t_ord = run.s_input.ordered(), run.t_input.ordered()
-    for a in audit_matrices(run.space.basis, run.degree, s_ord, t_ord):
+    space = run.space
+    table = _Expansions(space.monos, space.q, space.n, run.degree // 2)
+    rows, cols = ([x.coords for x in X.ordered()] for X in (run.s_input, run.t_input))
+    for a in _audit(table, space.rows, rows, cols):
         exact = exact and a.entries == a.rebuilt
         within = within and a.rank <= a.term_count
         max_rank = max(max_rank, a.rank)

@@ -13,7 +13,8 @@ space has dimension at least
 the counting fact the witness construction leans on.  The constraint matrix
 comes from linalg.monomial_table (a row per point), the one builder of
 monomial tables, and its null space from linalg.null_space, in whatever
-format linalg chose.  The basis polynomials are read off the kernel rows.
+format linalg chose.  The basis is those kernel rows, coefficient rows over
+the monomials (polynomials.polys_from_rows reads them as Polynomial values).
 """
 
 from __future__ import annotations
@@ -22,23 +23,27 @@ from dataclasses import dataclass
 
 from .field import DEFAULT_ENUM_CAP, PointSet, complement
 from .linalg import monomial_table, null_space
-from .monomials import enumerate_monomials
-from .polynomials import Polynomial, polys_from_rows
+from .monomials import Monomial, enumerate_monomials
 
 
 @dataclass(frozen=True)
 class PolySubspace:
-    """A basis of the degree-<= d polynomials vanishing off a set of points."""
+    """A basis of the degree-<= d polynomials vanishing off a set of points:
+    each of `rows` lists one's coefficients over `monos`, in graded order."""
 
     q: int
     n: int
     degree: int
-    basis: tuple[Polynomial, ...]
-    ambient_dim: int
+    monos: tuple[Monomial, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @property
+    def ambient_dim(self) -> int:
+        return len(self.monos)
 
 
 def build_vanishing_space(
@@ -46,12 +51,12 @@ def build_vanishing_space(
 ) -> PolySubspace:
     """Canonical basis of the degree-<= d polynomials vanishing off sums.
 
-    Basis vectors come from the reduced row echelon form of the constraint
+    Basis rows come from the reduced row echelon form of the constraint
     system, one per free monomial column, so repeated runs agree exactly.
     """
     q, n = sums.q, sums.n
     outside = complement(sums, cap=cap).ordered()
     monos = enumerate_monomials(q, n, degree, cap=cap)
-    rows = monomial_table(monos, [p.coords for p in outside], q, by_point=True)
-    basis = polys_from_rows(q, n, monos, null_space(rows, len(monos), q))
-    return PolySubspace(q, n, degree, basis, len(monos))
+    table = monomial_table(monos, [p.coords for p in outside], q, by_point=True)
+    rows = tuple(map(tuple, null_space(table, len(monos), q)))
+    return PolySubspace(q, n, degree, tuple(monos), rows)

@@ -10,6 +10,7 @@ from functools import lru_cache
 import hypothesis.strategies as st
 
 import sumsetcover as sc
+from sumsetcover.polynomials import polys_from_rows
 
 
 def subprocess_env() -> dict[str, str]:
@@ -53,6 +54,16 @@ def set_pairs(draw, primes=(2, 3), max_n=2, allow_empty=True):
     s_mask = draw(st.integers(lo, 2**size - 1))
     t_mask = draw(st.integers(lo, 2**size - 1))
     return subset_from_mask(q, n, s_mask), subset_from_mask(q, n, t_mask)
+
+
+def basis(space: sc.PolySubspace) -> tuple[sc.Polynomial, ...]:
+    """A vanishing space's basis rows as Polynomial values."""
+    return polys_from_rows(space.q, space.n, space.monos, space.rows)
+
+
+def rows_over(polys, monos) -> list[list[int]]:
+    """Each polynomial's coefficients over the monomial list, as given."""
+    return [[P.terms.get(m, 0) for m in monos] for P in polys]
 
 
 @st.composite

@@ -1,12 +1,15 @@
 """Reference paths: per-cell sum matrices, the rank audit, and pivots.
 
-The library reads the pivot positions off one elimination of a table at
-the distinct sums: the vanishing basis or the dual Reed-Muller code,
-whichever has fewer rows (`sumsetcover.cover.sum_pivots`).  Its
-only code that builds a sum matrix, or rebuilds one from its certificate, is
-the table-driven audit (`sumsetcover.summatrix.audit_matrices`, folded by
-`rank_audit` for --certify-rank).  This module keeps the direct
-constructions for the tests to check them against: `eval_poly` once per
+The library keeps polynomials as coefficient rows over the graded monomial
+list and reads the pivot positions off one elimination of a table at the
+distinct sums: the vanishing basis rows or the dual Reed-Muller code,
+whichever has fewer rows (`sumsetcover.cover.sum_pivots`).  Its only code
+that builds a sum matrix, or rebuilds one from its certificate, is the
+table-driven audit on those rows (`sumsetcover.summatrix.rank_audit` for
+--certify-rank, and `audit_matrices` on Polynomial values), with monomials
+numbered by their place in the graded list.  This module keeps the direct
+constructions for the tests to check them against, on Polynomial term
+maps (the basis read with `polys_from_rows`): `eval_poly` once per
 distinct sum of each matrix, the expansion of P(x + y) through
 `poly_from_terms` (and term by term of each P, with no expansion shared
 across polynomials), `eval_poly` once per factor and point for the rebuild,
@@ -31,7 +34,7 @@ from typing import NamedTuple, Sequence
 import sumsetcover as sc
 from sumsetcover.errors import BoundViolated, DegreeTooHigh
 from sumsetcover.monomials import Monomial, count_m, monomial_key
-from sumsetcover.polynomials import Polynomial, poly_degree
+from sumsetcover.polynomials import Polynomial, poly_degree, polys_from_rows
 from sumsetcover.summatrix import ClpCertificate
 
 Grid = tuple[tuple[int, ...], ...]
@@ -235,7 +238,8 @@ def reference_pivots(
     t_ord: Sequence[sc.FieldVector],
 ) -> set[tuple[int, int]]:
     """Pivot positions of the span of the basis sum matrices, the direct way."""
-    grids = [sum_grid(P, s_ord, t_ord) for P in space.basis]
+    basis = polys_from_rows(space.q, space.n, space.monos, space.rows)
+    grids = [sum_grid(P, s_ord, t_ord) for P in basis]
     return set(pivot_basis(grids, space.q)[1])
 
 

@@ -151,7 +151,7 @@ def test_criterion_05_clp_certificates(f2_bundle, f3_bundle):
         audit = rank_audit(run)
         ok = ok and audit.exact and audit.ranks_within_terms
         ok = ok and audit.max_term_count <= run.rank_bound
-        checked += len(run.space.basis)
+        checked += run.space.dim
     # concrete instance: squaring over F_3 at degree budget 2
     pts = space_points(3, 1)
     (a,) = audit_matrices([sc.poly_from_terms(3, 1, {(2,): 1})], 2, pts, pts)

@@ -111,6 +111,19 @@ class TestBoundCommand:
         assert growth[0] == "3"
         assert float(growth[5]) < 3.0
 
+    @pytest.mark.parametrize("q, growth_to", [(3, 100000), (3, 3000), (7, 1000)])
+    def test_growth_refused_before_any_work(self, q, growth_to, capsys, monkeypatch):
+        # growth_estimate runs degree_counts' convolutions up to growth_to,
+        # so the same cap refuses it before anything is counted
+        def no_work(*args, **kwargs):
+            raise AssertionError("counted before the cap refused")
+
+        monkeypatch.setattr(cli, "degree_counts", no_work)
+        monkeypatch.setattr(cli, "growth_estimate", no_work)
+        args = ["bound", "--q", str(q), "--n", "2", "--growth-to", str(growth_to)]
+        assert run_command(args) == 3
+        assert "counting monomials by degree" in capsys.readouterr().err
+
     def test_composite_q_exit_two(self, capsys):
         assert run_command(["bound", "--q", "4", "--n", "1"]) == 2
 

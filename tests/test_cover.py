@@ -6,7 +6,7 @@ import sumsetcover as sc
 import sumsetcover.cover as cover_module
 from sumsetcover.errors import BoundViolated
 
-from conftest import SEEDED_GRID, seeded_pair, set_pairs
+from conftest import SEEDED_GRID, basis, seeded_pair, set_pairs
 from reference import (
     first_nonzero_position,
     line_cover_hopcroft_karp,
@@ -58,7 +58,7 @@ class TestPivotBasis:
         F = sc.all_points(2, 2)
         space = sc.build_vanishing_space(sc.sumset(F, F), 1)
         pts = F.ordered()
-        _, pivots = pivot_basis([sum_grid(P, pts, pts) for P in space.basis], 2)
+        _, pivots = pivot_basis([sum_grid(P, pts, pts) for P in basis(space)], 2)
         assert len(pivots) == space.dim
         assert len(set(pivots)) == len(pivots)
         sums = [pts[i] + pts[j] for i, j in pivots]
@@ -70,7 +70,7 @@ class TestPivotBasis:
         S, T = pair
         space = sc.build_vanishing_space(sc.sumset(S, T), 2)
         s_ord, t_ord = S.ordered(), T.ordered()
-        grids = [sum_grid(P, s_ord, t_ord) for P in space.basis]
+        grids = [sum_grid(P, s_ord, t_ord) for P in basis(space)]
         reduced, _ = pivot_basis(grids, S.q)
         flat_in = [[v for row in m for v in row] for m in grids]
         flat_out = [[v for row in m for v in row] for m in reduced]

@@ -235,7 +235,7 @@ class TestCertifiedChecks:
 
         def one_short(*args, **kwargs):
             space = real(*args, **kwargs)
-            return dataclasses.replace(space, basis=space.basis[:-1])
+            return dataclasses.replace(space, rows=space.rows[:-1])
 
         monkeypatch.setattr(module, "build_vanishing_space", one_short)
         with pytest.raises(sc.BoundViolated, match=re.escape("dim_vanishing>=m_d-q^n+|S+T| failed: 107 vs 108")):
@@ -415,7 +415,7 @@ class TestLibraryCheckFaults:
             "certified check counts_sum_to_q^n failed: 8 vs 9"),
     }
     OPTIMIZED = ["witness_plus_set_covers", "every_index_covered", "oracle<=greedy"]
-    SCRIPT = PRELUDE + textwrap.dedent(
+    RUNNER = textwrap.dedent(
         """
         import json, sys
         if __debug__:
@@ -428,6 +428,7 @@ class TestLibraryCheckFaults:
             print("no error")
         """
     )
+    SCRIPT = PRELUDE + RUNNER
 
     @pytest.fixture(scope="class")
     def prelude(self):
@@ -455,6 +456,116 @@ class TestLibraryCheckFaults:
     @pytest.mark.parametrize("name", OPTIMIZED)
     def test_fault_raises_under_optimize(self, name):
         entry, module, stage, fault, message = self.ROWS[name]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", self.SCRIPT, json.dumps([entry, module, stage, fault])],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"BoundViolated: {message}"
+
+
+class TestPipelineCheckFaults:
+    # run_pipeline's eight recorded checks and its unrecorded pivot-count
+    # raise, in TestLibraryCheckFaults' row format, on the golden q=3, n=5
+    # instance, where dim and the sums the pivots' lines reach both equal
+    # their bound (108).  dim is the number of the vanishing space's rows, so
+    # one row less fails dim_vanishing.  Two rows do not fault a stage inside
+    # the construction:
+    # - cover_size<=rank_bound cannot fail alone: line_cover raises first on
+    #   a cover above the rank bound it is given, so its row lowers that bound
+    #   and expects line_cover's message;
+    # - pivot_positions_distinct holds by construction, since sum_pivots maps
+    #   distinct columns to distinct first positions; its row faults the
+    #   value sum_pivots returns.
+    PRELUDE = (
+        TestLibraryCheckFaults.PRELUDE
+        + f"GOLDEN_PATH = {str(GOLDEN_DIR / 'q3_n5.json')!r}\n"
+        + textwrap.dedent(
+            """
+            import json
+            RAW = json.loads(open(GOLDEN_PATH).read())
+            GOLDEN = tuple(P(3, 5, RAW[k]) for k in "ST")
+            S_ORD, T_ORD = GOLDEN[0].ordered(), GOLDEN[1].ordered()
+            ENTRIES["pipeline"] = lambda: sc.run_pipeline(*GOLDEN).decomposition.certificate.checks
+
+            def repeat_a_sum(pivots):
+                # the first pivot traded for a cell off the pivots whose sum another pivot has
+                sums = {S_ORD[i] + T_ORD[j] for i, j in pivots[1:]}
+                cell = next(
+                    (i, j) for i, s in enumerate(S_ORD) for j, t in enumerate(T_ORD)
+                    if (i, j) not in pivots and s + t in sums
+                )
+                return tuple(sorted(pivots[1:] + (cell,)))
+
+            def one_more_pivot(pivots, index):
+                # the first sum's first cell off the pivots, added to them
+                return tuple(sorted(pivots + (next(c for c in index.values() if c not in pivots),)))
+            """
+        )
+    )
+    DEC = "sumsetcover.decompose"
+    ROWS = {
+        "witness_total<=bound": (
+            "pipeline", DEC, "choose_degree", "lambda real: lambda q, n: (real(q, n)[0], 9)",
+            "certified check witness_total<=bound failed: 10 vs 9"),
+        "dim_vanishing>=m_d-q^n+|S+T|": (
+            "pipeline", DEC, "build_vanishing_space",
+            "lambda real: lambda *a, **k: (lambda s: replace(s, rows=s.rows[:-1]))(real(*a, **k))",
+            "certified check dim_vanishing>=m_d-q^n+|S+T| failed: 107 vs 108"),
+        "uncovered<=q^n-m_d": (
+            # no line reaches a sum, so all 129 are patched
+            "pipeline", DEC, "sumset", "lambda real: lambda A, B: A.empty(A.q, A.n)",
+            "certified check uncovered<=q^n-m_d failed: 129 vs 21"),
+        "cover_size<=rank_bound": (
+            "pipeline", DEC, "count_m", "lambda real: lambda q, n, d: 4",
+            "minimum line cover 9 exceeds rank bound 8"),
+        "pivot_positions_distinct": (
+            "pipeline", DEC, "sum_pivots", "lambda real: lambda *a: (lambda p: p[:-1] + p[:1])(real(*a))",
+            "certified check pivot_positions_distinct failed"),
+        "pivot_sums_distinct": (
+            "pipeline", DEC, "sum_pivots", "lambda real: lambda *a: repeat_a_sum(real(*a))",
+            "certified check pivot_sums_distinct failed"),
+        "lines_cover>=dim_vanishing_sums": (
+            "pipeline", DEC, "line_cover",
+            "lambda real: lambda *a: (lambda c: replace(c, cover_rows=c.cover_rows[1:]))(real(*a))",
+            "certified check lines_cover>=dim_vanishing_sums failed: 98 vs 108"),
+        "chosen_bound<=capset_bound": (
+            "pipeline", DEC, "capset_bound_M", "lambda real: lambda q, n: 122",
+            "certified check chosen_bound<=capset_bound failed: 123 vs 122"),
+    }
+    # raised after the recorded checks, not recorded: one pivot per basis row
+    RAISES = {
+        "pivots_number_dim": (
+            "pipeline", DEC, "sum_pivots", "lambda real: lambda s, index: one_more_pivot(real(s, index), index)",
+            "109 pivots for a vanishing space of dimension 108"),
+    }
+    OPTIMIZED = ["dim_vanishing>=m_d-q^n+|S+T|", "pivots_number_dim"]
+    SCRIPT = PRELUDE + TestLibraryCheckFaults.RUNNER
+
+    @pytest.fixture(scope="class")
+    def prelude(self):
+        namespace: dict = {}
+        exec(self.PRELUDE, namespace)
+        return namespace
+
+    def test_rows_name_every_check_in_order(self, prelude):
+        checks = prelude["ENTRIES"]["pipeline"]()
+        assert all(c.passed for c in checks)
+        assert [c.name for c in checks] == list(self.ROWS)
+
+    @pytest.mark.parametrize("name", sorted({**ROWS, **RAISES}))
+    def test_fault_raises(self, name, prelude):
+        entry, module, stage, fault, message = {**self.ROWS, **self.RAISES}[name]
+        mod = importlib.import_module(module)
+        real = getattr(mod, stage)
+        with pytest.raises(sc.BoundViolated) as info:
+            prelude["run_row"](entry, module, stage, fault)
+        assert str(info.value) == message
+        assert getattr(mod, stage) is real
+
+    @pytest.mark.parametrize("name", OPTIMIZED)
+    def test_fault_raises_under_optimize(self, name):
+        entry, module, stage, fault, message = {**self.ROWS, **self.RAISES}[name]
         proc = subprocess.run(
             [sys.executable, "-O", "-c", self.SCRIPT, json.dumps([entry, module, stage, fault])],
             capture_output=True, text=True, env=subprocess_env(), timeout=120,

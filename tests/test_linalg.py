@@ -273,3 +273,49 @@ class TestTableFormatOwner:
         assert linalg.as_rows(table) == [[v % q for v in r] for r in rows]
         with pytest.raises(ValueError, match="row of length 5 in a 4-column system"):
             linalg.as_table(rows, 4, q)
+
+
+class TestPipelineImports:
+    """Coefficient rows are the one polynomial format of run_pipeline: no
+    module that decompose imports, directly or through another, imports
+    polynomials, and linalg alone imports gf3 among them."""
+
+    SRC = TestTableFormatOwner.SRC
+    PIPELINE = {"decompose", "cover", "vanishing", "field", "linalg", "gf3", "monomials", "errors"}
+
+    @classmethod
+    def _imports(cls, module: str) -> set[str]:
+        """The package modules that module's source imports."""
+        out: set[str] = set()
+        tree = ast.parse((cls.SRC / f"{module}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                if node.level:
+                    base = node.module or ""
+                elif (node.module or "").split(".")[0] == "sumsetcover":
+                    base = node.module.partition(".")[2]
+                else:
+                    continue
+                if base:
+                    out.add(base.split(".")[0])
+                else:
+                    out.update(a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("sumsetcover."))
+        return out
+
+    def test_pipeline_never_imports_polynomials(self):
+        reached, todo = set(), ["decompose"]
+        while todo:
+            module = todo.pop()
+            if module not in reached:
+                reached.add(module)
+                todo.extend(self._imports(module))
+        assert reached == self.PIPELINE
+        assert [m for m in sorted(reached) if "polynomials" in self._imports(m)] == []
+        assert [m for m in sorted(reached) if "gf3" in self._imports(m)] == ["linalg"]
+
+    def test_polynomials_importers_are_named(self):
+        # the audit and the package's public surface keep the Polynomial format
+        importers = [p.stem for p in sorted(self.SRC.glob("*.py")) if "polynomials" in self._imports(p.stem)]
+        assert importers == ["__init__", "summatrix"]

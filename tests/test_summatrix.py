@@ -16,7 +16,7 @@ from sumsetcover.cli import parse_instance, run_command
 from sumsetcover.errors import DegreeTooHigh, DimensionMismatch
 
 import reference
-from conftest import SEEDED_GRID, polynomials, seeded_pair, set_pairs, space_points
+from conftest import SEEDED_GRID, basis, polynomials, seeded_pair, set_pairs, space_points
 
 GOLDEN = sorted((Path(__file__).parent / "golden").glob("*.json"))
 
@@ -142,6 +142,14 @@ class TestClpDecompose:
         assert a.term_count == sc.clp_decompose(P, 3).term_count <= 2 * sc.count_m(3, 2, 1) == 6
         assert a.rank <= a.term_count
 
+    def test_sparse_polynomial_numbers_only_its_parts(self, monkeypatch):
+        # x_1^2 ... x_5^2 over F_3^20: the certificate lists the 3^5 parts of
+        # its one monomial, not the m(3, 20, 20) monomials of its degree
+        monkeypatch.setattr(summatrix, "enumerate_monomials", None)
+        P = sc.poly_from_terms(3, 20, {(2,) * 5 + (0,) * 15: 1})
+        cert = sc.clp_decompose(P, 20)
+        assert cert.term_count == len(cert.left_factors) == 3**5
+
     def test_left_anchors_have_low_degree(self):
         P = sc.poly_from_terms(3, 2, {(2, 1): 1, (1, 1): 2, (0, 0): 1})
         cert = sc.clp_decompose(P, 3)
@@ -161,17 +169,17 @@ class TestInjectivity:
         q = S.q
         degree = (q - 1) * S.n // 2
         space = sc.build_vanishing_space(sc.sumset(S, T), degree)
-        if not space.basis:
+        if not space.dim:
             return
         coeffs = data.draw(
             st.lists(
                 st.integers(0, q - 1),
-                min_size=len(space.basis),
-                max_size=len(space.basis),
+                min_size=space.dim,
+                max_size=space.dim,
             ).filter(lambda cs: any(cs))
         )
         terms = {}
-        for c, P in zip(coeffs, space.basis):
+        for c, P in zip(coeffs, basis(space)):
             for mono, coeff in P.terms.items():
                 terms[mono] = terms.get(mono, 0) + c * coeff
         combo = sc.poly_from_terms(q, S.n, terms)
@@ -181,11 +189,11 @@ class TestInjectivity:
 
 def _assert_audit_matches_reference(run):
     s_ord, t_ord = run.s_input.ordered(), run.t_input.ordered()
-    basis = run.space.basis
-    got = list(summatrix.audit_matrices(basis, run.degree, s_ord, t_ord))
-    want = reference.audit_matrices(basis, run.degree, s_ord, t_ord)
-    assert len(got) == len(want) == len(basis)
-    for P, a, r in zip(basis, got, want):
+    polys = basis(run.space)
+    got = list(summatrix.audit_matrices(polys, run.degree, s_ord, t_ord))
+    want = reference.audit_matrices(polys, run.degree, s_ord, t_ord)
+    assert len(got) == len(want) == len(polys)
+    for P, a, r in zip(polys, got, want):
         assert _grid(a.entries) == r.entries
         assert _grid(a.rebuilt) == r.rebuilt
         assert (a.rank, a.term_count) == (r.rank, r.term_count)
@@ -239,9 +247,9 @@ def _failed_checks_with_first_certificate(monkeypatch, breaker) -> tuple[int, di
     real = summatrix._certificate
     calls = []
 
-    def broken(P, degree, table):
-        calls.append(P)
-        cert = real(P, degree, table)
+    def broken(row, table):
+        calls.append(row)
+        cert = real(row, table)
         return breaker(cert) if len(calls) == 1 else cert
 
     monkeypatch.setattr(summatrix, "_certificate", broken)
@@ -260,7 +268,7 @@ def test_rank_check_is_per_matrix(monkeypatch):
     inst = parse_instance(GOLDEN_Q3_N5)
     run = sc.run_pipeline(inst.s_set, inst.t_set)
     audits = list(summatrix.audit_matrices(
-        run.space.basis, run.degree, run.s_input.ordered(), run.t_input.ordered()
+        basis(run.space), run.degree, run.s_input.ordered(), run.t_input.ordered()
     ))
     first = audits[0]
     assert first.rank >= 1
@@ -276,13 +284,14 @@ def test_rank_check_is_per_matrix(monkeypatch):
 
 def test_inexact_reconstruction_fails(monkeypatch):
     # The first left factor is (1, P): adding 1 to its column side adds the
-    # all-ones matrix to the rebuild.
+    # all-ones matrix to the rebuild.  Index 0 is the constant monomial,
+    # which heads the graded list.
     def breaker(cert):
-        (f, g), *rest = cert.left_factors
-        zero = (0,) * cert.n
-        assert f == sc.poly_from_terms(cert.q, cert.n, {zero: 1})
-        g_plus_one = sc.poly_from_terms(cert.q, cert.n, {**g.terms, zero: g.terms.get(zero, 0) + 1})
-        return dataclasses.replace(cert, left_factors=((f, g_plus_one), *rest))
+        (f, g), *rest = cert.left
+        assert f == 0
+        weights = dict(g)
+        g_plus_one = list({**weights, 0: weights.get(0, 0) + 1}.items())
+        return dataclasses.replace(cert, left=((f, g_plus_one), *rest))
 
     code, _, failed = _failed_checks_with_first_certificate(monkeypatch, breaker)
     assert code == 1 and failed == ["clp_reconstructions_exact"]
@@ -333,7 +342,10 @@ def _assert_same_split(P, degree, tables=None):
     def split():
         if tables is None:
             return sc.clp_decompose(P, degree)
-        return summatrix._certificate(P, degree, tables.setdefault(degree // 2, summatrix._Expansions()))
+        # over every reduced monomial, so one table serves each degree of its split
+        monos = sc.enumerate_monomials(P.q, P.n, (P.q - 1) * P.n)
+        table = tables.setdefault(degree // 2, summatrix._Expansions(monos, P.q, P.n, degree // 2))
+        return summatrix._clp_certificate(P, degree, table)
 
     if sc.poly_degree(P) > degree:
         with pytest.raises(DegreeTooHigh):
@@ -386,15 +398,16 @@ class TestExpansionTable:
         real = summatrix._expand
         expanded = []
 
-        def counting(full, q, split):
+        def counting(full, *args):
             expanded.append(full)
-            return real(full, q, split)
+            return real(full, *args)
 
         monkeypatch.setattr(summatrix, "_expand", counting)
         audit = summatrix.rank_audit(run)
         assert audit.exact and audit.ranks_within_terms
-        distinct = set().union(*(P.terms for P in run.space.basis))
-        assert len(run.space.basis) > 1 and len(distinct) < sum(len(P.terms) for P in run.space.basis)
+        polys = basis(run.space)
+        distinct = set().union(*(P.terms for P in polys))
+        assert len(polys) > 1 and len(distinct) < sum(len(P.terms) for P in polys)
         assert len(expanded) == len(distinct)
 
     def test_interleaved_audits_expand_each_monomial_once(self, monkeypatch):
@@ -405,14 +418,15 @@ class TestExpansionTable:
         real = summatrix._expand
         expanded = []
 
-        def counting(full, q, split):
+        def counting(full, *args):
             expanded.append(full)
-            return real(full, q, split)
+            return real(full, *args)
 
         monkeypatch.setattr(summatrix, "_expand", counting)
+        polys = basis(run.space)
         audits = {
             name: summatrix.audit_matrices(
-                run.space.basis, run.degree, run.s_input.ordered(), run.t_input.ordered()
+                polys, run.degree, run.s_input.ordered(), run.t_input.ordered()
             )
             for name in "AB"
         }
@@ -428,6 +442,6 @@ class TestExpansionTable:
         advance("B", 1)
         advance("A")
         advance("B")
-        distinct = set().union(*(P.terms for P in run.space.basis))
-        assert len(distinct) == 220 < sum(len(P.terms) for P in run.space.basis)
+        distinct = set().union(*(P.terms for P in polys))
+        assert len(distinct) == 220 < sum(len(P.terms) for P in polys)
         assert counts == {"A": 220, "B": 220}

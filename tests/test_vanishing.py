@@ -8,10 +8,9 @@ import hypothesis.strategies as st
 import sumsetcover as sc
 from sumsetcover import gf3, linalg
 from sumsetcover.cli import parse_instance
-from sumsetcover.linalg import monomial_table
-from sumsetcover.polynomials import value_table
+from sumsetcover.linalg import evaluate_rows, monomial_table
 
-from conftest import polynomials, set_pairs, space_points
+from conftest import basis, polynomials, rows_over, set_pairs, space_points
 
 GOLDEN = Path(__file__).parent / "golden"
 # q -> n whose every point the differential tables cover
@@ -21,6 +20,12 @@ TABLE_SPACES = {2: 4, 3: 3, 5: 2, 7: 2}
 def _lists(table):
     """Packed or list rows as lists."""
     return gf3.unpack(table) if isinstance(table, gf3.Matrix3) else table
+
+
+def _values(polys, points, q, n):
+    """evaluate_rows on the polynomials' rows over every reduced monomial."""
+    monos = sc.enumerate_monomials(q, n, (q - 1) * n)
+    return evaluate_rows(monos, rows_over(polys, monos), points, q)
 
 
 @st.composite
@@ -38,7 +43,7 @@ class TestBuildVanishingSpace:
         F = sc.all_points(2, 2)
         space = sc.build_vanishing_space(sc.sumset(F, F), 1)
         assert space.dim == space.ambient_dim == 3
-        assert [P.terms for P in space.basis] == [
+        assert [P.terms for P in basis(space)] == [
             {(0, 0): 1},
             {(1, 0): 1},
             {(0, 1): 1},
@@ -50,7 +55,8 @@ class TestBuildVanishingSpace:
         space = sc.build_vanishing_space(sc.sumset(S, S), 1)
         assert space.ambient_dim == 2
         assert space.dim == 1 == space.ambient_dim - 2 + 1
-        assert space.basis[0].terms == {(0,): 1, (1,): 1}
+        assert space.rows == ((1, 1),)
+        assert basis(space)[0].terms == {(0,): 1, (1,): 1}
 
     @given(set_pairs(primes=(3,), allow_empty=False))
     @settings(deadline=None)
@@ -67,7 +73,7 @@ class TestBuildVanishingSpace:
         d = (S.q - 1) * S.n // 2
         space = sc.build_vanishing_space(sc.sumset(S, T), d)
         outside = sc.complement(sc.sumset(S, T))
-        for P in space.basis:
+        for P in basis(space):
             assert sc.poly_degree(P) <= d
             for point in outside:
                 assert sc.eval_poly(P, point) == 0
@@ -78,7 +84,9 @@ class TestBuildVanishingSpace:
         S, T = pair
         space = sc.build_vanishing_space(sc.sumset(S, T), 2)
         monos = sc.enumerate_monomials(S.q, S.n, 2)
-        rows = [[P.terms.get(m, 0) for m in monos] for P in space.basis]
+        assert list(space.monos) == monos
+        rows = rows_over(basis(space), monos)
+        assert rows == [list(row) for row in space.rows]
         if rows:
             assert sc.matrix_rank(rows, S.q) == space.dim
 
@@ -123,7 +131,7 @@ class TestPackedTables:
         # 243 columns: four 64-bit words
         pts = space_points(3, 5)
         expected = [[sc.eval_poly(R, p) for p in pts] for R in (P, Q)]
-        assert gf3.unpack(value_table([P, Q], [p.coords for p in pts], 3)) == expected
+        assert gf3.unpack(_values([P, Q], [p.coords for p in pts], 3, 5)) == expected
 
     @given(_table_cases())
     @settings(deadline=None, max_examples=80)
@@ -131,7 +139,7 @@ class TestPackedTables:
         q, n, polys, pts = case
         coords = [p.coords for p in pts]
         expected = [[sc.eval_poly(P, p) for p in pts] for P in polys]
-        assert _lists(value_table(polys, coords, q)) == expected
+        assert _lists(_values(polys, coords, q, n)) == expected
         monos = sc.enumerate_monomials(q, n, (q - 1) * n)
         expected = [[sc.eval_monomial(m, c, q) for c in coords] for m in monos]
         assert _lists(monomial_table(monos, coords, q)) == expected
@@ -153,7 +161,7 @@ class TestPackedTables:
     def test_packed_value_table_reduces_coordinates(self):
         # x at the points 3 = 0 and -1 = 2 of F_3
         P = sc.poly_from_terms(3, 1, {(1,): 1})
-        assert _lists(value_table([P], [(3,), (-1,)], 3)) == [[0, 2]]
+        assert _lists(_values([P], [(3,), (-1,)], 3, 1)) == [[0, 2]]
 
     @pytest.mark.parametrize("q", sorted(TABLE_SPACES))
     def test_point_of_another_length_refused(self, q, monkeypatch):
@@ -174,14 +182,21 @@ class TestPackedTables:
                     monomial_table(monos, points, q, by_point=by_point)
 
     @pytest.mark.parametrize("q", sorted(TABLE_SPACES))
+    def test_rows_of_another_length_refused(self, q):
+        monos = sc.enumerate_monomials(q, 1, 1)
+        for rows in ([[1]], [[1, 0, 1]], [[1, 0], [1]]):
+            with pytest.raises(ValueError, match="-column system"):
+                evaluate_rows(monos, rows, [(0,), (1,)], q)
+
+    @pytest.mark.parametrize("q", sorted(TABLE_SPACES))
     def test_tables_empty_cases(self, q):
         n = 2
         zero, one = sc.poly_from_terms(q, n, {}), sc.poly_from_terms(q, n, {(0, 0): 1})
         coords = [p.coords for p in space_points(q, n)]
         monos = sc.enumerate_monomials(q, n, 1)
-        assert _lists(value_table([zero, one], coords, q)) == [[0] * q**n, [1] * q**n]
-        assert _lists(value_table([], coords, q)) == []
-        assert _lists(value_table([zero, one], [], q)) == [[], []]
+        assert _lists(_values([zero, one], coords, q, n)) == [[0] * q**n, [1] * q**n]
+        assert _lists(_values([], coords, q, n)) == []
+        assert _lists(_values([zero, one], [], q, n)) == [[], []]
         assert _lists(monomial_table([], coords, q)) == []
         assert _lists(monomial_table(monos, [], q)) == [[]] * len(monos)
         assert _lists(monomial_table([], coords, q, by_point=True)) == [[]] * len(coords)
@@ -190,31 +205,32 @@ class TestPackedTables:
     @pytest.mark.parametrize("q,coeffs", [(3, (0, 3, 4, -1)), (5, (0, 5, 7, -1))])
     def test_coefficients_read_mod_q(self, q, coeffs):
         # built directly, so the coefficients are neither reduced nor dropped
-        assert _lists(value_table([sc.Polynomial(3, 1, {(1,): 3})], [(0,), (1,), (2,)], 3)) == [[0, 0, 0]]
+        assert _lists(_values([sc.Polynomial(3, 1, {(1,): 3})], [(0,), (1,), (2,)], 3, 1)) == [[0, 0, 0]]
         n = 2
         pts = space_points(q, n)
         monos = sc.enumerate_monomials(q, n, (q - 1) * n)
         polys = [sc.Polynomial(q, n, {m: c}) for m in monos for c in coeffs]
         polys.append(sc.Polynomial(q, n, dict(zip(monos, itertools.cycle(coeffs)))))
         expected = [[sc.eval_poly(P, p) for p in pts] for P in polys]
-        assert _lists(value_table(polys, [p.coords for p in pts], q)) == expected
+        assert _lists(_values(polys, [p.coords for p in pts], q, n)) == expected
 
 
 class TestEvaluationWork:
-    """value_table evaluates each distinct monomial once, not once per term."""
+    """evaluate_rows evaluates each distinct monomial once, not once per term."""
 
     @staticmethod
     def _basis_at_sums(name):
         inst = parse_instance(str(GOLDEN / name))
-        run = sc.run_pipeline(inst.s_set, inst.t_set)
-        sums = list(sc.sum_index(run.s_input, run.t_input))
-        distinct = set().union(*(P.terms for P in run.space.basis))
-        assert len(distinct) < sum(len(P.terms) for P in run.space.basis)
-        return run.space.basis, sums, distinct
+        space = sc.run_pipeline(inst.s_set, inst.t_set).space
+        sums = list(sc.sum_index(inst.s_set, inst.t_set))
+        terms = [space.monos[k] for row in space.rows for k, c in enumerate(row) if c]
+        distinct = set(terms)
+        assert len(distinct) < len(terms)
+        return space, sums, distinct, terms
 
     def test_one_plane_build_per_distinct_monomial_q3(self, monkeypatch):
-        basis, sums, distinct = self._basis_at_sums("q3_n5.json")
-        assert len(distinct) == 220 and sum(len(P.terms) for P in basis) == 8071
+        space, sums, distinct, terms = self._basis_at_sums("q3_n5.json")
+        assert len(distinct) == 220 and len(terms) == 8071
         real, built = gf3.monomial_table, []
 
         def counting(monos, points, **layout):
@@ -223,11 +239,11 @@ class TestEvaluationWork:
 
         # the one builder makes a row (a pair of planes) per monomial it is given
         monkeypatch.setattr(gf3, "monomial_table", counting)
-        value_table(basis, sums, 3)
+        evaluate_rows(space.monos, space.rows, sums, 3)
         assert len(built) == len(distinct) and set(built) == distinct
 
     def test_one_evaluation_per_distinct_monomial_and_point_q5(self, monkeypatch):
-        basis, sums, distinct = self._basis_at_sums("q5_n2.json")
+        space, sums, distinct, _ = self._basis_at_sums("q5_n2.json")
         real, calls = linalg.eval_monomial, []
 
         def counting(mono, coords, q):
@@ -235,5 +251,5 @@ class TestEvaluationWork:
             return real(mono, coords, q)
 
         monkeypatch.setattr(linalg, "eval_monomial", counting)
-        value_table(basis, sums, 5)
+        evaluate_rows(space.monos, space.rows, sums, 5)
         assert len(calls) == len(distinct) * len(sums)
