@@ -57,6 +57,7 @@ from .monomials import (
     count_m,
     degree_counts,
     enumerate_monomials,
+    eval_monomial,
     growth_estimate,
     monomial_key,
 )
@@ -74,14 +75,14 @@ from .oracle import (
     oracle_checks,
     oracle_min_decomposition,
 )
-from .polynomials import (
+from .summatrix import (
+    ClpCertificate,
     Polynomial,
-    eval_monomial,
+    clp_decompose,
     eval_poly,
     poly_degree,
     poly_from_terms,
 )
-from .summatrix import ClpCertificate, clp_decompose
 from .vanishing import PolySubspace, build_vanishing_space
 
 __version__ = "0.1.0"

@@ -35,15 +35,20 @@ def monomial_table(
     per monomial and a column per point, or a row per point and a column per
     monomial when by_point.  At q = 3 built packed, without `pow`.
     DimensionMismatch, checked once per table, when the lengths differ."""
+    _same_length(monos, points)
     points = [[x % q for x in p] for p in points]
-    lengths = {len(m) for m in monos} | {len(p) for p in points}
-    if monos and points and len(lengths) > 1:
-        raise DimensionMismatch(f"monomials and points of lengths {sorted(lengths)}")
     if q == 3:
         return gf3.monomial_table(monos, points, by_point=by_point)
     if by_point:
         return [[eval_monomial(m, p, q) for m in monos] for p in points]
     return [[eval_monomial(m, p, q) for p in points] for m in monos]
+
+
+def _same_length(monos: Sequence[Monomial], points: Sequence[Sequence[int]]) -> None:
+    """DimensionMismatch when monomials and points, both present, differ in length."""
+    lengths = {len(m) for m in monos} | {len(p) for p in points}
+    if monos and points and len(lengths) > 1:
+        raise DimensionMismatch(f"monomials and points of lengths {sorted(lengths)}")
 
 
 def as_table(rows: Sequence[Sequence[int]], ncols: int, q: int) -> Rows:
@@ -151,8 +156,10 @@ def evaluate_rows(
     """A row per coefficient row over monos, a column per point: the value
     there.  Only the monomials some row uses are evaluated, once per point,
     and combined by the coefficients read mod q.  ValueError for a row that
-    is not len(monos) long."""
+    is not len(monos) long; DimensionMismatch, as in monomial_table, for
+    points of another length than monos, whichever monomials the rows use."""
     _width(rows, len(monos))
+    _same_length(monos, points)
     weights = [[(k, c) for k, c in enumerate(row) if c % q] for row in rows]
     used = sorted({k for w in weights for k, _ in w})
     place = {k: i for i, k in enumerate(used)}

@@ -1,4 +1,13 @@
-"""Sum-evaluation matrices, their low-rank split certificates, and the audit.
+"""Polynomials as term maps, sum-evaluation matrices, their low-rank split
+certificates, and the audit.
+
+A `Polynomial` is a map {exponent tuple: nonzero coefficient} with every
+exponent at most q-1 per variable.  Reduced polynomials represent functions
+F_q^n -> F_q uniquely.  Instances are treated as immutable;
+`poly_from_terms` builds one from any term map, checking the exponents and
+reducing the coefficients.  The pipeline never sees one: it keeps
+polynomials as coefficient rows over the graded monomials of degree <= d
+(vanishing.PolySubspace), and only the rank-split API here reads term maps.
 
 For a polynomial P and ordered point lists (rows from S, columns from T),
 the sum matrix holds P(s + t) at position (s, t).  Positions with equal
@@ -13,17 +22,18 @@ anchored on the row side plus as many anchored on the column side.
 
 `audit_matrices`, and `rank_audit` on a pipeline run's basis rows (the
 CLI's --certify-rank), are the library's only path that builds a sum matrix
-or rebuilds one from its certificate.  Both work on coefficient rows over
-the graded monomials of degree <= d, the vanishing space's `monos`;
-audit_matrices reads its Polynomial arguments as such rows once.  The rows
-are evaluated once at the distinct sums (linalg.evaluate_rows), whose grid
-of sum ids fills each matrix.  A certificate's factors are (index, weight)
-lists combining the monomials' rows at S and at T (linalg.combine_rows), in
-the table format linalg alone picks, and the rank is taken on the same
-rows.  Each monomial is expanded once per audit, keyed by its place in the
-graded list; only clp_decompose wraps factors as Polynomial values.
-tests/reference.py keeps the per-cell constructions the audit is checked
-against.
+or rebuilds one from its certificate.  Both go through `_audit`, on
+coefficient rows over the graded monomials of degree <= d, the vanishing
+space's `monos`; audit_matrices reads its Polynomial arguments as such rows
+once (`_row`, the audit's one Polynomial edge, which clp_decompose shares).
+The rows are evaluated once at the distinct sums (linalg.evaluate_rows),
+whose grid of sum ids fills each matrix.  A certificate's factors are
+(index, weight) lists combining the monomials' rows at S and at T
+(linalg.combine_rows), in the table format linalg alone picks, and the rank
+is taken on the same rows.  Each monomial is expanded once per audit, keyed
+by its place in the graded list; only clp_decompose wraps factors as
+Polynomial values.  tests/reference.py keeps the per-cell constructions the
+audit is checked against.
 """
 
 from __future__ import annotations
@@ -32,16 +42,46 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .decompose import Check, PipelineRun
 from .errors import BoundViolated, DegreeTooHigh, DimensionMismatch
 from .field import FieldVector
 from .linalg import Rows, as_rows, as_table, combine_rows, evaluate_rows, matrix_rank, monomial_table
-from .monomials import Monomial, degree_counts, enumerate_monomials, monomial_key
-from .polynomials import Polynomial, poly_degree
+from .monomials import Monomial, degree_counts, enumerate_monomials, eval_monomial, monomial_key
 
 Coords = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Polynomial:
+    q: int
+    n: int
+    terms: dict[Monomial, int]
+
+
+def _check_monomials(q: int, n: int, monos: Iterable[Monomial]) -> None:
+    for mono in monos:
+        if len(mono) != n:
+            raise ValueError(f"exponent tuple {mono} has length != {n}")
+        if any(e < 0 or e > q - 1 for e in mono):
+            raise ValueError(f"exponent tuple {mono} not reduced for q={q}")
+
+
+def poly_from_terms(q: int, n: int, terms: Mapping[Monomial, int]) -> Polynomial:
+    """Normalize a term map: reduce coefficients mod q and drop zeros."""
+    _check_monomials(q, n, terms)
+    clean: dict[Monomial, int] = {}
+    for mono, coeff in terms.items():
+        c = coeff % q
+        if c:
+            clean[mono] = c
+    return Polynomial(q, n, clean)
+
+
+def poly_degree(P: Polynomial) -> int:
+    """Total degree; -1 for the zero polynomial."""
+    return max((sum(m) for m in P.terms), default=-1)
 
 
 def _coords(q: int, n: int, points: Sequence[FieldVector]) -> list[Coords]:
@@ -52,6 +92,12 @@ def _coords(q: int, n: int, points: Sequence[FieldVector]) -> list[Coords]:
                 f"polynomial over (q={q}, n={n}) evaluated at point over (q={x.q}, n={x.n})"
             )
     return [x.coords for x in points]
+
+
+def eval_poly(P: Polynomial, x: FieldVector) -> int:
+    """P(x) mod q."""
+    (coords,) = _coords(P.q, P.n, (x,))
+    return sum(c * eval_monomial(m, coords, P.q) for m, c in P.terms.items()) % P.q
 
 
 @dataclass(frozen=True)
@@ -147,7 +193,10 @@ def _certificate(row: Sequence[int], table: _Expansions) -> _Certificate:
 
 
 def _row(P: Polynomial, degree: int, monos: Sequence[Monomial]) -> list[int]:
-    """P's coefficients over monos; DegreeTooHigh above the degree budget."""
+    """P's coefficients over monos; ValueError for an exponent tuple that is
+    not reduced (poly_from_terms' check), DegreeTooHigh above the degree
+    budget."""
+    _check_monomials(P.q, P.n, P.terms)
     if poly_degree(P) > degree:
         raise DegreeTooHigh(f"polynomial of total degree {poly_degree(P)} exceeds budget {degree}")
     return [P.terms.get(m, 0) for m in monos]

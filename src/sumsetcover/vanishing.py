@@ -14,7 +14,8 @@ the counting fact the witness construction leans on.  The constraint matrix
 comes from linalg.monomial_table (a row per point), the one builder of
 monomial tables, and its null space from linalg.null_space, in whatever
 format linalg chose.  The basis is those kernel rows, coefficient rows over
-the monomials (polynomials.polys_from_rows reads them as Polynomial values).
+the monomials; the pipeline and the rank audit (summatrix) read them as
+such, and nothing here builds a summatrix.Polynomial.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ from functools import lru_cache
 import hypothesis.strategies as st
 
 import sumsetcover as sc
-from sumsetcover.polynomials import polys_from_rows
+
+from reference import polys_from_rows
 
 
 def subprocess_env() -> dict[str, str]:

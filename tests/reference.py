@@ -9,7 +9,7 @@ table-driven audit on those rows (`sumsetcover.summatrix.rank_audit` for
 --certify-rank, and `audit_matrices` on Polynomial values), with monomials
 numbered by their place in the graded list.  This module keeps the direct
 constructions for the tests to check them against, on Polynomial term
-maps (the basis read with `polys_from_rows`): `eval_poly` once per
+maps (the basis read with `polys_from_rows` below): `eval_poly` once per
 distinct sum of each matrix, the expansion of P(x + y) through
 `poly_from_terms` (and term by term of each P, with no expansion shared
 across polynomials), `eval_poly` once per factor and point for the rebuild,
@@ -34,10 +34,16 @@ from typing import NamedTuple, Sequence
 import sumsetcover as sc
 from sumsetcover.errors import BoundViolated, DegreeTooHigh
 from sumsetcover.monomials import Monomial, count_m, monomial_key
-from sumsetcover.polynomials import Polynomial, poly_degree, polys_from_rows
-from sumsetcover.summatrix import ClpCertificate
+from sumsetcover.summatrix import ClpCertificate, Polynomial, poly_degree
 
 Grid = tuple[tuple[int, ...], ...]
+
+
+def polys_from_rows(
+    q: int, n: int, monos: Sequence[Monomial], rows: Sequence[Sequence[int]]
+) -> tuple[sc.Polynomial, ...]:
+    """One Polynomial per coefficient row over the monomial columns."""
+    return tuple(sc.poly_from_terms(q, n, dict(zip(monos, row))) for row in rows)
 
 
 def sum_grid(

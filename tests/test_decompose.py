@@ -487,6 +487,9 @@ class TestPipelineCheckFaults:
             GOLDEN = tuple(P(3, 5, RAW[k]) for k in "ST")
             S_ORD, T_ORD = GOLDEN[0].ordered(), GOLDEN[1].ordered()
             ENTRIES["pipeline"] = lambda: sc.run_pipeline(*GOLDEN).decomposition.certificate.checks
+            ENTRIES["audit"] = lambda: importlib.import_module("sumsetcover.summatrix").rank_audit(
+                sc.run_pipeline(*GOLDEN)
+            )
 
             def repeat_a_sum(pivots):
                 # the first pivot traded for a cell off the pivots whose sum another pivot has
@@ -533,13 +536,31 @@ class TestPipelineCheckFaults:
             "pipeline", DEC, "capset_bound_M", "lambda real: lambda q, n: 122",
             "certified check chosen_bound<=capset_bound failed: 123 vs 122"),
     }
-    # raised after the recorded checks, not recorded: one pivot per basis row
+    # raised, not recorded: one pivot per basis row (after the recorded
+    # checks), line_cover's Koenig cover against its matching and against
+    # the pivots (its matching-is-maximum raise is faulted by a matching one
+    # pair short in test_cover.py), and the rank audit's term budget,
+    # 2 * m(q, n, d // 2) = 102 at d = 7
+    COVER, AUDIT = "sumsetcover.cover", "sumsetcover.summatrix"
     RAISES = {
         "pivots_number_dim": (
             "pipeline", DEC, "sum_pivots", "lambda real: lambda s, index: one_more_pivot(real(s, index), index)",
             "109 pivots for a vanishing space of dimension 108"),
+        "koenig_cover_size==matching_size": (
+            # a matched pair off the graph: no row or column of it is ever reached
+            "pipeline", COVER, "maximum_matching", "lambda real: lambda adj: {**real(adj), -1: -1}",
+            "Koenig cover 9 differs from matching 10"),
+        "line_cover_covers_every_pivot": (
+            # a search that reaches nothing matches nothing, so the cover is empty
+            "pipeline", COVER, "_alternating_search", "lambda real: lambda *a: (None, {})",
+            "line cover misses a pivot position"),
+        "term_count<=2*m(q,n,d//2)": (
+            # monomial counts one degree low: the budget is 2 * m(3, 5, 2)
+            "audit", AUDIT, "degree_counts",
+            "lambda real: lambda q, n: sc.CountTable(q, n, (0,) + real(q, n).counts[:-1])",
+            "57 rank-one terms exceed 2*m(q, n, 3) = 42"),
     }
-    OPTIMIZED = ["dim_vanishing>=m_d-q^n+|S+T|", "pivots_number_dim"]
+    OPTIMIZED = ["dim_vanishing>=m_d-q^n+|S+T|", "pivots_number_dim", "term_count<=2*m(q,n,d//2)"]
     SCRIPT = PRELUDE + TestLibraryCheckFaults.RUNNER
 
     @pytest.fixture(scope="class")

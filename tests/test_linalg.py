@@ -244,6 +244,10 @@ class TestTableFormatOwner:
     """linalg alone picks the table format: no other module reaches gf3."""
 
     SRC = Path(linalg.__file__).resolve().parent
+    MODULES = {
+        "__init__", "cli", "cover", "decompose", "errors", "field",
+        "gf3", "linalg", "monomials", "oracle", "summatrix", "vanishing",
+    }
 
     @staticmethod
     def _reaches_gf3(tree: ast.AST) -> bool:
@@ -262,7 +266,7 @@ class TestTableFormatOwner:
 
     def test_only_linalg_imports_gf3(self):
         modules = sorted(self.SRC.glob("*.py"))
-        assert {p.name for p in modules} >= {"linalg.py", "gf3.py", "polynomials.py", "summatrix.py"}
+        assert {p.stem for p in modules} == self.MODULES
         reaching = [p.name for p in modules if self._reaches_gf3(ast.parse(p.read_text(), str(p)))]
         assert reaching == ["linalg.py"]
 
@@ -278,7 +282,8 @@ class TestTableFormatOwner:
 class TestPipelineImports:
     """Coefficient rows are the one polynomial format of run_pipeline: no
     module that decompose imports, directly or through another, imports
-    polynomials, and linalg alone imports gf3 among them."""
+    summatrix, the home of the Polynomial term maps and the rank audit, and
+    linalg alone imports gf3 among them."""
 
     SRC = TestTableFormatOwner.SRC
     PIPELINE = {"decompose", "cover", "vanishing", "field", "linalg", "gf3", "monomials", "errors"}
@@ -312,10 +317,10 @@ class TestPipelineImports:
                 reached.add(module)
                 todo.extend(self._imports(module))
         assert reached == self.PIPELINE
-        assert [m for m in sorted(reached) if "polynomials" in self._imports(m)] == []
+        assert [m for m in sorted(reached) if "summatrix" in self._imports(m)] == []
         assert [m for m in sorted(reached) if "gf3" in self._imports(m)] == ["linalg"]
 
     def test_polynomials_importers_are_named(self):
-        # the audit and the package's public surface keep the Polynomial format
-        importers = [p.stem for p in sorted(self.SRC.glob("*.py")) if "polynomials" in self._imports(p.stem)]
-        assert importers == ["__init__", "summatrix"]
+        # the package's public surface and --certify-rank reach the Polynomial format
+        importers = [p.stem for p in sorted(self.SRC.glob("*.py")) if "summatrix" in self._imports(p.stem)]
+        assert importers == ["__init__", "cli"]

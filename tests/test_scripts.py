@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts and of the README's Python examples,
-so an API change cannot break them silently."""
+and the README's module list against the package, so an API change cannot
+break them silently."""
 
 import re
 import subprocess
@@ -64,7 +65,6 @@ def test_bound_slack_checks_run_under_optimize(patch, message):
     assert message in proc.stderr
 
 
-
 def test_readme_python_examples_run():
     readme = (ROOT / "README.md").read_text()
     blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
@@ -75,3 +75,19 @@ def test_readme_python_examples_run():
             capture_output=True, text=True, env=subprocess_env(), timeout=120,
         )
         assert proc.returncode == 0, code + proc.stderr
+
+
+def test_readme_key_modules_are_the_package_modules():
+    # the modules are the paragraph's backticked names outside parentheses;
+    # the names inside them describe a module
+    readme = (ROOT / "README.md").read_text()
+    paragraph = re.search(r"^Key modules: (.*?)\n\n", readme, re.M | re.S)
+    assert paragraph, "README has no Key modules paragraph"
+    depth, listed = 0, []
+    for token in re.finditer(r"`([^`]*)`|[()]", paragraph.group(1)):
+        if token.group(1) is None:
+            depth += 1 if token.group() == "(" else -1
+        elif depth == 0:
+            listed.append(token.group(1))
+    modules = {p.stem for p in (ROOT / "src" / "sumsetcover").glob("*.py")} - {"__init__", "errors"}
+    assert sorted(listed) == sorted(modules)

@@ -121,6 +121,19 @@ class TestClpDecompose:
         assert a.rebuilt == a.entries
         assert _grid(a.rebuilt) == reference.clp_reconstruct(sc.clp_decompose(SQUARE, 2), F3, F3)
 
+    @pytest.mark.parametrize("P, message", [
+        # x^2 is x on F_2: the audit read an all-zero matrix, clp_decompose two terms
+        (sc.Polynomial(2, 1, {(2,): 1}), r"exponent tuple \(2,\) not reduced for q=2"),
+        (sc.Polynomial(2, 2, {(1,): 1}), r"exponent tuple \(1,\) has length != 2"),
+    ], ids=["unreduced", "wrong-length"])
+    def test_unreduced_polynomial_refused(self, P, message):
+        # both entry points read a Polynomial through poly_from_terms' check
+        pts = space_points(2, P.n)
+        with pytest.raises(ValueError, match=message):
+            sc.clp_decompose(P, 2)
+        with pytest.raises(ValueError, match=message):
+            list(summatrix.audit_matrices([P], 2, pts, pts))
+
     def test_degree_gate(self):
         with pytest.raises(DegreeTooHigh):
             sc.clp_decompose(SQUARE, 1)

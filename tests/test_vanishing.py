@@ -180,6 +180,10 @@ class TestPackedTables:
             for by_point in (False, True):
                 with pytest.raises(sc.DimensionMismatch, match="monomials and points of lengths"):
                     monomial_table(monos, points, q, by_point=by_point)
+        # evaluate_rows checks every monomial, not only those some row uses
+        for rows in ([[0, 0]], [[1, 0]], []):
+            with pytest.raises(sc.DimensionMismatch, match="monomials and points of lengths"):
+                evaluate_rows([(0,), (1,)], rows, [(1, 2)], q)
 
     @pytest.mark.parametrize("q", sorted(TABLE_SPACES))
     def test_rows_of_another_length_refused(self, q):
