@@ -12,7 +12,7 @@ The package re-exports the function `decompose` under its module's name, so
 function; `importlib.import_module("sumsetcover.decompose")` gives the module.
 """
 
-from .cover import LineCover, line_cover, maximum_matching, sum_pivots
+from .cover import LineCover, line_cover, maximum_matching
 from .decompose import (
     Check,
     Decomposition,
@@ -83,6 +83,6 @@ from .summatrix import (
     poly_degree,
     poly_from_terms,
 )
-from .vanishing import PolySubspace, build_vanishing_space
+from .vanishing import PolySubspace, build_vanishing_space, sum_pivots
 
 __version__ = "0.1.0"

@@ -70,6 +70,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_CAP_REFUSED = 3
 
+# --growth-to takes growth_to - 1 decimal roots, each under 6e-11 s per digit^3
+GROWTH_ROOT_CAP = 10**11  # digit^3 steps, at most about 6 s
+
 
 @dataclass(frozen=True)
 class ParsedInstance:
@@ -192,6 +195,8 @@ def _cmd_bound(args) -> HandlerResult:
     check_count_cap(q, n, DEFAULT_ENUM_CAP)
     if args.growth_to:  # growth_estimate convolves up to n = growth_to
         check_count_cap(q, args.growth_to, DEFAULT_ENUM_CAP)
+        if (work := (args.growth_to - 1) * args.digits**3) > GROWTH_ROOT_CAP:
+            raise EnumerationTooLarge(f"growth roots take {work} digit^3 steps > cap {GROWTH_ROOT_CAP}")
     table = degree_counts(q, n)
     rows = [
         {"d": d, "m_d": table.prefix(d), "bound_at_d": table.budget(d)}

@@ -1,24 +1,13 @@
-"""Pivot positions of the sum-matrix span, and minimum line covers.
+"""Maximum bipartite matchings and minimum line covers.
 
-Two steps feed the witness construction.  First, the row-major pivot
-positions of the span of the sum matrices (P(s_i + t_j)) over the vanishing
-basis: the pivot columns of W = V|_A, A = S+T in the order of field.sum_index
-and V the degree-<= d polynomials vanishing off A.  W is RM_q(d, n) shortened
-to A, so its dual is RM_q(d', n) punctured to A, d' = n(q-1) - d - 1
-(Kasami-Lin-Peterson 1968; Delsarte-Goethals-MacWilliams 1970).  Of the two
-tables with those pivots, the one with fewer rows is eliminated by
-linalg.rref: the basis rows evaluated at A (dim rows, few at low degree),
-or the m_{d'} = q^n - m_d monomials of degree <= d' at A, sums reversed, whose
-information set taken greedily from the last sum the pivots avoid (few at
-the high degrees choose_degree picks).  No |S| x |T| matrix is built.
-Second, the pivot positions are covered by as few lines (full rows or
-columns) as possible: a maximum bipartite matching by augmenting paths, then
-the Koenig construction turns it into a minimum vertex cover of the same
-size; one alternating-path search serves both.  That cover is the same for
-every maximum matching (Dulmage-Mendelsohn), so which matching is found does
-not change it.  When every matrix in the span has rank at most r, the
-minimum cover provably has size at most r, so exceeding a supplied rank
-budget is reported as a bug, not as data.
+A set of matrix positions is covered by as few lines (full rows or
+columns) as possible: a maximum bipartite matching by augmenting paths,
+then the Koenig construction turns it into a minimum vertex cover of the
+same size; one alternating-path search serves both.  That cover is the same
+for every maximum matching (Dulmage-Mendelsohn), so which matching is found
+does not change it.  When the positions are the pivots of a span of
+matrices of rank at most r, the minimum cover provably has size at most r,
+so exceeding a supplied rank budget is reported as a bug, not as data.
 """
 
 from __future__ import annotations
@@ -27,45 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BoundViolated
-from .linalg import evaluate_rows, monomial_table, rref
-from .monomials import enumerate_monomials
-from .vanishing import PolySubspace
-
-
-def sum_pivots(
-    space: PolySubspace, index: Mapping[tuple[int, ...], tuple[int, int]]
-) -> tuple[tuple[int, int], ...]:
-    """Row-major pivot positions of the span of the basis sum matrices.
-
-    `index` is field.sum_index(S, T): each sum's coordinates mapped to its
-    first row-major (i, j), keys in order of first occurrence.  The pivots
-    are the pivot columns of the basis values at the keys, each mapped to
-    its first (i, j), from primal_pivot_columns or dual_pivot_columns,
-    whichever table has fewer rows.  They are those of
-    build_vanishing_space(keys, space.degree): the dual stage reads only
-    space.q, n and degree, and neither stage checks that the pivots number
-    space.dim (run_pipeline does).  Returned sorted.
-    """
-    dual_rows = space.q**space.n - space.ambient_dim
-    stage = primal_pivot_columns if space.dim <= dual_rows else dual_pivot_columns
-    positions = list(index.values())
-    return tuple(sorted(positions[c] for c in stage(space, list(index))))
-
-
-def primal_pivot_columns(space: PolySubspace, keys: Sequence[Sequence[int]]) -> list[int]:
-    """Pivot columns of the basis rows evaluated at the keys (space.dim rows)."""
-    return rref(evaluate_rows(space.monos, space.rows, keys, space.q), space.q)[1]
-
-
-def dual_pivot_columns(space: PolySubspace, keys: Sequence[Sequence[int]]) -> list[int]:
-    """The keys where no word of the dual code (the m_{d'} degree-<= d'
-    monomials at the keys) has its last nonzero; all keys when d' < 0."""
-    q, n = space.q, space.n
-    dual_degree = n * (q - 1) - space.degree - 1
-    monos = enumerate_monomials(q, n, dual_degree, cap=q**n) if dual_degree >= 0 else []
-    _, cols = rref(monomial_table(monos, keys[::-1], q), q)
-    dual_info = {len(keys) - 1 - c for c in cols}
-    return [c for c in range(len(keys)) if c not in dual_info]
 
 
 def _alternating_search(

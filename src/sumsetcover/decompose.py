@@ -18,8 +18,8 @@ once, by field.sum_index, which maps each sum to its first row-major
  3. take the row-major pivot positions of that span.  A sum matrix depends
     only on s + t, so they are the pivot columns of the basis at the keys
     or, when fewer rows, the sums off the information set of the dual
-    Reed-Muller code there (cover.sum_pivots); the pivot sums are pairwise
-    distinct, and there is one pivot per basis row;
+    Reed-Muller code there (vanishing.sum_pivots); the pivot sums are
+    pairwise distinct, and there is one pivot per basis row;
  4. cover the pivots by a minimum set of lines (rows from S, columns from T);
     the cover size is at most the rank budget, and the covered lines reach
     at least dim-many elements of S+T;
@@ -49,11 +49,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .cover import LineCover, line_cover, sum_pivots
+from .cover import LineCover, line_cover
 from .errors import BoundViolated
 from .field import DEFAULT_ENUM_CAP, PointSet, check_enumeration_cap, is_prime, sum_index, sumset
 from .monomials import capset_bound_M, check_count_cap, count_m, degree_counts
-from .vanishing import PolySubspace, build_vanishing_space
+from .vanishing import PolySubspace, build_vanishing_space, sum_pivots
 
 
 class Check(NamedTuple):

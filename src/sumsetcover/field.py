@@ -23,19 +23,26 @@ from .errors import DimensionMismatch, EnumerationTooLarge
 DEFAULT_ENUM_CAP = 2**22
 
 
+# Below the smallest strong pseudoprime to all 13 bases (Sorenson and Webster
+# 2015), a strong probable prime to every base is prime.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESSES_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(q: int) -> bool:
-    """Deterministic trial division; fine for desk-scale moduli."""
-    if q < 2:
-        return False
-    if q < 4:
-        return True
-    if q % 2 == 0:
-        return False
-    f = 3
-    while f * f <= q:
-        if q % f == 0:
+    """Deterministic Miller-Rabin on the first 13 prime bases, at most
+    (log2 q)^2 multiplications per base.  EnumerationTooLarge for a q at or
+    above the bound where those bases are exact and with no factor among them."""
+    if q <= _WITNESSES[-1] or any(q % p == 0 for p in _WITNESSES):
+        return q in _WITNESSES
+    if q >= _WITNESSES_EXACT_BELOW:
+        raise EnumerationTooLarge(f"q = {q} exceeds the primality bound {_WITNESSES_EXACT_BELOW}")
+    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = d * 2^s, d odd
+    d = (q - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, q)
+        if x != 1 and all(pow(x, 2**r, q) != q - 1 for r in range(s)):
             return False
-        f += 2
     return True
 
 

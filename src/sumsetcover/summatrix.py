@@ -12,7 +12,7 @@ polynomials as coefficient rows over the graded monomials of degree <= d
 For a polynomial P and ordered point lists (rows from S, columns from T),
 the sum matrix holds P(s + t) at position (s, t).  Positions with equal
 sums carry equal entries, which is what makes the pivot positions of their
-span a function of the distinct sums alone (see cover.sum_pivots).
+span a function of the distinct sums alone (see vanishing.sum_pivots).
 
 The rank certificate comes from expanding P(x + y): every product monomial
 x^a y^b in the expansion has |a| + |b| <= deg P, so one of the two sides has

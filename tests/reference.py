@@ -3,7 +3,7 @@
 The library keeps polynomials as coefficient rows over the graded monomial
 list and reads the pivot positions off one elimination of a table at the
 distinct sums: the vanishing basis rows or the dual Reed-Muller code,
-whichever has fewer rows (`sumsetcover.cover.sum_pivots`).  Its only code
+whichever has fewer rows (`sumsetcover.vanishing.sum_pivots`).  Its only code
 that builds a sum matrix, or rebuilds one from its certificate, is the
 table-driven audit on those rows (`sumsetcover.summatrix.rank_audit` for
 --certify-rank, and `audit_matrices` on Polynomial values), with monomials

@@ -124,6 +124,18 @@ class TestBoundCommand:
         assert run_command(args) == 3
         assert "counting monomials by degree" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("growth_to, digits", [(3, 20000), (3, 8000), (500, 1000)])
+    def test_growth_roots_refused_before_any_work(self, growth_to, digits, capsys, monkeypatch):
+        # the decimal roots at these precisions took 17 s to minutes; the
+        # counts pass their cap, the roots' digit^3 budget refuses them
+        def no_work(*args, **kwargs):
+            raise AssertionError("a growth root was taken before the cap refused")
+
+        monkeypatch.setattr(cli, "growth_estimate", no_work)
+        args = ["bound", "--q", "3", "--n", "2", "--growth-to", str(growth_to), "--digits", str(digits)]
+        assert run_command(args) == 3
+        assert "growth roots take" in capsys.readouterr().err
+
     def test_composite_q_exit_two(self, capsys):
         assert run_command(["bound", "--q", "4", "--n", "1"]) == 2
 
@@ -131,6 +143,15 @@ class TestBoundCommand:
         # counting monomials by degree at q = 10000019, n = 2 takes ~10^14 steps
         proc = subprocess.run(
             [sys.executable, "-m", "sumsetcover.cli", "bound", "--q", "10000019", "--n", "2"],
+            capture_output=True, text=True, env=subprocess_env(), timeout=15,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "counting monomials by degree" in proc.stderr
+
+    def test_huge_prime_q_refused_in_bounded_time(self):
+        # q = 2**61 - 1 once hung in the primality test before any cap was checked
+        proc = subprocess.run(
+            [sys.executable, "-m", "sumsetcover.cli", "bound", "--q", str(2**61 - 1), "--n", "1"],
             capture_output=True, text=True, env=subprocess_env(), timeout=15,
         )
         assert proc.returncode == 3, proc.stderr

@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 
 import sumsetcover as sc
 import sumsetcover.cover as cover_module
+import sumsetcover.vanishing as vanishing_module
 from sumsetcover.errors import BoundViolated
 
 from conftest import SEEDED_GRID, basis, seeded_pair, set_pairs
@@ -138,8 +139,8 @@ class TestDualPivots:
         index = sc.sum_index(S, T)
         keys = list(index)
         space = sc.build_vanishing_space(sc.sumset(S, T), degree)
-        cols = cover_module.dual_pivot_columns(space, keys)
-        assert cols == cover_module.primal_pivot_columns(space, keys)
+        cols = vanishing_module.dual_pivot_columns(space, keys)
+        assert cols == vanishing_module.primal_pivot_columns(space, keys)
         assert len(cols) == space.dim
         positions = list(index.values())
         pivots = sc.sum_pivots(space, index)
@@ -177,9 +178,9 @@ class TestPivotStageChoice:
     def stages_called(monkeypatch, space, index):
         called = []
         for name in ("primal_pivot_columns", "dual_pivot_columns"):
-            real = getattr(cover_module, name)
+            real = getattr(vanishing_module, name)
             monkeypatch.setattr(
-                cover_module, name, lambda *a, real=real, name=name: called.append(name) or real(*a)
+                vanishing_module, name, lambda *a, real=real, name=name: called.append(name) or real(*a)
             )
         sc.sum_pivots(space, index)
         return called

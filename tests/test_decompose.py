@@ -180,6 +180,24 @@ class TestDecompose:
                 with pytest.raises(sc.EnumerationTooLarge, match=f"q\\^n = {q**2} exceeds"):
                     call(S, T, degree)
 
+    def test_huge_prime_q_refused_in_bounded_time(self):
+        # q = 2**61 - 1 once hung in the primality test before the cap was checked
+        code = textwrap.dedent(
+            """
+            import sumsetcover as sc
+            S = sc.PointSet.from_coords(2**61 - 1, 1, [(0,)])
+            try:
+                sc.decompose(S, S)
+            except sc.EnumerationTooLarge as exc:
+                print(exc)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env(), timeout=15,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"q^n = {2**61 - 1} exceeds enumeration cap {sc.DEFAULT_ENUM_CAP}"
+
     def test_empty_input_refused_before_counting(self, monkeypatch, tmp_path):
         # counting monomials by degree at q = 10000019, n = 2 takes ~10^14 steps
         def no_work(*args, **kwargs):
@@ -274,14 +292,14 @@ class TestDualPivotFaults:
         if __debug__:
             sys.exit("expected an optimized interpreter")
         import sumsetcover as sc
-        cover = importlib.import_module("sumsetcover.cover")
-        real_rref, fault = cover.rref, eval(sys.argv[2])
+        vanishing = importlib.import_module("sumsetcover.vanishing")
+        real_rref, fault = vanishing.rref, eval(sys.argv[2])
 
         def faulty_rref(table, q):
             rows, cols = real_rref(table, q)
             return rows, fault(list(cols))
 
-        cover.rref = faulty_rref
+        vanishing.rref = faulty_rref
         raw = json.loads(open(sys.argv[1]).read())
         S, T = (sc.PointSet.from_coords(3, 5, raw[k]) for k in "ST")
         try:
@@ -295,7 +313,7 @@ class TestDualPivotFaults:
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_fault_raises(self, fault, monkeypatch):
-        module = importlib.import_module("sumsetcover.cover")
+        module = importlib.import_module("sumsetcover.vanishing")
         real, (code, message) = module.rref, self.FAULTS[fault]
         alter = eval(code)
 

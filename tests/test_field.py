@@ -1,3 +1,7 @@
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -13,6 +17,7 @@ from conftest import (
     seeded_pair,
     set_pairs,
     space_points,
+    subprocess_env,
 )
 
 
@@ -32,9 +37,35 @@ class TestMakeField:
     def test_two_smallest_prime(self):
         assert sc.is_prime(2)
 
-    @pytest.mark.parametrize("q", [0, 1, 6, 9, 15, 21])
+    # from 561 on: Carmichael numbers and strong pseudoprimes to the first bases
+    @pytest.mark.parametrize(
+        "q", [0, 1, 6, 9, 15, 21, 561, 1105, 2047, 3277, 8321, 1373653, 25326001, 3215031751]
+    )
     def test_composites_rejected(self, q):
         assert not sc.is_prime(q)
+
+    def test_huge_moduli_answered_in_bounded_time(self):
+        # every q is answered or refused within the timeout: below the bound the
+        # 13 bases are exact, above it q is refused unless a base divides it
+        code = textwrap.dedent(
+            """
+            import sumsetcover as sc
+            bound = 3317044064679887385961981
+            assert sc.is_prime(10**14 + 31) and sc.is_prime(2**61 - 1)
+            assert not sc.is_prime(318665857834031151167461)  # strong pseudoprime to bases up to 37
+            assert not sc.is_prime((2**61 - 1) * 1000003) and not sc.is_prime(10**40)
+            try:
+                sc.is_prime(bound)
+            except sc.EnumerationTooLarge as exc:
+                print(exc)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env(), timeout=15,
+        )
+        assert proc.returncode == 0, proc.stderr
+        bound = 3317044064679887385961981
+        assert proc.stdout.strip() == f"q = {bound} exceeds the primality bound {bound}"
 
 
 class TestVecAdd:

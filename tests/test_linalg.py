@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import sumsetcover as sc
-from sumsetcover import gf3, linalg
+from sumsetcover import linalg
 from sumsetcover.linalg import _kernel_basis, _rref_lists, combine_rows
 
 
@@ -161,9 +161,9 @@ class TestPackedMatchesLists:
         expected = _rref_lists(m, 3)
         assert sc.rref(m, 3) == expected
         # a packed matrix, as the evaluation tables pass, comes back packed
-        reduced, pivots = sc.rref(gf3.pack(m, len(m[0]) if m else 0), 3)
-        assert isinstance(reduced, gf3.Matrix3)
-        assert (gf3.unpack(reduced), pivots) == expected
+        reduced, pivots = sc.rref(linalg.pack(m, len(m[0]) if m else 0), 3)
+        assert isinstance(reduced, linalg.Matrix3)
+        assert (linalg.unpack(reduced), pivots) == expected
 
     @given(wide_integer_matrices())
     @settings(deadline=None)
@@ -172,7 +172,7 @@ class TestPackedMatchesLists:
         expected_basis, expected_rank = list_null_space(m, ncols, 3), len(_rref_lists(m, 3)[0])
         assert sc.null_space(m, ncols, 3) == expected_basis
         assert sc.matrix_rank(m, 3) == expected_rank
-        packed = gf3.pack(m, ncols)
+        packed = linalg.pack(m, ncols)
         assert sc.null_space(packed, ncols, 3) == expected_basis
         assert sc.matrix_rank(packed, 3) == expected_rank
 
@@ -180,20 +180,20 @@ class TestPackedMatchesLists:
         assert sc.rref([], 3) == _rref_lists([], 3) == ([], [])
         assert sc.matrix_rank([], 3) == 0
         assert sc.null_space([], 4, 3) == list_null_space([], 4, 3)
-        empty = gf3.pack([], 4)
+        empty = linalg.pack([], 4)
         assert sc.matrix_rank(empty, 3) == 0
         assert sc.null_space(empty, 4, 3) == list_null_space([], 4, 3)
 
     def test_zero_width_rows(self):
         assert sc.rref([[], []], 3) == _rref_lists([[], []], 3) == ([], [])
         assert sc.null_space([[], []], 0, 3) == []
-        assert sc.null_space(gf3.pack([[], []], 0), 0, 3) == []
+        assert sc.null_space(linalg.pack([[], []], 0), 0, 3) == []
 
     @pytest.mark.parametrize("q", [2, 5])
     def test_packed_rows_need_q3(self, q):
         # the bitplanes hold F_3 entries; no other field may eliminate them
         with pytest.raises(ValueError, match=f"over F_{q}$"):
-            sc.rref(gf3.pack([[1, 2]], 2), q)
+            sc.rref(linalg.pack([[1, 2]], 2), q)
 
     def test_input_not_mutated(self):
         m = [[2, -1, 4], [5, 5, 0]]
@@ -214,10 +214,10 @@ class TestPackedMatchesLists:
             [sum(c * m[k][j] for k, c in w) % 3 for j in range(ncols)] for w in weights
         ]
         assert combine_rows(weights, m, ncols, 3) == expected
-        packed = combine_rows(weights, gf3.pack(m, ncols), ncols, 3)
-        assert isinstance(packed, gf3.Matrix3) and gf3.unpack(packed) == expected
+        packed = combine_rows(weights, linalg.pack(m, ncols), ncols, 3)
+        assert isinstance(packed, linalg.Matrix3) and linalg.unpack(packed) == expected
         with pytest.raises(ValueError, match="cannot be combined over F_5"):
-            combine_rows(weights, gf3.pack(m, ncols), ncols, 5)
+            combine_rows(weights, linalg.pack(m, ncols), ncols, 5)
 
     @pytest.mark.parametrize("rows, ncols", [([[1, 2]], 3), ([[1, 2, 3], [1]], 3), ([[1, 2, 1]], 2)])
     def test_rows_of_another_width_refused(self, rows, ncols):
@@ -225,50 +225,50 @@ class TestPackedMatchesLists:
         with pytest.raises(ValueError, match="-column system"):
             combine_rows([[(0, 1)], [(0, 1), (len(rows) - 1, 1)]], rows, ncols, 5)
         with pytest.raises(ValueError, match="-column system"):
-            gf3.pack(rows, ncols)
+            linalg.pack(rows, ncols)
 
     @pytest.mark.parametrize("ncols", [1, 3, 5])
     def test_packed_rows_of_another_width_refused(self, ncols):
         # the packed path checks the width exactly as the list path does
         with pytest.raises(ValueError, match=f"row of length 2 in a {ncols}-column system"):
-            combine_rows([[(0, 1)]], gf3.pack([[1, 2]], 2), ncols, 3)
+            combine_rows([[(0, 1)]], linalg.pack([[1, 2]], 2), ncols, 3)
         with pytest.raises(ValueError, match=f"row of length 2 in a {ncols}-column system"):
-            sc.null_space(gf3.pack([[1, 2]], 2), ncols, 3)
+            sc.null_space(linalg.pack([[1, 2]], 2), ncols, 3)
 
     def test_pack_round_trip(self):
         rows = [[0, 1, 2, -1, 4, 3], [0] * 6]
-        assert gf3.unpack(gf3.pack(rows, 6)) == [[v % 3 for v in r] for r in rows]
+        assert linalg.unpack(linalg.pack(rows, 6)) == [[v % 3 for v in r] for r in rows]
 
 
 class TestTableFormatOwner:
-    """linalg alone picks the table format: no other module reaches gf3."""
+    """linalg alone picks the table format: no other module names Matrix3."""
 
     SRC = Path(linalg.__file__).resolve().parent
     MODULES = {
         "__init__", "cli", "cover", "decompose", "errors", "field",
-        "gf3", "linalg", "monomials", "oracle", "summatrix", "vanishing",
+        "linalg", "monomials", "oracle", "summatrix", "vanishing",
     }
 
     @staticmethod
-    def _reaches_gf3(tree: ast.AST) -> bool:
+    def _names_matrix3(tree: ast.AST) -> bool:
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [a.name for a in node.names]
-            elif isinstance(node, ast.Import):
+            if isinstance(node, (ast.ImportFrom, ast.Import)):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.Attribute):
                 names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
             else:
                 continue
-            if any(name.split(".")[-1] == "gf3" for name in names):
+            if "Matrix3" in names:
                 return True
         return False
 
-    def test_only_linalg_imports_gf3(self):
+    def test_only_linalg_names_matrix3(self):
         modules = sorted(self.SRC.glob("*.py"))
         assert {p.stem for p in modules} == self.MODULES
-        reaching = [p.name for p in modules if self._reaches_gf3(ast.parse(p.read_text(), str(p)))]
-        assert reaching == ["linalg.py"]
+        naming = [p.name for p in modules if self._names_matrix3(ast.parse(p.read_text(), str(p)))]
+        assert naming == ["linalg.py"]
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_table_round_trip(self, q):
@@ -282,11 +282,11 @@ class TestTableFormatOwner:
 class TestPipelineImports:
     """Coefficient rows are the one polynomial format of run_pipeline: no
     module that decompose imports, directly or through another, imports
-    summatrix, the home of the Polynomial term maps and the rank audit, and
-    linalg alone imports gf3 among them."""
+    summatrix, the home of the Polynomial term maps and the rank audit; and
+    cover, the matching and the line cover, imports errors alone."""
 
     SRC = TestTableFormatOwner.SRC
-    PIPELINE = {"decompose", "cover", "vanishing", "field", "linalg", "gf3", "monomials", "errors"}
+    PIPELINE = {"decompose", "cover", "vanishing", "field", "linalg", "monomials", "errors"}
 
     @classmethod
     def _imports(cls, module: str) -> set[str]:
@@ -318,9 +318,12 @@ class TestPipelineImports:
                 todo.extend(self._imports(module))
         assert reached == self.PIPELINE
         assert [m for m in sorted(reached) if "summatrix" in self._imports(m)] == []
-        assert [m for m in sorted(reached) if "gf3" in self._imports(m)] == ["linalg"]
 
     def test_polynomials_importers_are_named(self):
         # the package's public surface and --certify-rank reach the Polynomial format
         importers = [p.stem for p in sorted(self.SRC.glob("*.py")) if "summatrix" in self._imports(p.stem)]
         assert importers == ["__init__", "cli"]
+
+    def test_cover_imports_only_errors(self):
+        # the pivot stage reads the vanishing space and lives beside it
+        assert self._imports("cover") == {"errors"}

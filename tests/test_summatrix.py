@@ -11,7 +11,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import sumsetcover as sc
-from sumsetcover import cli, gf3, summatrix
+from sumsetcover import cli, linalg, summatrix
 from sumsetcover.cli import parse_instance, run_command
 from sumsetcover.errors import DegreeTooHigh, DimensionMismatch
 
@@ -27,7 +27,7 @@ SQUARE = sc.poly_from_terms(3, 1, {(2,): 1})
 
 def _grid(rows) -> tuple[tuple[int, ...], ...]:
     """Packed or list rows as a tuple grid."""
-    return tuple(map(tuple, gf3.unpack(rows) if isinstance(rows, gf3.Matrix3) else rows))
+    return tuple(map(tuple, linalg.as_rows(rows)))
 
 
 def _audit(P, degree, row_points, col_points) -> summatrix.MatrixAudit:

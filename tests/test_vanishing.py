@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import sumsetcover as sc
-from sumsetcover import gf3, linalg
+from sumsetcover import linalg
 from sumsetcover.cli import parse_instance
 from sumsetcover.linalg import evaluate_rows, monomial_table
 
@@ -19,7 +19,7 @@ TABLE_SPACES = {2: 4, 3: 3, 5: 2, 7: 2}
 
 def _lists(table):
     """Packed or list rows as lists."""
-    return gf3.unpack(table) if isinstance(table, gf3.Matrix3) else table
+    return linalg.as_rows(table)
 
 
 def _values(polys, points, q, n):
@@ -123,7 +123,7 @@ class TestPackedTables:
         for d in range(2 * n + 1):
             monos = sc.enumerate_monomials(3, n, d)
             expected = [[sc.eval_monomial(m, p, 3) for m in monos] for p in pts]
-            assert gf3.unpack(monomial_table(monos, pts, 3, by_point=True)) == expected
+            assert linalg.unpack(monomial_table(monos, pts, 3, by_point=True)) == expected
 
     @given(polynomials(q=3, n=5, max_degree=4), polynomials(q=3, n=5))
     @settings(deadline=None, max_examples=20)
@@ -131,7 +131,7 @@ class TestPackedTables:
         # 243 columns: four 64-bit words
         pts = space_points(3, 5)
         expected = [[sc.eval_poly(R, p) for p in pts] for R in (P, Q)]
-        assert gf3.unpack(_values([P, Q], [p.coords for p in pts], 3, 5)) == expected
+        assert linalg.unpack(_values([P, Q], [p.coords for p in pts], 3, 5)) == expected
 
     @given(_table_cases())
     @settings(deadline=None, max_examples=80)
@@ -174,7 +174,7 @@ class TestPackedTables:
             raise AssertionError("an entry was evaluated")
 
         monkeypatch.setattr(linalg, "eval_monomial", no_entry)
-        monkeypatch.setattr(gf3, "monomial_table", no_entry)
+        monkeypatch.setattr(linalg, "_monomial_table_packed", no_entry)
         cases = [([(1, 1)], [(2,)]), ([(1,)], [(2, 0)]), ([(1, 0), (1,)], [(2, 0)]), ([(1, 0)], [(0, 0), (2,)])]
         for monos, points in cases:
             for by_point in (False, True):
@@ -235,14 +235,14 @@ class TestEvaluationWork:
     def test_one_plane_build_per_distinct_monomial_q3(self, monkeypatch):
         space, sums, distinct, terms = self._basis_at_sums("q3_n5.json")
         assert len(distinct) == 220 and len(terms) == 8071
-        real, built = gf3.monomial_table, []
+        real, built = linalg._monomial_table_packed, []
 
         def counting(monos, points, **layout):
             built.extend(monos)
             return real(monos, points, **layout)
 
         # the one builder makes a row (a pair of planes) per monomial it is given
-        monkeypatch.setattr(gf3, "monomial_table", counting)
+        monkeypatch.setattr(linalg, "_monomial_table_packed", counting)
         evaluate_rows(space.monos, space.rows, sums, 3)
         assert len(built) == len(distinct) and set(built) == distinct
 
