@@ -2,6 +2,11 @@
 """Print the witness-budget growth table: the budget, its n-th root, and the
 minimized per-degree budget, for n = 1 .. n_max.
 
+The roots are computed to --digits + 10 significant digits and printed
+rounded to --digits decimal places.  A run that growth_estimate's work
+budget refuses prints "error: refused by resource cap: ..." on stderr and
+exits 3, as the CLI does.
+
 Example:
     python scripts/growth_table.py --q 3 --n-max 40
 """
@@ -9,8 +14,11 @@ Example:
 from __future__ import annotations
 
 import argparse
+import decimal
+import sys
 
 import sumsetcover as sc
+from sumsetcover.cli import EXIT_CAP_REFUSED
 
 
 def main() -> None:
@@ -20,13 +28,20 @@ def main() -> None:
     parser.add_argument("--digits", type=int, default=12)
     args = parser.parse_args()
 
-    roots = sc.growth_estimate(args.q, args.n_max, digits=args.digits + 10)
+    try:
+        roots = sc.growth_estimate(args.q, args.n_max, digits=args.digits + 10)
+    except sc.EnumerationTooLarge as exc:
+        print(f"error: refused by resource cap: {exc}", file=sys.stderr)
+        sys.exit(EXIT_CAP_REFUSED)
     print(f"q = {args.q}")
     print(f"{'n':>4}  {'budget 3*m':>24}  {'budget^(1/n)':>16}  {'min_d budget':>24}")
     for n in range(1, args.n_max + 1):
         budget = sc.capset_bound_M(args.q, n)
         _, minimized = sc.choose_degree(args.q, n)
-        root = round(roots[n - 1], args.digits)
+        with decimal.localcontext() as ctx:
+            # the integer digits (every root is >= 1) and the decimal places
+            ctx.prec = roots[n - 1].adjusted() + 1 + max(args.digits, 0)
+            root = round(roots[n - 1], args.digits)
         b_str = str(budget) if budget < 10**22 else f"{float(budget):.6e}"
         m_str = str(minimized) if minimized < 10**22 else f"{float(minimized):.6e}"
         print(f"{n:>4}  {b_str:>24}  {str(root):>16}  {m_str:>24}")

@@ -149,15 +149,19 @@ def sum_index(S: PointSet, T: PointSet) -> dict[tuple[int, ...], tuple[int, int]
     One pass over S.ordered() x T.ordered() on coordinate tuples, rows
     outer.  The keys, in insertion order, are S+T in order of first
     occurrence.  The row i of a sum w is the index of the smallest s in S
-    with w - s in T.  Empty iff S or T is empty.
+    with w - s in T.  Empty iff S or T is empty.  The pass stops after the
+    row that completes F_q^n: later pairs cannot change a first occurrence.
     """
     S._check_compatible(T)
     q = S.q
+    full = q**S.n
     t_coords = sorted(t.coords for t in T.members)
     first: dict[tuple[int, ...], tuple[int, int]] = {}
     for i, s in enumerate(sorted(v.coords for v in S.members)):
         for j, t in enumerate(t_coords):
             first.setdefault(tuple([(a + b) % q for a, b in zip(s, t)]), (i, j))
+        if len(first) == full:
+            break
     return first
 
 

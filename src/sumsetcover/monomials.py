@@ -9,6 +9,12 @@ Counting never enumerates: the per-degree counts are the coefficients of
 (1 + x + ... + x^(q-1))^n, computed by repeated exact big-integer
 convolution, so counts remain available for n in the hundreds where the
 monomial list itself would have astronomically many entries.
+
+`growth_estimate` owns its work budget and refuses, with EnumerationTooLarge
+and before any work, the counts up to n_max when `check_count_cap` puts them
+above DEFAULT_ENUM_CAP, and the decimal roots when (n_max - 1) * digits^3
+exceeds GROWTH_ROOT_CAP.  Every caller (the `bound` command, the growth-table
+script, library code) gets the same refusals.
 """
 
 from __future__ import annotations
@@ -23,6 +29,9 @@ from .errors import DimensionMismatch, EnumerationTooLarge
 from .field import DEFAULT_ENUM_CAP
 
 Monomial = tuple[int, ...]
+
+# growth_estimate takes n_max - 1 decimal roots, each under 6e-11 s per digit^3
+GROWTH_ROOT_CAP = 10**11  # digit^3 steps, at most about 6 s
 
 
 def monomial_key(m: Monomial) -> tuple[int, tuple[int, ...]]:
@@ -163,9 +172,15 @@ def growth_estimate(q: int, n_max: int, *, digits: int = 30) -> list[Decimal]:
     a <= (q-1)n/3, and the terms approach Gamma_q as n grows.  They are not
     monotone: the floor in the degree index makes them wiggle with period 3
     (for q = 3, n = 20 -> 21 rises 2.68771 -> 2.71416).
+
+    EnumerationTooLarge, before any convolution or root, when the counts up
+    to n_max exceed DEFAULT_ENUM_CAP steps or the roots GROWTH_ROOT_CAP.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    check_count_cap(q, n_max, DEFAULT_ENUM_CAP)
+    if (work := (n_max - 1) * digits**3) > GROWTH_ROOT_CAP:
+        raise EnumerationTooLarge(f"growth roots take {work} digit^3 steps > cap {GROWTH_ROOT_CAP}")
     out: list[Decimal] = []
     counts = [1]
     for n in range(1, n_max + 1):

@@ -123,3 +123,39 @@ def seeded_pair(q: int, n: int, seed: int) -> tuple[sc.PointSet, sc.PointSet]:
 def brute_monomials(q: int, n: int, d: int) -> set[tuple[int, ...]]:
     """Independent reduced-monomial enumeration by full product filtering."""
     return {e for e in itertools.product(range(q), repeat=n) if sum(e) <= d}
+
+
+@st.composite
+def affine_maps(draw, q: int, n: int):
+    """(M, b) for g(x) = Mx + b over F_q with M invertible, drawn as P L U:
+    a row permutation, a unit lower and a nonsingular upper triangular factor."""
+    coef = st.integers(0, q - 1)
+    lower = [[1 if i == j else draw(coef) if j < i else 0 for j in range(n)] for i in range(n)]
+    upper = [
+        [draw(st.integers(1, q - 1)) if i == j else draw(coef) if j > i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    lu = [[sum(a * b for a, b in zip(row, col)) % q for col in zip(*upper)] for row in lower]
+    M = [lu[i] for i in draw(st.permutations(range(n)))]
+    return M, tuple(draw(coef) for _ in range(n))
+
+
+def apply_affine(M, b, A: sc.PointSet) -> sc.PointSet:
+    """The image of A under x -> Mx + b."""
+    q = A.q
+    return sc.PointSet.from_coords(q, A.n, (
+        [(sum(m * x for m, x in zip(row, p.coords)) + c) % q for row, c in zip(M, b)]
+        for p in A.members
+    ))
+
+
+def coordinate_subspace(q: int, n: int, k: int) -> sc.PointSet:
+    """The points of F_q^n whose last n - k coordinates are 0."""
+    return sc.PointSet.from_coords(q, n, (c + (0,) * (n - k) for c in itertools.product(range(q), repeat=k)))
+
+
+def subspace_dim(q: int, n: int, k: int, d: int) -> int:
+    """Dimension of the degree-<= d polynomials vanishing off a k-dimensional
+    affine subspace: m(q, k, d - (n-k)(q-1)), 0 when that degree is negative."""
+    e = d - (n - k) * (q - 1)
+    return sc.count_m(q, k, e) if e >= 0 else 0

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sumsetcover import cli
+from sumsetcover import cli, monomials
 from sumsetcover.cli import build_parser, parse_instance, run_command
 from sumsetcover.errors import ParseError, ValidationError
 from sumsetcover.field import DEFAULT_ENUM_CAP
@@ -113,13 +113,13 @@ class TestBoundCommand:
 
     @pytest.mark.parametrize("q, growth_to", [(3, 100000), (3, 3000), (7, 1000)])
     def test_growth_refused_before_any_work(self, q, growth_to, capsys, monkeypatch):
-        # growth_estimate runs degree_counts' convolutions up to growth_to,
-        # so the same cap refuses it before anything is counted
+        # growth_estimate convolves up to growth_to, so it refuses with the
+        # counting cap before the bound table or any growth term is counted
         def no_work(*args, **kwargs):
             raise AssertionError("counted before the cap refused")
 
         monkeypatch.setattr(cli, "degree_counts", no_work)
-        monkeypatch.setattr(cli, "growth_estimate", no_work)
+        monkeypatch.setattr(monomials, "_convolve_window", no_work)
         args = ["bound", "--q", str(q), "--n", "2", "--growth-to", str(growth_to)]
         assert run_command(args) == 3
         assert "counting monomials by degree" in capsys.readouterr().err
@@ -127,11 +127,13 @@ class TestBoundCommand:
     @pytest.mark.parametrize("growth_to, digits", [(3, 20000), (3, 8000), (500, 1000)])
     def test_growth_roots_refused_before_any_work(self, growth_to, digits, capsys, monkeypatch):
         # the decimal roots at these precisions took 17 s to minutes; the
-        # counts pass their cap, the roots' digit^3 budget refuses them
+        # counts pass their cap, growth_estimate's digit^3 budget refuses the
+        # roots before the bound table or any growth term is counted
         def no_work(*args, **kwargs):
-            raise AssertionError("a growth root was taken before the cap refused")
+            raise AssertionError("counted before the cap refused")
 
-        monkeypatch.setattr(cli, "growth_estimate", no_work)
+        monkeypatch.setattr(cli, "degree_counts", no_work)
+        monkeypatch.setattr(monomials, "_convolve_window", no_work)
         args = ["bound", "--q", "3", "--n", "2", "--growth-to", str(growth_to), "--digits", str(digits)]
         assert run_command(args) == 3
         assert "growth roots take" in capsys.readouterr().err

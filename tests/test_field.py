@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 import textwrap
@@ -7,6 +8,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import sumsetcover as sc
+from sumsetcover import field
 from sumsetcover.errors import DimensionMismatch, EnumerationTooLarge
 
 from conftest import (
@@ -162,6 +164,26 @@ class TestSumIndex:
     @given(set_pairs())
     def test_matches_brute_force_hypothesis(self, pair):
         self.check(*pair)
+
+    @pytest.mark.parametrize("q, n", [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
+    def test_dense_pairs_stop_at_the_whole_space(self, q, n, monkeypatch):
+        # S+T fills F_q^n before the last row: the index equals the brute
+        # scan, and the pass leaves S x T after the row that completed it
+        pts = [p.coords for p in space_points(q, n)]
+        visited = []
+        # a module global `tuple` shadows the builtin: one call per pair visited
+        monkeypatch.setattr(field, "tuple", lambda cells: visited.append(1) or tuple(cells), raising=False)
+        for seed in range(4):
+            rng = random.Random(f"dense:{q}:{n}:{seed}")
+            S = sc.PointSet.from_coords(q, n, rng.sample(pts, len(pts) // 2 + 1))
+            T = sc.PointSet.from_coords(q, n, rng.sample(pts, len(pts) - len(pts) // 4))
+            visited.clear()
+            index = sc.sum_index(S, T)
+            last_row = max(i for i, _ in index.values())
+            assert len(index) == q**n and last_row < len(S) - 1
+            assert len(visited) == (last_row + 1) * len(T)
+            self.check(S, T)
+
 
 class TestComplement:
     def test_full_space(self):

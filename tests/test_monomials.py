@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import sumsetcover as sc
+from sumsetcover import monomials
 from sumsetcover.errors import EnumerationTooLarge
 
 from conftest import brute_monomials, small_spaces
@@ -120,3 +122,17 @@ class TestGrowth:
         for n in (1, 4, 8):
             big = sc.capset_bound_M(5, n)
             assert abs(seq[n - 1] - Decimal(big) ** (Decimal(1) / n)) < Decimal("1e-20")
+
+    @pytest.mark.parametrize("q, n_max, digits, message", [
+        (3, 3, 6000, "growth roots take 432000000000 digit^3 steps > cap 100000000000"),
+        (7, 1000, 30, "counting monomials by degree takes 20986000 steps > cap 4194304"),
+    ])
+    def test_refused_before_any_convolution(self, q, n_max, digits, message, monkeypatch):
+        # the counts and the roots are refused before the first convolution,
+        # hence before the first root; every caller gets the same refusal
+        def no_work(*args):
+            raise AssertionError("convolved before the cap refused")
+
+        monkeypatch.setattr(monomials, "_convolve_window", no_work)
+        with pytest.raises(EnumerationTooLarge, match=f"^{re.escape(message)}$"):
+            sc.growth_estimate(q, n_max, digits=digits)

@@ -33,6 +33,31 @@ def test_growth_table():
     assert lines[-1].split()[:2] == ["6", "504"] and lines[-1].split()[-1] == "324"
 
 
+def test_growth_table_rounds_past_the_default_precision():
+    # 40 decimal places need a wider context than the default 28 digits
+    lines = run_script("growth_table.py", "--q", "3", "--n-max", "3", "--digits", "40")
+    assert lines[-1].split()[:3] == ["3", "30", "3.1072325059538588668776624275223863628549"]
+    assert lines[2].split()[2] == "3." + "0" * 40
+
+
+def test_growth_table_refused_by_the_work_budget():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "growth_table.py"), "--q", "3", "--n-max", "3", "--digits", "6000"],
+        capture_output=True, text=True, env=subprocess_env(), timeout=120,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: refused by resource cap: growth roots take 434163602000 digit^3 steps > cap 100000000000\n"
+    )
+
+
+def test_vanishing_oracles():
+    lines = run_script("vanishing_oracles.py", "--q", "2", "3", "--n-max", "3", "--seed", "1")
+    assert lines[0].split() == ["q", "n", "checks", "seconds"]
+    assert [line.split()[:2] for line in lines[1:-1]] == [[str(q), str(n)] for q in (2, 3) for n in (1, 2, 3)]
+    assert lines[-1].startswith("all ") and " checks passed in " in lines[-1]
+
+
 def test_bound_slack():
     lines = run_script("bound_slack.py", "--q", "2", "--n", "2", "--count", "5", "--seed", "1")
     assert lines[0].split() == ["trial", "|S|", "|T|", "oracle", "greedy", "pipeline", "bound"]

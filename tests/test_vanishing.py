@@ -9,8 +9,20 @@ import sumsetcover as sc
 from sumsetcover import linalg
 from sumsetcover.cli import parse_instance
 from sumsetcover.linalg import evaluate_rows, monomial_table
+from sumsetcover.vanishing import dual_pivot_columns, primal_pivot_columns
 
-from conftest import basis, polynomials, rows_over, set_pairs, space_points
+from conftest import (
+    affine_maps,
+    apply_affine,
+    basis,
+    coordinate_subspace,
+    polynomials,
+    rows_over,
+    set_pairs,
+    space_points,
+    subset_from_mask,
+    subspace_dim,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 # q -> n whose every point the differential tables cover
@@ -101,6 +113,99 @@ class TestBuildVanishingSpace:
         S = sc.PointSet.from_coords(3, 2, [(0, 0), (1, 2)])
         T = sc.PointSet.from_coords(3, 2, [(2, 1)])
         assert sc.build_vanishing_space(sc.sumset(S, T), 3) == sc.build_vanishing_space(sc.sumset(S, T), 3)
+
+
+# q -> largest n of the dimension oracles, checked at every degree 0 .. n(q-1)
+ORACLE_SPACES = {2: 5, 3: 4, 5: 2, 7: 2}
+ORACLE_GRID = [(q, n) for q, top in ORACLE_SPACES.items() for n in range(1, top + 1)]
+
+
+def _degrees(q, n):
+    return range(n * (q - 1) + 1)
+
+
+@st.composite
+def _affine_subspaces(draw, q, n):
+    """(k, A): A the image of the k-dimensional coordinate subspace of F_q^n
+    under an invertible affine map, so every affine subspace can come up."""
+    k = draw(st.integers(0, n))
+    M, b = draw(affine_maps(q, n))
+    return k, apply_affine(M, b, coordinate_subspace(q, n, k))
+
+
+class TestDimensionOracles:
+    """The vanishing dimension against exact facts that need no elimination.
+
+    It is invariant under x -> Mx + b with M invertible (composition keeps
+    degree <= d and the reduction x^q = x), and on a k-dimensional
+    coordinate subspace the polynomials vanishing off it are
+    prod_{i>k} (1 - x_i^(q-1)) times polynomials of degree
+    <= d - (n-k)(q-1) in x_1 .. x_k.
+    """
+
+    @pytest.mark.parametrize("q, n", ORACLE_GRID)
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=8)
+    def test_affine_invariance(self, q, n, data):
+        S, T = (subset_from_mask(q, n, data.draw(st.integers(1, 2**q**n - 1))) for _ in range(2))
+        M, b = data.draw(affine_maps(q, n))
+        A, gS, gT = sc.sumset(S, T), apply_affine(M, b, S), apply_affine(M, b, T)
+        # g(S) + g(T) is the image of S + T under x -> Mx + 2b
+        for d in _degrees(q, n):
+            dim = sc.build_vanishing_space(A, d).dim
+            assert sc.build_vanishing_space(apply_affine(M, b, A), d).dim == dim
+            assert sc.run_pipeline(gS, gT, d).decomposition.certificate.dim_vanishing == dim
+
+    @pytest.mark.parametrize("q, n", ORACLE_GRID)
+    def test_closed_form_on_coordinate_subspaces(self, q, n):
+        for k in range(n + 1):
+            A = coordinate_subspace(q, n, k)
+            assert [sc.build_vanishing_space(A, d).dim for d in _degrees(q, n)] == [
+                subspace_dim(q, n, k, d) for d in _degrees(q, n)
+            ]
+
+    @pytest.mark.parametrize("q, n", ORACLE_GRID)
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=8)
+    def test_closed_form_on_affine_subspaces(self, q, n, data):
+        k, A = data.draw(_affine_subspaces(q, n))
+        for d in _degrees(q, n):
+            assert sc.build_vanishing_space(A, d).dim == subspace_dim(q, n, k, d)
+
+    @pytest.mark.parametrize("q, n", ORACLE_GRID)
+    def test_whole_space_and_single_points(self, q, n):
+        F = sc.all_points(q, n)
+        ends = F.ordered()[0], F.ordered()[-1]
+        for d in _degrees(q, n):
+            assert sc.build_vanishing_space(F, d).dim == sc.count_m(q, n, d)
+            for p in ends:
+                point = sc.PointSet.from_vectors(q, n, [p])
+                assert sc.build_vanishing_space(point, d).dim == (d >= n * (q - 1))
+
+    @pytest.mark.parametrize("q, n", ORACLE_GRID)
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=8)
+    def test_pivot_columns_number_dim(self, q, n, data):
+        k, A = data.draw(_affine_subspaces(q, n))
+        keys = data.draw(st.permutations([p.coords for p in A.members]))
+        for d in _degrees(q, n):
+            space = sc.build_vanishing_space(A, d)
+            assert space.dim == subspace_dim(q, n, k, d)
+            assert len(primal_pivot_columns(space, keys)) == space.dim
+            assert len(dual_pivot_columns(space, keys)) == space.dim
+
+    @pytest.mark.parametrize("n", range(1, ORACLE_SPACES[3] + 1))
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=8)
+    def test_packed_and_list_elimination_agree_q3(self, n, data):
+        k, A = data.draw(_affine_subspaces(3, n))
+        outside = [p.coords for p in sc.complement(A).ordered()]
+        for d in _degrees(3, n):
+            monos = sc.enumerate_monomials(3, n, d)
+            table = monomial_table(monos, outside, 3, by_point=True)
+            packed = linalg.rref(table, 3)[1]
+            assert packed == linalg._rref_lists(linalg.unpack(table), 3)[1]
+            assert len(monos) - len(packed) == subspace_dim(3, n, k, d)
 
 
 class TestFunctionRepresentation:
