@@ -21,6 +21,12 @@ import sumsetcover as sc
 from sumsetcover.cli import EXIT_CAP_REFUSED
 
 
+def _count(value: int) -> str:
+    """An exact count, in 7-digit scientific notation from 10^22 on (as a
+    Decimal: the counts outgrow floats near 10^308)."""
+    return str(value) if value < 10**22 else f"{decimal.Decimal(value):.6e}"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--q", type=int, default=3)
@@ -35,16 +41,17 @@ def main() -> None:
         sys.exit(EXIT_CAP_REFUSED)
     print(f"q = {args.q}")
     print(f"{'n':>4}  {'budget 3*m':>24}  {'budget^(1/n)':>16}  {'min_d budget':>24}")
+    # one count table, extended by one convolution per row
+    table = sc.degree_counts(args.q, 0)
     for n in range(1, args.n_max + 1):
-        budget = sc.capset_bound_M(args.q, n)
-        _, minimized = sc.choose_degree(args.q, n)
+        table = table.extended()
+        budget = table.capset_budget()
+        _, minimized = table.minimized()
         with decimal.localcontext() as ctx:
             # the integer digits (every root is >= 1) and the decimal places
             ctx.prec = roots[n - 1].adjusted() + 1 + max(args.digits, 0)
             root = round(roots[n - 1], args.digits)
-        b_str = str(budget) if budget < 10**22 else f"{float(budget):.6e}"
-        m_str = str(minimized) if minimized < 10**22 else f"{float(minimized):.6e}"
-        print(f"{n:>4}  {b_str:>24}  {str(root):>16}  {m_str:>24}")
+        print(f"{n:>4}  {_count(budget):>24}  {str(root):>16}  {_count(minimized):>24}")
 
 
 if __name__ == "__main__":

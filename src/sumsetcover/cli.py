@@ -63,7 +63,7 @@ from .oracle import (
     oracle_checks,
     oracle_min_decomposition,
 )
-from .summatrix import rank_audit
+from .summatrix import check_audit_cap, rank_audit
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -229,6 +229,8 @@ def _cmd_decompose(args) -> HandlerResult:
     inst = parse_instance(args.input)
     S, T = inst.s_set, _require_t(inst)
     chose = args.d is None
+    if args.certify_rank and S.members and T.members:
+        check_audit_cap(inst.q, inst.n, args.d, len(S), len(T), args.cap)
     # empty S or T: no pipeline runs, and the certificate records no checks
     run = run_pipeline(S, T, args.d, cap=args.cap) if S.members and T.members else None
     dec = run.decomposition if run else decompose(S, T, args.d, cap=args.cap)

@@ -133,9 +133,7 @@ def choose_degree(q: int, n: int) -> tuple[int, int]:
     Scans every integer d in [0, (q-1)*n] using exact counts only, so this
     stays cheap even for n in the hundreds.
     """
-    table = degree_counts(q, n)
-    bound, d = min((table.budget(d), d) for d in range((q - 1) * n + 1))
-    return d, bound
+    return degree_counts(q, n).minimized()
 
 
 def capset_check(q: int, n: int, bound: int) -> Check:

@@ -22,6 +22,13 @@ and builds each row, per monomial or per point, from the masks its own
 digits select in O(n) big-int operations.  A polynomial's values are its
 monomials' rows combined by its coefficients (`_combine_packed`).
 
+An m x w matrix can also be held as one flat row of m * w cells, cell
+(u, v) at column u * w + v.  `outer_rows` builds sums of outer products
+in that layout (at q = 3 one big-int multiply per bitplane pair, the left
+row's bit u spread to bit u * w first, so no carry crosses a cell),
+`flatten` spreads a row's entries over a grid of column indices, and
+`split_row` cuts a flat row back into m rows.
+
 Rows must all have the same length; in either format, ragged rows and rows
 whose length is not a given column count raise ValueError.  Pivoting is by
 position (exact arithmetic has no magnitude concerns), so the reduced row
@@ -302,6 +309,110 @@ def _combine_packed(weights: Iterable[Iterable[tuple[int, int]]], m: Matrix3) ->
         ones.append(a)
         twos.append(b)
     return Matrix3(m.ncols, tuple(ones), tuple(twos))
+
+
+def _scatter(x: int, masks: Sequence[int]) -> int:
+    """The union of masks[u] over the bits u of x."""
+    out = 0
+    while x:
+        low = x & -x
+        out |= masks[low.bit_length() - 1]
+        x ^= low
+    return out
+
+
+def outer_rows(
+    terms: Iterable[Iterable[tuple[int, int, int]]], left: Rows, right: Rows, q: int
+) -> Rows:
+    """Sums of outer products, each flattened to one row: output row r is the
+    sum of c * left[i] (x) right[j] over the triples (i, j, c) of terms[r],
+    its cell (u, v) at column u * w + v, where w is the row length of right.
+
+    Both tables in one format; at q = 3 each product is a big-int multiply
+    per bitplane pair, with left[i]'s bit u spread to bit u * w, so no
+    carries cross cells.  ValueError for mixed formats or a `Matrix3` at
+    any q but 3.
+    """
+    height, width = _width(left), _width(right)
+    if isinstance(left, Matrix3) != isinstance(right, Matrix3):
+        raise ValueError("outer products of tables in two formats")
+    if not isinstance(left, Matrix3):
+        return _outer_lists(terms, left, right, height, width, q)
+    if q != 3:
+        raise ValueError(f"packed F_3 matrices cannot be multiplied over F_{q}")
+    stride = [1 << u * width for u in range(height)]
+    spread: dict[int, tuple[int, int]] = {}
+    ones: list[int] = []
+    twos: list[int] = []
+    for row in terms:
+        a = b = 0
+        for i, j, c in row:
+            if i not in spread:
+                spread[i] = _scatter(left.ones[i], stride), _scatter(left.twos[i], stride)
+            f1, f2 = spread[i]
+            g1, g2 = right.ones[j], right.twos[j]
+            c %= 3
+            if c == 2:
+                g1, g2 = g2, g1
+            elif not c:
+                continue
+            # 1*1 = 2*2 = 1 and 1*2 = 2; the four products cover disjoint cells
+            c1, c2 = f1 * g1 | f2 * g2, f1 * g2 | f2 * g1
+            t = (a | c2) ^ (b | c1)
+            a, b = (b | c2) ^ t, (a | c1) ^ t
+        ones.append(a)
+        twos.append(b)
+    return Matrix3(height * width, tuple(ones), tuple(twos))
+
+
+def _outer_lists(
+    terms: Iterable[Iterable[tuple[int, int, int]]],
+    left: Sequence[Sequence[int]],
+    right: Sequence[Sequence[int]],
+    height: int,
+    width: int,
+    q: int,
+) -> list[list[int]]:
+    """outer_rows on list rows, one multiply per cell."""
+    out: list[list[int]] = []
+    for row in terms:
+        acc = [0] * (height * width)
+        for i, j, c in row:
+            g = right[j]
+            for u, x in enumerate(left[i]):
+                if f := c * x % q:
+                    cells = slice(u * width, (u + 1) * width)
+                    acc[cells] = [a + f * y for a, y in zip(acc[cells], g)]
+        out.append([a % q for a in acc])
+    return out
+
+
+def flatten(table: Rows, grid: Sequence[Sequence[int]]) -> Rows:
+    """Each row of the table spread over the cells of grid, as one row: cell
+    (u, v) of the output, at column u * len(grid[u]) + v as in outer_rows,
+    holds the row's entry at column grid[u][v]."""
+    cells = [c for line in grid for c in line]
+    if not isinstance(table, Matrix3):
+        return [[row[c] for c in cells] for row in table]
+    masks = [0] * table.ncols
+    for cell, c in enumerate(cells):
+        masks[c] |= 1 << cell
+    ones = tuple(_scatter(x, masks) for x in table.ones)
+    return Matrix3(len(cells), ones, tuple(_scatter(x, masks) for x in table.twos))
+
+
+def split_row(table: Rows, r: int, nrows: int, ncols: int) -> Rows:
+    """Row r of a table of nrows * ncols columns, cut back into nrows rows of
+    ncols entries (the inverse of flatten's and outer_rows' layout)."""
+    if not isinstance(table, Matrix3):
+        row = table[r]
+        return [list(row[u * ncols:(u + 1) * ncols]) for u in range(nrows)]
+    mask = (1 << ncols) - 1
+
+    def cut(x: int) -> tuple[int, ...]:
+        return tuple(x >> u * ncols & mask for u in range(nrows))
+
+    return Matrix3(ncols, cut(table.ones[r]), cut(table.twos[r]))
 
 
 def evaluate_rows(

@@ -80,6 +80,20 @@ class CountTable:
         """Witness-size budget 2*m(q,n,floor(d/2)) + q^n - m(q,n,d), clamped as prefix is."""
         return 2 * self.prefix(d // 2) + self.q**self.n - self.prefix(d)
 
+    def minimized(self) -> tuple[int, int]:
+        """The degree in [0, (q-1)*n] minimizing the budget, ties to the
+        smallest, and that budget."""
+        bound, d = min((self.budget(d), d) for d in range(len(self.counts)))
+        return d, bound
+
+    def capset_budget(self) -> int:
+        """3 * m(q, n, floor((q-1)*n/3))."""
+        return 3 * self.prefix((self.q - 1) * self.n // 3)
+
+    def extended(self) -> CountTable:
+        """The table at n + 1, one convolution on from this one."""
+        return CountTable(self.q, self.n + 1, tuple(_convolve_window(list(self.counts), self.q)))
+
 
 def _convolve_window(counts: list[int], q: int) -> list[int]:
     """Multiply a coefficient list by 1 + x + ... + x^(q-1), exactly."""
@@ -156,7 +170,7 @@ def capset_bound_M(q: int, n: int) -> int:
     "degree at most (q-1)*n/3" admits exactly the monomials of degree
     <= floor((q-1)*n/3).
     """
-    return 3 * count_m(q, n, ((q - 1) * n) // 3)
+    return degree_counts(q, n).capset_budget()
 
 
 def growth_estimate(q: int, n_max: int, *, digits: int = 30) -> list[Decimal]:

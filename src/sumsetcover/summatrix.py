@@ -22,18 +22,34 @@ anchored on the row side plus as many anchored on the column side.
 
 `audit_matrices`, and `rank_audit` on a pipeline run's basis rows (the
 CLI's --certify-rank), are the library's only path that builds a sum matrix
-or rebuilds one from its certificate.  Both go through `_audit`, on
+or rebuilds one from its expansion.  Both go through `_audit`, on
 coefficient rows over the graded monomials of degree <= d, the vanishing
 space's `monos`; audit_matrices reads its Polynomial arguments as such rows
 once (`_row`, the audit's one Polynomial edge, which clp_decompose shares).
-The rows are evaluated once at the distinct sums (linalg.evaluate_rows),
-whose grid of sum ids fills each matrix.  A certificate's factors are
-(index, weight) lists combining the monomials' rows at S and at T
-(linalg.combine_rows), in the table format linalg alone picks, and the rank
-is taken on the same rows.  Each monomial is expanded once per audit, keyed
-by its place in the graded list; only clp_decompose wraps factors as
-Polynomial values.  tests/reference.py keeps the per-cell constructions the
-audit is checked against.
+The audit is linear in the rows.  Each monomial m_k that some row uses is
+expanded once per audit, keyed by its place in the graded list, into
+R(m_k) = sum of w * x^a (x) y^b over the terms of (x + y)^(m_k), one flat
+|S| * |T|-cell table row built from the monomials' rows at S and at T
+(linalg.outer_rows), and into two bitmasks: its row-side anchors (the a
+with |a| <= floor(d/2)) and its column-side anchors (the b of the other
+terms).  A row P = sum of c_k * m_k is then checked with one packed
+addition per monomial of its support:
+- its rebuild is sum of c_k * R(m_k) (linalg.combine_rows);
+- its entries are its values at the distinct sums, spread over the cells
+  (linalg.flatten);
+- its term count is the popcount of the union L of its monomials' row-side
+  anchors plus that of the union R of their column-side anchors, at most
+  2 * m(q, n, floor(d/2)) (BoundViolated otherwise);
+- its rank is the exact rank of the entries, cut back into |S| rows
+  (linalg.split_row).
+Grouping the terms of sum c_k * R(m_k) by anchor rewrites the same sum as
+sum over a in L of x^a (x) g_a plus sum over b in R of f_b (x) y^b, the
+grouped certificate clp_decompose returns, so entries == rebuilt certifies
+a split into |L| + |R| rank-one terms without building any cofactor.
+`check_audit_cap` refuses an audit whose work `audit_work` estimates from
+exact counts above AUDIT_WORK_CAP, before any table is built.
+tests/reference.py keeps the per-cell constructions the audit is checked
+against.
 """
 
 from __future__ import annotations
@@ -44,13 +60,32 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .decompose import Check, PipelineRun
-from .errors import BoundViolated, DegreeTooHigh, DimensionMismatch
-from .field import FieldVector
-from .linalg import Rows, as_rows, as_table, combine_rows, evaluate_rows, matrix_rank, monomial_table
-from .monomials import Monomial, degree_counts, enumerate_monomials, eval_monomial, monomial_key
+from .decompose import Check, PipelineRun, choose_degree
+from .errors import BoundViolated, DegreeTooHigh, DimensionMismatch, EnumerationTooLarge
+from .field import DEFAULT_ENUM_CAP, FieldVector, check_enumeration_cap
+from .linalg import (
+    Rows,
+    combine_rows,
+    flatten,
+    matrix_rank,
+    monomial_table,
+    outer_rows,
+    split_row,
+)
+from .monomials import (
+    Monomial,
+    check_count_cap,
+    degree_counts,
+    enumerate_monomials,
+    eval_monomial,
+    monomial_key,
+)
 
 Coords = tuple[int, ...]
+
+# audit_work units admitted for one rank audit: at q = 3 a unit took about
+# 0.43 microseconds on a 2-core host (Python 3.11), so the cap is about 45 s
+AUDIT_WORK_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -229,23 +264,47 @@ def clp_decompose(P: Polynomial, degree: int) -> ClpCertificate:
     return _clp_certificate(P, degree, _Expansions(monos, P.q, P.n, degree // 2))
 
 
-def _rebuild(cert: _Certificate, at_rows: Rows, at_cols: Rows, nrows: int, ncols: int, q: int) -> Rows:
-    """Row i is sum_k f_k(s_i) * (g_k at every t), over the rank-one terms (f_k, g_k).
+def _expansion_terms(splits: _Splits) -> tuple[list[tuple[int, int, int]], int, int]:
+    """One monomial's expansion as (row part, column part, weight) triples,
+    and the bitmasks of its row-side and column-side anchors."""
+    low, high = splits
+    terms = [*low, *((a, b, w) for b, a, w in high)]
+    left = right = 0
+    for a, _, _ in low:
+        left |= 1 << a
+    for b, _, _ in high:
+        right |= 1 << b
+    return terms, left, right
 
-    Each factor combines the monomial rows at_rows or at_cols by its
-    (index, weight) list; the result is a linalg table.
-    """
-    row_weights = [[(a, 1)] for a, _ in cert.left] + [g for _, g in cert.right]
-    col_weights = [g for _, g in cert.left] + [[(a, 1)] for a, _ in cert.right]
-    row_side = as_rows(combine_rows(row_weights, at_rows, nrows, q))
-    col_side = combine_rows(col_weights, at_cols, ncols, q)
-    weights = (enumerate([v[i] for v in row_side]) for i in range(nrows))
-    return combine_rows(weights, col_side, ncols, q)
+
+def _rebuild(weights: Sequence[tuple[int, int]], rebuilds: Rows, ncells: int, q: int) -> Rows:
+    """One basis row's matrix rebuilt from its expansion: its coefficients
+    (place, c) combine the monomials' flat rebuilds R(m_k); one flat row."""
+    return combine_rows([weights], rebuilds, ncells, q)
+
+
+def _term_count(
+    weights: Sequence[tuple[int, int]], anchors: Sequence[tuple[int, int]], table: _Expansions
+) -> int:
+    """|L| + |R| for one basis row: the distinct row-side and column-side
+    anchors of its monomials' expansion terms, anchors[place] being the two
+    masks of a monomial; BoundViolated above the 2 * m(q, n, split) budget."""
+    left = right = 0
+    for k, _ in weights:
+        a, b = anchors[k]
+        left |= a
+        right |= b
+    term_count = left.bit_count() + right.bit_count()
+    if term_count > table.budget:
+        raise BoundViolated(
+            f"{term_count} rank-one terms exceed 2*m(q, n, {table.split}) = {table.budget}"
+        )
+    return term_count
 
 
 @dataclass(frozen=True)
 class MatrixAudit:
-    """One basis polynomial's sum matrix beside its certificate's rebuild.
+    """One basis polynomial's sum matrix beside its rebuild from its expansion.
 
     `entries` and `rebuilt` are linalg tables over the column points, both in
     the format linalg picks at q, so equal matrices compare equal.  `rank`
@@ -285,18 +344,64 @@ def _audit(
     """The audit of each coefficient row over table.monos (every monomial of
     degree <= d) at the row and column coordinates."""
     q, monos = table.q, table.monos
+    nrows, ncols = len(rows), len(cols)
     # each cell's sum id; the ids number the distinct sums in row-major order
     ids: dict[Coords, int] = {}
     grid = [
         [ids.setdefault(tuple([(a + b) % q for a, b in zip(s, t)]), len(ids)) for t in cols]
         for s in rows
     ]
+    supports = [[(k, c) for k, c in enumerate(row) if c % q] for row in coeffs]
+    used = sorted({k for support in supports for k, _ in support})
+    place = {k: i for i, k in enumerate(used)}
+    weights = [[(place[k], c) for k, c in support] for support in supports]
+    expansions = [_expansion_terms(table[k]) for k in used]
+    anchors = [(left, right) for _, left, right in expansions]
+    # R(m_k) = sum of w * x^a (x) y^b over the terms of (x + y)^(m_k), flat
     at_rows, at_cols = monomial_table(monos, rows, q), monomial_table(monos, cols, q)
-    for row, values in zip(coeffs, as_rows(evaluate_rows(monos, coeffs, list(ids), q))):
-        entries = as_table([[values[k] for k in ids] for ids in grid], len(cols), q)
-        cert = _certificate(row, table)
-        rebuilt = _rebuild(cert, at_rows, at_cols, len(rows), len(cols), q)
-        yield MatrixAudit(entries, rebuilt, matrix_rank(entries, q), cert.term_count)
+    rebuilds = outer_rows((terms for terms, _, _ in expansions), at_rows, at_cols, q)
+    # the rows' values at the distinct sums, spread over the cells
+    at_sums = monomial_table([monos[k] for k in used], list(ids), q)
+    values = flatten(combine_rows(weights, at_sums, len(ids), q), grid)
+    for r, w in enumerate(weights):
+        term_count = _term_count(w, anchors, table)
+        rebuilt = split_row(_rebuild(w, rebuilds, nrows * ncols, q), 0, nrows, ncols)
+        entries = split_row(values, r, nrows, ncols)
+        yield MatrixAudit(entries, rebuilt, matrix_rank(entries, q), term_count)
+
+
+def audit_work(q: int, n: int, degree: int, nrows: int, ncols: int) -> int:
+    """The rank audit's work at (q, n, degree) on nrows x ncols sum matrices,
+    from exact counts: every expansion term of a monomial of degree <= d,
+    sum_{|m| <= d} prod (m_i + 1), the prefix up to d of the coefficients
+    of (1 + 2t + ... + q t^(q-1))^n, is one outer product of
+    ceil(nrows * ncols / 64) words; and each basis row, at most
+    min(m_d, nrows * ncols) of them, combines at most m_d rebuilds."""
+    counts = [1]
+    for _ in range(n):
+        out = [0] * (len(counts) + q - 1)
+        for i, c in enumerate(counts):
+            for e in range(q):
+                out[i + e] += (e + 1) * c
+        counts = out
+    terms = sum(counts[: max(degree + 1, 0)])
+    m_d = degree_counts(q, n).prefix(degree)
+    return terms * -(-nrows * ncols // 64) + min(m_d, nrows * ncols) * m_d
+
+
+def check_audit_cap(
+    q: int, n: int, degree: int | None, nrows: int, ncols: int, cap: int = DEFAULT_ENUM_CAP
+) -> None:
+    """EnumerationTooLarge, before any table is built, when the rank audit of
+    a run at (q, n, degree) (the minimizing degree for None) on nrows x ncols
+    sum matrices exceeds AUDIT_WORK_CAP; first the run's own refusal of
+    q^n above cap and the count of monomials by degree."""
+    check_enumeration_cap(q, n, cap)
+    check_count_cap(q, n, DEFAULT_ENUM_CAP)
+    if degree is None:
+        degree = choose_degree(q, n)[0]
+    if (work := audit_work(q, n, degree, nrows, ncols)) > AUDIT_WORK_CAP:
+        raise EnumerationTooLarge(f"rank audit takes {work} word steps > cap {AUDIT_WORK_CAP}")
 
 
 @dataclass(frozen=True)

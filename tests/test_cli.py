@@ -224,6 +224,20 @@ class TestDecomposeCommand:
         assert certs["max_term_count"] <= certs["rank_bound"]
         assert certs["max_rank"] <= certs["max_term_count"]
 
+    def test_certify_rank_refused_before_the_pipeline(self, tmp_path, capsys, monkeypatch):
+        # 400 points each in F_3^8: the audit's estimate is over its cap, so
+        # --certify-rank is refused before run_pipeline starts
+        def no_work(*args, **kwargs):
+            raise AssertionError("the pipeline ran before the audit cap refused")
+
+        monkeypatch.setattr(cli, "run_pipeline", no_work)
+        points = [[i // 3**k % 3 for k in range(8)] for i in range(800)]
+        path = write_instance(tmp_path, q=3, n=8, S=points[:400], T=points[400:])
+        assert run_command(["decompose", "--input", path, "--certify-rank"]) == 3
+        assert capsys.readouterr().err == (
+            "error: refused by resource cap: rank audit takes 2722622544 word steps > cap 100000000\n"
+        )
+
     def test_cap_refusal_exit_three(self, tmp_path, capsys):
         path = write_instance(tmp_path, q=3, n=2, S=[[0, 0]], T=[[1, 1]])
         assert run_command(["decompose", "--input", path, "--cap", "8"]) == 3

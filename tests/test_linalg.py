@@ -240,6 +240,80 @@ class TestPackedMatchesLists:
         assert linalg.unpack(linalg.pack(rows, 6)) == [[v % 3 for v in r] for r in rows]
 
 
+@st.composite
+def cell_tables(draw):
+    """(q, left rows, right rows) with up to 70 cells, past one 64-bit word."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    height, width = draw(st.integers(0, 7)), draw(st.integers(0, 10))
+
+    def rows(length):
+        return draw(st.lists(st.lists(st.integers(0, q - 1), min_size=length, max_size=length), max_size=4))
+
+    return q, rows(height), rows(width)
+
+
+class TestCellTables:
+    """outer_rows, flatten and split_row against their per-cell definitions,
+    packed at q = 3 and as lists at every q (3 included)."""
+
+    @staticmethod
+    def _formats(q, *tables):
+        """The tables as lists, and as linalg picks at q when that packs."""
+        yield tables
+        if q == 3:
+            yield tuple(linalg.as_table(t, len(t[0]) if t else 0, q) for t in tables)
+
+    @given(cell_tables(), st.data())
+    @settings(deadline=None)
+    def test_outer_rows_and_split(self, tables, data):
+        q, left, right = tables
+        if not left or not right:
+            return
+        height, width = len(left[0]), len(right[0])
+        triple = st.tuples(st.integers(0, len(left) - 1), st.integers(0, len(right) - 1), st.integers(-3, 7))
+        terms = data.draw(st.lists(st.lists(triple, max_size=5), max_size=4))
+        expected = [
+            [
+                [sum(c * left[i][u] * right[j][v] for i, j, c in t) % q for v in range(width)]
+                for u in range(height)
+            ]
+            for t in terms
+        ]
+        for lt, rt in self._formats(q, left, right):
+            flat = linalg.outer_rows(terms, lt, rt, q)
+            assert [list(map(list, linalg.as_rows(linalg.split_row(flat, r, height, width))))
+                    for r in range(len(terms))] == expected
+            assert [list(row) for row in linalg.as_rows(flat)] == [sum(m, []) for m in expected]
+
+    @pytest.mark.parametrize("c", [1, 2, 4])
+    def test_every_bitplane_product(self, c):
+        # entries 1 and 2 on both sides meet in all four plane products
+        left, right = [[1, 2, 0]], [[2, 1]]
+        expected = [c * x * y % 3 for x in left[0] for y in right[0]]
+        for lt, rt in self._formats(3, left, right):
+            assert list(linalg.as_rows(linalg.outer_rows([[(0, 0, c)]], lt, rt, 3))[0]) == expected
+
+    @given(cell_tables(), st.data())
+    @settings(deadline=None)
+    def test_flatten(self, tables, data):
+        q, values, _ = tables
+        ncols = len(values[0]) if values else 0
+        if not ncols:
+            return
+        grid = data.draw(st.lists(st.lists(st.integers(0, ncols - 1), min_size=3, max_size=3), max_size=5))
+        expected = [[row[c] for line in grid for c in line] for row in values]
+        for (table,) in self._formats(q, values):
+            assert [list(r) for r in linalg.as_rows(linalg.flatten(table, grid))] == expected
+
+    @pytest.mark.parametrize("q", [2, 5])
+    def test_packed_outer_products_need_q3(self, q):
+        one = linalg.pack([[1, 2]], 2)
+        with pytest.raises(ValueError, match=f"over F_{q}$"):
+            linalg.outer_rows([[(0, 0, 1)]], one, one, q)
+        with pytest.raises(ValueError, match="two formats"):
+            linalg.outer_rows([[(0, 0, 1)]], one, [[1, 2]], 3)
+
+
 class TestTableFormatOwner:
     """linalg alone picks the table format: no other module names Matrix3."""
 

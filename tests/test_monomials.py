@@ -95,6 +95,19 @@ class TestCountTable:
         below = sc.count_m(q, n, top - d - 1) if top - d - 1 >= 0 else 0
         assert tail == below
 
+    @given(small_spaces(primes=(2, 3, 5, 7), max_n=5))
+    def test_extended_tables_and_their_budgets(self, qn):
+        # a table extended one n at a time is the table counted from scratch,
+        # and its two budgets are the per-degree scan and 3 * m(q, n, (q-1)n/3)
+        q, top = qn
+        table = sc.degree_counts(q, 0)
+        for n in range(1, top + 1):
+            table = table.extended()
+            assert table == sc.degree_counts(q, n)
+            bound, d = min((sc.degree_bound(q, n, d), d) for d in range((q - 1) * n + 1))
+            assert table.minimized() == (d, bound)
+            assert table.capset_budget() == 3 * sc.count_m(q, n, (q - 1) * n // 3)
+
 
 class TestCapsetBound:
     def test_known_values(self):

@@ -3,12 +3,14 @@ and the README's module list against the package, so an API change cannot
 break them silently."""
 
 import re
+from decimal import Decimal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import sumsetcover as sc
 from conftest import subprocess_env
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,6 +33,30 @@ def test_growth_table():
     # one row per n; the last is n = 6 with 3*m(3,6,4) = 504 and minimum 324
     assert len(lines) == 8
     assert lines[-1].split()[:2] == ["6", "504"] and lines[-1].split()[-1] == "324"
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_growth_table_rows_match_per_row_counts(q):
+    # the script extends one count table row by row; every row up to n = 30
+    # is what recounting that n from scratch gives
+    lines = run_script("growth_table.py", "--q", str(q), "--n-max", "30")
+    roots = sc.growth_estimate(q, 30, digits=22)
+    assert len(lines) == 32
+    for n, line in enumerate(lines[2:], start=1):
+        budget = 3 * sc.count_m(q, n, (q - 1) * n // 3)
+        minimized = min(sc.degree_bound(q, n, d) for d in range((q - 1) * n + 1))
+        assert line.split() == [str(n), str(budget), str(round(roots[n - 1], 12)), str(minimized)]
+
+
+def test_growth_table_prints_counts_past_the_float_range():
+    # from n = 703 on the budgets exceed the largest float, about 1.8e308;
+    # they print from their exact values
+    lines = run_script("growth_table.py", "--q", "3", "--n-max", "720")
+    row = lines[-1].split()
+    counts = sc.capset_bound_M(3, 720), sc.choose_degree(3, 720)[1]
+    assert row[0] == "720" and float(row[2]) < 3
+    assert [row[1], row[3]] == [f"{Decimal(v):.6e}" for v in counts]
+    assert row[1] == "1.130941e+316"
 
 
 def test_growth_table_rounds_past_the_default_precision():

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 
@@ -255,17 +256,24 @@ class TestAuditMatchesReference:
 GOLDEN_Q3_N5 = str(Path(__file__).parent / "golden" / "q3_n5.json")
 
 
-def _failed_checks_with_first_certificate(monkeypatch, breaker) -> tuple[int, dict, list[str]]:
-    """Run the CLI audit with the first basis polynomial's certificate broken."""
-    real = summatrix._certificate
-    calls = []
+def _first_call(breaker):
+    """A fault: the stage's first result passed through breaker, later ones unchanged."""
+    def fault(real):
+        calls = []
 
-    def broken(row, table):
-        calls.append(row)
-        cert = real(row, table)
-        return breaker(cert) if len(calls) == 1 else cert
+        def broken(*args):
+            calls.append(args)
+            out = real(*args)
+            return breaker(out) if len(calls) == 1 else out
 
-    monkeypatch.setattr(summatrix, "_certificate", broken)
+        return broken
+
+    return fault
+
+
+def _failed_checks(monkeypatch, stage, fault) -> tuple[int, dict, list[str]]:
+    """Run the CLI audit with summatrix.<stage> replaced by fault(real stage)."""
+    monkeypatch.setattr(summatrix, stage, fault(getattr(summatrix, stage)))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = run_command(["decompose", "--input", GOLDEN_Q3_N5, "--json", "--certify-rank"])
@@ -274,21 +282,28 @@ def _failed_checks_with_first_certificate(monkeypatch, breaker) -> tuple[int, di
     return code, checks, [name for name, c in checks.items() if not c["passed"]]
 
 
-def test_rank_check_is_per_matrix(monkeypatch):
-    # The first basis matrix's certificate is cut to rank - 1 terms; the
-    # largest rank still stays within the largest term count of the others,
-    # so only a per-matrix comparison sees the break.
+def _golden_audit():
+    """The golden q=3, n=5 run, its basis polynomials and their audits."""
     inst = parse_instance(GOLDEN_Q3_N5)
     run = sc.run_pipeline(inst.s_set, inst.t_set)
+    polys = basis(run.space)
     audits = list(summatrix.audit_matrices(
-        basis(run.space), run.degree, run.s_input.ordered(), run.t_input.ordered()
+        polys, run.degree, run.s_input.ordered(), run.t_input.ordered()
     ))
+    return run, polys, audits
+
+
+def test_rank_check_is_per_matrix(monkeypatch):
+    # The first basis matrix's term count is cut to rank - 1; the largest
+    # rank still stays within the largest term count of the others, so only
+    # a per-matrix comparison sees the break.
+    _, _, audits = _golden_audit()
     first = audits[0]
     assert first.rank >= 1
     assert max(a.rank for a in audits) <= max(a.term_count for a in audits[1:])
 
-    code, checks, failed = _failed_checks_with_first_certificate(
-        monkeypatch, lambda cert: dataclasses.replace(cert, term_count=first.rank - 1)
+    code, checks, failed = _failed_checks(
+        monkeypatch, "_term_count", _first_call(lambda count: first.rank - 1)
     )
     check = checks["max_rank<=max_term_count"]
     assert code == 1 and failed == ["max_rank<=max_term_count"]
@@ -296,18 +311,81 @@ def test_rank_check_is_per_matrix(monkeypatch):
 
 
 def test_inexact_reconstruction_fails(monkeypatch):
-    # The first left factor is (1, P): adding 1 to its column side adds the
-    # all-ones matrix to the rebuild.  Index 0 is the constant monomial,
-    # which heads the graded list.
-    def breaker(cert):
-        (f, g), *rest = cert.left
-        assert f == 0
-        weights = dict(g)
-        g_plus_one = list({**weights, 0: weights.get(0, 0) + 1}.items())
-        return dataclasses.replace(cert, left=((f, g_plus_one), *rest))
+    # The first basis matrix's rebuild gains the all-ones matrix.
+    def plus_ones(flat):
+        (row,) = linalg.as_rows(flat)
+        return linalg.as_table([[v + 1 for v in row]], len(row), 3)
 
-    code, _, failed = _failed_checks_with_first_certificate(monkeypatch, breaker)
+    code, _, failed = _failed_checks(monkeypatch, "_rebuild", _first_call(plus_ones))
     assert code == 1 and failed == ["clp_reconstructions_exact"]
+
+
+class TestAuditFaultOracle:
+    """Faults in the audit's two per-term inputs, each seen both by the audit
+    and by the per-cell rebuild of tests/reference.py."""
+
+    def test_one_monomial_expansion(self, monkeypatch):
+        # The term 1 * y^m of one monomial m's expansion gets weight 2: every
+        # basis matrix whose polynomial uses m gains 1 (x) m at T.
+        run, polys, _ = _golden_audit()
+        target = max(polys[0].terms, key=sc.monomial_key)
+        real = summatrix._expand
+
+        def broken(full, q, split, index):
+            low, high = real(full, q, split, index)
+            if full == target:
+                (a, b, w), *rest = low
+                assert (a, w) == (0, 1)  # the constant monomial heads every graded list
+                low = ((a, b, 2), *rest)
+            return low, high
+
+        code, _, failed = _failed_checks(monkeypatch, "_expand", lambda real: broken)
+        assert code == 1 and failed == ["clp_reconstructions_exact"]
+
+        s_ord, t_ord = run.s_input.ordered(), run.t_input.ordered()
+        audits = list(summatrix.audit_matrices(polys, run.degree, s_ord, t_ord))
+        seen = []
+        for P, a in zip(polys, audits):
+            rebuilt = reference.clp_reconstruct(sc.clp_decompose(P, run.degree), s_ord, t_ord)
+            assert _grid(a.rebuilt) == rebuilt
+            assert _grid(a.entries) == reference.sum_grid(P, s_ord, t_ord)
+            assert (a.rebuilt != a.entries) == (rebuilt != _grid(a.entries))
+            if rebuilt != _grid(a.entries):
+                seen.append(target in P.terms)
+        assert seen and all(seen)
+
+    def test_one_row_term_count(self, monkeypatch):
+        # The first basis row's anchors are taken from its first monomial
+        # alone.  The terms the reference certificate anchors there cannot
+        # rebuild the matrix, whose rank exceeds their number.
+        run, polys, audits = _golden_audit()
+        anchors = []
+
+        def fault(real):
+            def broken(weights, masks, table):
+                if not anchors:
+                    anchors.append(masks[weights[0][0]])
+                    return real(weights[:1], masks, table)
+                return real(weights, masks, table)
+            return broken
+
+        code, checks, failed = _failed_checks(monkeypatch, "_term_count", fault)
+        assert code == 1 and failed == ["max_rank<=max_term_count"]
+
+        (left, right), = anchors
+        monos = run.space.monos
+        P, first = polys[0], audits[0]
+        cert = reference.clp_decompose(P, run.degree)
+        kept = dataclasses.replace(
+            cert,
+            left_factors=tuple(fg for fg in cert.left_factors if left >> monos.index(*fg[0].terms) & 1),
+            right_factors=tuple(fg for fg in cert.right_factors if right >> monos.index(*fg[1].terms) & 1),
+        )
+        count = len(kept.left_factors) + len(kept.right_factors)
+        assert count == left.bit_count() + right.bit_count() < first.rank
+        s_ord, t_ord = run.s_input.ordered(), run.t_input.ordered()
+        assert reference.clp_reconstruct(kept, s_ord, t_ord) != reference.sum_grid(P, s_ord, t_ord)
+        assert reference.clp_reconstruct(cert, s_ord, t_ord) == reference.sum_grid(P, s_ord, t_ord)
 
 
 def test_rank_budget_check_fails_alone(monkeypatch):
@@ -458,3 +536,70 @@ class TestExpansionTable:
         distinct = set().union(*(P.terms for P in polys))
         assert len(distinct) == 220 < sum(len(P.terms) for P in polys)
         assert counts == {"A": 220, "B": 220}
+
+
+def _assert_term_counts(S, T):
+    """At every degree, each basis row's anchor-union count equals its
+    grouped certificate's term count and the reference split's."""
+    q, n = S.q, S.n
+    for d in range((q - 1) * n + 1):
+        space = sc.run_pipeline(S, T, d).space
+        table = summatrix._Expansions(space.monos, q, n, d // 2)
+        anchors = {}
+        for row, P in zip(space.rows, basis(space)):
+            weights = [(k, c) for k, c in enumerate(row) if c]
+            for k, _ in weights:
+                if k not in anchors:
+                    anchors[k] = summatrix._expansion_terms(table[k])[1:]
+            count = summatrix._term_count(weights, anchors, table)
+            assert count == summatrix._certificate(row, table).term_count
+            assert count == reference.clp_decompose(P, d).term_count
+
+
+class TestTermCount:
+    """The combinatorial term count |L| + |R| against the grouped certificates."""
+
+    @pytest.mark.parametrize("q,n", SEEDED_GRID)
+    def test_seeded_grid(self, q, n):
+        _assert_term_counts(*seeded_pair(q, n, 0))
+
+    @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
+    def test_golden_instances(self, path):
+        inst = parse_instance(str(path))
+        _assert_term_counts(inst.s_set, inst.t_set)
+
+    @given(set_pairs(primes=(2, 3, 5), allow_empty=False))
+    @settings(deadline=None, max_examples=30)
+    def test_hypothesis_pairs(self, pair):
+        _assert_term_counts(*pair)
+
+
+class TestAuditWork:
+    """The --certify-rank refusal's estimate, on values that allocate nothing."""
+
+    @pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (5, 2), (7, 2)])
+    def test_terms_are_the_expansion_sizes(self, q, n):
+        # one row and 64 columns: one word per term, plus m_d * min(m_d, 64)
+        for d in range(-1, (q - 1) * n + 2):
+            monos = sc.enumerate_monomials(q, n, d) if d >= 0 else []
+            terms = sum(math.prod(e + 1 for e in m) for m in monos)
+            assert summatrix.audit_work(q, n, d, 1, 64) == terms + min(len(monos), 64) * len(monos)
+
+    def test_golden_and_north_star_admitted(self):
+        for path in GOLDEN:
+            inst = parse_instance(str(path))
+            summatrix.check_audit_cap(inst.q, inst.n, None, len(inst.s_set), len(inst.t_set))
+        summatrix.check_audit_cap(3, 7, None, 40, 40)
+        assert summatrix.audit_work(3, 7, 9, 40, 40) == 6678125
+
+    @pytest.mark.parametrize("q,n,d,size", [(3, 8, None, 400), (3, 7, 9, 10**6), (2, 20, 10, 10**9), (5, 9, None, 10)])
+    def test_refused(self, q, n, d, size, monkeypatch):
+        monkeypatch.setattr(summatrix, "monomial_table", None)
+        monkeypatch.setattr(summatrix, "outer_rows", None)
+        with pytest.raises(sc.EnumerationTooLarge, match="rank audit takes .* word steps > cap 100000000"):
+            summatrix.check_audit_cap(q, n, d, size, size)
+
+    def test_enumeration_cap_first(self):
+        # as run_pipeline would: q^n above the cap is refused before any count
+        with pytest.raises(sc.EnumerationTooLarge, match="q\\^n = 43046721 exceeds enumeration cap"):
+            summatrix.check_audit_cap(3, 16, None, 1, 1)
