@@ -10,11 +10,12 @@ Counting never enumerates: the per-degree counts are the coefficients of
 convolution, so counts remain available for n in the hundreds where the
 monomial list itself would have astronomically many entries.
 
-`growth_estimate` owns its work budget and refuses, with EnumerationTooLarge
-and before any work, the counts up to n_max when `check_count_cap` puts them
-above DEFAULT_ENUM_CAP, and the decimal roots when (n_max - 1) * digits^3
-exceeds GROWTH_ROOT_CAP.  Every caller (the `bound` command, the growth-table
-script, library code) gets the same refusals.
+`growth_estimate` owns its work budget and refuses, before any work, n_max
+or digits below 1 with ValueError, and with EnumerationTooLarge the counts
+up to n_max when `check_count_cap` puts them above DEFAULT_ENUM_CAP and the
+decimal roots when (n_max - 1) * digits^3 exceeds GROWTH_ROOT_CAP.  Every
+caller (the `bound` command, the growth-table script, library code) gets
+the same refusals.
 """
 
 from __future__ import annotations
@@ -187,20 +188,23 @@ def growth_estimate(q: int, n_max: int, *, digits: int = 30) -> list[Decimal]:
     monotone: the floor in the degree index makes them wiggle with period 3
     (for q = 3, n = 20 -> 21 rises 2.68771 -> 2.71416).
 
-    EnumerationTooLarge, before any convolution or root, when the counts up
-    to n_max exceed DEFAULT_ENUM_CAP steps or the roots GROWTH_ROOT_CAP.
+    ValueError for n_max or digits below 1, and EnumerationTooLarge when the
+    counts up to n_max exceed DEFAULT_ENUM_CAP steps or the roots
+    GROWTH_ROOT_CAP, each before any convolution or root.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if digits < 1:
+        raise ValueError(f"digits must be >= 1, got {digits}")
     check_count_cap(q, n_max, DEFAULT_ENUM_CAP)
     if (work := (n_max - 1) * digits**3) > GROWTH_ROOT_CAP:
         raise EnumerationTooLarge(f"growth roots take {work} digit^3 steps > cap {GROWTH_ROOT_CAP}")
     out: list[Decimal] = []
-    counts = [1]
+    # one count table, extended by one convolution per n
+    table = degree_counts(q, 0)
     for n in range(1, n_max + 1):
-        counts = _convolve_window(counts, q)
-        m = sum(counts[: ((q - 1) * n) // 3 + 1])
-        big = 3 * m
+        table = table.extended()
+        big = table.capset_budget()
         if n == 1:
             out.append(Decimal(big))
             continue

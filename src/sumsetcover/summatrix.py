@@ -20,34 +20,40 @@ total degree <= floor(d/2).  Grouping the expansion by that low-degree side
 writes the matrix as a sum of rank-one terms, at most m(q, n, floor(d/2))
 anchored on the row side plus as many anchored on the column side.
 
-`audit_matrices`, and `rank_audit` on a pipeline run's basis rows (the
-CLI's --certify-rank), are the library's only path that builds a sum matrix
-or rebuilds one from its expansion.  Both go through `_audit`, on
-coefficient rows over the graded monomials of degree <= d, the vanishing
-space's `monos`; audit_matrices reads its Polynomial arguments as such rows
-once (`_row`, the audit's one Polynomial edge, which clp_decompose shares).
-The audit is linear in the rows.  Each monomial m_k that some row uses is
-expanded once per audit, keyed by its place in the graded list, into
-R(m_k) = sum of w * x^a (x) y^b over the terms of (x + y)^(m_k), one flat
-|S| * |T|-cell table row built from the monomials' rows at S and at T
-(linalg.outer_rows), and into two bitmasks: its row-side anchors (the a
-with |a| <= floor(d/2)) and its column-side anchors (the b of the other
-terms).  A row P = sum of c_k * m_k is then checked with one packed
-addition per monomial of its support:
-- its rebuild is sum of c_k * R(m_k) (linalg.combine_rows);
-- its entries are its values at the distinct sums, spread over the cells
-  (linalg.flatten);
-- its term count is the popcount of the union L of its monomials' row-side
-  anchors plus that of the union R of their column-side anchors, at most
-  2 * m(q, n, floor(d/2)) (BoundViolated otherwise);
-- its rank is the exact rank of the entries, cut back into |S| rows
-  (linalg.split_row).
-Grouping the terms of sum c_k * R(m_k) by anchor rewrites the same sum as
-sum over a in L of x^a (x) g_a plus sum over b in R of f_b (x) y^b, the
-grouped certificate clp_decompose returns, so entries == rebuilt certifies
-a split into |L| + |R| rank-one terms without building any cofactor.
-`check_audit_cap` refuses an audit whose work `audit_work` estimates from
-exact counts above AUDIT_WORK_CAP, before any table is built.
+One engine computes that split for both of its readers.  `_expand` turns a
+monomial m_k, at one split floor(d/2) and with every monomial keyed by its
+place in a graded list, into the terms (a, b, w) of w * x^a y^b in
+(x + y)^(m_k) and two bitmasks: its row-side anchors (the a with
+|a| <= floor(d/2)) and its column-side anchors (the b of the other terms).
+Each reader expands the monomials it uses once per call, and `_term_count`
+counts a polynomial's rank-one terms for both: the popcount of the union L
+of its monomials' row-side anchors plus that of the union R of their
+column-side anchors, at most 2 * m(q, n, floor(d/2)) (BoundViolated
+otherwise).
+- `clp_decompose` numbers the parts of its polynomial's monomials, expands
+  its support and groups the terms by anchor into the certificate
+  sum over a in L of x^a (x) g_a plus sum over b in R of f_b (x) y^b.
+- `audit_matrices`, and `rank_audit` on a pipeline run's basis rows (the
+  CLI's --certify-rank), are the library's only path that builds a sum
+  matrix or rebuilds one from its expansion.  Both go through `_audit`, on
+  coefficient rows over the graded monomials of degree <= d, the vanishing
+  space's `monos`; audit_matrices reads its Polynomial arguments as such
+  rows once (`_row`, the one Polynomial edge, which clp_decompose shares).
+  The audit is linear in the rows.  It expands each monomial m_k that some
+  row uses into R(m_k) = sum of w * x^a (x) y^b over its terms, one flat
+  |S| * |T|-cell table row built from the monomials' rows at S and at T
+  (linalg.outer_rows).  A row P = sum of c_k * m_k is then checked with one
+  packed addition per monomial of its support: its rebuild is
+  sum of c_k * R(m_k) (linalg.combine_rows); its entries are its values at
+  the distinct sums, spread over the cells (linalg.flatten); its term count
+  is `_term_count` over its monomials' masks; its rank is the exact rank
+  of the entries, cut back into |S| rows (linalg.split_row).
+Grouping the terms of sum c_k * R(m_k) by anchor gives clp_decompose's
+certificate, so entries == rebuilt certifies a split into |L| + |R|
+rank-one terms without building any cofactor.  Both audit entry points
+call `check_audit_cap`, which refuses an audit whose work `audit_work`
+estimates from exact counts above AUDIT_WORK_CAP, before any table is
+built.
 tests/reference.py keeps the per-cell constructions the audit is checked
 against.
 """
@@ -154,20 +160,21 @@ class ClpCertificate:
     term_count: int
 
 
-# (low, high) for one monomial x^full at one (q, split), each monomial by
-# its place in a graded list: low holds (a, b, w) for the terms w x^a y^b of
-# (x + y)^full with |a| <= split, high holds (b, a, w) for the rest, each
-# with its anchor first.
-_Splits = tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, int, int], ...]]
+# One monomial x^full's expansion at one (q, split), each monomial by its
+# place in a graded list: the terms (a, b, w) of w x^a y^b in (x + y)^full,
+# then the masks of its row-side anchors (the a with |a| <= split) and of its
+# column-side anchors (the b of the other terms).
+_Expanded = tuple[list[tuple[int, int, int]], int, int]
 
 
-def _expand(full: Monomial, q: int, split: int, index: dict[Monomial, int]) -> _Splits:
-    """The terms x^a y^b of (x + y)^full whose binomial weight is nonzero mod q.
+def _expand(full: Monomial, q: int, split: int, index: dict[Monomial, int]) -> _Expanded:
+    """The terms x^a y^b of (x + y)^full whose binomial weight is nonzero mod
+    q, and their anchor masks.
 
     a runs over itertools.product order; b = full - a; `index` numbers both.
     """
     ranges = [range(e + 1) for e in full]
-    low, high = [], []
+    terms, left, right = [], 0, 0
     for a, b, cs in zip(
         itertools.product(*ranges),
         itertools.product(*[r[::-1] for r in ranges]),
@@ -175,56 +182,28 @@ def _expand(full: Monomial, q: int, split: int, index: dict[Monomial, int]) -> _
     ):
         w = math.prod(cs) % q
         if w:
+            ia, ib = index[a], index[b]
+            terms.append((ia, ib, w))
             if sum(a) <= split:
-                low.append((index[a], index[b], w))
+                left |= 1 << ia
             else:
-                high.append((index[b], index[a], w))
-    return tuple(low), tuple(high)
+                right |= 1 << ib
+    return terms, left, right
 
 
-class _Expansions(dict):
-    """The split lists of monos[k] at one (q, split), by k, each made at its
-    first lookup; `monos` is in monomial_key order and holds both parts of
-    every term the rows' monomials expand into."""
-
-    def __init__(self, monos: Sequence[Monomial], q: int, n: int, split: int) -> None:
-        super().__init__()
-        self.monos, self.q, self.split = monos, q, split
-        self.index = {m: k for k, m in enumerate(monos)}
-        self.budget = 2 * degree_counts(q, n).prefix(split)  # m(q, n, split); 0 below 0
-
-    def __missing__(self, k: int) -> _Splits:
-        splits = self[k] = _expand(self.monos[k], self.q, self.split, self.index)
-        return splits
-
-
-@dataclass(frozen=True)
-class _Certificate:
-    """Rank-one terms (anchor, cofactor (index, weight) list) over a table's
-    monos, `left` anchored on the row side; anchors ascend (graded order)."""
-
-    left: tuple[tuple[int, list[tuple[int, int]]], ...]
-    right: tuple[tuple[int, list[tuple[int, int]]], ...]
-    term_count: int
-
-
-def _certificate(row: Sequence[int], table: _Expansions) -> _Certificate:
-    """clp_decompose's grouping for the coefficient row `row` over
-    table.monos; BoundViolated above the 2 * m(q, n, split) budget."""
-    q = table.q
-    left, right = defaultdict(list), defaultdict(list)
-    for k in itertools.compress(range(len(row)), row):
-        for groups, entries in zip((left, right), table[k]):
-            for anchor, other, w in entries:
-                # anchor and other determine the monomial: no pair twice
-                if w := row[k] * w % q:
-                    groups[anchor].append((other, w))
-    term_count = len(left) + len(right)
-    if term_count > table.budget:
-        raise BoundViolated(
-            f"{term_count} rank-one terms exceed 2*m(q, n, {table.split}) = {table.budget}"
-        )
-    return _Certificate(tuple(sorted(left.items())), tuple(sorted(right.items())), term_count)
+def _term_count(masks: Iterable[tuple[int, int]], budget: int, split: int) -> int:
+    """|L| + |R| for one polynomial: the distinct row-side and column-side
+    anchors of its monomials' expansion terms, `masks` holding each
+    monomial's two anchor masks; BoundViolated above the budget
+    2 * m(q, n, split)."""
+    left = right = 0
+    for a, b in masks:
+        left |= a
+        right |= b
+    term_count = left.bit_count() + right.bit_count()
+    if term_count > budget:
+        raise BoundViolated(f"{term_count} rank-one terms exceed 2*m(q, n, {split}) = {budget}")
+    return term_count
 
 
 def _row(P: Polynomial, degree: int, monos: Sequence[Monomial]) -> list[int]:
@@ -237,19 +216,6 @@ def _row(P: Polynomial, degree: int, monos: Sequence[Monomial]) -> list[int]:
     return [P.terms.get(m, 0) for m in monos]
 
 
-def _clp_certificate(P: Polynomial, degree: int, table: _Expansions) -> ClpCertificate:
-    """clp_decompose from a table at (P.q, degree // 2) whose monos hold P's."""
-    q, n, monos = P.q, P.n, table.monos
-    cert = _certificate(_row(P, degree, monos), table)
-
-    def poly(weights: Sequence[tuple[int, int]]) -> Polynomial:
-        return Polynomial(q, n, {monos[k]: w for k, w in weights})
-
-    left = tuple((poly([(a, 1)]), poly(g)) for a, g in cert.left)
-    right = tuple((poly(g), poly([(a, 1)])) for a, g in cert.right)
-    return ClpCertificate(q, n, degree, table.split, left, right, cert.term_count)
-
-
 def clp_decompose(P: Polynomial, degree: int) -> ClpCertificate:
     """Split P(x + y) into rank-one terms with one low-degree side each.
 
@@ -258,48 +224,41 @@ def clp_decompose(P: Polynomial, degree: int) -> ClpCertificate:
     grouped by b (column anchored).  Group counts never exceed
     m(q, n, floor(d/2)) per side.
     """
+    q, n, split = P.q, P.n, degree // 2
     # the parts x^a, a <= full, of P's monomials: as many as its expansion has
     parts = {a for full in P.terms for a in itertools.product(*[range(e + 1) for e in full])}
     monos = sorted(parts, key=monomial_key)
-    return _clp_certificate(P, degree, _Expansions(monos, P.q, P.n, degree // 2))
+    index = {m: k for k, m in enumerate(monos)}
+    left, right = defaultdict(list), defaultdict(list)
+    masks = []
+    for full, c in zip(monos, _row(P, degree, monos)):
+        if c % q:
+            terms, row_side, col_side = _expand(full, q, split, index)
+            masks.append((row_side, col_side))
+            for a, b, w in terms:
+                # a and b determine the monomial: no pair twice; the
+                # row-side mask holds a exactly when |a| <= split
+                if row_side >> a & 1:
+                    left[a].append((b, c * w % q))
+                else:
+                    right[b].append((a, c * w % q))
+    term_count = _term_count(masks, 2 * degree_counts(q, n).prefix(split), split)
 
+    def poly(weights: Sequence[tuple[int, int]]) -> Polynomial:
+        return Polynomial(q, n, {monos[k]: w for k, w in weights})
 
-def _expansion_terms(splits: _Splits) -> tuple[list[tuple[int, int, int]], int, int]:
-    """One monomial's expansion as (row part, column part, weight) triples,
-    and the bitmasks of its row-side and column-side anchors."""
-    low, high = splits
-    terms = [*low, *((a, b, w) for b, a, w in high)]
-    left = right = 0
-    for a, _, _ in low:
-        left |= 1 << a
-    for b, _, _ in high:
-        right |= 1 << b
-    return terms, left, right
+    return ClpCertificate(
+        q, n, degree, split,
+        tuple((poly([(a, 1)]), poly(g)) for a, g in sorted(left.items())),
+        tuple((poly(g), poly([(b, 1)])) for b, g in sorted(right.items())),
+        term_count,
+    )
 
 
 def _rebuild(weights: Sequence[tuple[int, int]], rebuilds: Rows, ncells: int, q: int) -> Rows:
     """One basis row's matrix rebuilt from its expansion: its coefficients
     (place, c) combine the monomials' flat rebuilds R(m_k); one flat row."""
     return combine_rows([weights], rebuilds, ncells, q)
-
-
-def _term_count(
-    weights: Sequence[tuple[int, int]], anchors: Sequence[tuple[int, int]], table: _Expansions
-) -> int:
-    """|L| + |R| for one basis row: the distinct row-side and column-side
-    anchors of its monomials' expansion terms, anchors[place] being the two
-    masks of a monomial; BoundViolated above the 2 * m(q, n, split) budget."""
-    left = right = 0
-    for k, _ in weights:
-        a, b = anchors[k]
-        left |= a
-        right |= b
-    term_count = left.bit_count() + right.bit_count()
-    if term_count > table.budget:
-        raise BoundViolated(
-            f"{term_count} rank-one terms exceed 2*m(q, n, {table.split}) = {table.budget}"
-        )
-    return term_count
 
 
 @dataclass(frozen=True)
@@ -328,6 +287,8 @@ def audit_matrices(
     if not polys:
         return
     q, n = polys[0].q, polys[0].n
+    # the audit enumerates no F_q^n: only its work is capped
+    check_audit_cap(q, n, degree, len(row_points), len(col_points), cap=q**n)
     for P in polys:
         if (P.q, P.n) != (q, n):
             raise DimensionMismatch(f"polynomial over (q={P.q}, n={P.n}) audited with q={q}, n={n}")
@@ -335,15 +296,22 @@ def audit_matrices(
     # every factor's monomials have degree <= d; they number at most q^n
     monos = enumerate_monomials(q, n, degree, cap=q**n)
     coeffs = [_row(P, degree, monos) for P in polys]
-    yield from _audit(_Expansions(monos, q, n, degree // 2), coeffs, rows, cols)
+    yield from _audit(q, n, degree, monos, coeffs, rows, cols)
 
 
 def _audit(
-    table: _Expansions, coeffs: Sequence[Sequence[int]], rows: list[Coords], cols: list[Coords]
+    q: int,
+    n: int,
+    degree: int,
+    monos: Sequence[Monomial],
+    coeffs: Sequence[Sequence[int]],
+    rows: list[Coords],
+    cols: list[Coords],
 ) -> Iterator[MatrixAudit]:
-    """The audit of each coefficient row over table.monos (every monomial of
-    degree <= d) at the row and column coordinates."""
-    q, monos = table.q, table.monos
+    """The audit of each coefficient row over monos (every monomial of
+    degree <= d, in graded order) at the row and column coordinates."""
+    split = degree // 2
+    budget = 2 * degree_counts(q, n).prefix(split)  # 0 below degree 0
     nrows, ncols = len(rows), len(cols)
     # each cell's sum id; the ids number the distinct sums in row-major order
     ids: dict[Coords, int] = {}
@@ -355,8 +323,9 @@ def _audit(
     used = sorted({k for support in supports for k, _ in support})
     place = {k: i for i, k in enumerate(used)}
     weights = [[(place[k], c) for k, c in support] for support in supports]
-    expansions = [_expansion_terms(table[k]) for k in used]
-    anchors = [(left, right) for _, left, right in expansions]
+    index = {m: k for k, m in enumerate(monos)}
+    expansions = [_expand(monos[k], q, split, index) for k in used]
+    masks = [(left, right) for _, left, right in expansions]
     # R(m_k) = sum of w * x^a (x) y^b over the terms of (x + y)^(m_k), flat
     at_rows, at_cols = monomial_table(monos, rows, q), monomial_table(monos, cols, q)
     rebuilds = outer_rows((terms for terms, _, _ in expansions), at_rows, at_cols, q)
@@ -364,7 +333,7 @@ def _audit(
     at_sums = monomial_table([monos[k] for k in used], list(ids), q)
     values = flatten(combine_rows(weights, at_sums, len(ids), q), grid)
     for r, w in enumerate(weights):
-        term_count = _term_count(w, anchors, table)
+        term_count = _term_count([masks[i] for i, _ in w], budget, split)
         rebuilt = split_row(_rebuild(w, rebuilds, nrows * ncols, q), 0, nrows, ncols)
         entries = split_row(values, r, nrows, ncols)
         yield MatrixAudit(entries, rebuilt, matrix_rank(entries, q), term_count)
@@ -429,12 +398,14 @@ class RankAudit:
 
 def rank_audit(run: PipelineRun) -> RankAudit:
     """Check the rank-one split of every basis sum matrix of a pipeline run."""
+    space = run.space
+    q, n = space.q, space.n
+    # the run has enumerated F_q^n already: only the audit's work is capped
+    check_audit_cap(q, n, run.degree, len(run.s_input), len(run.t_input), cap=q**n)
     exact = within = True
     max_rank = max_terms = 0
-    space = run.space
-    table = _Expansions(space.monos, space.q, space.n, run.degree // 2)
     rows, cols = ([x.coords for x in X.ordered()] for X in (run.s_input, run.t_input))
-    for a in _audit(table, space.rows, rows, cols):
+    for a in _audit(q, n, run.degree, space.monos, space.rows, rows, cols):
         exact = exact and a.entries == a.rebuilt
         within = within and a.rank <= a.term_count
         max_rank = max(max_rank, a.rank)

@@ -138,6 +138,18 @@ class TestBoundCommand:
         assert run_command(args) == 3
         assert "growth roots take" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("growth_to, digits", [(3, 0), (1, 0), (4, -10**7)])
+    def test_growth_digits_below_one_refused(self, growth_to, digits, capsys, monkeypatch):
+        # decimal refused these only at its first root, and n = 1 takes none
+        def no_work(*args, **kwargs):
+            raise AssertionError("counted before the digits were refused")
+
+        monkeypatch.setattr(cli, "degree_counts", no_work)
+        monkeypatch.setattr(monomials, "_convolve_window", no_work)
+        args = ["bound", "--q", "3", "--n", "2", "--growth-to", str(growth_to), "--digits", str(digits)]
+        assert run_command(args) == 2
+        assert f"digits must be >= 1, got {digits}" in capsys.readouterr().err
+
     def test_composite_q_exit_two(self, capsys):
         assert run_command(["bound", "--q", "4", "--n", "1"]) == 2
 

@@ -509,6 +509,14 @@ class TestPipelineCheckFaults:
                 sc.run_pipeline(*GOLDEN)
             )
 
+            def clp_entry():
+                # clp_decompose on each basis polynomial in turn, as the audit takes its rows
+                run = sc.run_pipeline(*GOLDEN)
+                for row in run.space.rows:
+                    sc.clp_decompose(sc.poly_from_terms(3, 5, dict(zip(run.space.monos, row))), run.degree)
+
+            ENTRIES["clp"] = clp_entry
+
             def repeat_a_sum(pivots):
                 # the first pivot traded for a cell off the pivots whose sum another pivot has
                 sums = {S_ORD[i] + T_ORD[j] for i, j in pivots[1:]}
@@ -557,8 +565,9 @@ class TestPipelineCheckFaults:
     # raised, not recorded: one pivot per basis row (after the recorded
     # checks), line_cover's Koenig cover against its matching and against
     # the pivots (its matching-is-maximum raise is faulted by a matching one
-    # pair short in test_cover.py), and the rank audit's term budget,
-    # 2 * m(q, n, d // 2) = 102 at d = 7
+    # pair short in test_cover.py), and the term budget 2 * m(q, n, d // 2)
+    # = 102 at d = 7, which the rank audit and clp_decompose share: both
+    # raise first on the same basis row
     COVER, AUDIT = "sumsetcover.cover", "sumsetcover.summatrix"
     RAISES = {
         "pivots_number_dim": (
@@ -577,8 +586,15 @@ class TestPipelineCheckFaults:
             "audit", AUDIT, "degree_counts",
             "lambda real: lambda q, n: sc.CountTable(q, n, (0,) + real(q, n).counts[:-1])",
             "57 rank-one terms exceed 2*m(q, n, 3) = 42"),
+        "clp_term_count<=2*m(q,n,d//2)": (
+            "clp", AUDIT, "degree_counts",
+            "lambda real: lambda q, n: sc.CountTable(q, n, (0,) + real(q, n).counts[:-1])",
+            "57 rank-one terms exceed 2*m(q, n, 3) = 42"),
     }
-    OPTIMIZED = ["dim_vanishing>=m_d-q^n+|S+T|", "pivots_number_dim", "term_count<=2*m(q,n,d//2)"]
+    OPTIMIZED = [
+        "dim_vanishing>=m_d-q^n+|S+T|", "pivots_number_dim", "term_count<=2*m(q,n,d//2)",
+        "clp_term_count<=2*m(q,n,d//2)",
+    ]
     SCRIPT = PRELUDE + TestLibraryCheckFaults.RUNNER
 
     @pytest.fixture(scope="class")

@@ -149,3 +149,14 @@ class TestGrowth:
         monkeypatch.setattr(monomials, "_convolve_window", no_work)
         with pytest.raises(EnumerationTooLarge, match=f"^{re.escape(message)}$"):
             sc.growth_estimate(q, n_max, digits=digits)
+
+    @pytest.mark.parametrize("n_max, digits", [(4, -10**7), (3, 0), (1, 0)])
+    def test_digits_below_one_refused_before_any_convolution(self, n_max, digits, monkeypatch):
+        # a negative digit^3 passed the root budget and decimal refused the
+        # precision only at the first root; n_max = 1 takes no root at all
+        def no_work(*args):
+            raise AssertionError("convolved before the digits were refused")
+
+        monkeypatch.setattr(monomials, "_convolve_window", no_work)
+        with pytest.raises(ValueError, match=f"^digits must be >= 1, got {digits}$"):
+            sc.growth_estimate(3, n_max, digits=digits)

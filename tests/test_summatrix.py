@@ -5,7 +5,9 @@ import itertools
 import json
 import math
 import random
+import types
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -332,12 +334,12 @@ class TestAuditFaultOracle:
         real = summatrix._expand
 
         def broken(full, q, split, index):
-            low, high = real(full, q, split, index)
+            terms, left, right = real(full, q, split, index)
             if full == target:
-                (a, b, w), *rest = low
+                (a, b, w), *rest = terms
                 assert (a, w) == (0, 1)  # the constant monomial heads every graded list
-                low = ((a, b, 2), *rest)
-            return low, high
+                terms = [(a, b, 2), *rest]
+            return terms, left, right
 
         code, _, failed = _failed_checks(monkeypatch, "_expand", lambda real: broken)
         assert code == 1 and failed == ["clp_reconstructions_exact"]
@@ -362,11 +364,11 @@ class TestAuditFaultOracle:
         anchors = []
 
         def fault(real):
-            def broken(weights, masks, table):
+            def broken(masks, budget, split):
                 if not anchors:
-                    anchors.append(masks[weights[0][0]])
-                    return real(weights[:1], masks, table)
-                return real(weights, masks, table)
+                    anchors.append(masks[0])
+                    return real(masks[:1], budget, split)
+                return real(masks, budget, split)
             return broken
 
         code, checks, failed = _failed_checks(monkeypatch, "_term_count", fault)
@@ -424,27 +426,15 @@ def _cert_items(cert):
     ]
 
 
-def _assert_same_split(P, degree, tables=None):
-    """clp_decompose equals the per-polynomial expansion, or both refuse.
-
-    With `tables` (split -> expansion table) the certificate is built from
-    the shared table of its split, as inside an audit.
-    """
-    def split():
-        if tables is None:
-            return sc.clp_decompose(P, degree)
-        # over every reduced monomial, so one table serves each degree of its split
-        monos = sc.enumerate_monomials(P.q, P.n, (P.q - 1) * P.n)
-        table = tables.setdefault(degree // 2, summatrix._Expansions(monos, P.q, P.n, degree // 2))
-        return summatrix._clp_certificate(P, degree, table)
-
+def _assert_same_split(P, degree):
+    """clp_decompose equals the per-polynomial expansion, or both refuse."""
     if sc.poly_degree(P) > degree:
         with pytest.raises(DegreeTooHigh):
-            split()
+            sc.clp_decompose(P, degree)
         with pytest.raises(DegreeTooHigh):
             reference.clp_decompose_per_polynomial(P, degree)
         return
-    got = split()
+    got = sc.clp_decompose(P, degree)
     assert _cert_items(got) == _cert_items(reference.clp_decompose_per_polynomial(P, degree))
 
 
@@ -458,7 +448,8 @@ def _seeded_polynomials(q, n, seed):
 
 
 class TestExpansionTable:
-    """The table-driven split against the per-polynomial expansion it replaced."""
+    """clp_decompose against the per-polynomial expansion it replaced, and
+    the audit's expansions counted."""
 
     @pytest.mark.parametrize("q,n", [(q, n) for q, top in EXPANSION_SPACES.items() for n in range(1, top + 1)])
     def test_seeded_every_degree(self, q, n):
@@ -466,11 +457,6 @@ class TestExpansionTable:
         for degree in range((q - 1) * n + 1):
             for P in polys:
                 _assert_same_split(P, degree)
-        # from tables shared as inside an audit too, one table per split
-        tables = {}
-        for degree in range((q - 1) * n + 1):
-            for P in polys:
-                _assert_same_split(P, degree, tables)
 
     @given(st.sampled_from(sorted(EXPANSION_SPACES)).flatmap(
         lambda q: polynomials(q=q, n=min(EXPANSION_SPACES[q], 2))
@@ -479,9 +465,7 @@ class TestExpansionTable:
     def test_hypothesis_polynomials(self, P, data):
         degree = data.draw(st.integers(0, (P.q - 1) * P.n))
         _assert_same_split(P, degree)
-        tables = {}
-        _assert_same_split(P, degree, tables)
-        _assert_same_split(P, (P.q - 1) * P.n, tables)
+        _assert_same_split(P, (P.q - 1) * P.n)
 
     def test_expands_each_monomial_once_per_audit(self, monkeypatch):
         inst = parse_instance(GOLDEN_Q3_N5)
@@ -502,8 +486,8 @@ class TestExpansionTable:
         assert len(expanded) == len(distinct)
 
     def test_interleaved_audits_expand_each_monomial_once(self, monkeypatch):
-        # audit B starts inside audit A and outlives it; each keeps a table
-        # of its own, so neither expands a monomial twice
+        # audit B starts inside audit A and outlives it; each expands the
+        # monomials it uses once, so neither expands a monomial twice
         inst = parse_instance(GOLDEN_Q3_N5)
         run = sc.run_pipeline(inst.s_set, inst.t_set)
         real = summatrix._expand
@@ -538,40 +522,65 @@ class TestExpansionTable:
         assert counts == {"A": 220, "B": 220}
 
 
-def _assert_term_counts(S, T):
-    """At every degree, each basis row's anchor-union count equals its
-    grouped certificate's term count and the reference split's."""
+def _audit_anchors(run):
+    """Per basis row, the anchor monomials rank_audit reads (the set bits of
+    the OR of its monomials' row-side masks, then of their column-side
+    masks) and the term count it returns."""
+    monos = run.space.monos
+    real, read = summatrix._term_count, []
+
+    def recording(masks, budget, split):
+        left = right = 0
+        for a, b in masks:
+            left |= a
+            right |= b
+        count = real(masks, budget, split)
+        anchors = [{m for k, m in enumerate(monos) if side >> k & 1} for side in (left, right)]
+        read.append((*anchors, count))
+        return count
+
+    with mock.patch.object(summatrix, "_term_count", recording):
+        summatrix.rank_audit(run)
+    return read
+
+
+def _cert_anchors(cert):
+    """A certificate's row-side and column-side anchor monomials and its term count."""
+    left = {mono for f, _ in cert.left_factors for mono in f.terms}
+    right = {mono for _, g in cert.right_factors for mono in g.terms}
+    return left, right, cert.term_count
+
+
+def _assert_anchor_sets(S, T):
+    """At every degree, each basis row's anchors as the audit reads them
+    equal clp_decompose's and the reference split's, and so do the term counts."""
     q, n = S.q, S.n
     for d in range((q - 1) * n + 1):
-        space = sc.run_pipeline(S, T, d).space
-        table = summatrix._Expansions(space.monos, q, n, d // 2)
-        anchors = {}
-        for row, P in zip(space.rows, basis(space)):
-            weights = [(k, c) for k, c in enumerate(row) if c]
-            for k, _ in weights:
-                if k not in anchors:
-                    anchors[k] = summatrix._expansion_terms(table[k])[1:]
-            count = summatrix._term_count(weights, anchors, table)
-            assert count == summatrix._certificate(row, table).term_count
-            assert count == reference.clp_decompose(P, d).term_count
+        run = sc.run_pipeline(S, T, d)
+        polys = basis(run.space)
+        read = _audit_anchors(run)
+        assert len(read) == len(polys)
+        for P, got in zip(polys, read):
+            assert got == _cert_anchors(sc.clp_decompose(P, d)) == _cert_anchors(reference.clp_decompose(P, d))
 
 
 class TestTermCount:
-    """The combinatorial term count |L| + |R| against the grouped certificates."""
+    """The audit's anchor sets and term count |L| + |R| against clp_decompose
+    and the reference split."""
 
     @pytest.mark.parametrize("q,n", SEEDED_GRID)
     def test_seeded_grid(self, q, n):
-        _assert_term_counts(*seeded_pair(q, n, 0))
+        _assert_anchor_sets(*seeded_pair(q, n, 0))
 
     @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
     def test_golden_instances(self, path):
         inst = parse_instance(str(path))
-        _assert_term_counts(inst.s_set, inst.t_set)
+        _assert_anchor_sets(inst.s_set, inst.t_set)
 
     @given(set_pairs(primes=(2, 3, 5), allow_empty=False))
     @settings(deadline=None, max_examples=30)
     def test_hypothesis_pairs(self, pair):
-        _assert_term_counts(*pair)
+        _assert_anchor_sets(*pair)
 
 
 class TestAuditWork:
@@ -598,6 +607,23 @@ class TestAuditWork:
         monkeypatch.setattr(summatrix, "outer_rows", None)
         with pytest.raises(sc.EnumerationTooLarge, match="rank audit takes .* word steps > cap 100000000"):
             summatrix.check_audit_cap(q, n, d, size, size)
+
+    def test_library_callers_refused(self, monkeypatch):
+        # rank_audit and audit_matrices refuse as the CLI does, before any
+        # table: a q = 3, n = 7 pair with |S| = |T| = 1000 (about 16 min)
+        for stage in ("monomial_table", "outer_rows", "enumerate_monomials"):
+            monkeypatch.setattr(summatrix, stage, None)
+        points = sc.all_points(3, 7).ordered()[:1000]
+        S = sc.PointSet.from_vectors(3, 7, points)
+        degree = sc.choose_degree(3, 7)[0]
+        # rank_audit reads the run's (q, n), degree and sizes before it refuses
+        run = types.SimpleNamespace(space=types.SimpleNamespace(q=3, n=7), degree=degree, s_input=S, t_input=S)
+        message = "^rank audit takes 2264487694 word steps > cap 100000000$"
+        with pytest.raises(sc.EnumerationTooLarge, match=message):
+            summatrix.rank_audit(run)
+        one = sc.poly_from_terms(3, 7, {(0,) * 7: 1})
+        with pytest.raises(sc.EnumerationTooLarge, match=message):
+            next(summatrix.audit_matrices([one], degree, points, points))
 
     def test_enumeration_cap_first(self):
         # as run_pipeline would: q^n above the cap is refused before any count
