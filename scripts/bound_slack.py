@@ -12,7 +12,9 @@ witness that fails to cover S+T, or an oracle minimum above either total,
 stops the script with exit code 1; these checks also run under python -O.  The
 greedy cover is a heuristic: it usually lands at or below the pipeline, but
 nothing bounds it by the pipeline or by the bound, so the script counts the
-instances where it exceeds either instead of asserting an order.
+instances where it exceeds either instead of asserting an order.  As the
+CLI does, a non-prime --q or an --n below 1 prints "error: invalid input:
+..." on stderr and exits 2.
 
 Example:
     python scripts/bound_slack.py --q 3 --n 2 --count 200 --seed 1
@@ -26,6 +28,7 @@ import sys
 from collections import Counter
 
 import sumsetcover as sc
+from sumsetcover.cli import EXIT_INVALID_INPUT
 
 
 def main() -> None:
@@ -38,6 +41,13 @@ def main() -> None:
     parser.add_argument("--search-cap", type=int, default=sc.DEFAULT_SEARCH_CAP)
     args = parser.parse_args()
 
+    for bad, message in [
+        (not sc.is_prime(args.q), f"q = {args.q} is not prime"),
+        (args.n < 1, f"n must be >= 1, got {args.n}"),
+    ]:
+        if bad:
+            print(f"error: invalid input: {message}", file=sys.stderr)
+            sys.exit(EXIT_INVALID_INPUT)
     rng = random.Random(args.seed)
     points = sc.all_points(args.q, args.n).ordered()
     gaps = Counter()

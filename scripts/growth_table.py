@@ -3,9 +3,10 @@
 minimized per-degree budget, for n = 1 .. n_max.
 
 The roots are computed to --digits + 10 significant digits and printed
-rounded to --digits decimal places.  A run that growth_estimate's work
-budget refuses prints "error: refused by resource cap: ..." on stderr and
-exits 3, as the CLI does.
+rounded to --digits decimal places.  As the CLI's bound does, a non-prime
+--q, an --n-max below 1 or --digits below 0 prints "error: invalid input:
+..." on stderr and exits 2, and a run that growth_estimate's work budget
+refuses prints "error: refused by resource cap: ..." and exits 3.
 
 Example:
     python scripts/growth_table.py --q 3 --n-max 40
@@ -18,7 +19,7 @@ import decimal
 import sys
 
 import sumsetcover as sc
-from sumsetcover.cli import EXIT_CAP_REFUSED
+from sumsetcover.cli import EXIT_CAP_REFUSED, EXIT_INVALID_INPUT
 
 
 def _count(value: int) -> str:
@@ -34,6 +35,14 @@ def main() -> None:
     parser.add_argument("--digits", type=int, default=12)
     args = parser.parse_args()
 
+    for bad, message in [
+        (not sc.is_prime(args.q), f"q = {args.q} is not prime"),
+        (args.n_max < 1, f"n_max must be >= 1, got {args.n_max}"),
+        (args.digits < 0, f"digits must be >= 0, got {args.digits}"),
+    ]:
+        if bad:
+            print(f"error: invalid input: {message}", file=sys.stderr)
+            sys.exit(EXIT_INVALID_INPUT)
     try:
         roots = sc.growth_estimate(args.q, args.n_max, digits=args.digits + 10)
     except sc.EnumerationTooLarge as exc:
@@ -49,7 +58,7 @@ def main() -> None:
         _, minimized = table.minimized()
         with decimal.localcontext() as ctx:
             # the integer digits (every root is >= 1) and the decimal places
-            ctx.prec = roots[n - 1].adjusted() + 1 + max(args.digits, 0)
+            ctx.prec = roots[n - 1].adjusted() + 1 + args.digits
             root = round(roots[n - 1], args.digits)
         print(f"{n:>4}  {_count(budget):>24}  {str(root):>16}  {_count(minimized):>24}")
 

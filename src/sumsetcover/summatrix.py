@@ -33,27 +33,26 @@ otherwise).
 - `clp_decompose` numbers the parts of its polynomial's monomials, expands
   its support and groups the terms by anchor into the certificate
   sum over a in L of x^a (x) g_a plus sum over b in R of f_b (x) y^b.
-- `audit_matrices`, and `rank_audit` on a pipeline run's basis rows (the
-  CLI's --certify-rank), are the library's only path that builds a sum
-  matrix or rebuilds one from its expansion.  Both go through `_audit`, on
-  coefficient rows over the graded monomials of degree <= d, the vanishing
-  space's `monos`; audit_matrices reads its Polynomial arguments as such
-  rows once (`_row`, the one Polynomial edge, which clp_decompose shares).
-  The audit is linear in the rows.  It expands each monomial m_k that some
-  row uses into R(m_k) = sum of w * x^a (x) y^b over its terms, one flat
+- `rank_audit`, on a pipeline run's basis rows (the CLI's --certify-rank),
+  is the library's only path that builds a sum matrix or rebuilds one from
+  its expansion.  It reads the rows as coefficient rows over the graded
+  monomials of degree <= d, the vanishing space's `monos`.  The split is
+  linear in P, so the audit checks it once per monomial m_k that some row
+  uses: R(m_k) = sum of w * x^a (x) y^b over its terms, one flat
   |S| * |T|-cell table row built from the monomials' rows at S and at T
-  (linalg.outer_rows).  A row P = sum of c_k * m_k is then checked with one
-  packed addition per monomial of its support: its rebuild is
-  sum of c_k * R(m_k) (linalg.combine_rows); its entries are its values at
-  the distinct sums, spread over the cells (linalg.flatten); its term count
-  is `_term_count` over its monomials' masks; its rank is the exact rank
-  of the entries, cut back into |S| rows (linalg.split_row).
+  (linalg.outer_rows), must equal m_k's own sum matrix, its values at the
+  distinct sums spread over the cells (linalg.flatten).  A row
+  P = sum of c_k * m_k is then exact when every monomial of its support is,
+  which gives its entries == sum of c_k * R(m_k), and no two monomials'
+  errors can cancel.  Its entries are one combination of the monomials'
+  sum matrices (linalg.combine_rows); its term count is `_term_count` over
+  its monomials' masks; its rank is the exact rank of the entries, cut back
+  into |S| rows (linalg.split_row).
 Grouping the terms of sum c_k * R(m_k) by anchor gives clp_decompose's
-certificate, so entries == rebuilt certifies a split into |L| + |R|
-rank-one terms without building any cofactor.  Both audit entry points
-call `check_audit_cap`, which refuses an audit whose work `audit_work`
-estimates from exact counts above AUDIT_WORK_CAP, before any table is
-built.
+certificate, so an exact row certifies a split into |L| + |R| rank-one
+terms without building any cofactor.  `rank_audit` calls `check_audit_cap`,
+which refuses an audit whose work `audit_work` estimates from exact counts
+above AUDIT_WORK_CAP, before any table is built.
 tests/reference.py keeps the per-cell constructions the audit is checked
 against.
 """
@@ -69,23 +68,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .decompose import Check, PipelineRun, choose_degree
 from .errors import BoundViolated, DegreeTooHigh, DimensionMismatch, EnumerationTooLarge
 from .field import DEFAULT_ENUM_CAP, FieldVector, check_enumeration_cap
-from .linalg import (
-    Rows,
-    combine_rows,
-    flatten,
-    matrix_rank,
-    monomial_table,
-    outer_rows,
-    split_row,
-)
-from .monomials import (
-    Monomial,
-    check_count_cap,
-    degree_counts,
-    enumerate_monomials,
-    eval_monomial,
-    monomial_key,
-)
+from .linalg import Rows, combine_rows, flatten, matrix_rank, monomial_table, outer_rows, split_row
+from .monomials import Monomial, check_count_cap, degree_counts, eval_monomial, monomial_key
 
 Coords = tuple[int, ...]
 
@@ -125,20 +109,13 @@ def poly_degree(P: Polynomial) -> int:
     return max((sum(m) for m in P.terms), default=-1)
 
 
-def _coords(q: int, n: int, points: Sequence[FieldVector]) -> list[Coords]:
-    """The points' coordinates; DimensionMismatch for a point outside F_q^n."""
-    for x in points:
-        if x.q != q or x.n != n:
-            raise DimensionMismatch(
-                f"polynomial over (q={q}, n={n}) evaluated at point over (q={x.q}, n={x.n})"
-            )
-    return [x.coords for x in points]
-
-
 def eval_poly(P: Polynomial, x: FieldVector) -> int:
-    """P(x) mod q."""
-    (coords,) = _coords(P.q, P.n, (x,))
-    return sum(c * eval_monomial(m, coords, P.q) for m, c in P.terms.items()) % P.q
+    """P(x) mod q; DimensionMismatch for a point outside F_q^n."""
+    if x.q != P.q or x.n != P.n:
+        raise DimensionMismatch(
+            f"polynomial over (q={P.q}, n={P.n}) evaluated at point over (q={x.q}, n={x.n})"
+        )
+    return sum(c * eval_monomial(m, x.coords, P.q) for m, c in P.terms.items()) % P.q
 
 
 @dataclass(frozen=True)
@@ -206,33 +183,28 @@ def _term_count(masks: Iterable[tuple[int, int]], budget: int, split: int) -> in
     return term_count
 
 
-def _row(P: Polynomial, degree: int, monos: Sequence[Monomial]) -> list[int]:
-    """P's coefficients over monos; ValueError for an exponent tuple that is
-    not reduced (poly_from_terms' check), DegreeTooHigh above the degree
-    budget."""
-    _check_monomials(P.q, P.n, P.terms)
-    if poly_degree(P) > degree:
-        raise DegreeTooHigh(f"polynomial of total degree {poly_degree(P)} exceeds budget {degree}")
-    return [P.terms.get(m, 0) for m in monos]
-
-
 def clp_decompose(P: Polynomial, degree: int) -> ClpCertificate:
     """Split P(x + y) into rank-one terms with one low-degree side each.
 
     Every expansion term x^a y^b with |a| <= floor(d/2) joins a group keyed
     by a (row anchored); the rest necessarily have |b| <= floor(d/2) and are
     grouped by b (column anchored).  Group counts never exceed
-    m(q, n, floor(d/2)) per side.
+    m(q, n, floor(d/2)) per side.  ValueError for an exponent tuple that is
+    not reduced (poly_from_terms' check), DegreeTooHigh above the degree
+    budget.
     """
     q, n, split = P.q, P.n, degree // 2
+    _check_monomials(q, n, P.terms)
+    if poly_degree(P) > degree:
+        raise DegreeTooHigh(f"polynomial of total degree {poly_degree(P)} exceeds budget {degree}")
     # the parts x^a, a <= full, of P's monomials: as many as its expansion has
     parts = {a for full in P.terms for a in itertools.product(*[range(e + 1) for e in full])}
     monos = sorted(parts, key=monomial_key)
     index = {m: k for k, m in enumerate(monos)}
     left, right = defaultdict(list), defaultdict(list)
     masks = []
-    for full, c in zip(monos, _row(P, degree, monos)):
-        if c % q:
+    for full in sorted(P.terms, key=monomial_key):
+        if c := P.terms[full] % q:
             terms, row_side, col_side = _expand(full, q, split, index)
             masks.append((row_side, col_side))
             for a, b, w in terms:
@@ -255,48 +227,20 @@ def clp_decompose(P: Polynomial, degree: int) -> ClpCertificate:
     )
 
 
-def _rebuild(weights: Sequence[tuple[int, int]], rebuilds: Rows, ncells: int, q: int) -> Rows:
-    """One basis row's matrix rebuilt from its expansion: its coefficients
-    (place, c) combine the monomials' flat rebuilds R(m_k); one flat row."""
-    return combine_rows([weights], rebuilds, ncells, q)
-
-
 @dataclass(frozen=True)
 class MatrixAudit:
-    """One basis polynomial's sum matrix beside its rebuild from its expansion.
+    """One basis polynomial's sum matrix and the audit of its split.
 
-    `entries` and `rebuilt` are linalg tables over the column points, both in
-    the format linalg picks at q, so equal matrices compare equal.  `rank`
+    `entries` is a linalg table over the column points, in the format linalg
+    picks at q.  `exact` holds when every monomial of the polynomial's
+    support rebuilds from its expansion terms to its own sum matrix.  `rank`
     is the exact rank of `entries`.
     """
 
     entries: Rows
-    rebuilt: Rows
+    exact: bool
     rank: int
     term_count: int
-
-
-def audit_matrices(
-    polys: Sequence[Polynomial],
-    degree: int,
-    row_points: Sequence[FieldVector],
-    col_points: Sequence[FieldVector],
-) -> Iterator[MatrixAudit]:
-    """Audit each polynomial's sum matrix in turn, one at a time, from its
-    coefficient row over the graded monomials of degree <= d."""
-    if not polys:
-        return
-    q, n = polys[0].q, polys[0].n
-    # the audit enumerates no F_q^n: only its work is capped
-    check_audit_cap(q, n, degree, len(row_points), len(col_points), cap=q**n)
-    for P in polys:
-        if (P.q, P.n) != (q, n):
-            raise DimensionMismatch(f"polynomial over (q={P.q}, n={P.n}) audited with q={q}, n={n}")
-    rows, cols = _coords(q, n, row_points), _coords(q, n, col_points)
-    # every factor's monomials have degree <= d; they number at most q^n
-    monos = enumerate_monomials(q, n, degree, cap=q**n)
-    coeffs = [_row(P, degree, monos) for P in polys]
-    yield from _audit(q, n, degree, monos, coeffs, rows, cols)
 
 
 def _audit(
@@ -326,17 +270,21 @@ def _audit(
     index = {m: k for k, m in enumerate(monos)}
     expansions = [_expand(monos[k], q, split, index) for k in used]
     masks = [(left, right) for _, left, right in expansions]
-    # R(m_k) = sum of w * x^a (x) y^b over the terms of (x + y)^(m_k), flat
+    ncells = nrows * ncols
+    # each used monomial's sum matrix: its values at the distinct sums,
+    # spread over the cells
+    sums = flatten(monomial_table([monos[k] for k in used], list(ids), q), grid)
+    # R(m_k) = sum of w * x^a (x) y^b over the terms of (x + y)^(m_k), flat;
+    # the split is linear, so one comparison per monomial checks every row
     at_rows, at_cols = monomial_table(monos, rows, q), monomial_table(monos, cols, q)
     rebuilds = outer_rows((terms for terms, _, _ in expansions), at_rows, at_cols, q)
-    # the rows' values at the distinct sums, spread over the cells
-    at_sums = monomial_table([monos[k] for k in used], list(ids), q)
-    values = flatten(combine_rows(weights, at_sums, len(ids), q), grid)
+    exact = [split_row(rebuilds, i, 1, ncells) == split_row(sums, i, 1, ncells)
+             for i in range(len(used))]
+    values = combine_rows(weights, sums, ncells, q)
     for r, w in enumerate(weights):
         term_count = _term_count([masks[i] for i, _ in w], budget, split)
-        rebuilt = split_row(_rebuild(w, rebuilds, nrows * ncols, q), 0, nrows, ncols)
         entries = split_row(values, r, nrows, ncols)
-        yield MatrixAudit(entries, rebuilt, matrix_rank(entries, q), term_count)
+        yield MatrixAudit(entries, all(exact[i] for i, _ in w), matrix_rank(entries, q), term_count)
 
 
 def audit_work(q: int, n: int, degree: int, nrows: int, ncols: int) -> int:
@@ -345,7 +293,8 @@ def audit_work(q: int, n: int, degree: int, nrows: int, ncols: int) -> int:
     sum_{|m| <= d} prod (m_i + 1), the prefix up to d of the coefficients
     of (1 + 2t + ... + q t^(q-1))^n, is one outer product of
     ceil(nrows * ncols / 64) words; and each basis row, at most
-    min(m_d, nrows * ncols) of them, combines at most m_d rebuilds."""
+    min(m_d, nrows * ncols) of them, combines at most m_d of the monomials'
+    flat sum matrices."""
     counts = [1]
     for _ in range(n):
         out = [0] * (len(counts) + q - 1)
@@ -406,7 +355,7 @@ def rank_audit(run: PipelineRun) -> RankAudit:
     max_rank = max_terms = 0
     rows, cols = ([x.coords for x in X.ordered()] for X in (run.s_input, run.t_input))
     for a in _audit(q, n, run.degree, space.monos, space.rows, rows, cols):
-        exact = exact and a.entries == a.rebuilt
+        exact = exact and a.exact
         within = within and a.rank <= a.term_count
         max_rank = max(max_rank, a.rank)
         max_terms = max(max_terms, a.term_count)

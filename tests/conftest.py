@@ -10,6 +10,7 @@ from functools import lru_cache
 import hypothesis.strategies as st
 
 import sumsetcover as sc
+from sumsetcover import summatrix
 
 from reference import polys_from_rows
 
@@ -65,6 +66,18 @@ def basis(space: sc.PolySubspace) -> tuple[sc.Polynomial, ...]:
 def rows_over(polys, monos) -> list[list[int]]:
     """Each polynomial's coefficients over the monomial list, as given."""
     return [[P.terms.get(m, 0) for m in monos] for P in polys]
+
+
+def audit_polys(polys, degree, row_points, col_points):
+    """The rank audit's engine, `summatrix._audit`, on each polynomial's sum
+    matrix in turn: the polynomials read as coefficient rows over the graded
+    monomials of degree <= d, the points as coordinates."""
+    if not polys:
+        return iter(())
+    q, n = polys[0].q, polys[0].n
+    monos = sc.enumerate_monomials(q, n, degree)
+    rows, cols = ([x.coords for x in points] for points in (row_points, col_points))
+    return summatrix._audit(q, n, degree, monos, rows_over(polys, monos), rows, cols)
 
 
 @st.composite

@@ -6,7 +6,7 @@ distinct sums: the vanishing basis rows or the dual Reed-Muller code,
 whichever has fewer rows (`sumsetcover.vanishing.sum_pivots`).  Its only code
 that builds a sum matrix, or rebuilds one from its expansion, is the
 table-driven audit on those rows (`sumsetcover.summatrix.rank_audit` for
---certify-rank, and `audit_matrices` on Polynomial values), with monomials
+--certify-rank, which checks each monomial's expansion once), with monomials
 numbered by their place in the graded list.  This module keeps the direct
 constructions for the tests to check them against, on Polynomial term
 maps (the basis read with `polys_from_rows` below): `eval_poly` once per

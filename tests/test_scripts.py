@@ -1,7 +1,9 @@
 """Smoke runs of the experiment scripts and of the README's Python examples,
-and the README's module list against the package, so an API change cannot
-break them silently."""
+and the README's module list and backticked references against the package
+and the tests, so an API change cannot break them silently."""
 
+import ast
+import importlib
 import re
 from decimal import Decimal
 import subprocess
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import sumsetcover as sc
+from sumsetcover.cli import EXIT_INVALID_INPUT
 from conftest import subprocess_env
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,6 +78,25 @@ def test_growth_table_refused_by_the_work_budget():
     assert proc.stderr == (
         "error: refused by resource cap: growth roots take 434163602000 digit^3 steps > cap 100000000000\n"
     )
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("growth_table.py", ["--digits", "-10"], "digits must be >= 0, got -10"),
+    ("growth_table.py", ["--digits", "-3"], "digits must be >= 0, got -3"),
+    ("growth_table.py", ["--n-max", "0"], "n_max must be >= 1, got 0"),
+    ("growth_table.py", ["--q", "4"], "q = 4 is not prime"),
+    ("growth_table.py", ["--q", "1"], "q = 1 is not prime"),
+    ("bound_slack.py", ["--q", "4"], "q = 4 is not prime"),
+    ("bound_slack.py", ["--n", "0"], "n must be >= 1, got 0"),
+])
+def test_scripts_refuse_invalid_input(script, args, message):
+    # as the CLI's bound does: one "error: invalid input" line, exit 2
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args],
+        capture_output=True, text=True, env=subprocess_env(), timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_INVALID_INPUT, "")
+    assert proc.stderr == f"error: invalid input: {message}\n"
 
 
 def test_vanishing_oracles():
@@ -142,3 +164,29 @@ def test_readme_key_modules_are_the_package_modules():
             listed.append(token.group(1))
     modules = {p.stem for p in (ROOT / "src" / "sumsetcover").glob("*.py")} - {"__init__", "errors"}
     assert sorted(listed) == sorted(modules)
+
+
+def test_readme_references_resolve():
+    # every `module.name` of a package module is an attribute of that module
+    # (file names like `cli.py` aside), and every `tests/<file>.py::Name`
+    # or `::Name::name` is a class or function defined in that file
+    readme = (ROOT / "README.md").read_text()
+    modules = {p.stem for p in (ROOT / "src" / "sumsetcover").glob("*.py")} - {"__init__"}
+    names, tests = [], []
+    for ref in re.findall(r"`([^`\n]+)`", readme):
+        if (m := re.match(r"(\w+)\.(\w+)", ref)) and m.group(1) in modules and not ref.endswith(".py"):
+            names.append(m.groups())
+        elif m := re.fullmatch(r"(tests/\w+\.py)::(\w+(?:::\w+)?)", ref):
+            tests.append(m.groups())
+    assert names and tests
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(f"sumsetcover.{module}"), name)]
+    for path, qualname in tests:
+        scope = ast.parse((ROOT / path).read_text())
+        for part in qualname.split("::"):
+            scope = next((node for node in scope.body if getattr(node, "name", None) == part
+                          and isinstance(node, (ast.ClassDef, ast.FunctionDef))), None)
+            if scope is None:
+                missing.append(f"{path}::{qualname}")
+                break
+    assert not missing

@@ -14,12 +14,12 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import sumsetcover as sc
-from sumsetcover import cli, linalg, summatrix
+from sumsetcover import cli, linalg, monomials, summatrix
 from sumsetcover.cli import parse_instance, run_command
-from sumsetcover.errors import DegreeTooHigh, DimensionMismatch
+from sumsetcover.errors import DegreeTooHigh
 
 import reference
-from conftest import SEEDED_GRID, basis, polynomials, seeded_pair, set_pairs, space_points
+from conftest import SEEDED_GRID, audit_polys, basis, polynomials, seeded_pair, set_pairs, space_points
 
 GOLDEN = sorted((Path(__file__).parent / "golden").glob("*.json"))
 
@@ -35,7 +35,7 @@ def _grid(rows) -> tuple[tuple[int, ...], ...]:
 
 def _audit(P, degree, row_points, col_points) -> summatrix.MatrixAudit:
     """The audit of P's one sum matrix."""
-    (a,) = summatrix.audit_matrices([P], degree, row_points, col_points)
+    (a,) = audit_polys([P], degree, row_points, col_points)
     return a
 
 
@@ -52,23 +52,6 @@ class TestSumMatrix:
         a = _audit(sc.poly_from_terms(3, 1, {}), 2, F3, F3)
         assert _grid(a.entries) == ((0, 0, 0),) * 3
         assert a.rank == a.term_count == 0
-
-    def test_points_outside_the_space(self):
-        one = sc.poly_from_terms(3, 2, {(0, 0): 1})
-        with pytest.raises(DimensionMismatch):
-            list(summatrix.audit_matrices([one], 0, F3, space_points(3, 2)))
-        with pytest.raises(DimensionMismatch):
-            list(summatrix.audit_matrices([one], 0, space_points(3, 2), space_points(5, 2)))
-
-    @pytest.mark.parametrize("other", [
-        sc.poly_from_terms(5, 1, {(2,): 1}),  # was audited over F_3 and reported exact
-        sc.poly_from_terms(5, 1, {(4,): 1}),  # was a KeyError on the exponent 4
-        sc.poly_from_terms(3, 2, {(1, 0): 1}),
-    ])
-    def test_polynomials_from_other_spaces(self, other):
-        first = sc.poly_from_terms(3, 1, {(1,): 1})
-        with pytest.raises(DimensionMismatch, match="audited with"):
-            list(summatrix.audit_matrices([first, other], 4, F3, F3))
 
     @given(polynomials())
     @settings(deadline=None)
@@ -121,8 +104,8 @@ class TestClpDecompose:
 
     def test_reconstruction_matches(self):
         a = _audit(SQUARE, 2, F3, F3)
-        assert a.rebuilt == a.entries
-        assert _grid(a.rebuilt) == reference.clp_reconstruct(sc.clp_decompose(SQUARE, 2), F3, F3)
+        assert a.exact
+        assert reference.clp_reconstruct(sc.clp_decompose(SQUARE, 2), F3, F3) == _grid(a.entries)
 
     @pytest.mark.parametrize("P, message", [
         # x^2 is x on F_2: the audit read an all-zero matrix, clp_decompose two terms
@@ -130,38 +113,34 @@ class TestClpDecompose:
         (sc.Polynomial(2, 2, {(1,): 1}), r"exponent tuple \(1,\) has length != 2"),
     ], ids=["unreduced", "wrong-length"])
     def test_unreduced_polynomial_refused(self, P, message):
-        # both entry points read a Polynomial through poly_from_terms' check
-        pts = space_points(2, P.n)
+        # clp_decompose reads a Polynomial through poly_from_terms' check
         with pytest.raises(ValueError, match=message):
             sc.clp_decompose(P, 2)
-        with pytest.raises(ValueError, match=message):
-            list(summatrix.audit_matrices([P], 2, pts, pts))
 
     def test_degree_gate(self):
         with pytest.raises(DegreeTooHigh):
             sc.clp_decompose(SQUARE, 1)
-        with pytest.raises(DegreeTooHigh):
-            list(summatrix.audit_matrices([SQUARE], 1, F3, F3))
 
     def test_zero_polynomial(self):
         zero = sc.poly_from_terms(3, 2, {})
         assert sc.clp_decompose(zero, 3).term_count == 0
         pts = space_points(3, 2)[:2]
-        assert _grid(_audit(zero, 3, pts, pts).rebuilt) == ((0, 0), (0, 0))
+        a = _audit(zero, 3, pts, pts)
+        assert a.exact and _grid(a.entries) == ((0, 0), (0, 0))
 
     @given(polynomials(max_degree=3))
     @settings(deadline=None)
     def test_random_certificates(self, P):
         pts = space_points(3, 2)
         a = _audit(P, 3, pts, pts)
-        assert a.rebuilt == a.entries
+        assert a.exact
         assert a.term_count == sc.clp_decompose(P, 3).term_count <= 2 * sc.count_m(3, 2, 1) == 6
         assert a.rank <= a.term_count
 
     def test_sparse_polynomial_numbers_only_its_parts(self, monkeypatch):
         # x_1^2 ... x_5^2 over F_3^20: the certificate lists the 3^5 parts of
         # its one monomial, not the m(3, 20, 20) monomials of its degree
-        monkeypatch.setattr(summatrix, "enumerate_monomials", None)
+        monkeypatch.setattr(monomials, "enumerate_monomials", None)
         P = sc.poly_from_terms(3, 20, {(2,) * 5 + (0,) * 15: 1})
         cert = sc.clp_decompose(P, 20)
         assert cert.term_count == len(cert.left_factors) == 3**5
@@ -206,12 +185,12 @@ class TestInjectivity:
 def _assert_audit_matches_reference(run):
     s_ord, t_ord = run.s_input.ordered(), run.t_input.ordered()
     polys = basis(run.space)
-    got = list(summatrix.audit_matrices(polys, run.degree, s_ord, t_ord))
+    got = list(audit_polys(polys, run.degree, s_ord, t_ord))
     want = reference.audit_matrices(polys, run.degree, s_ord, t_ord)
     assert len(got) == len(want) == len(polys)
     for P, a, r in zip(polys, got, want):
         assert _grid(a.entries) == r.entries
-        assert _grid(a.rebuilt) == r.rebuilt
+        assert a.exact == (r.rebuilt == r.entries)
         assert (a.rank, a.term_count) == (r.rank, r.term_count)
         assert sc.clp_decompose(P, run.degree) == reference.clp_decompose(P, run.degree)
     audit = summatrix.rank_audit(run)
@@ -251,8 +230,9 @@ class TestAuditMatchesReference:
             cert = sc.clp_decompose(P, d)
             assert cert == reference.clp_decompose(P, d)
             a = _audit(P, d, pts, pts[::-1])
-            assert _grid(a.entries) == reference.sum_grid(P, pts, pts[::-1])
-            assert _grid(a.rebuilt) == reference.clp_reconstruct(cert, pts, pts[::-1])
+            entries = reference.sum_grid(P, pts, pts[::-1])
+            assert _grid(a.entries) == entries
+            assert a.exact == (reference.clp_reconstruct(cert, pts, pts[::-1]) == entries)
 
 
 GOLDEN_Q3_N5 = str(Path(__file__).parent / "golden" / "q3_n5.json")
@@ -289,9 +269,7 @@ def _golden_audit():
     inst = parse_instance(GOLDEN_Q3_N5)
     run = sc.run_pipeline(inst.s_set, inst.t_set)
     polys = basis(run.space)
-    audits = list(summatrix.audit_matrices(
-        polys, run.degree, run.s_input.ordered(), run.t_input.ordered()
-    ))
+    audits = list(audit_polys(polys, run.degree, run.s_input.ordered(), run.t_input.ordered()))
     return run, polys, audits
 
 
@@ -313,13 +291,37 @@ def test_rank_check_is_per_matrix(monkeypatch):
 
 
 def test_inexact_reconstruction_fails(monkeypatch):
-    # The first basis matrix's rebuild gains the all-ones matrix.
+    # The flat rebuild R(m) of the first monomial the basis uses gains the
+    # all-ones matrix.
     def plus_ones(flat):
-        (row,) = linalg.as_rows(flat)
-        return linalg.as_table([[v + 1 for v in row]], len(row), 3)
+        first, *rest = linalg.as_rows(flat)
+        return linalg.as_table([[v + 1 for v in first], *rest], len(first), 3)
 
-    code, _, failed = _failed_checks(monkeypatch, "_rebuild", _first_call(plus_ones))
+    code, _, failed = _failed_checks(monkeypatch, "outer_rows", _first_call(plus_ones))
     assert code == 1 and failed == ["clp_reconstructions_exact"]
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_cancelling_rebuild_faults_fail(q, monkeypatch):
+    # P = x + x^2 over F_q: R(x) gains E, one 1 in the first cell, and
+    # R(x^2) loses it.  P's rebuild R(x) + R(x^2) is still its sum matrix, so
+    # a check per basis row passes; the check per monomial sees both faults.
+    S = sc.all_points(q, 1)
+    space = types.SimpleNamespace(q=q, n=1, monos=sc.enumerate_monomials(q, 1, 2), rows=[[0, 1, 1]])
+    run = types.SimpleNamespace(space=space, degree=2, s_input=S, t_input=S)
+    assert summatrix.rank_audit(run).exact
+
+    def cancel(flat):
+        gains, loses = (list(row) for row in linalg.as_rows(flat))
+        gains[0] += 1
+        loses[0] -= 1
+        return linalg.as_table([gains, loses], len(gains), q)
+
+    real = summatrix.outer_rows
+    monkeypatch.setattr(summatrix, "outer_rows", lambda *args: cancel(real(*args)))
+    audit = summatrix.rank_audit(run)
+    failed = [c.name for c in audit.checks(audit.max_term_count) if not c.passed]
+    assert failed == ["clp_reconstructions_exact"]
 
 
 class TestAuditFaultOracle:
@@ -345,13 +347,12 @@ class TestAuditFaultOracle:
         assert code == 1 and failed == ["clp_reconstructions_exact"]
 
         s_ord, t_ord = run.s_input.ordered(), run.t_input.ordered()
-        audits = list(summatrix.audit_matrices(polys, run.degree, s_ord, t_ord))
+        audits = list(audit_polys(polys, run.degree, s_ord, t_ord))
         seen = []
         for P, a in zip(polys, audits):
             rebuilt = reference.clp_reconstruct(sc.clp_decompose(P, run.degree), s_ord, t_ord)
-            assert _grid(a.rebuilt) == rebuilt
             assert _grid(a.entries) == reference.sum_grid(P, s_ord, t_ord)
-            assert (a.rebuilt != a.entries) == (rebuilt != _grid(a.entries))
+            assert a.exact == (rebuilt == _grid(a.entries))
             if rebuilt != _grid(a.entries):
                 seen.append(target in P.terms)
         assert seen and all(seen)
@@ -500,9 +501,7 @@ class TestExpansionTable:
         monkeypatch.setattr(summatrix, "_expand", counting)
         polys = basis(run.space)
         audits = {
-            name: summatrix.audit_matrices(
-                polys, run.degree, run.s_input.ordered(), run.t_input.ordered()
-            )
+            name: audit_polys(polys, run.degree, run.s_input.ordered(), run.t_input.ordered())
             for name in "AB"
         }
         counts = {"A": 0, "B": 0}
@@ -609,9 +608,9 @@ class TestAuditWork:
             summatrix.check_audit_cap(q, n, d, size, size)
 
     def test_library_callers_refused(self, monkeypatch):
-        # rank_audit and audit_matrices refuse as the CLI does, before any
-        # table: a q = 3, n = 7 pair with |S| = |T| = 1000 (about 16 min)
-        for stage in ("monomial_table", "outer_rows", "enumerate_monomials"):
+        # rank_audit refuses as the CLI does, before any table: a q = 3,
+        # n = 7 pair with |S| = |T| = 1000 (about 16 min)
+        for stage in ("monomial_table", "outer_rows"):
             monkeypatch.setattr(summatrix, stage, None)
         points = sc.all_points(3, 7).ordered()[:1000]
         S = sc.PointSet.from_vectors(3, 7, points)
@@ -621,9 +620,6 @@ class TestAuditWork:
         message = "^rank audit takes 2264487694 word steps > cap 100000000$"
         with pytest.raises(sc.EnumerationTooLarge, match=message):
             summatrix.rank_audit(run)
-        one = sc.poly_from_terms(3, 7, {(0,) * 7: 1})
-        with pytest.raises(sc.EnumerationTooLarge, match=message):
-            next(summatrix.audit_matrices([one], degree, points, points))
 
     def test_enumeration_cap_first(self):
         # as run_pipeline would: q^n above the cap is refused before any count
