@@ -13,8 +13,9 @@ stops the script with exit code 1; these checks also run under python -O.  The
 greedy cover is a heuristic: it usually lands at or below the pipeline, but
 nothing bounds it by the pipeline or by the bound, so the script counts the
 instances where it exceeds either instead of asserting an order.  As the
-CLI does, a non-prime --q or an --n below 1 prints "error: invalid input:
-..." on stderr and exits 2.
+CLI's trials does, a non-prime --q, an --n below 1, a negative --count or
+an inclusion --p outside [0, 1] prints "error: invalid input: ..." on
+stderr and exits 2.
 
 Example:
     python scripts/bound_slack.py --q 3 --n 2 --count 200 --seed 1
@@ -44,6 +45,8 @@ def main() -> None:
     for bad, message in [
         (not sc.is_prime(args.q), f"q = {args.q} is not prime"),
         (args.n < 1, f"n must be >= 1, got {args.n}"),
+        (args.count < 0, f"count must be >= 0, got {args.count}"),
+        (not 0.0 <= args.p <= 1.0, f"inclusion probability must be in [0, 1], got {args.p}"),
     ]:
         if bad:
             print(f"error: invalid input: {message}", file=sys.stderr)

@@ -11,7 +11,9 @@ g(x) = Mx + b per check:
 - pivots: vanishing.primal_pivot_columns and dual_pivot_columns each return
   dim V(A, d) columns at the points of A, in a shuffled order;
 - at q = 3 and n <= 5: the packed elimination and linalg._rref_lists, on
-  the unpacked constraint table of A, give the same pivots (the list code
+  the unpacked constraint table of A, give the same pivots, and the basis
+  build_vanishing_space reads off the packed echelon form is the list
+  kernel linalg._kernel_basis of the list echelon form (the list code
   takes minutes at n = 6);
 - affine invariance: for a seeded pair S, T and A = S+T,
   dim V(g(A), d) = dim V(A, d), and so is run_pipeline(g(S), g(T), d)'s
@@ -86,10 +88,11 @@ def check_size(q: int, n: int, rng: random.Random) -> int:
             checks += 3
             if q == 3 and n <= LIST_KERNEL_N_MAX:
                 table = linalg.monomial_table(space.monos, outside, 3, by_point=True)
-                packed = linalg.rref(table, 3)[1]
-                check(packed == linalg._rref_lists(linalg.unpack(table), 3)[1],
-                      f"{where}: packed and list pivots differ")
-                checks += 1
+                reduced, pivots = linalg._rref_lists(linalg.unpack(table), 3)
+                check(linalg.rref(table, 3)[1] == pivots, f"{where}: packed and list pivots differ")
+                basis = linalg._kernel_basis(reduced, pivots, len(space.monos), 3)
+                check(space.rows == tuple(map(tuple, basis)), f"{where}: packed and list bases differ")
+                checks += 2
     pts = list(itertools.product(range(q), repeat=n))
     size = max(1, round(len(pts) ** 0.5))
     S, T = (sc.PointSet.from_coords(q, n, rng.sample(pts, rng.randint(1, size))) for _ in range(2))

@@ -7,7 +7,9 @@ otherwise.  `monomial_table` builds tables of monomial values and
 one of integer rows and `as_rows` reads its rows back; every other module
 passes tables on unopened.  A `Matrix3` is eliminated and combined on its
 bitplanes and comes back packed; list rows, at any q (3 included), run the
-list code, the reference the packed path is tested against.
+list code, the reference the packed path is tested against.  `null_space`
+reads a `Matrix3`'s kernel basis straight off the reduced bitplanes, so
+`as_rows` and `unpack` serve only callers that want list rows.
 
 In a `Matrix3`, entry k of a row is bit k of one of two ints: `ones` has
 the bits of the columns holding 1, `twos` those holding 2, and
@@ -437,11 +439,35 @@ def null_space(rows: Rows, ncols: int, q: int) -> list[list[int]]:
 
     One basis vector per free column (ascending), carrying 1 at its own free
     column and the negated echelon entries at the pivot columns.  An empty
-    row list means no constraints: the identity basis comes back.
+    row list means no constraints: the identity basis comes back.  A
+    `Matrix3`'s basis is read straight off the reduced rows' bitplanes
+    (`_kernel_packed`), never unpacked; list rows go through `_kernel_basis`.
     """
     _width(rows, ncols)
     reduced, pivots = rref(rows, q)
-    return _kernel_basis(as_rows(reduced), pivots, ncols, q)
+    if isinstance(reduced, Matrix3):
+        return _kernel_packed(reduced, pivots, ncols)
+    return _kernel_basis(reduced, pivots, ncols, q)
+
+
+def _kernel_packed(reduced: Matrix3, pivots: Sequence[int], ncols: int) -> list[list[int]]:
+    """`_kernel_basis` on a reduced `Matrix3`: each pivot row's entries at the
+    free columns are its set bits once the pivot columns are masked out, and
+    each lands negated (1 -> 2, 2 -> 1) at that row's pivot in the free
+    column's vector."""
+    pivot_mask = sum(1 << p for p in pivots)
+    basis: dict[int, list[int]] = {}
+    for free in range(ncols):
+        if not pivot_mask >> free & 1:
+            basis[free] = v = [0] * ncols
+            v[free] = 1
+    for p, a, b in zip(pivots, reduced.ones, reduced.twos):
+        for plane, negated in ((a & ~pivot_mask, 2), (b & ~pivot_mask, 1)):
+            while plane:
+                low = plane & -plane
+                basis[low.bit_length() - 1][p] = negated
+                plane ^= low
+    return list(basis.values())
 
 
 def _kernel_basis(

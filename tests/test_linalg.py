@@ -176,6 +176,49 @@ class TestPackedMatchesLists:
         assert sc.null_space(packed, ncols, 3) == expected_basis
         assert sc.matrix_rank(packed, 3) == expected_rank
 
+    @staticmethod
+    def _packed_null_space(m, ncols):
+        """null_space of the packed rows with no way back to list rows."""
+        def refused(*args):
+            raise AssertionError("the packed null space went through list rows")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "unpack", refused)
+            mp.setattr(linalg, "_kernel_basis", refused)
+            return sc.null_space(linalg.pack(m, ncols), ncols, 3)
+
+    @given(wide_integer_matrices())
+    @settings(deadline=None)
+    def test_null_space_read_off_the_bitplanes(self, m):
+        # floor: the q = 3 basis comes straight from the reduced bitplanes
+        ncols = len(m[0]) if m else 7
+        assert self._packed_null_space(m, ncols) == list_null_space(m, ncols, 3)
+
+    @pytest.mark.parametrize("m, ncols, expected", [
+        ([[1, 0, 0], [0, 2, 0], [0, 0, 1], [1, 1, 1]], 3, []),
+        ([[0] * 4, [3, -3, 6, 0]], 4, [[1 if i == j else 0 for j in range(4)] for i in range(4)]),
+        ([[0, 1, 2], [0, 2, 1]], 3, [[1, 0, 0], [0, 1, 1]]),
+    ], ids=["full-column-rank", "zero-rows", "free-left-of-first-pivot"])
+    def test_null_space_shapes(self, m, ncols, expected):
+        assert self._packed_null_space(m, ncols) == list_null_space(m, ncols, 3) == expected
+
+    def test_null_space_past_two_words(self):
+        # pivots at 0, 65 and 130, free columns on both sides of bits 64 and 128
+        ncols = 140
+        m = [[0] * ncols for _ in range(3)]
+        for row, (p, entries) in zip(m, [(0, {64: 1, 129: 2}), (65, {100: 2, 139: 1}), (130, {135: 1, 139: 2})]):
+            row[p] = 1
+            for c, v in entries.items():
+                row[c] = v
+        basis = self._packed_null_space(m, ncols)
+        assert basis == list_null_space(m, ncols, 3)
+        assert len(basis) == ncols - 3 and all(mat_vec(m, v, 3) == [0, 0, 0] for v in basis)
+        free = [c for c in range(ncols) if c not in (0, 65, 130)]
+        at = {f: v for f, v in zip(free, basis)}
+        assert [at[139][p] for p in (0, 65, 130)] == [0, 2, 1]
+        assert [at[64][p] for p in (0, 65, 130)] == [2, 0, 0]
+        assert [at[129][p] for p in (0, 65, 130)] == [1, 0, 0]
+
     def test_empty_row_list(self):
         assert sc.rref([], 3) == _rref_lists([], 3) == ([], [])
         assert sc.matrix_rank([], 3) == 0

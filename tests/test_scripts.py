@@ -88,6 +88,8 @@ def test_growth_table_refused_by_the_work_budget():
     ("growth_table.py", ["--q", "1"], "q = 1 is not prime"),
     ("bound_slack.py", ["--q", "4"], "q = 4 is not prime"),
     ("bound_slack.py", ["--n", "0"], "n must be >= 1, got 0"),
+    ("bound_slack.py", ["--count", "-1"], "count must be >= 0, got -1"),
+    ("bound_slack.py", ["--p", "7"], "inclusion probability must be in [0, 1], got 7.0"),
 ])
 def test_scripts_refuse_invalid_input(script, args, message):
     # as the CLI's bound does: one "error: invalid input" line, exit 2
