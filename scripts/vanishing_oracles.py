@@ -11,10 +11,11 @@ g(x) = Mx + b per check:
 - pivots: vanishing.primal_pivot_columns and dual_pivot_columns each return
   dim V(A, d) columns at the points of A, in a shuffled order;
 - at q = 3 and n <= 5: the packed elimination and linalg._rref_lists, on
-  the unpacked constraint table of A, give the same pivots, and the basis
-  build_vanishing_space reads off the packed echelon form is the list
-  kernel linalg._kernel_basis of the list echelon form (the list code
-  takes minutes at n = 6);
+  the unpacked constraint table of A, give the same pivots, the packed
+  linalg.matrix_rank (forward elimination only) equals the list pivot
+  count, and the basis build_vanishing_space reads off the packed echelon
+  form is the list kernel linalg._kernel_basis of the list echelon form
+  (the list code takes minutes at n = 6);
 - affine invariance: for a seeded pair S, T and A = S+T,
   dim V(g(A), d) = dim V(A, d), and so is run_pipeline(g(S), g(T), d)'s
   dim_vanishing, since g(S) + g(T) is the image of S+T under x -> Mx + 2b.
@@ -90,9 +91,11 @@ def check_size(q: int, n: int, rng: random.Random) -> int:
                 table = linalg.monomial_table(space.monos, outside, 3, by_point=True)
                 reduced, pivots = linalg._rref_lists(linalg.unpack(table), 3)
                 check(linalg.rref(table, 3)[1] == pivots, f"{where}: packed and list pivots differ")
+                rank = linalg.matrix_rank(table, 3)
+                check(rank == len(pivots), f"{where}: packed rank {rank}, {len(pivots)} list pivots")
                 basis = linalg._kernel_basis(reduced, pivots, len(space.monos), 3)
                 check(space.rows == tuple(map(tuple, basis)), f"{where}: packed and list bases differ")
-                checks += 2
+                checks += 3
     pts = list(itertools.product(range(q), repeat=n))
     size = max(1, round(len(pts) ** 0.5))
     S, T = (sc.PointSet.from_coords(q, n, rng.sample(pts, rng.randint(1, size))) for _ in range(2))

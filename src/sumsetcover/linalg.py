@@ -34,7 +34,12 @@ row's bit u spread to bit u * w first, so no carry crosses a cell),
 Rows must all have the same length; in either format, ragged rows and rows
 whose length is not a given column count raise ValueError.  Pivoting is by
 position (exact arithmetic has no magnitude concerns), so the reduced row
-echelon form, ranks, and null-space bases are all canonical.
+echelon form, ranks, and null-space bases are all canonical.  One forward
+elimination per format (`_echelon_lists`, `_echelon_packed`) picks the
+pivots and clears below them; `rref` adds back-substitution, while
+`matrix_rank` is the forward pass's pivot count alone, with no
+back-substitution (echelon-only elimination, as in the PLE decomposition of
+Albrecht, Bard and Pernet, arXiv:1111.6549).
 """
 
 from __future__ import annotations
@@ -181,85 +186,120 @@ def rref(rows: Rows, q: int) -> tuple[Rows, list[int]]:
     form; the input is not mutated.  ValueError for a composite q, where Z/q
     is not a field, and for a `Matrix3` at any q but 3.
     """
-    if not is_prime(q):
-        raise ValueError(f"q = {q} is not prime")
+    _field(rows, q)
     if isinstance(rows, Matrix3):
-        if q != 3:
-            raise ValueError(f"a packed F_3 matrix cannot be eliminated over F_{q}")
         return _rref_packed(rows)
     return _rref_lists(rows, q)
 
 
+def _field(rows: Rows, q: int) -> None:
+    """ValueError unless rows can be eliminated over F_q: q must be prime,
+    and 3 for a `Matrix3`."""
+    if not is_prime(q):
+        raise ValueError(f"q = {q} is not prime")
+    if isinstance(rows, Matrix3) and q != 3:
+        raise ValueError(f"a packed F_3 matrix cannot be eliminated over F_{q}")
+
+
 def _rref_lists(rows: Sequence[Sequence[int]], q: int) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan on lists, one multiply-and-mod per entry; any prime q."""
+    """Reduced row echelon form on lists, any prime q: `_echelon_lists`,
+    then back-substitution from the last pivot up."""
+    m, pivots = _echelon_lists(rows, q)
+    for r in reversed(range(len(pivots))):
+        c, pivot_row = pivots[r], m[r]
+        for i in range(r):
+            if f := m[i][c]:
+                m[i] = [(vi - f * vr) % q for vi, vr in zip(m[i], pivot_row)]
+    return m[:len(pivots)], pivots
+
+
+def _echelon_lists(rows: Sequence[Sequence[int]], q: int) -> tuple[list[list[int]], list[int]]:
+    """Forward elimination, column by column: the first row at or below the
+    next pivot row with a nonzero entry there is swapped up, scaled so that
+    entry is 1, and subtracted from the rows below it.  Returns (the rows
+    read mod q and eliminated, pivot columns); the first len(pivots) rows
+    are the echelon rows."""
     ncols = _width(rows)
     m = [[v % q for v in row] for row in rows]
     nrows = len(m)
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
+        r = len(pivots)
+        if r == nrows:
+            break
+        for pr in range(r, nrows):
+            if m[pr][c]:
+                break
+        else:
             continue
         m[r], m[pr] = m[pr], m[r]
         inv = pow(m[r][c], -1, q)
-        m[r] = [(inv * v) % q for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(vi - f * vr) % q for vi, vr in zip(m[i], m[r])]
+        m[r] = pivot_row = [(inv * v) % q for v in m[r]]
+        for i in range(pr + 1, nrows):  # rows r + 1 .. pr are 0 at c
+            if f := m[i][c]:
+                m[i] = [(vi - f * vr) % q for vi, vr in zip(m[i], pivot_row)]
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
-
-
-def _plus(a: int, b: int, c: int, d: int) -> tuple[int, int]:
-    """(a, b) + (c, d), entrywise over F_3."""
-    t = (a | d) ^ (b | c)
-    return (b | d) ^ t, (a | c) ^ t
-
-
-def _clear(a: int, b: int, bit: int, pa: int, pb: int) -> tuple[int, int]:
-    """Row (a, b) minus its entry at `bit` times the row (pa, pb), whose entry there is 1."""
-    if a & bit:
-        return _plus(a, b, pb, pa)  # entry 1: add the negation, planes swapped
-    return _plus(a, b, pa, pb)  # entry 2 = -1: add
+    return m, pivots
 
 
 def _rref_packed(m: Matrix3) -> tuple[Matrix3, list[int]]:
     """Reduced row echelon form: (nonzero rows, pivot column indices).
 
-    Gauss-Jordan column by column, as in the list code, with each row
-    operation done on the two bitplanes at once.
+    `_echelon_packed`, then back-substitution from the last pivot up, as in
+    the list code, with each row operation done on the two bitplanes at once.
     """
+    ones, twos, pivots = _echelon_packed(m)
+    for r in reversed(range(len(pivots))):
+        bit, pa, pb = 1 << pivots[r], ones[r], twos[r]
+        for i in range(r):
+            a, b = ones[i], twos[i]
+            if (a | b) & bit:
+                c1, c2 = (pb, pa) if a & bit else (pa, pb)
+                t = (a | c2) ^ (b | c1)
+                ones[i], twos[i] = (b | c2) ^ t, (a | c1) ^ t
+    return Matrix3(m.ncols, tuple(ones[:len(pivots)]), tuple(twos[:len(pivots)])), pivots
+
+
+def _echelon_packed(m: Matrix3) -> tuple[list[int], list[int], list[int]]:
+    """`_echelon_lists` on bitplanes: (ones, twos, pivot columns).  A pivot
+    entry 2 = -1 is made 1 by swapping the row's planes.  Subtracting the pivot row (pa, pb) from
+    a row with entry 1 at the pivot column adds its negation (pb, pa), and
+    with entry 2 = -1 adds (pa, pb) itself, each in the 7 big-int operations
+    of an F_3 row addition (written out, as in `_combine_packed`)."""
     ones, twos = list(m.ones), list(m.twos)
     nrows = len(ones)
     pivots: list[int] = []
-    r = 0
     for c in range(m.ncols):
-        bit = 1 << c
-        pr = next((i for i in range(r, nrows) if (ones[i] | twos[i]) & bit), None)
-        if pr is None:
-            continue
-        ones[r], ones[pr], twos[r], twos[pr] = ones[pr], ones[r], twos[pr], twos[r]
-        if twos[r] & bit:  # scale by 2 = -1 so the pivot entry is 1
-            ones[r], twos[r] = twos[r], ones[r]
-        pa, pb = ones[r], twos[r]
-        for i in range(nrows):
-            if i != r and (ones[i] | twos[i]) & bit:
-                ones[i], twos[i] = _clear(ones[i], twos[i], bit, pa, pb)
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == nrows:
             break
-    return Matrix3(m.ncols, tuple(ones[:r]), tuple(twos[:r])), pivots
+        bit = 1 << c
+        for pr in range(r, nrows):
+            if (ones[pr] | twos[pr]) & bit:
+                break
+        else:
+            continue
+        ones[r], ones[pr], twos[r], twos[pr] = ones[pr], ones[r], twos[pr], twos[r]
+        if twos[r] & bit:
+            ones[r], twos[r] = twos[r], ones[r]
+        pa, pb = ones[r], twos[r]
+        for i in range(pr + 1, nrows):  # rows r + 1 .. pr are 0 at c
+            a, b = ones[i], twos[i]
+            if (a | b) & bit:
+                c1, c2 = (pb, pa) if a & bit else (pa, pb)
+                t = (a | c2) ^ (b | c1)
+                ones[i], twos[i] = (b | c2) ^ t, (a | c1) ^ t
+        pivots.append(c)
+    return ones, twos, pivots
 
 
 def matrix_rank(rows: Rows, q: int) -> int:
-    """Exact rank over F_q."""
-    return len(rref(rows, q)[1])
+    """Exact rank over F_q: the pivot count of forward elimination alone,
+    with no back-substitution.  ValueError as for rref."""
+    _field(rows, q)
+    if isinstance(rows, Matrix3):
+        return len(_echelon_packed(rows)[2])
+    return len(_echelon_lists(rows, q)[1])
 
 
 def combine_rows(
@@ -290,7 +330,7 @@ def _combine_packed(weights: Iterable[Iterable[tuple[int, int]]], m: Matrix3) ->
     """Row i is the sum of c times row k of m over the pairs (k, c) of weights[i].
 
     Weights are read mod 3; a weight 2 = -1 adds the row's negation, its
-    planes swapped.  The addition is `_plus` written out, since this loop
+    planes swapped.  The F_3 row addition is written out, since this loop
     runs once per weight.
     """
     ones: list[int] = []

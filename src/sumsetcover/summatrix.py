@@ -25,11 +25,13 @@ monomial m_k, at one split floor(d/2) and with every monomial keyed by its
 place in a graded list, into the terms (a, b, w) of w * x^a y^b in
 (x + y)^(m_k) and two bitmasks: its row-side anchors (the a with
 |a| <= floor(d/2)) and its column-side anchors (the b of the other terms).
-Each reader expands the monomials it uses once per call, and `_term_count`
-counts a polynomial's rank-one terms for both: the popcount of the union L
-of its monomials' row-side anchors plus that of the union R of their
-column-side anchors, at most 2 * m(q, n, floor(d/2)) (BoundViolated
-otherwise).
+`clp_decompose` expands its polynomial's support once per call; the audit
+reads a memo kept across calls (`_expansions`), one table per (q, n, d)
+filled per monomial, at most _EXPANSION_TERM_CAP terms in all.
+`_term_count` counts a polynomial's rank-one terms for both readers: the
+popcount of the union L of its monomials' row-side anchors plus that of the
+union R of their column-side anchors, at most 2 * m(q, n, floor(d/2))
+(BoundViolated otherwise).
 - `clp_decompose` numbers the parts of its polynomial's monomials, expands
   its support and groups the terms by anchor into the certificate
   sum over a in L of x^a (x) g_a plus sum over b in R of f_b (x) y^b.
@@ -47,7 +49,8 @@ otherwise).
   errors can cancel.  Its entries are one combination of the monomials'
   sum matrices (linalg.combine_rows); its term count is `_term_count` over
   its monomials' masks; its rank is the exact rank of the entries, cut back
-  into |S| rows (linalg.split_row).
+  into |S| rows (linalg.split_row), from forward elimination alone
+  (linalg.matrix_rank).
 Grouping the terms of sum c_k * R(m_k) by anchor gives clp_decompose's
 certificate, so an exact row certifies a split into |L| + |R| rank-one
 terms without building any cofactor.  `rank_audit` calls `check_audit_cap`,
@@ -61,6 +64,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -76,6 +80,10 @@ Coords = tuple[int, ...]
 # audit_work units admitted for one rank audit: at q = 3 a unit took about
 # 0.43 microseconds on a 2-core host (Python 3.11), so the cap is about 45 s
 AUDIT_WORK_CAP = 10**8
+# expansion terms the rank audit keeps across calls (`_expansions`), about
+# 80 bytes each: the whole tables at q = 3, n = 4 and 5 (675 and 5238 terms,
+# 469 KiB together) fit, n = 6 (17658) does not
+_EXPANSION_TERM_CAP = 2**13
 
 
 @dataclass(frozen=True)
@@ -141,7 +149,12 @@ class ClpCertificate:
 # place in a graded list: the terms (a, b, w) of w x^a y^b in (x + y)^full,
 # then the masks of its row-side anchors (the a with |a| <= split) and of its
 # column-side anchors (the b of the other terms).
-_Expanded = tuple[list[tuple[int, int, int]], int, int]
+_Expanded = tuple[Sequence[tuple[int, int, int]], int, int]
+
+# `_expansions`' memo: per (q, n, degree), the expansions by graded index and
+# their term count, the most recently used table last
+_EXPANSIONS: dict[tuple[int, int, int], tuple[dict[int, _Expanded], int]] = {}
+_EXPANSIONS_LOCK = threading.Lock()
 
 
 def _expand(full: Monomial, q: int, split: int, index: dict[Monomial, int]) -> _Expanded:
@@ -166,6 +179,33 @@ def _expand(full: Monomial, q: int, split: int, index: dict[Monomial, int]) -> _
             else:
                 right |= 1 << ib
     return terms, left, right
+
+
+def _expansions(q: int, n: int, degree: int, monos: Sequence[Monomial], used: Sequence[int]) -> list[_Expanded]:
+    """`_expand` of each used monomial of monos (every monomial of degree <= d,
+    in graded order), served from `_EXPANSIONS` and expanding only what its
+    table lacks, the terms stored as tuples.  The table is then kept as the
+    most recent one, and the least recent ones give way until the kept
+    tables hold at most _EXPANSION_TERM_CAP terms; a table above the cap on
+    its own serves this call and is not kept.  One call at a time reads and
+    updates the memo."""
+    key = (q, n, degree)
+    with _EXPANSIONS_LOCK:
+        table, held = _EXPANSIONS.pop(key, ({}, 0))
+        if missing := [k for k in used if k not in table]:
+            index = {m: k for k, m in enumerate(monos)}
+            for k in missing:
+                terms, left, right = _expand(monos[k], q, degree // 2, index)
+                table[k] = tuple(terms), left, right
+                held += len(terms)
+        if held <= _EXPANSION_TERM_CAP:
+            _EXPANSIONS[key] = table, held
+            total = sum(h for _, h in _EXPANSIONS.values())
+            for old in list(_EXPANSIONS):
+                if total <= _EXPANSION_TERM_CAP:
+                    break
+                total -= _EXPANSIONS.pop(old)[1]
+        return [table[k] for k in used]
 
 
 def _term_count(masks: Iterable[tuple[int, int]], budget: int, split: int) -> int:
@@ -267,8 +307,7 @@ def _audit(
     used = sorted({k for support in supports for k, _ in support})
     place = {k: i for i, k in enumerate(used)}
     weights = [[(place[k], c) for k, c in support] for support in supports]
-    index = {m: k for k, m in enumerate(monos)}
-    expansions = [_expand(monos[k], q, split, index) for k in used]
+    expansions = _expansions(q, n, degree, monos, used)
     masks = [(left, right) for _, left, right in expansions]
     ncells = nrows * ncols
     # each used monomial's sum matrix: its values at the distinct sums,
@@ -278,7 +317,9 @@ def _audit(
     # the split is linear, so one comparison per monomial checks every row
     at_rows, at_cols = monomial_table(monos, rows, q), monomial_table(monos, cols, q)
     rebuilds = outer_rows((terms for terms, _, _ in expansions), at_rows, at_cols, q)
-    exact = [split_row(rebuilds, i, 1, ncells) == split_row(sums, i, 1, ncells)
+    # equal tables, the usual case, are compared whole; else row by row
+    same = rebuilds == sums
+    exact = [same or split_row(rebuilds, i, 1, ncells) == split_row(sums, i, 1, ncells)
              for i in range(len(used))]
     values = combine_rows(weights, sums, ncells, q)
     for r, w in enumerate(weights):

@@ -8,11 +8,21 @@ import random
 from functools import lru_cache
 
 import hypothesis.strategies as st
+import pytest
 
 import sumsetcover as sc
 from sumsetcover import summatrix
 
 from reference import polys_from_rows
+
+
+@pytest.fixture(autouse=True)
+def fresh_expansions():
+    """An empty rank-audit expansion memo before and after every test, so no
+    test reads expansions another test made, a faulty one among them."""
+    summatrix._EXPANSIONS.clear()
+    yield
+    summatrix._EXPANSIONS.clear()
 
 
 def subprocess_env() -> dict[str, str]:

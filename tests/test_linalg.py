@@ -9,6 +9,8 @@ import sumsetcover as sc
 from sumsetcover import linalg
 from sumsetcover.linalg import _kernel_basis, _rref_lists, combine_rows
 
+from conftest import seeded_pair
+
 
 def list_null_space(m, ncols, q):
     """The null space from the list elimination, whatever q is."""
@@ -69,6 +71,80 @@ class TestRank:
         m = [[1, 1], [1, 4]]
         assert sc.matrix_rank(m, 3) == 1
         assert sc.matrix_rank(m, 5) == 2
+
+
+def rank_by_insertion(rows, q):
+    """Rank over F_q by another route than elimination column by column:
+    each row in turn is reduced by the kept rows, keyed by their leading
+    column, and kept under its own leading column when something is left."""
+    kept: dict[int, list[int]] = {}
+    for row in rows:
+        v = [x % q for x in row]
+        for c in range(len(v)):
+            if v[c] and c in kept:
+                f = v[c] * pow(kept[c][c], -1, q)
+                v = [(x - f * y) % q for x, y in zip(v, kept[c])]
+            elif v[c]:
+                kept[c] = v
+                break
+    return len(kept)
+
+
+class TestForwardRank:
+    """matrix_rank takes the pivot count of forward elimination alone: it
+    agrees with rref's pivots and with an independent rank, and never
+    reduces."""
+
+    @given(wide_integer_matrices(), st.sampled_from([2, 3, 5, 7]), st.data())
+    @settings(deadline=None)
+    def test_against_rref(self, m, q, data):
+        # all-zero rows and columns spliced in, at any q
+        ncols = len(m[0]) if m else data.draw(st.integers(0, 4))
+        zero_cols = data.draw(st.sets(st.integers(0, max(ncols - 1, 0))))
+        m = [[0 if c in zero_cols else v for c, v in enumerate(row)] for row in m]
+        for at in data.draw(st.lists(st.integers(0, len(m)), max_size=2)):
+            m.insert(at, [0] * ncols)
+        rank = sc.matrix_rank(m, q)
+        assert rank == len(sc.rref(m, q)[1]) == rank_by_insertion(m, q)
+        if q == 3:
+            assert sc.matrix_rank(linalg.pack(m, ncols), 3) == rank
+
+    @pytest.mark.parametrize("m, ncols", [
+        ([], 0), ([], 3), ([[], []], 0), ([[0, 0, 0]] * 3, 3),
+        ([[1, 2, 0], [2, 4, 0], [0, 0, 0]], 3), ([[0, 1, 1], [0, 2, 2], [0, 1, 2]], 3),
+    ], ids=["no-rows", "no-rows-3-cols", "zero-width", "zero", "rank-1-zero-column", "zero-first-column"])
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_shapes(self, m, ncols, q):
+        rank = sc.matrix_rank(m, q)
+        assert rank == len(sc.rref(m, q)[1]) == rank_by_insertion(m, q)
+        if q == 3:
+            assert sc.matrix_rank(linalg.pack(m, ncols), 3) == rank
+
+    @given(wide_integer_matrices())
+    @settings(deadline=None, max_examples=30)
+    def test_no_reduced_form(self, m):
+        # floor: a rank, and the whole rank audit, never build a reduced form
+        def refused(*args):
+            raise AssertionError("a rank went through rref")
+
+        ncols = len(m[0]) if m else 0
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("rref", "_rref_lists", "_rref_packed"):
+                mp.setattr(linalg, name, refused)
+            ranks = sc.matrix_rank(m, 3), sc.matrix_rank(linalg.pack(m, ncols), 3), sc.matrix_rank(m, 5)
+        assert ranks == (rank_by_insertion(m, 3), rank_by_insertion(m, 3), rank_by_insertion(m, 5))
+
+    @pytest.mark.parametrize("q, n, seed", [(3, 3, 5), (5, 2, 1)])
+    def test_rank_audit_never_reduces(self, q, n, seed, monkeypatch):
+        run = sc.run_pipeline(*seeded_pair(q, n, seed))
+        expected = sc.summatrix.rank_audit(run)
+
+        def refused(*args):
+            raise AssertionError("the rank audit went through rref")
+
+        for name in ("rref", "_rref_lists", "_rref_packed"):
+            monkeypatch.setattr(linalg, name, refused)
+        assert sc.summatrix.rank_audit(run) == expected and expected.max_rank > 0
 
 
 class TestRref:

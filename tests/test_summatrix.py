@@ -5,6 +5,8 @@ import itertools
 import json
 import math
 import random
+import sys
+import threading
 import types
 from pathlib import Path
 from unittest import mock
@@ -254,8 +256,10 @@ def _first_call(breaker):
 
 
 def _failed_checks(monkeypatch, stage, fault) -> tuple[int, dict, list[str]]:
-    """Run the CLI audit with summatrix.<stage> replaced by fault(real stage)."""
+    """Run the CLI audit with summatrix.<stage> replaced by fault(real stage),
+    the expansion memo emptied so that a faulty `_expand` is reached."""
     monkeypatch.setattr(summatrix, stage, fault(getattr(summatrix, stage)))
+    summatrix._EXPANSIONS.clear()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = run_command(["decompose", "--input", GOLDEN_Q3_N5, "--json", "--certify-rank"])
@@ -469,36 +473,26 @@ class TestExpansionTable:
         _assert_same_split(P, (P.q - 1) * P.n)
 
     def test_expands_each_monomial_once_per_audit(self, monkeypatch):
+        # the first audit expands each monomial it uses once; a second audit
+        # at the same (q, n, d) expands nothing
         inst = parse_instance(GOLDEN_Q3_N5)
         run = sc.run_pipeline(inst.s_set, inst.t_set)
-        real = summatrix._expand
-        expanded = []
-
-        def counting(full, *args):
-            expanded.append(full)
-            return real(full, *args)
-
-        monkeypatch.setattr(summatrix, "_expand", counting)
+        expanded = _count_expansions(monkeypatch)
         audit = summatrix.rank_audit(run)
         assert audit.exact and audit.ranks_within_terms
         polys = basis(run.space)
         distinct = set().union(*(P.terms for P in polys))
         assert len(polys) > 1 and len(distinct) < sum(len(P.terms) for P in polys)
+        assert sorted(expanded) == sorted(distinct)
+        assert summatrix.rank_audit(run) == audit
         assert len(expanded) == len(distinct)
 
     def test_interleaved_audits_expand_each_monomial_once(self, monkeypatch):
-        # audit B starts inside audit A and outlives it; each expands the
-        # monomials it uses once, so neither expands a monomial twice
+        # audit B starts inside audit A and outlives it; A's first matrix
+        # expands every monomial either uses, once, so B expands nothing
         inst = parse_instance(GOLDEN_Q3_N5)
         run = sc.run_pipeline(inst.s_set, inst.t_set)
-        real = summatrix._expand
-        expanded = []
-
-        def counting(full, *args):
-            expanded.append(full)
-            return real(full, *args)
-
-        monkeypatch.setattr(summatrix, "_expand", counting)
+        expanded = _count_expansions(monkeypatch)
         polys = basis(run.space)
         audits = {
             name: audit_polys(polys, run.degree, run.s_input.ordered(), run.t_input.ordered())
@@ -518,7 +512,86 @@ class TestExpansionTable:
         advance("B")
         distinct = set().union(*(P.terms for P in polys))
         assert len(distinct) == 220 < sum(len(P.terms) for P in polys)
-        assert counts == {"A": 220, "B": 220}
+        assert counts == {"A": 220, "B": 0}
+
+    def test_expansions_kept_up_to_the_term_cap(self, monkeypatch):
+        inst = parse_instance(GOLDEN_Q3_N5)
+        run = sc.run_pipeline(inst.s_set, inst.t_set)
+        expanded = _count_expansions(monkeypatch)
+        audit = summatrix.rank_audit(run)
+        ((key, (table, held)),) = summatrix._EXPANSIONS.items()
+        assert key == (3, 5, run.degree) and len(table) == len(expanded)
+        assert held == sum(len(terms) for terms, _, _ in table.values())
+        assert all(isinstance(terms, tuple) for terms, _, _ in table.values())
+        # one term under the table's size, the table is used for its own
+        # audit and not kept: the next audit expands every monomial again
+        summatrix._EXPANSIONS.clear()
+        monkeypatch.setattr(summatrix, "_EXPANSION_TERM_CAP", held - 1)
+        first = len(expanded)
+        assert summatrix.rank_audit(run) == audit and not summatrix._EXPANSIONS
+        assert summatrix.rank_audit(run) == audit and not summatrix._EXPANSIONS
+        assert len(expanded) == 3 * first
+
+    def test_least_recent_table_gives_way(self, monkeypatch):
+        # the golden pair's tables at d = 5 and 6: under a cap that holds
+        # either table but not both, auditing d = 5 again evicts d = 6
+        inst = parse_instance(GOLDEN_Q3_N5)
+        runs = [sc.run_pipeline(inst.s_set, inst.t_set, d) for d in (5, 6)]
+        audits = [summatrix.rank_audit(run) for run in runs]
+        sizes = {key: held for key, (_, held) in summatrix._EXPANSIONS.items()}
+        assert list(sizes) == [(3, 5, 5), (3, 5, 6)]
+        monkeypatch.setattr(summatrix, "_EXPANSION_TERM_CAP", max(sizes.values()))
+        assert summatrix.rank_audit(runs[0]) == audits[0]
+        assert list(summatrix._EXPANSIONS) == [(3, 5, 5)]
+
+    def test_threads_share_the_memo(self, monkeypatch):
+        # more threads than cores audit three degrees' runs at once, under a
+        # cap that holds one table, so tables are evicted while others are
+        # read; every audit equals its serial value and the memo stays
+        # within the cap with true term counts
+        inst = parse_instance(GOLDEN_Q3_N5)
+        runs = [sc.run_pipeline(inst.s_set, inst.t_set, d) for d in (5, 6, 7)]
+        expected = [summatrix.rank_audit(run) for run in runs]
+        cap = max(held for _, held in summatrix._EXPANSIONS.values())
+        monkeypatch.setattr(summatrix, "_EXPANSION_TERM_CAP", cap)
+        summatrix._EXPANSIONS.clear()
+        results, errors = [], []
+
+        def work(k):
+            try:
+                for j in range(3):
+                    r = (k + j) % 3
+                    results.append(summatrix.rank_audit(runs[r]) == expected[r])
+            except Exception as exc:  # reported by the assertions below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert results == [True] * 18
+        kept = summatrix._EXPANSIONS.values()
+        assert sum(held for _, held in kept) <= cap
+        assert all(held == sum(len(terms) for terms, _, _ in table.values()) for table, held in kept)
+
+
+def _count_expansions(monkeypatch) -> list:
+    """The monomials `_expand` is called on from now on, in call order."""
+    real, expanded = summatrix._expand, []
+
+    def counting(full, *args):
+        expanded.append(full)
+        return real(full, *args)
+
+    monkeypatch.setattr(summatrix, "_expand", counting)
+    return expanded
 
 
 def _audit_anchors(run):
