@@ -22,7 +22,8 @@ g(x) = Mx + b per check:
 
 Prints one line per (q, n) and exits 1 at the first mismatch, named on
 stderr; the checks also run under python -O.  The default run is q = 2 up to
-n = 9 and q = 3 up to n = 6.
+n = 9 and q = 3 up to n = 6.  A non-prime --q or an --n-max below 1 prints
+"error: invalid input: ..." on stderr and exits 2 before any check runs.
 
 Example:
     python scripts/vanishing_oracles.py --q 3 --n-max 4 --seed 1
@@ -38,6 +39,7 @@ import time
 
 import sumsetcover as sc
 from sumsetcover import linalg
+from sumsetcover.cli import EXIT_INVALID_INPUT
 from sumsetcover.vanishing import dual_pivot_columns, primal_pivot_columns
 
 DEFAULT_N_MAX = {2: 9, 3: 6}
@@ -119,12 +121,19 @@ def main() -> None:
                         help="largest n for every q (default: 9 at q = 2, 6 at q = 3, else 2)")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    n_max = {q: DEFAULT_N_MAX.get(q, 2) if args.n_max is None else args.n_max for q in args.q}
+    try:
+        for q in args.q:
+            sc.check_space(q, n_max[q])
+    except sc.ValidationError as exc:
+        print(f"error: invalid input: {exc}", file=sys.stderr)
+        sys.exit(EXIT_INVALID_INPUT)
 
     rng = random.Random(args.seed)
     total, started = 0, time.perf_counter()
     print(f"{'q':>3} {'n':>3} {'checks':>7} {'seconds':>8}")
     for q in args.q:
-        for n in range(1, (args.n_max or DEFAULT_N_MAX.get(q, 2)) + 1):
+        for n in range(1, n_max[q] + 1):
             t0 = time.perf_counter()
             checks = check_size(q, n, rng)
             total += checks

@@ -44,8 +44,10 @@ from .field import (
     FieldVector,
     PointSet,
     all_points,
+    check_space,
     complement,
     is_prime,
+    random_pairs,
     sum_index,
     sumset,
 )

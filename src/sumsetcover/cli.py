@@ -27,7 +27,6 @@ import argparse
 import functools
 import hashlib
 import json
-import random
 import sys
 import time
 from dataclasses import dataclass
@@ -51,7 +50,7 @@ from .errors import (
     SearchTooLarge,
     ValidationError,
 )
-from .field import DEFAULT_ENUM_CAP, FieldVector, PointSet, all_points, is_prime, sumset
+from .field import DEFAULT_ENUM_CAP, FieldVector, PointSet, check_space, random_pairs, sumset
 from .monomials import check_count_cap, degree_counts, growth_estimate
 from .oracle import (
     DEFAULT_SEARCH_CAP,
@@ -111,13 +110,6 @@ def _read_json(path: str):
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _check_space(q: int, n: int) -> None:
-    if not is_prime(q):
-        raise ValidationError(f"q = {q} is not prime")
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-
-
 def parse_instance(path: str) -> ParsedInstance:
     """Read and validate a JSON instance file.
 
@@ -135,7 +127,7 @@ def parse_instance(path: str) -> ParsedInstance:
     # type(), not isinstance(): JSON true/false load as bool, a subclass of int
     if type(q) is not int or type(n) is not int:
         raise ParseError("fields 'q' and 'n' must be integers")
-    _check_space(q, n)
+    check_space(q, n)
 
     s_coords = _coords_field(raw, "S", q, n)
     s_set = PointSet.from_coords(q, n, s_coords)
@@ -188,7 +180,7 @@ HandlerResult = tuple[dict, dict, tuple[Check, ...], list[str]]
 
 def _cmd_bound(args) -> HandlerResult:
     q, n = args.q, args.n
-    _check_space(q, n)
+    check_space(q, n)
     check_count_cap(q, n, DEFAULT_ENUM_CAP)
     # growth_estimate refuses its own counts and roots before doing any work
     seq = growth_estimate(q, args.growth_to, digits=args.digits) if args.growth_to else None
@@ -389,43 +381,25 @@ def _cmd_oracle(args) -> HandlerResult:
 
 
 def _cmd_trials(args) -> HandlerResult:
-    _check_space(args.q, args.n)
-    if args.count < 0:
-        raise ValidationError(f"count must be >= 0, got {args.count}")
-    if not (0.0 <= args.p <= 1.0):
-        raise ValidationError(f"inclusion probability must be in [0, 1], got {args.p}")
-    rng = random.Random(args.seed)
-    points = all_points(args.q, args.n, cap=args.cap).ordered()
+    pairs = random_pairs(args.q, args.n, args.count, args.seed, args.p, cap=args.cap)
     rows = []
-    all_ok = True
-    worst_total = 0
-    for trial in range(args.count):
-        s_members = [p for p in points if rng.random() < args.p]
-        t_members = [p for p in points if rng.random() < args.p]
-        S = PointSet.from_vectors(args.q, args.n, s_members)
-        T = PointSet.from_vectors(args.q, args.n, t_members)
+    for trial, (S, T) in enumerate(pairs):
         dec = decompose(S, T, args.d, cap=args.cap)
         # decompose has certified witness_total<=bound
-        ok = verify_decomposition(S, T, dec.s_witness, dec.t_witness)
-        oracle_total = None
-        if args.oracle and len(S) + len(T) <= args.search_cap:
-            res = oracle_min_decomposition(S, T, search_cap=args.search_cap)
-            oracle_total = res.best_total
-            ok = ok and oracle_total <= dec.witness_total
-        all_ok = all_ok and ok
-        worst_total = max(worst_total, dec.witness_total)
         row = {
             "trial": trial,
             "sizes": {"S": len(S), "T": len(T), "S+T": len(sumset(S, T))},
             "witness_total": dec.witness_total,
-            "ok": ok,
+            "ok": verify_decomposition(S, T, dec.s_witness, dec.t_witness),
         }
-        if oracle_total is not None:
-            row["oracle_total"] = oracle_total
+        if args.oracle and len(S) + len(T) <= args.search_cap:
+            row["oracle_total"] = oracle_min_decomposition(S, T, search_cap=args.search_cap).best_total
+            row["ok"] = row["ok"] and row["oracle_total"] <= dec.witness_total
         rows.append(row)
+    worst_total = max((row["witness_total"] for row in rows), default=0)
     d_used, bound = _degree_and_bound(args.q, args.n, args.d)
     checks = (
-        Check("all_trials_verified", all_ok),
+        Check("all_trials_verified", all(row["ok"] for row in rows)),
         Check("max_witness_total<=bound", worst_total <= bound, worst_total, bound),
     )
     outputs = {

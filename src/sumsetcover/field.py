@@ -1,4 +1,5 @@
-"""Points of F_q^n, duplicate-free point sets, and the sum index of S x T.
+"""Points of F_q^n, duplicate-free point sets, the sum index of S x T, and
+seeded random pairs (S, T) with their input checks.
 
 Everything here is immutable and every operation is a pure function, so values
 can be shared freely between threads.  Vectors are ordered lexicographically
@@ -13,10 +14,11 @@ columns and the patch representatives all come from one pass.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import DimensionMismatch, EnumerationTooLarge
+from .errors import DimensionMismatch, EnumerationTooLarge, ValidationError
 
 # Full-space enumeration is refused above this many points unless the caller
 # raises the cap explicitly; the witness construction is inherently O(q^n).
@@ -44,6 +46,14 @@ def is_prime(q: int) -> bool:
         if x != 1 and all(pow(x, 2**r, q) != q - 1 for r in range(s)):
             return False
     return True
+
+
+def check_space(q: int, n: int) -> None:
+    """ValidationError unless q is prime and n >= 1."""
+    if not is_prime(q):
+        raise ValidationError(f"q = {q} is not prime")
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
 
 
 @dataclass(frozen=True, order=True)
@@ -187,3 +197,23 @@ def all_points(q: int, n: int, *, cap: int = DEFAULT_ENUM_CAP) -> PointSet:
 def complement(A: PointSet, *, cap: int = DEFAULT_ENUM_CAP) -> PointSet:
     """F_q^n minus A; needs a full-space enumeration, hence the cap."""
     return all_points(A.q, A.n, cap=cap).difference(A)
+
+
+def random_pairs(
+    q: int, n: int, count: int, seed: int, p: float, *, cap: int = DEFAULT_ENUM_CAP
+) -> Iterator[tuple[PointSet, PointSet]]:
+    """`count` seeded random pairs (S, T) in F_q^n.  One random.Random(seed)
+    puts each point, in canonical order, into S with probability p, then
+    likewise into T.  Bad input and q^n above cap are refused on the call,
+    before any draw."""
+    check_space(q, n)
+    if count < 0:
+        raise ValidationError(f"count must be >= 0, got {count}")
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"inclusion probability must be in [0, 1], got {p}")
+    points = all_points(q, n, cap=cap).ordered()
+    rng = random.Random(seed)
+
+    def draw() -> PointSet:
+        return PointSet.from_vectors(q, n, [v for v in points if rng.random() < p])
+    return ((draw(), draw()) for _ in range(count))

@@ -21,13 +21,16 @@ replaces both by one alternating-path search: its augmenting-path matching
 may differ from Hopcroft-Karp's, but the Koenig cover is the same for every
 maximum matching (Dulmage-Mendelsohn), so the covers must be equal.  Last,
 the triple loop over index triples that `sumsetcover.oracle.is_matching_sumfree`
-replaces by one count of the sums.  Only tests use it.
+replaces by one count of the sums, and the seeded draw of random pairs that
+the CLI's trials and scripts/bound_slack.py each wrote out before
+`sumsetcover.field.random_pairs`.  Only tests use it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from collections import deque
 from typing import NamedTuple, Sequence
 
@@ -338,3 +341,19 @@ def is_matching_sumfree_triples(fam: sc.OrderedPairFamily) -> bool:
                 if (j, k) != (i, i) and s[j] + t[k] == diag:
                     return False
     return True
+
+
+def random_pairs(
+    q: int, n: int, count: int, seed: int, p: float
+) -> list[tuple[sc.PointSet, sc.PointSet]]:
+    """The trials loop: one Random(seed); per trial every point in canonical
+    order joins S with probability p, then every point joins T."""
+    rng = random.Random(seed)
+    points = sc.all_points(q, n).ordered()
+    pairs = []
+    for _ in range(count):
+        s_members = [v for v in points if rng.random() < p]
+        t_members = [v for v in points if rng.random() < p]
+        pairs.append((sc.PointSet.from_vectors(q, n, s_members),
+                      sc.PointSet.from_vectors(q, n, t_members)))
+    return pairs

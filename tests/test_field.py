@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 import sumsetcover as sc
 from sumsetcover import field
-from sumsetcover.errors import DimensionMismatch, EnumerationTooLarge
+from sumsetcover.errors import DimensionMismatch, EnumerationTooLarge, ValidationError
 
 from conftest import (
     SEEDED_GRID,
@@ -21,6 +21,7 @@ from conftest import (
     space_points,
     subprocess_env,
 )
+from reference import random_pairs as trials_loop_pairs
 
 
 def vec(q, *coords):
@@ -220,3 +221,40 @@ class TestPointSet:
 
     def test_space_size(self):
         assert len(space_points(3, 2)) == 9
+
+
+class TestRandomPairs:
+    @pytest.mark.parametrize("q, n", [(2, 3), (3, 2), (5, 1)])
+    @pytest.mark.parametrize("p", [0, 0.3, 1])
+    @pytest.mark.parametrize("count", [0, 4])
+    def test_same_pairs_as_the_trials_loop(self, q, n, p, count):
+        for seed in (0, 7):
+            assert list(sc.random_pairs(q, n, count, seed, p)) == trials_loop_pairs(q, n, count, seed, p)
+
+    def test_draws_lazily(self):
+        # a count no loop could finish: the call and the first pair return at once
+        S, T = next(sc.random_pairs(2, 2, 10**12, 1, 0.5))
+        assert (S.q, S.n, T.q, T.n) == (2, 2, 2, 2)
+
+    @pytest.mark.parametrize("q, n, count, p, message", [
+        (4, 1, 1, 0.5, "q = 4 is not prime"),
+        (1, 1, 1, 0.5, "q = 1 is not prime"),
+        (3, 0, 1, 0.5, "n must be >= 1, got 0"),
+        (3, 1, -1, 0.5, "count must be >= 0, got -1"),
+        (3, 1, 10**12, 1.5, "inclusion probability must be in [0, 1], got 1.5"),
+        (3, 1, 10**12, -0.1, "inclusion probability must be in [0, 1], got -0.1"),
+        (3, 1, 10**12, float("nan"), "inclusion probability must be in [0, 1], got nan"),
+        # bad input is refused before the space is checked against the cap
+        (4, 30, 1, 0.5, "q = 4 is not prime"),
+        (3, 30, -1, 0.5, "count must be >= 0, got -1"),
+    ])
+    def test_invalid_input_refused_on_the_call(self, q, n, count, p, message):
+        with pytest.raises(ValidationError) as exc:
+            sc.random_pairs(q, n, count, 0, p)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("q, n, cap", [(3, 14, sc.DEFAULT_ENUM_CAP), (2, 23, sc.DEFAULT_ENUM_CAP), (3, 4, 80)])
+    def test_space_above_the_cap_refused_at_count_zero(self, q, n, cap):
+        with pytest.raises(EnumerationTooLarge) as exc:
+            sc.random_pairs(q, n, 0, 0, 0.5, cap=cap)
+        assert str(exc.value) == f"q^n = {q**n} exceeds enumeration cap {cap}"

@@ -4,6 +4,7 @@ and the tests, so an API change cannot break them silently."""
 
 import ast
 import importlib
+import json
 import re
 from decimal import Decimal
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import sumsetcover as sc
-from sumsetcover.cli import EXIT_INVALID_INPUT
+from sumsetcover.cli import EXIT_INVALID_INPUT, run_command
 from conftest import subprocess_env
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,6 +91,10 @@ def test_growth_table_refused_by_the_work_budget():
     ("bound_slack.py", ["--n", "0"], "n must be >= 1, got 0"),
     ("bound_slack.py", ["--count", "-1"], "count must be >= 0, got -1"),
     ("bound_slack.py", ["--p", "7"], "inclusion probability must be in [0, 1], got 7.0"),
+    ("vanishing_oracles.py", ["--q", "4"], "q = 4 is not prime"),
+    ("vanishing_oracles.py", ["--q", "1"], "q = 1 is not prime"),
+    ("vanishing_oracles.py", ["--q", "2", "9"], "q = 9 is not prime"),
+    ("vanishing_oracles.py", ["--n-max", "0"], "n must be >= 1, got 0"),
 ])
 def test_scripts_refuse_invalid_input(script, args, message):
     # as the CLI's bound does: one "error: invalid input" line, exit 2
@@ -99,6 +104,38 @@ def test_scripts_refuse_invalid_input(script, args, message):
     )
     assert (proc.returncode, proc.stdout) == (EXIT_INVALID_INPUT, "")
     assert proc.stderr == f"error: invalid input: {message}\n"
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
+def test_every_script_refuses_a_composite_q(script):
+    # one refusal contract for every script, present and future
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), "--q", "4"],
+        capture_output=True, text=True, env=subprocess_env(), timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_INVALID_INPUT, "", "error: invalid input: q = 4 is not prime\n")
+
+
+def test_bound_slack_refused_by_the_enumeration_cap():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bound_slack.py"), "--q", "3", "--n", "14", "--count", "1"],
+        capture_output=True, text=True, env=subprocess_env(), timeout=120,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "error: refused by resource cap: q^n = 4782969 exceeds enumeration cap 4194304\n"
+
+
+@pytest.mark.parametrize("q, n, seed, count, p", [(3, 2, 4, 6, "0.5"), (2, 3, 7, 8, "0.3"), (5, 1, 2, 5, "0.6")])
+def test_bound_slack_and_trials_draw_the_same_pairs(capsys, q, n, seed, count, p):
+    # both read sumsetcover.random_pairs: row by row, the same |S|, |T| and
+    # pipeline witness total
+    args = ["--q", str(q), "--n", str(n), "--seed", str(seed), "--count", str(count), "--p", p]
+    lines = run_script("bound_slack.py", *args)
+    slack = [(int(w[1]), int(w[2]), int(w[5])) for w in (line.split() for line in lines[1:count + 1])]
+    assert run_command(["trials", *args, "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["outputs"]["trials"]
+    assert slack == [(r["sizes"]["S"], r["sizes"]["T"], r["witness_total"]) for r in rows]
 
 
 def test_vanishing_oracles():
