@@ -5,8 +5,9 @@ minimized per-degree budget, for n = 1 .. n_max.
 The roots are computed to --digits + 10 significant digits and printed
 rounded to --digits decimal places.  As the CLI's bound does, a non-prime
 --q, an --n-max below 1 or --digits below 0 prints "error: invalid input:
-..." on stderr and exits 2, and a run that growth_estimate's work budget
-refuses prints "error: refused by resource cap: ..." and exits 3.
+..." on stderr and exits 2, and a --q past is_prime's exactness bound or a
+run that growth_estimate's work budget refuses prints "error: refused by
+resource cap: ..." and exits 3.
 
 Example:
     python scripts/growth_table.py --q 3 --n-max 40
@@ -35,15 +36,15 @@ def main() -> None:
     parser.add_argument("--digits", type=int, default=12)
     args = parser.parse_args()
 
-    for bad, message in [
-        (not sc.is_prime(args.q), f"q = {args.q} is not prime"),
-        (args.n_max < 1, f"n_max must be >= 1, got {args.n_max}"),
-        (args.digits < 0, f"digits must be >= 0, got {args.digits}"),
-    ]:
-        if bad:
-            print(f"error: invalid input: {message}", file=sys.stderr)
-            sys.exit(EXIT_INVALID_INPUT)
     try:
+        for bad, message in [
+            (not sc.is_prime(args.q), f"q = {args.q} is not prime"),
+            (args.n_max < 1, f"n_max must be >= 1, got {args.n_max}"),
+            (args.digits < 0, f"digits must be >= 0, got {args.digits}"),
+        ]:
+            if bad:
+                print(f"error: invalid input: {message}", file=sys.stderr)
+                sys.exit(EXIT_INVALID_INPUT)
         roots = sc.growth_estimate(args.q, args.n_max, digits=args.digits + 10)
     except sc.EnumerationTooLarge as exc:
         print(f"error: refused by resource cap: {exc}", file=sys.stderr)

@@ -10,12 +10,14 @@ g(x) = Mx + b per check:
   subspace) has dim V(A, d) = m(q, k, d - (n-k)(q-1)), 0 when negative;
 - pivots: vanishing.primal_pivot_columns and dual_pivot_columns each return
   dim V(A, d) columns at the points of A, in a shuffled order;
-- at q = 3 and n <= 5: the packed elimination and linalg._rref_lists, on
-  the unpacked constraint table of A, give the same pivots, the packed
-  linalg.matrix_rank (forward elimination only) equals the list pivot
+- at q = 3 and n <= 5, and at q = 2 and n <= 9: the packed elimination
+  (two bitplanes per row at q = 3, one int per row at q = 2) and
+  linalg._rref_lists, on the list rows of A's constraint table, give the
+  same pivots, from linalg.rref and from linalg.pivot_columns (forward
+  elimination only), the packed linalg.matrix_rank equals the list pivot
   count, and the basis build_vanishing_space reads off the packed echelon
   form is the list kernel linalg._kernel_basis of the list echelon form
-  (the list code takes minutes at n = 6);
+  (the q = 3 list code takes minutes at n = 6);
 - affine invariance: for a seeded pair S, T and A = S+T,
   dim V(g(A), d) = dim V(A, d), and so is run_pipeline(g(S), g(T), d)'s
   dim_vanishing, since g(S) + g(T) is the image of S+T under x -> Mx + 2b.
@@ -23,7 +25,9 @@ g(x) = Mx + b per check:
 Prints one line per (q, n) and exits 1 at the first mismatch, named on
 stderr; the checks also run under python -O.  The default run is q = 2 up to
 n = 9 and q = 3 up to n = 6.  A non-prime --q or an --n-max below 1 prints
-"error: invalid input: ..." on stderr and exits 2 before any check runs.
+"error: invalid input: ..." on stderr and exits 2, and a --q past
+is_prime's exactness bound prints "error: refused by resource cap: ..."
+and exits 3, before any check runs.
 
 Example:
     python scripts/vanishing_oracles.py --q 3 --n-max 4 --seed 1
@@ -39,11 +43,11 @@ import time
 
 import sumsetcover as sc
 from sumsetcover import linalg
-from sumsetcover.cli import EXIT_INVALID_INPUT
+from sumsetcover.cli import EXIT_CAP_REFUSED, EXIT_INVALID_INPUT
 from sumsetcover.vanishing import dual_pivot_columns, primal_pivot_columns
 
 DEFAULT_N_MAX = {2: 9, 3: 6}
-LIST_KERNEL_N_MAX = 5
+LIST_KERNEL_N_MAX = {2: 9, 3: 5}
 
 
 def affine_map(q: int, n: int, rng: random.Random):
@@ -89,13 +93,14 @@ def check_size(q: int, n: int, rng: random.Random) -> int:
             check(len(primal_pivot_columns(space, keys)) == expected, f"{where}: primal pivots")
             check(len(dual_pivot_columns(space, keys)) == expected, f"{where}: dual pivots")
             checks += 3
-            if q == 3 and n <= LIST_KERNEL_N_MAX:
-                table = linalg.monomial_table(space.monos, outside, 3, by_point=True)
-                reduced, pivots = linalg._rref_lists(linalg.unpack(table), 3)
-                check(linalg.rref(table, 3)[1] == pivots, f"{where}: packed and list pivots differ")
-                rank = linalg.matrix_rank(table, 3)
+            if n <= LIST_KERNEL_N_MAX.get(q, 0):
+                table = linalg.monomial_table(space.monos, outside, q, by_point=True)
+                reduced, pivots = linalg._rref_lists(linalg.as_rows(table), q)
+                packed = linalg.rref(table, q)[1], linalg.pivot_columns(table, q)
+                check(packed == (pivots, pivots), f"{where}: packed and list pivots differ")
+                rank = linalg.matrix_rank(table, q)
                 check(rank == len(pivots), f"{where}: packed rank {rank}, {len(pivots)} list pivots")
-                basis = linalg._kernel_basis(reduced, pivots, len(space.monos), 3)
+                basis = linalg._kernel_basis(reduced, pivots, len(space.monos), q)
                 check(space.rows == tuple(map(tuple, basis)), f"{where}: packed and list bases differ")
                 checks += 3
     pts = list(itertools.product(range(q), repeat=n))
@@ -128,6 +133,9 @@ def main() -> None:
     except sc.ValidationError as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         sys.exit(EXIT_INVALID_INPUT)
+    except sc.EnumerationTooLarge as exc:
+        print(f"error: refused by resource cap: {exc}", file=sys.stderr)
+        sys.exit(EXIT_CAP_REFUSED)
 
     rng = random.Random(args.seed)
     total, started = 0, time.perf_counter()

@@ -6,10 +6,14 @@ otherwise.  `monomial_table` builds tables of monomial values and
 `evaluate_rows` of polynomials given as coefficient rows, `as_table` makes
 one of integer rows and `as_rows` reads its rows back; every other module
 passes tables on unopened.  A `Matrix3` is eliminated and combined on its
-bitplanes and comes back packed; list rows, at any q (3 included), run the
-list code, the reference the packed path is tested against.  `null_space`
-reads a `Matrix3`'s kernel basis straight off the reduced bitplanes, so
-`as_rows` and `unpack` serve only callers that want list rows.
+bitplanes and comes back packed.  At q = 2 the table format is still list
+rows, but they are eliminated privately on one int per row (bit c holds
+entry c mod 2, a row subtraction is one XOR) and `rref` unpacks its result
+back to list rows.  List rows at any other q (3 included) run the list
+code, the reference both packed paths are tested against.  `null_space`
+reads the kernel basis straight off the reduced bitplanes or ints
+(`_kernel_planes`), so `as_rows` and `unpack` serve only callers that want
+list rows.
 
 In a `Matrix3`, entry k of a row is bit k of one of two ints: `ones` has
 the bits of the columns holding 1, `twos` those holding 2, and
@@ -35,11 +39,12 @@ Rows must all have the same length; in either format, ragged rows and rows
 whose length is not a given column count raise ValueError.  Pivoting is by
 position (exact arithmetic has no magnitude concerns), so the reduced row
 echelon form, ranks, and null-space bases are all canonical.  One forward
-elimination per format (`_echelon_lists`, `_echelon_packed`) picks the
-pivots and clears below them; `rref` adds back-substitution, while
-`matrix_rank` is the forward pass's pivot count alone, with no
+elimination per format (`_echelon_lists`, `_echelon_packed` on bitplanes,
+`_echelon_bits` on one int per row at q = 2) picks the pivots and clears
+below them; `rref` and `null_space` add back-substitution, while
+`pivot_columns` returns the forward pass's pivots alone, with no
 back-substitution (echelon-only elimination, as in the PLE decomposition of
-Albrecht, Bard and Pernet, arXiv:1111.6549).
+Albrecht, Bard and Pernet, arXiv:1111.6549), and `matrix_rank` counts them.
 """
 
 from __future__ import annotations
@@ -184,12 +189,35 @@ def rref(rows: Rows, q: int) -> tuple[Rows, list[int]]:
 
     Returns (nonzero rows, pivot column indices), the rows in the input's
     form; the input is not mutated.  ValueError for a composite q, where Z/q
-    is not a field, and for a `Matrix3` at any q but 3.
+    is not a field, and for a `Matrix3` at any q but 3.  At q = 2 list rows
+    are eliminated as one int per row and come back as list rows.
     """
     _field(rows, q)
     if isinstance(rows, Matrix3):
         return _rref_packed(rows)
+    if q == 2:
+        ncols = _width(rows)
+        reduced, pivots = _rref_bits(_pack_bits(rows), ncols)
+        return [[x >> c & 1 for c in range(ncols)] for x in reduced], pivots
     return _rref_lists(rows, q)
+
+
+def pivot_columns(rows: Rows, q: int) -> list[int]:
+    """The pivot columns of forward elimination alone, with no
+    back-substitution: those of rref, in every format.  ValueError as for
+    rref."""
+    _field(rows, q)
+    if isinstance(rows, Matrix3):
+        return _echelon_packed(rows)[2]
+    if q == 2:
+        return _echelon_bits(_pack_bits(rows), _width(rows))[1]
+    return _echelon_lists(rows, q)[1]
+
+
+def matrix_rank(rows: Rows, q: int) -> int:
+    """Exact rank over F_q: the number of pivot_columns, with no
+    back-substitution.  ValueError as for rref."""
+    return len(pivot_columns(rows, q))
 
 
 def _field(rows: Rows, q: int) -> None:
@@ -293,13 +321,56 @@ def _echelon_packed(m: Matrix3) -> tuple[list[int], list[int], list[int]]:
     return ones, twos, pivots
 
 
-def matrix_rank(rows: Rows, q: int) -> int:
-    """Exact rank over F_q: the pivot count of forward elimination alone,
-    with no back-substitution.  ValueError as for rref."""
-    _field(rows, q)
-    if isinstance(rows, Matrix3):
-        return len(_echelon_packed(rows)[2])
-    return len(_echelon_lists(rows, q)[1])
+# Each byte 0 or 1 as the digit "0" or "1", for int(..., 2)
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _pack_bits(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Each row as one int over F_2: bit c holds entry c mod 2.  The row is
+    read as a binary numeral, last entry first, about twice as fast as
+    summing its bits one shift at a time."""
+    return [
+        int(bytes([v & 1 for v in reversed(row)]).translate(_BINARY_DIGITS) or b"0", 2) for row in rows
+    ]
+
+
+def _echelon_bits(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
+    """`_echelon_lists` over F_2, on one int per row, eliminated in place:
+    (the rows, pivot columns).  Every nonzero entry is 1, so no row is
+    scaled, and subtracting the pivot row is one XOR (in the style of M4RI,
+    Albrecht, Bard and Hart, arXiv:0811.1714)."""
+    nrows = len(rows)
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        bit = 1 << c
+        for pr in range(r, nrows):
+            if rows[pr] & bit:
+                break
+        else:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pivot_row = rows[r]
+        for i in range(pr + 1, nrows):  # rows r + 1 .. pr are 0 at c
+            if rows[i] & bit:
+                rows[i] ^= pivot_row
+        pivots.append(c)
+    return rows, pivots
+
+
+def _rref_bits(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form over F_2 on one int per row, eliminated in
+    place: `_echelon_bits`, then back-substitution from the last pivot up.
+    Returns (nonzero rows, pivot columns)."""
+    rows, pivots = _echelon_bits(rows, ncols)
+    for r in reversed(range(len(pivots))):
+        bit, pivot_row = 1 << pivots[r], rows[r]
+        for i in range(r):
+            if rows[i] & bit:
+                rows[i] ^= pivot_row
+    return rows[:len(pivots)], pivots
 
 
 def combine_rows(
@@ -480,20 +551,32 @@ def null_space(rows: Rows, ncols: int, q: int) -> list[list[int]]:
     One basis vector per free column (ascending), carrying 1 at its own free
     column and the negated echelon entries at the pivot columns.  An empty
     row list means no constraints: the identity basis comes back.  A
-    `Matrix3`'s basis is read straight off the reduced rows' bitplanes
-    (`_kernel_packed`), never unpacked; list rows go through `_kernel_basis`.
+    `Matrix3`'s basis is read straight off the reduced rows' bitplanes, and
+    at q = 2 off the reduced rows' ints (`_kernel_planes`), never unpacked;
+    list rows at any other q go through `_kernel_basis`.  ValueError as for
+    rref.
     """
     _width(rows, ncols)
-    reduced, pivots = rref(rows, q)
-    if isinstance(reduced, Matrix3):
-        return _kernel_packed(reduced, pivots, ncols)
-    return _kernel_basis(reduced, pivots, ncols, q)
+    _field(rows, q)
+    if isinstance(rows, Matrix3):
+        reduced, pivots = _rref_packed(rows)
+        # -1 = 2 at a pivot for each 1 of the row, 1 for each 2
+        planes = [((a, 2), (b, 1)) for a, b in zip(reduced.ones, reduced.twos)]
+    elif q == 2:
+        reduced_bits, pivots = _rref_bits(_pack_bits(rows), ncols)
+        planes = [((x, 1),) for x in reduced_bits]  # -1 = 1 over F_2
+    else:
+        return _kernel_basis(*_rref_lists(rows, q), ncols, q)
+    return _kernel_planes(pivots, planes, ncols)
 
 
-def _kernel_packed(reduced: Matrix3, pivots: Sequence[int], ncols: int) -> list[list[int]]:
-    """`_kernel_basis` on a reduced `Matrix3`: each pivot row's entries at the
-    free columns are its set bits once the pivot columns are masked out, and
-    each lands negated (1 -> 2, 2 -> 1) at that row's pivot in the free
+def _kernel_planes(
+    pivots: Sequence[int], planes: Sequence[Sequence[tuple[int, int]]], ncols: int
+) -> list[list[int]]:
+    """`_kernel_basis` read off bit masks: planes[r] lists, for the reduced
+    row of pivot pivots[r], pairs (mask, value).  Once the pivot columns are
+    masked out, each set bit of a mask is a free column, and value (the
+    row's entry there, negated) lands at the row's pivot in that free
     column's vector."""
     pivot_mask = sum(1 << p for p in pivots)
     basis: dict[int, list[int]] = {}
@@ -501,12 +584,13 @@ def _kernel_packed(reduced: Matrix3, pivots: Sequence[int], ncols: int) -> list[
         if not pivot_mask >> free & 1:
             basis[free] = v = [0] * ncols
             v[free] = 1
-    for p, a, b in zip(pivots, reduced.ones, reduced.twos):
-        for plane, negated in ((a & ~pivot_mask, 2), (b & ~pivot_mask, 1)):
-            while plane:
-                low = plane & -plane
-                basis[low.bit_length() - 1][p] = negated
-                plane ^= low
+    for p, row in zip(pivots, planes):
+        for mask, value in row:
+            mask &= ~pivot_mask
+            while mask:
+                low = mask & -mask
+                basis[low.bit_length() - 1][p] = value
+                mask ^= low
     return list(basis.values())
 
 

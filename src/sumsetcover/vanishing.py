@@ -21,11 +21,12 @@ such, and nothing here builds a summatrix.Polynomial.
 matrices (P(s_i + t_j)) over the basis: the pivot columns of W = V|_A for
 A = S+T in field.sum_index order.  W is RM_q(d, n) shortened to A, so its
 dual is RM_q(d', n) punctured to A, d' = n(q-1) - d - 1 (Kasami-Lin-Peterson
-1968; Delsarte-Goethals-MacWilliams 1970).  linalg.rref eliminates the
-smaller of two tables with those pivots: the basis at A (dim rows, few at
-low degree) or the m_{d'} = q^n - m_d monomials of degree <= d' at A, sums
-reversed, whose information set taken greedily from the last sum the pivots
-avoid (few at the degrees choose_degree picks).  No |S| x |T| matrix is built.
+1968; Delsarte-Goethals-MacWilliams 1970).  linalg.pivot_columns takes
+those pivots by forward elimination alone, with no back-substitution, from
+the smaller of two tables: the basis at A (dim rows, few at low degree) or
+the m_{d'} = q^n - m_d monomials of degree <= d' at A, sums reversed, whose
+information set taken greedily from the last sum the pivots avoid (few at
+the degrees choose_degree picks).  No |S| x |T| matrix is built.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .field import DEFAULT_ENUM_CAP, PointSet, complement
-from .linalg import evaluate_rows, monomial_table, null_space, rref
+from .linalg import evaluate_rows, monomial_table, null_space, pivot_columns
 from .monomials import Monomial, enumerate_monomials
 
 
@@ -96,7 +97,7 @@ def sum_pivots(
 
 def primal_pivot_columns(space: PolySubspace, keys: Sequence[Sequence[int]]) -> list[int]:
     """Pivot columns of the basis rows evaluated at the keys (space.dim rows)."""
-    return rref(evaluate_rows(space.monos, space.rows, keys, space.q), space.q)[1]
+    return pivot_columns(evaluate_rows(space.monos, space.rows, keys, space.q), space.q)
 
 
 def dual_pivot_columns(space: PolySubspace, keys: Sequence[Sequence[int]]) -> list[int]:
@@ -105,6 +106,6 @@ def dual_pivot_columns(space: PolySubspace, keys: Sequence[Sequence[int]]) -> li
     q, n = space.q, space.n
     dual_degree = n * (q - 1) - space.degree - 1
     monos = enumerate_monomials(q, n, dual_degree, cap=q**n) if dual_degree >= 0 else []
-    _, cols = rref(monomial_table(monos, keys[::-1], q), q)
+    cols = pivot_columns(monomial_table(monos, keys[::-1], q), q)
     dual_info = {len(keys) - 1 - c for c in cols}
     return [c for c in range(len(keys)) if c not in dual_info]

@@ -278,7 +278,8 @@ class TestDualPivotFaults:
     # the pivot-count cross-check sees (109 pivots for dimension 108 on the
     # golden q=3, n=5 instance).  A dual rank one too high drops a pivot; the
     # pivots' sums the lines reach are at most the pivots, so the recorded
-    # check lines_cover>=dim_vanishing_sums fails first (107 vs 108).
+    # check lines_cover>=dim_vanishing_sums fails first (107 vs 108).  The
+    # faults go in through vanishing.pivot_columns, the stage's elimination.
     FAULTS = {
         "dual_pivot_dropped": ("lambda cols: cols[:-1]", "109 pivots for a vanishing space of dimension 108"),
         "dual_rank_one_too_high": (
@@ -293,13 +294,12 @@ class TestDualPivotFaults:
             sys.exit("expected an optimized interpreter")
         import sumsetcover as sc
         vanishing = importlib.import_module("sumsetcover.vanishing")
-        real_rref, fault = vanishing.rref, eval(sys.argv[2])
+        real_pivots, fault = vanishing.pivot_columns, eval(sys.argv[2])
 
-        def faulty_rref(table, q):
-            rows, cols = real_rref(table, q)
-            return rows, fault(list(cols))
+        def faulty_pivots(table, q):
+            return fault(list(real_pivots(table, q)))
 
-        vanishing.rref = faulty_rref
+        vanishing.pivot_columns = faulty_pivots
         raw = json.loads(open(sys.argv[1]).read())
         S, T = (sc.PointSet.from_coords(3, 5, raw[k]) for k in "ST")
         try:
@@ -314,14 +314,13 @@ class TestDualPivotFaults:
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_fault_raises(self, fault, monkeypatch):
         module = importlib.import_module("sumsetcover.vanishing")
-        real, (code, message) = module.rref, self.FAULTS[fault]
+        real, (code, message) = module.pivot_columns, self.FAULTS[fault]
         alter = eval(code)
 
-        def faulty_rref(table, q):
-            rows, cols = real(table, q)
-            return rows, alter(list(cols))
+        def faulty_pivots(table, q):
+            return alter(list(real(table, q)))
 
-        monkeypatch.setattr(module, "rref", faulty_rref)
+        monkeypatch.setattr(module, "pivot_columns", faulty_pivots)
         with pytest.raises(sc.BoundViolated, match=re.escape(message)):
             sc.decompose(*TestCertifiedChecks.golden_pair())
 

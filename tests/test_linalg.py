@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 
 import sumsetcover as sc
 from sumsetcover import linalg
-from sumsetcover.linalg import _kernel_basis, _rref_lists, combine_rows
+from sumsetcover.linalg import _kernel_basis, _rref_lists, combine_rows, pivot_columns
 
 from conftest import seeded_pair
 
@@ -30,11 +30,11 @@ def gf_matrices(draw, max_dim=5):
 
 
 @st.composite
-def wide_integer_matrices(draw, max_rows=10, max_cols=150):
-    """Integer matrices read mod 3, up to several 64-bit words wide.
+def wide_integer_matrices(draw, max_rows=10, max_cols=150, q=3):
+    """Integer matrices read mod q, up to several 64-bit words wide.
 
     Entries range over [-5, 8], so negatives and values above q occur.  A
-    row is fresh, zero mod 3 (multiples of 3, negatives among them), or a
+    row is fresh, zero mod q (multiples of q, negatives among them), or a
     combination of two earlier rows, so ranks below the row count are common.
     """
     ncols = draw(st.integers(1, max_cols))
@@ -44,7 +44,7 @@ def wide_integer_matrices(draw, max_rows=10, max_cols=150):
         if kind == "fresh" or not rows:
             rows.append(draw(entries))
         elif kind == "zero":
-            rows.append([3 * (v % 5 - 2) for v in draw(entries)])
+            rows.append([q * (v % 5 - 2) for v in draw(entries)])
         else:
             a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
             k = draw(st.integers(-4, 4))
@@ -104,10 +104,12 @@ class TestForwardRank:
         m = [[0 if c in zero_cols else v for c, v in enumerate(row)] for row in m]
         for at in data.draw(st.lists(st.integers(0, len(m)), max_size=2)):
             m.insert(at, [0] * ncols)
-        rank = sc.matrix_rank(m, q)
-        assert rank == len(sc.rref(m, q)[1]) == rank_by_insertion(m, q)
+        rank, pivots = sc.matrix_rank(m, q), sc.rref(m, q)[1]
+        assert rank == len(pivots) == rank_by_insertion(m, q)
+        assert pivot_columns(m, q) == pivots
         if q == 3:
             assert sc.matrix_rank(linalg.pack(m, ncols), 3) == rank
+            assert pivot_columns(linalg.pack(m, ncols), 3) == pivots
 
     @pytest.mark.parametrize("m, ncols", [
         ([], 0), ([], 3), ([[], []], 0), ([[0, 0, 0]] * 3, 3),
@@ -129,10 +131,11 @@ class TestForwardRank:
 
         ncols = len(m[0]) if m else 0
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("rref", "_rref_lists", "_rref_packed"):
+            for name in ("rref", "_rref_lists", "_rref_packed", "_rref_bits"):
                 mp.setattr(linalg, name, refused)
-            ranks = sc.matrix_rank(m, 3), sc.matrix_rank(linalg.pack(m, ncols), 3), sc.matrix_rank(m, 5)
-        assert ranks == (rank_by_insertion(m, 3), rank_by_insertion(m, 3), rank_by_insertion(m, 5))
+            ranks = (sc.matrix_rank(m, 3), sc.matrix_rank(linalg.pack(m, ncols), 3),
+                     sc.matrix_rank(m, 5), sc.matrix_rank(m, 2))
+        assert ranks == tuple(rank_by_insertion(m, q) for q in (3, 3, 5, 2))
 
     @pytest.mark.parametrize("q, n, seed", [(3, 3, 5), (5, 2, 1)])
     def test_rank_audit_never_reduces(self, q, n, seed, monkeypatch):
@@ -142,7 +145,7 @@ class TestForwardRank:
         def refused(*args):
             raise AssertionError("the rank audit went through rref")
 
-        for name in ("rref", "_rref_lists", "_rref_packed"):
+        for name in ("rref", "_rref_lists", "_rref_packed", "_rref_bits"):
             monkeypatch.setattr(linalg, name, refused)
         assert sc.summatrix.rank_audit(run) == expected and expected.max_rank > 0
 
@@ -199,7 +202,7 @@ class TestNullSpace:
 class TestRaggedRows:
     """Rows of unequal length are refused by every entry point, at any q."""
 
-    @pytest.mark.parametrize("q", [3, 5])
+    @pytest.mark.parametrize("q", [3, 5, 2])
     @pytest.mark.parametrize("rows", [[[1], [1, 2]], [[0, 1, 2], [1, 1]]])
     def test_rejected(self, q, rows):
         with pytest.raises(ValueError, match="row of length"):
@@ -209,7 +212,7 @@ class TestRaggedRows:
         with pytest.raises(ValueError, match="row of length"):
             sc.null_space(rows, 3, q)
 
-    @pytest.mark.parametrize("q", [3, 5])
+    @pytest.mark.parametrize("q", [3, 5, 2])
     def test_row_width_must_match_ncols(self, q):
         with pytest.raises(ValueError, match="row of length 2 in a 3-column system"):
             sc.null_space([[1, 2], [0, 1]], 3, q)
@@ -357,6 +360,69 @@ class TestPackedMatchesLists:
     def test_pack_round_trip(self):
         rows = [[0, 1, 2, -1, 4, 3], [0] * 6]
         assert linalg.unpack(linalg.pack(rows, 6)) == [[v % 3 for v in r] for r in rows]
+
+
+class TestBitsMatchLists:
+    """At q = 2 list rows are eliminated as one int per row; rref, the
+    pivots, the rank and the null space are exactly the list path's."""
+
+    @staticmethod
+    def _without_list_elimination(call):
+        """call() with the list elimination and the list kernel refused."""
+        def refused(*args):
+            raise AssertionError("the q = 2 elimination went through list rows")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_echelon_lists", refused)
+            mp.setattr(linalg, "_kernel_basis", refused)
+            return call()
+
+    @given(wide_integer_matrices(q=2))
+    @settings(deadline=None)
+    def test_against_the_list_path(self, m):
+        # floor: every q = 2 entry point runs on the ints alone
+        ncols = len(m[0]) if m else 7
+        reduced, pivots = _rref_lists(m, 2)
+        expected = (reduced, pivots), pivots, len(pivots), list_null_space(m, ncols, 2)
+        got = self._without_list_elimination(lambda: (
+            sc.rref(m, 2), pivot_columns(m, 2), sc.matrix_rank(m, 2), sc.null_space(m, ncols, 2)))
+        assert got == expected
+
+    @pytest.mark.parametrize("m, ncols", [
+        ([], 0), ([], 4), ([[], []], 0), ([[0] * 5] * 3, 5), ([[2, -4, 6, 0]] * 2, 4),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], 3), ([[0, 1, 1], [0, 1, 0]], 3),
+        ([[0, 1, 1, 0], [0, 0, 1, 1], [0, 1, 0, 1]], 4),
+    ], ids=["no-rows", "no-rows-4-cols", "zero-width", "all-zero", "even-entries",
+            "full-column-rank", "free-left-of-first-pivot", "sum-of-earlier-rows"])
+    def test_shapes(self, m, ncols):
+        expected = _rref_lists(m, 2)
+        got = self._without_list_elimination(
+            lambda: (sc.rref(m, 2), pivot_columns(m, 2), sc.null_space(m, ncols, 2)))
+        assert got == (expected, expected[1], list_null_space(m, ncols, 2))
+
+    def test_null_space_past_two_words(self):
+        # pivots at 0, 65 and 130, free columns on both sides of bits 64 and 128
+        ncols = 140
+        m = [[0] * ncols for _ in range(3)]
+        for row, (p, ones) in zip(m, [(0, (64, 129)), (65, (100, 139)), (130, (135, 139))]):
+            for c in (p, *ones):
+                row[c] = 1
+        basis = self._without_list_elimination(lambda: sc.null_space(m, ncols, 2))
+        assert basis == list_null_space(m, ncols, 2)
+        assert len(basis) == ncols - 3 and all(mat_vec(m, v, 2) == [0, 0, 0] for v in basis)
+        free = [c for c in range(ncols) if c not in (0, 65, 130)]
+        at = {f: v for f, v in zip(free, basis)}
+        assert [at[139][p] for p in (0, 65, 130)] == [0, 1, 1]
+        assert [at[64][p] for p in (0, 65, 130)] == [1, 0, 0]
+        assert [at[129][p] for p in (0, 65, 130)] == [1, 0, 0]
+        assert self._without_list_elimination(lambda: pivot_columns(m, 2)) == [0, 65, 130]
+
+    def test_input_not_mutated(self):
+        m = [[3, -1, 4, 0], [1, 1, 0, 2], [2, 0, 4, 6]]
+        sc.rref(m, 2)
+        sc.matrix_rank(m, 2)
+        sc.null_space(m, 4, 2)
+        assert m == [[3, -1, 4, 0], [1, 1, 0, 2], [2, 0, 4, 6]]
 
 
 @st.composite

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import sumsetcover as sc
-from sumsetcover.cli import EXIT_INVALID_INPUT, run_command
+from sumsetcover.cli import EXIT_CAP_REFUSED, EXIT_INVALID_INPUT, run_command
 from conftest import subprocess_env
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -115,6 +115,19 @@ def test_every_script_refuses_a_composite_q(script):
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         EXIT_INVALID_INPUT, "", "error: invalid input: q = 4 is not prime\n")
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
+def test_every_script_refuses_a_q_past_the_primality_bound(script):
+    # is_prime cannot decide this q; every script, present and future,
+    # refuses it as the CLI does: one resource-cap line, exit 3
+    q = "3317044064679887385962123"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), "--q", q],
+        capture_output=True, text=True, env=subprocess_env(), timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_CAP_REFUSED, "", (
+        f"error: refused by resource cap: q = {q} exceeds the primality bound 3317044064679887385961981\n"))
 
 
 def test_bound_slack_refused_by_the_enumeration_cap():

@@ -18,6 +18,7 @@ from conftest import (
     coordinate_subspace,
     polynomials,
     rows_over,
+    seeded_pair,
     set_pairs,
     space_points,
     subset_from_mask,
@@ -206,6 +207,27 @@ class TestDimensionOracles:
             packed = linalg.rref(table, 3)[1]
             assert packed == linalg._rref_lists(linalg.unpack(table), 3)[1]
             assert len(monos) - len(packed) == subspace_dim(3, n, k, d)
+
+
+class TestPivotStagesNeverReduce:
+    """The pivot stages take forward elimination's pivots (pivot_columns):
+    no reduced form is built, in any format."""
+
+    @pytest.mark.parametrize("q, n, seed", [(2, 4, 3), (3, 3, 5), (5, 2, 1)])
+    def test_no_rref(self, q, n, seed, monkeypatch):
+        # floor: both stages give the same pivots with every rref refused
+        S, T = seeded_pair(q, n, seed)
+        keys = list(sc.sum_index(S, T))
+        spaces = [sc.build_vanishing_space(sc.sumset(S, T), d) for d in _degrees(q, n)]
+        expected = [(primal_pivot_columns(s, keys), dual_pivot_columns(s, keys)) for s in spaces]
+
+        def refused(*args):
+            raise AssertionError("a pivot stage went through rref")
+
+        for name in ("rref", "_rref_lists", "_rref_packed", "_rref_bits"):
+            monkeypatch.setattr(linalg, name, refused)
+        got = [(primal_pivot_columns(s, keys), dual_pivot_columns(s, keys)) for s in spaces]
+        assert got == expected and all(len(p) == s.dim for (p, _), s in zip(expected, spaces))
 
 
 class TestFunctionRepresentation:
