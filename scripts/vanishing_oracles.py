@@ -8,6 +8,9 @@ g(x) = Mx + b per check:
 
 - closed form: for each k = 0 .. n, A = g(the k-dimensional coordinate
   subspace) has dim V(A, d) = m(q, k, d - (n-k)(q-1)), 0 when negative;
+- basis size: build_vanishing_space's dim, m_d minus the constraint rank
+  from forward elimination alone, is the number of basis rows that
+  back-substitution then reads off the kept echelon form;
 - pivots: vanishing.primal_pivot_columns and dual_pivot_columns each return
   dim V(A, d) columns at the points of A, in a shuffled order;
 - at q = 3 and n <= 5, and at q = 2 and n <= 9: the packed elimination
@@ -90,9 +93,10 @@ def check_size(q: int, n: int, rng: random.Random) -> int:
             space = sc.build_vanishing_space(A, d)
             where = f"q={q} n={n} k={k} d={d}"
             check(space.dim == expected, f"{where}: dim {space.dim}, closed form {expected}")
+            check(len(space.rows) == space.dim, f"{where}: {len(space.rows)} basis rows, dim {space.dim}")
             check(len(primal_pivot_columns(space, keys)) == expected, f"{where}: primal pivots")
             check(len(dual_pivot_columns(space, keys)) == expected, f"{where}: dual pivots")
-            checks += 3
+            checks += 4
             if n <= LIST_KERNEL_N_MAX.get(q, 0):
                 table = linalg.monomial_table(space.monos, outside, q, by_point=True)
                 reduced, pivots = linalg._rref_lists(linalg.as_rows(table), q)

@@ -9,8 +9,11 @@ degree d of our choosing (minimized by default).  S x T is enumerated
 once, by field.sum_index, which maps each sum to its first row-major
 (i, j); its keys are S+T in order of first occurrence.  The construction:
 
- 1. build the space of degree-<= d polynomials vanishing off S+T: dim basis
-    rows of coefficients over the monomials, dim >= m_d - q^n + |S+T|;
+ 1. build the space of degree-<= d polynomials vanishing off S+T: one
+    forward elimination of its constraint table gives dim, m_d minus the
+    constraint rank, dim >= m_d - q^n + |S+T|; the basis, dim rows of
+    coefficients over the monomials, is back-substituted from the kept
+    echelon form only when step 3's primal stage or the rank audit reads it;
  2. each basis row P defines the sum matrix (P(s + t)) over S x T; every
     matrix in their span has rank at most 2*m(q, n, floor(d/2)) by the
     rank-one split certificate (a theorem on the span, audited per basis
@@ -35,7 +38,8 @@ uncovered<=q^n-m_d, cover_size<=rank_bound, pivot_positions_distinct,
 pivot_sums_distinct, lines_cover>=dim_vanishing_sums, and
 chosen_bound<=capset_bound (capset_check) when it chose the degree.
 certify raises BoundViolated naming the first check that fails, then
-run_pipeline raises (unrecorded) when the pivots do not number dim, so
+run_pipeline raises (unrecorded) when the pivots do not number dim (dim is
+the constraint table's rank deficit, the pivots come from another table), so
 decompose() returns only certified witnesses (the checks are explicit
 raises, not asserts, and still run under python -O).
 
@@ -214,7 +218,7 @@ def run_pipeline(
     if chose_degree:
         checks.append(capset_check(q, n, bound))
     checks = certify(checks)
-    if len(pivots) != dim:  # the dual stage never reads the rows: one pivot per row
+    if len(pivots) != dim:  # dim is the constraint rank's, the pivots another table's
         raise BoundViolated(f"{len(pivots)} pivots for a vanishing space of dimension {dim}")
 
     cert = DecompositionCertificate(

@@ -10,8 +10,8 @@ bitplanes and comes back packed.  At q = 2 the table format is still list
 rows, but they are eliminated privately on one int per row (bit c holds
 entry c mod 2, a row subtraction is one XOR) and `rref` unpacks its result
 back to list rows.  List rows at any other q (3 included) run the list
-code, the reference both packed paths are tested against.  `null_space`
-reads the kernel basis straight off the reduced bitplanes or ints
+code, the reference both packed paths are tested against.  `kernel`
+reads the null-space basis straight off the reduced bitplanes or ints
 (`_kernel_planes`), so `as_rows` and `unpack` serve only callers that want
 list rows.
 
@@ -38,13 +38,20 @@ row's bit u spread to bit u * w first, so no carry crosses a cell),
 Rows must all have the same length; in either format, ragged rows and rows
 whose length is not a given column count raise ValueError.  Pivoting is by
 position (exact arithmetic has no magnitude concerns), so the reduced row
-echelon form, ranks, and null-space bases are all canonical.  One forward
-elimination per format (`_echelon_lists`, `_echelon_packed` on bitplanes,
-`_echelon_bits` on one int per row at q = 2) picks the pivots and clears
-below them; `rref` and `null_space` add back-substitution, while
-`pivot_columns` returns the forward pass's pivots alone, with no
-back-substitution (echelon-only elimination, as in the PLE decomposition of
-Albrecht, Bard and Pernet, arXiv:1111.6549), and `matrix_rank` counts them.
+echelon form, ranks, and null-space bases are all canonical.  Each format
+has one forward elimination (`_echelon_lists`, `_echelon_packed` on
+bitplanes, `_echelon_bits` on one int per row at q = 2), which picks the
+pivots and clears below them, and one back-substitution
+(`_back_substitute_lists`, `_back_substitute_packed`,
+`_back_substitute_bits`), which clears above them.  `echelon` keeps the
+forward pass alone, with no back-substitution (echelon-only elimination, as
+in the PLE decomposition of Albrecht, Bard and Pernet, arXiv:1111.6549), as
+an `Echelon` value: the pivots and one echelon row per pivot, in the
+format it ran on.  `pivot_columns` returns the forward pass's pivots
+alone and `matrix_rank` counts them.  `kernel` back-substitutes a kept
+echelon and reads the null-space basis off it, so a caller that needs the
+rank now and the basis later eliminates once; `null_space` is `kernel` of
+`echelon`, and `rref` runs both passes.
 """
 
 from __future__ import annotations
@@ -202,6 +209,36 @@ def rref(rows: Rows, q: int) -> tuple[Rows, list[int]]:
     return _rref_lists(rows, q)
 
 
+@dataclass(frozen=True)
+class Echelon:
+    """Forward elimination of an ncols-column table over F_q, kept: its pivot
+    columns and one echelon row per pivot, each with entry 1 at its pivot and
+    0 to the left of it, in the format the elimination ran on (a `Matrix3`;
+    at q = 2 one int per row; tuple rows otherwise)."""
+
+    q: int
+    ncols: int
+    pivots: tuple[int, ...]
+    rows: Matrix3 | tuple[int, ...] | tuple[tuple[int, ...], ...]
+
+
+def echelon(rows: Rows, ncols: int, q: int) -> Echelon:
+    """The table's forward elimination, with no back-substitution (as in
+    the PLE decomposition of Albrecht, Bard and Pernet, arXiv:1111.6549).
+    ValueError for rows that are not ncols long, and as for rref."""
+    _width(rows, ncols)
+    _field(rows, q)
+    if isinstance(rows, Matrix3):
+        ones, twos, pivots = _echelon_packed(rows)
+        rank = len(pivots)
+        return Echelon(q, ncols, tuple(pivots), Matrix3(rows.ncols, tuple(ones[:rank]), tuple(twos[:rank])))
+    if q == 2:
+        bits, pivots = _echelon_bits(_pack_bits(rows), ncols)
+        return Echelon(q, ncols, tuple(pivots), tuple(bits[:len(pivots)]))
+    m, pivots = _echelon_lists(rows, q)
+    return Echelon(q, ncols, tuple(pivots), tuple(map(tuple, m[:len(pivots)])))
+
+
 def pivot_columns(rows: Rows, q: int) -> list[int]:
     """The pivot columns of forward elimination alone, with no
     back-substitution: those of rref, in every format.  ValueError as for
@@ -231,14 +268,24 @@ def _field(rows: Rows, q: int) -> None:
 
 def _rref_lists(rows: Sequence[Sequence[int]], q: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form on lists, any prime q: `_echelon_lists`,
-    then back-substitution from the last pivot up."""
+    then `_back_substitute_lists`."""
     m, pivots = _echelon_lists(rows, q)
+    return _back_substitute_lists(m[:len(pivots)], pivots, q), pivots
+
+
+def _back_substitute_lists(
+    rows: Sequence[Sequence[int]], pivots: Sequence[int], q: int
+) -> list[list[int]]:
+    """The echelon rows, one per pivot, reduced: from the last pivot up,
+    each pivot row is subtracted from the rows above it.  Returns new rows;
+    the input is not mutated."""
+    m = list(rows)
     for r in reversed(range(len(pivots))):
         c, pivot_row = pivots[r], m[r]
         for i in range(r):
             if f := m[i][c]:
                 m[i] = [(vi - f * vr) % q for vi, vr in zip(m[i], pivot_row)]
-    return m[:len(pivots)], pivots
+    return m
 
 
 def _echelon_lists(rows: Sequence[Sequence[int]], q: int) -> tuple[list[list[int]], list[int]]:
@@ -272,11 +319,16 @@ def _echelon_lists(rows: Sequence[Sequence[int]], q: int) -> tuple[list[list[int
 
 def _rref_packed(m: Matrix3) -> tuple[Matrix3, list[int]]:
     """Reduced row echelon form: (nonzero rows, pivot column indices).
-
-    `_echelon_packed`, then back-substitution from the last pivot up, as in
-    the list code, with each row operation done on the two bitplanes at once.
-    """
+    `_echelon_packed`, then `_back_substitute_packed`."""
     ones, twos, pivots = _echelon_packed(m)
+    rank = len(pivots)
+    return _back_substitute_packed(Matrix3(m.ncols, tuple(ones[:rank]), tuple(twos[:rank])), pivots), pivots
+
+
+def _back_substitute_packed(m: Matrix3, pivots: Sequence[int]) -> Matrix3:
+    """`_back_substitute_lists` on bitplanes, each row operation done on the
+    two planes at once, as in `_echelon_packed`."""
+    ones, twos = list(m.ones), list(m.twos)
     for r in reversed(range(len(pivots))):
         bit, pa, pb = 1 << pivots[r], ones[r], twos[r]
         for i in range(r):
@@ -285,7 +337,7 @@ def _rref_packed(m: Matrix3) -> tuple[Matrix3, list[int]]:
                 c1, c2 = (pb, pa) if a & bit else (pa, pb)
                 t = (a | c2) ^ (b | c1)
                 ones[i], twos[i] = (b | c2) ^ t, (a | c1) ^ t
-    return Matrix3(m.ncols, tuple(ones[:len(pivots)]), tuple(twos[:len(pivots)])), pivots
+    return Matrix3(m.ncols, tuple(ones), tuple(twos))
 
 
 def _echelon_packed(m: Matrix3) -> tuple[list[int], list[int], list[int]]:
@@ -362,15 +414,22 @@ def _echelon_bits(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
 
 def _rref_bits(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
     """Reduced row echelon form over F_2 on one int per row, eliminated in
-    place: `_echelon_bits`, then back-substitution from the last pivot up.
-    Returns (nonzero rows, pivot columns)."""
+    place: `_echelon_bits`, then `_back_substitute_bits`.  Returns (nonzero
+    rows, pivot columns)."""
     rows, pivots = _echelon_bits(rows, ncols)
+    return _back_substitute_bits(rows[:len(pivots)], pivots), pivots
+
+
+def _back_substitute_bits(rows: Sequence[int], pivots: Sequence[int]) -> list[int]:
+    """`_back_substitute_lists` over F_2 on one int per row: each row
+    operation is one XOR."""
+    rows = list(rows)
     for r in reversed(range(len(pivots))):
         bit, pivot_row = 1 << pivots[r], rows[r]
         for i in range(r):
             if rows[i] & bit:
                 rows[i] ^= pivot_row
-    return rows[:len(pivots)], pivots
+    return rows
 
 
 def combine_rows(
@@ -546,28 +605,29 @@ def evaluate_rows(
 
 
 def null_space(rows: Rows, ncols: int, q: int) -> list[list[int]]:
-    """Canonical basis of {x : A x = 0} for the ncols-column matrix A.
+    """Canonical basis of {x : A x = 0} for the ncols-column matrix A:
+    `kernel` of its `echelon`.  An empty row list means no constraints: the
+    identity basis comes back.  ValueError as for echelon."""
+    return kernel(echelon(rows, ncols, q))
 
-    One basis vector per free column (ascending), carrying 1 at its own free
-    column and the negated echelon entries at the pivot columns.  An empty
-    row list means no constraints: the identity basis comes back.  A
-    `Matrix3`'s basis is read straight off the reduced rows' bitplanes, and
-    at q = 2 off the reduced rows' ints (`_kernel_planes`), never unpacked;
-    list rows at any other q go through `_kernel_basis`.  ValueError as for
-    rref.
-    """
-    _width(rows, ncols)
-    _field(rows, q)
-    if isinstance(rows, Matrix3):
-        reduced, pivots = _rref_packed(rows)
+
+def kernel(e: Echelon) -> list[list[int]]:
+    """Canonical basis of the null space of the table whose forward
+    elimination e is: the echelon rows back-substituted, then one basis
+    vector per free column (ascending), carrying 1 at its own free column
+    and the negated reduced entries at the pivot columns.  A `Matrix3`'s
+    basis is read straight off the reduced rows' bitplanes, and at q = 2 off
+    the reduced rows' ints (`_kernel_planes`), never unpacked; list rows at
+    any other q go through `_kernel_basis`.  e is not mutated."""
+    if isinstance(e.rows, Matrix3):
+        reduced = _back_substitute_packed(e.rows, e.pivots)
         # -1 = 2 at a pivot for each 1 of the row, 1 for each 2
         planes = [((a, 2), (b, 1)) for a, b in zip(reduced.ones, reduced.twos)]
-    elif q == 2:
-        reduced_bits, pivots = _rref_bits(_pack_bits(rows), ncols)
-        planes = [((x, 1),) for x in reduced_bits]  # -1 = 1 over F_2
+    elif e.q == 2:
+        planes = [((x, 1),) for x in _back_substitute_bits(e.rows, e.pivots)]  # -1 = 1 over F_2
     else:
-        return _kernel_basis(*_rref_lists(rows, q), ncols, q)
-    return _kernel_planes(pivots, planes, ncols)
+        return _kernel_basis(_back_substitute_lists(e.rows, e.pivots, e.q), e.pivots, e.ncols, e.q)
+    return _kernel_planes(e.pivots, planes, e.ncols)
 
 
 def _kernel_planes(

@@ -387,11 +387,17 @@ class RankAudit:
 
 
 def rank_audit(run: PipelineRun) -> RankAudit:
-    """Check the rank-one split of every basis sum matrix of a pipeline run."""
+    """Check the rank-one split of every basis sum matrix of a pipeline run.
+    BoundViolated (unrecorded) when the basis does not have the run's
+    certified dim_vanishing rows."""
     space = run.space
     q, n = space.q, space.n
     # the run has enumerated F_q^n already: only the audit's work is capped
     check_audit_cap(q, n, run.degree, len(run.s_input), len(run.t_input), cap=q**n)
+    # the rows come from the kernel reader, the run's dimension from the constraint rank
+    dim = run.decomposition.certificate.dim_vanishing
+    if len(space.rows) != dim:
+        raise BoundViolated(f"{len(space.rows)} basis rows for a vanishing space of dimension {dim}")
     exact = within = True
     max_rank = max_terms = 0
     rows, cols = ([x.coords for x in X.ordered()] for X in (run.s_input, run.t_input))

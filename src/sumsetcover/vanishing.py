@@ -12,10 +12,16 @@ space has dimension at least
 
 the counting fact the witness construction leans on.  The constraint matrix
 comes from linalg.monomial_table (a row per point), the one builder of
-monomial tables, and its null space from linalg.null_space, in whatever
-format linalg chose.  The basis is those kernel rows, coefficient rows over
-the monomials; the pipeline and the rank audit (summatrix) read them as
-such, and nothing here builds a summatrix.Polynomial.
+monomial tables, in whatever format linalg chose.  build_vanishing_space
+runs its forward elimination once (linalg.echelon, no back-substitution,
+as in the PLE decomposition of Albrecht, Bard and Pernet,
+arXiv:1111.6549) and keeps it: dim is m_d minus its pivot count, which is
+all the pipeline reads.  The basis is built from the kept echelon form on
+the first read of PolySubspace.rows (linalg.kernel: back-substitution, then
+the kernel read off the reduced rows), by the primal pivot stage and the
+rank audit (summatrix); on the dual route nothing reads it.  Its rows are
+coefficient rows over the monomials, and nothing here builds a
+summatrix.Polynomial.
 
 `sum_pivots` gives the row-major pivot positions of the span of the sum
 matrices (P(s_i + t_j)) over the basis: the pivot columns of W = V|_A for
@@ -31,28 +37,36 @@ the degrees choose_degree picks).  No |S| x |T| matrix is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .field import DEFAULT_ENUM_CAP, PointSet, complement
-from .linalg import evaluate_rows, monomial_table, null_space, pivot_columns
+from .linalg import Echelon, echelon, evaluate_rows, kernel, monomial_table, pivot_columns
 from .monomials import Monomial, enumerate_monomials
 
 
 @dataclass(frozen=True)
 class PolySubspace:
-    """A basis of the degree-<= d polynomials vanishing off a set of points:
-    each of `rows` lists one's coefficients over `monos`, in graded order."""
+    """The degree-<= d polynomials vanishing off a set of points, kept as the
+    forward elimination of their constraint table (a row per point off the
+    set, a column per monomial of `monos`, in graded order).
+
+    `dim` is the number of free columns, m_d minus the constraint rank.
+    `rows`, a basis of coefficient rows over `monos`, is read off
+    `constraints` on first use and kept.  Two spaces are equal when their
+    fields are, the eliminated constraints among them."""
 
     q: int
     n: int
     degree: int
     monos: tuple[Monomial, ...]
-    rows: tuple[tuple[int, ...], ...]
+    dim: int
+    constraints: Echelon = field(repr=False)
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, kernel(self.constraints)))
 
     @property
     def ambient_dim(self) -> int:
@@ -62,17 +76,17 @@ class PolySubspace:
 def build_vanishing_space(
     sums: PointSet, degree: int, *, cap: int = DEFAULT_ENUM_CAP
 ) -> PolySubspace:
-    """Canonical basis of the degree-<= d polynomials vanishing off sums.
-
-    Basis rows come from the reduced row echelon form of the constraint
-    system, one per free monomial column, so repeated runs agree exactly.
+    """The degree-<= d polynomials vanishing off sums: one forward
+    elimination of the constraint table gives dim; the canonical basis, one
+    row per free monomial column, comes from its back-substitution when
+    something reads `rows`, so repeated runs agree exactly.
     """
     q, n = sums.q, sums.n
     outside = complement(sums, cap=cap).ordered()
     monos = enumerate_monomials(q, n, degree, cap=cap)
     table = monomial_table(monos, [p.coords for p in outside], q, by_point=True)
-    rows = tuple(map(tuple, null_space(table, len(monos), q)))
-    return PolySubspace(q, n, degree, tuple(monos), rows)
+    constraints = echelon(table, len(monos), q)
+    return PolySubspace(q, n, degree, tuple(monos), len(monos) - len(constraints.pivots), constraints)
 
 
 def sum_pivots(

@@ -253,7 +253,7 @@ class TestCertifiedChecks:
 
         def one_short(*args, **kwargs):
             space = real(*args, **kwargs)
-            return dataclasses.replace(space, rows=space.rows[:-1])
+            return dataclasses.replace(space, dim=space.dim - 1)
 
         monkeypatch.setattr(module, "build_vanishing_space", one_short)
         with pytest.raises(sc.BoundViolated, match=re.escape("dim_vanishing>=m_d-q^n+|S+T| failed: 107 vs 108")):
@@ -538,7 +538,7 @@ class TestPipelineCheckFaults:
             "certified check witness_total<=bound failed: 10 vs 9"),
         "dim_vanishing>=m_d-q^n+|S+T|": (
             "pipeline", DEC, "build_vanishing_space",
-            "lambda real: lambda *a, **k: (lambda s: replace(s, rows=s.rows[:-1]))(real(*a, **k))",
+            "lambda real: lambda *a, **k: (lambda s: replace(s, dim=s.dim - 1))(real(*a, **k))",
             "certified check dim_vanishing>=m_d-q^n+|S+T| failed: 107 vs 108"),
         "uncovered<=q^n-m_d": (
             # no line reaches a sum, so all 129 are patched
@@ -562,9 +562,10 @@ class TestPipelineCheckFaults:
             "certified check chosen_bound<=capset_bound failed: 123 vs 122"),
     }
     # raised, not recorded: one pivot per basis row (after the recorded
-    # checks), line_cover's Koenig cover against its matching and against
-    # the pivots (its matching-is-maximum raise is faulted by a matching one
-    # pair short in test_cover.py), and the term budget 2 * m(q, n, d // 2)
+    # checks), the rank audit's basis rows against the run's dimension,
+    # line_cover's Koenig cover against its matching and against the pivots
+    # (its matching-is-maximum raise is faulted by a matching one pair short
+    # in test_cover.py), and the term budget 2 * m(q, n, d // 2)
     # = 102 at d = 7, which the rank audit and clp_decompose share: both
     # raise first on the same basis row
     COVER, AUDIT = "sumsetcover.cover", "sumsetcover.summatrix"
@@ -580,6 +581,10 @@ class TestPipelineCheckFaults:
             # a search that reaches nothing matches nothing, so the cover is empty
             "pipeline", COVER, "_alternating_search", "lambda real: lambda *a: (None, {})",
             "line cover misses a pivot position"),
+        "basis_rows==dim_vanishing": (
+            # the kernel reader one row short: only the audit reads the basis
+            "audit", "sumsetcover.vanishing", "kernel", "lambda real: lambda e: real(e)[:-1]",
+            "107 basis rows for a vanishing space of dimension 108"),
         "term_count<=2*m(q,n,d//2)": (
             # monomial counts one degree low: the budget is 2 * m(3, 5, 2)
             "audit", AUDIT, "degree_counts",
@@ -591,7 +596,8 @@ class TestPipelineCheckFaults:
             "57 rank-one terms exceed 2*m(q, n, 3) = 42"),
     }
     OPTIMIZED = [
-        "dim_vanishing>=m_d-q^n+|S+T|", "pivots_number_dim", "term_count<=2*m(q,n,d//2)",
+        "dim_vanishing>=m_d-q^n+|S+T|", "pivots_number_dim", "basis_rows==dim_vanishing",
+        "term_count<=2*m(q,n,d//2)",
         "clp_term_count<=2*m(q,n,d//2)",
     ]
     SCRIPT = PRELUDE + TestLibraryCheckFaults.RUNNER

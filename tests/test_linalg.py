@@ -198,6 +198,19 @@ class TestNullSpace:
         ncols = len(m[0])
         assert sc.null_space(m, ncols, q) == sc.null_space(m, ncols, q)
 
+    @pytest.mark.parametrize("q, packed", [(2, False), (3, True), (3, False), (5, False), (7, False)])
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=30)
+    def test_kernel_of_a_kept_echelon(self, q, packed, data):
+        # one forward pass in each format keeps rref's pivots and one row per
+        # pivot; the kernel read off it, twice, is the list reference's
+        m = data.draw(wide_integer_matrices(q=q))
+        ncols = len(m[0]) if m else 7
+        e = linalg.echelon(linalg.pack(m, ncols) if packed else m, ncols, q)
+        reduced, pivots = _rref_lists(m, q)
+        assert list(e.pivots) == pivots and len(e.rows) == len(pivots)
+        assert linalg.kernel(e) == linalg.kernel(e) == list_null_space(m, ncols, q)
+
 
 class TestRaggedRows:
     """Rows of unequal length are refused by every entry point, at any q."""

@@ -312,7 +312,9 @@ def test_cancelling_rebuild_faults_fail(q, monkeypatch):
     # a check per basis row passes; the check per monomial sees both faults.
     S = sc.all_points(q, 1)
     space = types.SimpleNamespace(q=q, n=1, monos=sc.enumerate_monomials(q, 1, 2), rows=[[0, 1, 1]])
-    run = types.SimpleNamespace(space=space, degree=2, s_input=S, t_input=S)
+    cert = types.SimpleNamespace(dim_vanishing=1)
+    run = types.SimpleNamespace(space=space, degree=2, s_input=S, t_input=S,
+                                decomposition=types.SimpleNamespace(certificate=cert))
     assert summatrix.rank_audit(run).exact
 
     def cancel(flat):

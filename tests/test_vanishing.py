@@ -6,12 +6,13 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import sumsetcover as sc
-from sumsetcover import linalg
+from sumsetcover import linalg, summatrix
 from sumsetcover.cli import parse_instance
 from sumsetcover.linalg import evaluate_rows, monomial_table
 from sumsetcover.vanishing import dual_pivot_columns, primal_pivot_columns
 
 from conftest import (
+    SEEDED_GRID,
     affine_maps,
     apply_affine,
     basis,
@@ -228,6 +229,91 @@ class TestPivotStagesNeverReduce:
             monkeypatch.setattr(linalg, name, refused)
         got = [(primal_pivot_columns(s, keys), dual_pivot_columns(s, keys)) for s in spaces]
         assert got == expected and all(len(p) == s.dim for (p, _), s in zip(expected, spaces))
+
+
+def _counted(monkeypatch, names):
+    """The calls to each of linalg's named functions, from now on, in one list."""
+    calls = []
+    for name in names:
+        def counting(*args, _real=getattr(linalg, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(linalg, name, counting)
+    return calls
+
+
+FORWARD_PASSES = ("_echelon_lists", "_echelon_packed", "_echelon_bits")
+BACK_SUBSTITUTIONS = ("_back_substitute_lists", "_back_substitute_packed", "_back_substitute_bits")
+
+
+class TestLazyBasis:
+    """dim comes from the constraint table's forward elimination; the basis
+    is back-substituted from the kept echelon form on its first read."""
+
+    @pytest.mark.parametrize("q, n, seed", [(2, 4, 3), (3, 3, 5), (5, 2, 1)])
+    def test_dual_route_never_builds_the_basis(self, q, n, seed, monkeypatch):
+        # floor: decompose finishes with every way to the basis refused
+        S, T = seeded_pair(q, n, seed)
+        run = sc.run_pipeline(S, T)
+        assert run.space.dim > q**n - run.space.ambient_dim  # the dual stage's side
+
+        def refused(*args):
+            raise AssertionError("the dual route read the basis")
+
+        for name in (*BACK_SUBSTITUTIONS, "_kernel_planes", "_kernel_basis"):
+            monkeypatch.setattr(linalg, name, refused)
+        assert sc.decompose(S, T) == run.decomposition
+
+    @pytest.mark.parametrize("q, n, seed", [(2, 5, 4), (3, 4, 7), (5, 2, 7)])
+    def test_one_forward_pass_per_table(self, q, n, seed, monkeypatch):
+        # the primal route and the rank audit read the basis; the constraint
+        # table is still eliminated once, and back-substituted once
+        S, T = seeded_pair(q, n, seed)
+        passes = _counted(monkeypatch, FORWARD_PASSES)
+        substitutions = _counted(monkeypatch, BACK_SUBSTITUTIONS)
+        run = sc.run_pipeline(S, T)
+        dim = run.space.dim
+        assert 0 < dim <= q**n - run.space.ambient_dim  # the primal stage's side
+        # the constraint table, then the basis at the sums
+        assert len(passes) == 2 and len(substitutions) == 1
+        summatrix.rank_audit(run)
+        # one rank per basis row, the basis read as the pipeline left it
+        assert len(passes) == 2 + dim and len(substitutions) == 1
+
+    @staticmethod
+    def _against_eager(A):
+        """At every degree, the lazy basis is the eager null space of the
+        constraint table and the list reference's kernel, dim rows long."""
+        q, n = A.q, A.n
+        outside = [p.coords for p in sc.complement(A).ordered()]
+        for d in _degrees(q, n):
+            space = sc.build_vanishing_space(A, d)
+            monos = sc.enumerate_monomials(q, n, d)
+            table = monomial_table(monos, outside, q, by_point=True)
+            eager = linalg.null_space(table, len(monos), q)
+            reference = linalg._kernel_basis(*linalg._rref_lists(linalg.as_rows(table), q), len(monos), q)
+            assert space.rows == tuple(map(tuple, eager)) == tuple(map(tuple, reference))
+            assert len(space.rows) == space.dim
+
+    @pytest.mark.parametrize("q, n", SEEDED_GRID)
+    def test_basis_is_the_eager_null_space_seeded(self, q, n):
+        for seed in range(3):
+            self._against_eager(sc.sumset(*seeded_pair(q, n, seed)))
+
+    @given(set_pairs(primes=(2, 3, 5, 7), allow_empty=False))
+    @settings(deadline=None, max_examples=40)
+    def test_basis_is_the_eager_null_space(self, pair):
+        self._against_eager(sc.sumset(*pair))
+
+    def test_equal_dimensions_over_different_sums_differ(self):
+        # two lines of F_3^2: at degree 3, (1 - y^2) {1, x} and (1 - x^2) {1, y}
+        lines = [sc.PointSet.from_coords(3, 2, [(t, 0) for t in range(3)]),
+                 sc.PointSet.from_coords(3, 2, [(0, t) for t in range(3)])]
+        a, b = (sc.build_vanishing_space(A, 3) for A in lines)
+        assert a.dim == b.dim == 2
+        assert a != b and a.rows != b.rows
+        assert a == sc.build_vanishing_space(lines[0], 3)
 
 
 class TestFunctionRepresentation:
