@@ -14,13 +14,16 @@ g(x) = Mx + b per check:
 - pivots: vanishing.primal_pivot_columns and dual_pivot_columns each return
   dim V(A, d) columns at the points of A, in a shuffled order;
 - at q = 3 and n <= 5, and at q = 2 and n <= 9: the packed elimination
-  (two bitplanes per row at q = 3, one int per row at q = 2) and
-  linalg._rref_lists, on the list rows of A's constraint table, give the
-  same pivots, from linalg.rref and from linalg.pivot_columns (forward
-  elimination only), the packed linalg.matrix_rank equals the list pivot
-  count, and the basis build_vanishing_space reads off the packed echelon
-  form is the list kernel linalg._kernel_basis of the list echelon form
-  (the q = 3 list code takes minutes at n = 6);
+  (two bitplanes per row at q = 3, one int per row at q = 2) and the list
+  forward pass linalg._echelon_lists, on the list rows of A's constraint
+  table, give the same pivots, from linalg.rref and from
+  linalg.pivot_columns (forward elimination only), the packed
+  linalg.matrix_rank equals the list pivot count, and the basis
+  build_vanishing_space reads off the packed echelon form is the canonical
+  kernel, checked by its defining properties: m_d minus the rank rows,
+  each annihilated by every constraint row, with 1 at its own free column
+  and 0 at the other free columns (the q = 3 list code takes minutes at
+  n = 6);
 - affine invariance: for a seeded pair S, T and A = S+T,
   dim V(g(A), d) = dim V(A, d), and so is run_pipeline(g(S), g(T), d)'s
   dim_vanishing, since g(S) + g(T) is the image of S+T under x -> Mx + 2b.
@@ -50,7 +53,7 @@ from sumsetcover.cli import EXIT_CAP_REFUSED, EXIT_INVALID_INPUT
 from sumsetcover.vanishing import dual_pivot_columns, primal_pivot_columns
 
 DEFAULT_N_MAX = {2: 9, 3: 6}
-LIST_KERNEL_N_MAX = {2: 9, 3: 5}
+LIST_CHECK_N_MAX = {2: 9, 3: 5}
 
 
 def affine_map(q: int, n: int, rng: random.Random):
@@ -69,6 +72,20 @@ def apply_affine(M, b, A: sc.PointSet) -> sc.PointSet:
         [(sum(m * x for m, x in zip(row, p.coords)) + c) % q for row, c in zip(M, b)]
         for p in A.members
     ))
+
+
+def is_canonical_kernel(basis, constraints, pivots, ncols: int, q: int) -> bool:
+    """basis is the canonical null space of the constraint rows with these
+    pivots: one row per free column, ascending, annihilated by every
+    constraint row, with 1 at its own free column and 0 at the others."""
+    free = [c for c in range(ncols) if c not in set(pivots)]
+    for f, v in zip(free, basis):
+        support = [(c, x) for c, x in enumerate(v) if x]
+        if [v[c] for c in free] != [int(c == f) for c in free] or any(
+            sum(row[c] * x for c, x in support) % q for row in constraints
+        ):
+            return False
+    return len(basis) == len(free)
 
 
 def check(ok: bool, what: str) -> None:
@@ -97,15 +114,16 @@ def check_size(q: int, n: int, rng: random.Random) -> int:
             check(len(primal_pivot_columns(space, keys)) == expected, f"{where}: primal pivots")
             check(len(dual_pivot_columns(space, keys)) == expected, f"{where}: dual pivots")
             checks += 4
-            if n <= LIST_KERNEL_N_MAX.get(q, 0):
+            if n <= LIST_CHECK_N_MAX.get(q, 0):
                 table = linalg.monomial_table(space.monos, outside, q, by_point=True)
-                reduced, pivots = linalg._rref_lists(linalg.as_rows(table), q)
+                constraints = linalg.as_rows(table)
+                pivots = linalg._echelon_lists(constraints, q)[1]
                 packed = linalg.rref(table, q)[1], linalg.pivot_columns(table, q)
                 check(packed == (pivots, pivots), f"{where}: packed and list pivots differ")
                 rank = linalg.matrix_rank(table, q)
                 check(rank == len(pivots), f"{where}: packed rank {rank}, {len(pivots)} list pivots")
-                basis = linalg._kernel_basis(reduced, pivots, len(space.monos), q)
-                check(space.rows == tuple(map(tuple, basis)), f"{where}: packed and list bases differ")
+                check(is_canonical_kernel(space.rows, constraints, pivots, len(space.monos), q),
+                      f"{where}: the basis is not the canonical kernel of the constraints")
                 checks += 3
     pts = list(itertools.product(range(q), repeat=n))
     size = max(1, round(len(pts) ** 0.5))

@@ -2,18 +2,25 @@
 
 A table is a matrix over F_q in the format this module alone picks: a
 `Matrix3` (two bitplanes per row) at q = 3, lists of integer rows
-otherwise.  `monomial_table` builds tables of monomial values and
-`evaluate_rows` of polynomials given as coefficient rows, `as_table` makes
-one of integer rows and `as_rows` reads its rows back; every other module
-passes tables on unopened.  A `Matrix3` is eliminated and combined on its
-bitplanes and comes back packed.  At q = 2 the table format is still list
-rows, but they are eliminated privately on one int per row (bit c holds
-entry c mod 2, a row subtraction is one XOR) and `rref` unpacks its result
-back to list rows.  List rows at any other q (3 included) run the list
-code, the reference both packed paths are tested against.  `kernel`
-reads the null-space basis straight off the reduced bitplanes or ints
-(`_kernel_planes`), so `as_rows` and `unpack` serve only callers that want
-list rows.
+otherwise.  `monomial_table` and `evaluate_rows` build tables, `as_table`
+makes one of integer rows and `as_rows` reads its rows back; every other
+module passes tables on unopened.
+
+Elimination follows one rule: q picks the format, and each format has one
+forward pass and one back-substitution.  At q = 2 rows are one int each
+(bit c holds entry c, a row subtraction is one XOR: `_echelon_bits`,
+`_back_substitute_bits`), at q = 3 a `Matrix3` (`_echelon_packed`,
+`_back_substitute_packed`), and at q >= 5 lists of integers
+(`_echelon_lists`, `_back_substitute_lists`); list rows are packed on
+entry at q = 2 and 3.  `echelon` alone runs a forward pass and keeps it as an
+`Echelon` (echelon-only elimination, as in the PLE decomposition of
+Albrecht, Bard and Pernet, arXiv:1111.6549), and `_reduced` alone
+back-substitutes one.  `pivot_columns` and `matrix_rank` read its pivots,
+`kernel` reads the null-space basis off the reduced rows' bit masks
+(`_kernel_planes`), `null_space` is `kernel` of `echelon`, and `rref` hands
+the reduced rows back in the input's form.  Pivoting is by position, so all
+of these are canonical.  Ragged rows, and rows whose length is not a given
+column count, raise ValueError in either format.
 
 In a `Matrix3`, entry k of a row is bit k of one of two ints: `ones` has
 the bits of the columns holding 1, `twos` those holding 2, and
@@ -34,24 +41,6 @@ in that layout (at q = 3 one big-int multiply per bitplane pair, the left
 row's bit u spread to bit u * w first, so no carry crosses a cell),
 `flatten` spreads a row's entries over a grid of column indices, and
 `split_row` cuts a flat row back into m rows.
-
-Rows must all have the same length; in either format, ragged rows and rows
-whose length is not a given column count raise ValueError.  Pivoting is by
-position (exact arithmetic has no magnitude concerns), so the reduced row
-echelon form, ranks, and null-space bases are all canonical.  Each format
-has one forward elimination (`_echelon_lists`, `_echelon_packed` on
-bitplanes, `_echelon_bits` on one int per row at q = 2), which picks the
-pivots and clears below them, and one back-substitution
-(`_back_substitute_lists`, `_back_substitute_packed`,
-`_back_substitute_bits`), which clears above them.  `echelon` keeps the
-forward pass alone, with no back-substitution (echelon-only elimination, as
-in the PLE decomposition of Albrecht, Bard and Pernet, arXiv:1111.6549), as
-an `Echelon` value: the pivots and one echelon row per pivot, in the
-format it ran on.  `pivot_columns` returns the forward pass's pivots
-alone and `matrix_rank` counts them.  `kernel` back-substitutes a kept
-echelon and reads the null-space basis off it, so a caller that needs the
-rank now and the basis later eliminates once; `null_space` is `kernel` of
-`echelon`, and `rref` runs both passes.
 """
 
 from __future__ import annotations
@@ -155,13 +144,10 @@ def as_rows(table: Rows) -> Sequence[Sequence[int]]:
 
 
 def _width(rows: Rows, ncols: int | None = None) -> int:
-    """The common row length (ncols, or 0, for no rows); ValueError for
+    """The common row length (ncols, or 0, for no list rows); ValueError for
     ragged rows and for rows whose length is not a given ncols.  Every row
-    of a `Matrix3` is its ncols long."""
-    if isinstance(rows, Matrix3):
-        lengths = [rows.ncols] if len(rows) else []
-    else:
-        lengths = [len(row) for row in rows]
+    of a `Matrix3` is its ncols long, and so is a `Matrix3` with no rows."""
+    lengths = [rows.ncols] if isinstance(rows, Matrix3) else [len(row) for row in rows]
     if ncols is None:
         ncols = lengths[0] if lengths else 0
     for length in lengths:
@@ -192,29 +178,32 @@ def unpack(m: Matrix3) -> list[list[int]]:
 
 
 def rref(rows: Rows, q: int) -> tuple[Rows, list[int]]:
-    """Reduced row echelon form.
+    """Reduced row echelon form: `echelon`, then back-substitution.
 
     Returns (nonzero rows, pivot column indices), the rows in the input's
     form; the input is not mutated.  ValueError for a composite q, where Z/q
-    is not a field, and for a `Matrix3` at any q but 3.  At q = 2 list rows
-    are eliminated as one int per row and come back as list rows.
+    is not a field, and for a `Matrix3` at any q but 3.
     """
     _field(rows, q)
-    if isinstance(rows, Matrix3):
-        return _rref_packed(rows)
-    if q == 2:
-        ncols = _width(rows)
-        reduced, pivots = _rref_bits(_pack_bits(rows), ncols)
-        return [[x >> c & 1 for c in range(ncols)] for x in reduced], pivots
-    return _rref_lists(rows, q)
+    e = echelon(rows, _width(rows), q)
+    reduced = []
+    for pairs in _reduced(e):
+        row = [0] * e.ncols
+        for mask, v in pairs:
+            while mask:
+                low = mask & -mask
+                row[low.bit_length() - 1] = v
+                mask ^= low
+        reduced.append(row)
+    return (pack(reduced, e.ncols) if isinstance(rows, Matrix3) else reduced), list(e.pivots)
 
 
 @dataclass(frozen=True)
 class Echelon:
     """Forward elimination of an ncols-column table over F_q, kept: its pivot
     columns and one echelon row per pivot, each with entry 1 at its pivot and
-    0 to the left of it, in the format the elimination ran on (a `Matrix3`;
-    at q = 2 one int per row; tuple rows otherwise)."""
+    0 to the left of it, in the format q picks (one int per row at q = 2, a
+    `Matrix3` at q = 3, tuple rows otherwise)."""
 
     q: int
     ncols: int
@@ -224,31 +213,26 @@ class Echelon:
 
 def echelon(rows: Rows, ncols: int, q: int) -> Echelon:
     """The table's forward elimination, with no back-substitution (as in
-    the PLE decomposition of Albrecht, Bard and Pernet, arXiv:1111.6549).
-    ValueError for rows that are not ncols long, and as for rref."""
+    the PLE decomposition of Albrecht, Bard and Pernet, arXiv:1111.6549):
+    the one caller of the forward passes.  List rows are packed on entry at
+    q = 2 and 3.  ValueError for rows that are not ncols long, and as for
+    rref."""
     _width(rows, ncols)
     _field(rows, q)
-    if isinstance(rows, Matrix3):
-        ones, twos, pivots = _echelon_packed(rows)
-        rank = len(pivots)
-        return Echelon(q, ncols, tuple(pivots), Matrix3(rows.ncols, tuple(ones[:rank]), tuple(twos[:rank])))
-    if q == 2:
-        bits, pivots = _echelon_bits(_pack_bits(rows), ncols)
-        return Echelon(q, ncols, tuple(pivots), tuple(bits[:len(pivots)]))
-    m, pivots = _echelon_lists(rows, q)
-    return Echelon(q, ncols, tuple(pivots), tuple(map(tuple, m[:len(pivots)])))
+    if q == 3:
+        kept, pivots = _echelon_packed(rows if isinstance(rows, Matrix3) else pack(rows, ncols))
+    elif q == 2:
+        kept, pivots = _echelon_bits(_pack_bits(rows), ncols)
+    else:
+        kept, pivots = _echelon_lists(rows, q)
+    return Echelon(q, ncols, tuple(pivots), kept)
 
 
 def pivot_columns(rows: Rows, q: int) -> list[int]:
-    """The pivot columns of forward elimination alone, with no
-    back-substitution: those of rref, in every format.  ValueError as for
-    rref."""
+    """The pivot columns of `echelon`, with no back-substitution: those of
+    rref.  ValueError as for rref."""
     _field(rows, q)
-    if isinstance(rows, Matrix3):
-        return _echelon_packed(rows)[2]
-    if q == 2:
-        return _echelon_bits(_pack_bits(rows), _width(rows))[1]
-    return _echelon_lists(rows, q)[1]
+    return list(echelon(rows, _width(rows), q).pivots)
 
 
 def matrix_rank(rows: Rows, q: int) -> int:
@@ -266,11 +250,17 @@ def _field(rows: Rows, q: int) -> None:
         raise ValueError(f"a packed F_3 matrix cannot be eliminated over F_{q}")
 
 
-def _rref_lists(rows: Sequence[Sequence[int]], q: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form on lists, any prime q: `_echelon_lists`,
-    then `_back_substitute_lists`."""
-    m, pivots = _echelon_lists(rows, q)
-    return _back_substitute_lists(m[:len(pivots)], pivots, q), pivots
+def _reduced(e: Echelon) -> list[list[tuple[int, int]]]:
+    """e's rows back-substituted, the one caller of the back-substitutions,
+    each row as pairs (mask, v): entry v at the columns of mask, 0 elsewhere.
+    e is not mutated."""
+    if e.q == 3:
+        m = _back_substitute_packed(e.rows, e.pivots)
+        return [[(a, 1), (b, 2)] for a, b in zip(m.ones, m.twos)]
+    if e.q == 2:
+        return [[(x, 1)] for x in _back_substitute_bits(e.rows, e.pivots)]
+    reduced = _back_substitute_lists(e.rows, e.pivots, e.q)
+    return [[(1 << c, v) for c, v in enumerate(row) if v] for row in reduced]
 
 
 def _back_substitute_lists(
@@ -288,12 +278,13 @@ def _back_substitute_lists(
     return m
 
 
-def _echelon_lists(rows: Sequence[Sequence[int]], q: int) -> tuple[list[list[int]], list[int]]:
+def _echelon_lists(
+    rows: Sequence[Sequence[int]], q: int
+) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     """Forward elimination, column by column: the first row at or below the
     next pivot row with a nonzero entry there is swapped up, scaled so that
-    entry is 1, and subtracted from the rows below it.  Returns (the rows
-    read mod q and eliminated, pivot columns); the first len(pivots) rows
-    are the echelon rows."""
+    entry is 1, and subtracted from the rows below it.  Returns (the
+    echelon rows, one per pivot, entries in [0, q); pivot columns)."""
     ncols = _width(rows)
     m = [[v % q for v in row] for row in rows]
     nrows = len(m)
@@ -314,15 +305,7 @@ def _echelon_lists(rows: Sequence[Sequence[int]], q: int) -> tuple[list[list[int
             if f := m[i][c]:
                 m[i] = [(vi - f * vr) % q for vi, vr in zip(m[i], pivot_row)]
         pivots.append(c)
-    return m, pivots
-
-
-def _rref_packed(m: Matrix3) -> tuple[Matrix3, list[int]]:
-    """Reduced row echelon form: (nonzero rows, pivot column indices).
-    `_echelon_packed`, then `_back_substitute_packed`."""
-    ones, twos, pivots = _echelon_packed(m)
-    rank = len(pivots)
-    return _back_substitute_packed(Matrix3(m.ncols, tuple(ones[:rank]), tuple(twos[:rank])), pivots), pivots
+    return tuple(map(tuple, m[:len(pivots)])), pivots
 
 
 def _back_substitute_packed(m: Matrix3, pivots: Sequence[int]) -> Matrix3:
@@ -340,9 +323,9 @@ def _back_substitute_packed(m: Matrix3, pivots: Sequence[int]) -> Matrix3:
     return Matrix3(m.ncols, tuple(ones), tuple(twos))
 
 
-def _echelon_packed(m: Matrix3) -> tuple[list[int], list[int], list[int]]:
-    """`_echelon_lists` on bitplanes: (ones, twos, pivot columns).  A pivot
-    entry 2 = -1 is made 1 by swapping the row's planes.  Subtracting the pivot row (pa, pb) from
+def _echelon_packed(m: Matrix3) -> tuple[Matrix3, list[int]]:
+    """`_echelon_lists` on bitplanes.  A pivot entry 2 = -1 is made 1 by
+    swapping the row's planes.  Subtracting the pivot row (pa, pb) from
     a row with entry 1 at the pivot column adds its negation (pb, pa), and
     with entry 2 = -1 adds (pa, pb) itself, each in the 7 big-int operations
     of an F_3 row addition (written out, as in `_combine_packed`)."""
@@ -370,7 +353,8 @@ def _echelon_packed(m: Matrix3) -> tuple[list[int], list[int], list[int]]:
                 t = (a | c2) ^ (b | c1)
                 ones[i], twos[i] = (b | c2) ^ t, (a | c1) ^ t
         pivots.append(c)
-    return ones, twos, pivots
+    rank = len(pivots)
+    return Matrix3(m.ncols, tuple(ones[:rank]), tuple(twos[:rank])), pivots
 
 
 # Each byte 0 or 1 as the digit "0" or "1", for int(..., 2)
@@ -386,11 +370,11 @@ def _pack_bits(rows: Sequence[Sequence[int]]) -> list[int]:
     ]
 
 
-def _echelon_bits(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
-    """`_echelon_lists` over F_2, on one int per row, eliminated in place:
-    (the rows, pivot columns).  Every nonzero entry is 1, so no row is
-    scaled, and subtracting the pivot row is one XOR (in the style of M4RI,
-    Albrecht, Bard and Hart, arXiv:0811.1714)."""
+def _echelon_bits(rows: list[int], ncols: int) -> tuple[tuple[int, ...], list[int]]:
+    """`_echelon_lists` over F_2, on one int per row, eliminated in place.
+    Every nonzero entry is 1, so no row is scaled, and subtracting the pivot
+    row is one XOR (in the style of M4RI, Albrecht, Bard and Hart,
+    arXiv:0811.1714)."""
     nrows = len(rows)
     pivots: list[int] = []
     for c in range(ncols):
@@ -409,15 +393,7 @@ def _echelon_bits(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
             if rows[i] & bit:
                 rows[i] ^= pivot_row
         pivots.append(c)
-    return rows, pivots
-
-
-def _rref_bits(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form over F_2 on one int per row, eliminated in
-    place: `_echelon_bits`, then `_back_substitute_bits`.  Returns (nonzero
-    rows, pivot columns)."""
-    rows, pivots = _echelon_bits(rows, ncols)
-    return _back_substitute_bits(rows[:len(pivots)], pivots), pivots
+    return tuple(rows[:len(pivots)]), pivots
 
 
 def _back_substitute_bits(rows: Sequence[int], pivots: Sequence[int]) -> list[int]:
@@ -615,29 +591,19 @@ def kernel(e: Echelon) -> list[list[int]]:
     """Canonical basis of the null space of the table whose forward
     elimination e is: the echelon rows back-substituted, then one basis
     vector per free column (ascending), carrying 1 at its own free column
-    and the negated reduced entries at the pivot columns.  A `Matrix3`'s
-    basis is read straight off the reduced rows' bitplanes, and at q = 2 off
-    the reduced rows' ints (`_kernel_planes`), never unpacked; list rows at
-    any other q go through `_kernel_basis`.  e is not mutated."""
-    if isinstance(e.rows, Matrix3):
-        reduced = _back_substitute_packed(e.rows, e.pivots)
-        # -1 = 2 at a pivot for each 1 of the row, 1 for each 2
-        planes = [((a, 2), (b, 1)) for a, b in zip(reduced.ones, reduced.twos)]
-    elif e.q == 2:
-        planes = [((x, 1),) for x in _back_substitute_bits(e.rows, e.pivots)]  # -1 = 1 over F_2
-    else:
-        return _kernel_basis(_back_substitute_lists(e.rows, e.pivots, e.q), e.pivots, e.ncols, e.q)
-    return _kernel_planes(e.pivots, planes, e.ncols)
+    and the negated reduced entries at the pivot columns, read off the
+    reduced rows' masks by `_kernel_planes` in every format.  e is not
+    mutated."""
+    return _kernel_planes(e.pivots, _reduced(e), e.ncols, e.q)
 
 
 def _kernel_planes(
-    pivots: Sequence[int], planes: Sequence[Sequence[tuple[int, int]]], ncols: int
+    pivots: Sequence[int], planes: Sequence[Sequence[tuple[int, int]]], ncols: int, q: int
 ) -> list[list[int]]:
-    """`_kernel_basis` read off bit masks: planes[r] lists, for the reduced
-    row of pivot pivots[r], pairs (mask, value).  Once the pivot columns are
-    masked out, each set bit of a mask is a free column, and value (the
-    row's entry there, negated) lands at the row's pivot in that free
-    column's vector."""
+    """The kernel read off bit masks: planes[r] lists, for the reduced row
+    of pivot pivots[r], pairs (mask, v) as `_reduced` gives them.  Once the
+    pivot columns are masked out, each set bit of a mask is a free column,
+    and -v lands at the row's pivot in that free column's vector."""
     pivot_mask = sum(1 << p for p in pivots)
     basis: dict[int, list[int]] = {}
     for free in range(ncols):
@@ -647,24 +613,9 @@ def _kernel_planes(
     for p, row in zip(pivots, planes):
         for mask, value in row:
             mask &= ~pivot_mask
+            value = -value % q
             while mask:
                 low = mask & -mask
                 basis[low.bit_length() - 1][p] = value
                 mask ^= low
     return list(basis.values())
-
-
-def _kernel_basis(
-    reduced: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int, q: int
-) -> list[list[int]]:
-    pivot_set = set(pivots)
-    basis: list[list[int]] = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [0] * ncols
-        v[free] = 1
-        for i, p in enumerate(pivots):
-            v[p] = (-reduced[i][free]) % q
-        basis.append(v)
-    return basis

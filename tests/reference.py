@@ -23,7 +23,10 @@ maximum matching (Dulmage-Mendelsohn), so the covers must be equal.  Last,
 the triple loop over index triples that `sumsetcover.oracle.is_matching_sumfree`
 replaces by one count of the sums, and the seeded draw of random pairs that
 the CLI's trials and scripts/bound_slack.py each wrote out before
-`sumsetcover.field.random_pairs`.  Only tests use it.
+`sumsetcover.field.random_pairs`.  And a per-entry Gauss-Jordan
+elimination (`gauss_jordan`) and its canonical kernel (`kernel_basis`),
+which share no code with `sumsetcover.linalg`, for the elimination in
+every format to be checked against.  Only tests use it.
 """
 
 from __future__ import annotations
@@ -357,3 +360,43 @@ def random_pairs(
         pairs.append((sc.PointSet.from_vectors(q, n, s_members),
                       sc.PointSet.from_vectors(q, n, t_members)))
     return pairs
+
+
+def gauss_jordan(rows: Sequence[Sequence[int]], q: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over F_q, one entry at a time, with no code of
+    sumsetcover.linalg: for each column, the first row at or below the next
+    pivot row with a nonzero entry there is swapped up and scaled to 1, and
+    its multiple is subtracted from every other row, above it and below.
+    Returns (the nonzero rows, pivot columns)."""
+    m = [[v % q for v in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        found = [i for i in range(r, len(m)) if m[i][c]]
+        if not found:
+            continue
+        m[r], m[found[0]] = m[found[0]], m[r]
+        inv = pow(m[r][c], -1, q)
+        m[r] = [inv * v % q for v in m[r]]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and f:
+                m[i] = [(a - f * b) % q for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def kernel_basis(rows: Sequence[Sequence[int]], ncols: int, q: int) -> list[list[int]]:
+    """The canonical null-space basis of the ncols-column rows, from
+    gauss_jordan: one vector per free column, ascending, with 1 there, 0 at
+    the other free columns and the negated reduced entry at each pivot."""
+    reduced, pivots = gauss_jordan(rows, q)
+    basis = []
+    for free in range(ncols):
+        if free not in pivots:
+            v = [0] * ncols
+            v[free] = 1
+            for row, p in zip(reduced, pivots):
+                v[p] = -row[free] % q
+            basis.append(v)
+    return basis

@@ -7,14 +7,13 @@ import hypothesis.strategies as st
 
 import sumsetcover as sc
 from sumsetcover import linalg
-from sumsetcover.linalg import _kernel_basis, _rref_lists, combine_rows, pivot_columns
+from sumsetcover.linalg import combine_rows, pivot_columns
 
 from conftest import seeded_pair
+from reference import gauss_jordan, kernel_basis
 
-
-def list_null_space(m, ncols, q):
-    """The null space from the list elimination, whatever q is."""
-    return _kernel_basis(*_rref_lists(m, q), ncols, q)
+# every way to a reduced form: rref and each format's back-substitution
+REDUCTIONS = ("rref", "_back_substitute_lists", "_back_substitute_packed", "_back_substitute_bits")
 
 
 @st.composite
@@ -131,7 +130,7 @@ class TestForwardRank:
 
         ncols = len(m[0]) if m else 0
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("rref", "_rref_lists", "_rref_packed", "_rref_bits"):
+            for name in REDUCTIONS:
                 mp.setattr(linalg, name, refused)
             ranks = (sc.matrix_rank(m, 3), sc.matrix_rank(linalg.pack(m, ncols), 3),
                      sc.matrix_rank(m, 5), sc.matrix_rank(m, 2))
@@ -145,7 +144,7 @@ class TestForwardRank:
         def refused(*args):
             raise AssertionError("the rank audit went through rref")
 
-        for name in ("rref", "_rref_lists", "_rref_packed", "_rref_bits"):
+        for name in REDUCTIONS:
             monkeypatch.setattr(linalg, name, refused)
         assert sc.summatrix.rank_audit(run) == expected and expected.max_rank > 0
 
@@ -207,9 +206,9 @@ class TestNullSpace:
         m = data.draw(wide_integer_matrices(q=q))
         ncols = len(m[0]) if m else 7
         e = linalg.echelon(linalg.pack(m, ncols) if packed else m, ncols, q)
-        reduced, pivots = _rref_lists(m, q)
+        reduced, pivots = gauss_jordan(m, q)
         assert list(e.pivots) == pivots and len(e.rows) == len(pivots)
-        assert linalg.kernel(e) == linalg.kernel(e) == list_null_space(m, ncols, q)
+        assert linalg.kernel(e) == linalg.kernel(e) == kernel_basis(m, ncols, q)
 
 
 class TestRaggedRows:
@@ -231,6 +230,27 @@ class TestRaggedRows:
             sc.null_space([[1, 2], [0, 1]], 3, q)
 
 
+class TestOneForwardPass:
+    """echelon is the one caller of the forward passes: every elimination
+    entry point goes through it, in every format."""
+
+    class Refused(Exception):
+        pass
+
+    @pytest.mark.parametrize("q, packed", [(2, False), (3, True), (3, False), (5, False)])
+    def test_every_entry_point_calls_echelon(self, q, packed, monkeypatch):
+        def refused(*args):
+            raise self.Refused
+
+        m = [[1, 2, 0], [0, 1, 1]]
+        rows = linalg.pack(m, 3) if packed else m
+        monkeypatch.setattr(linalg, "echelon", refused)
+        for call in (lambda: sc.rref(rows, q), lambda: pivot_columns(rows, q),
+                     lambda: sc.matrix_rank(rows, q), lambda: sc.null_space(rows, 3, q)):
+            with pytest.raises(self.Refused):
+                call()
+
+
 class TestCompositeModulus:
     """Z/q with q composite is not a field: every elimination refuses it first."""
 
@@ -245,12 +265,13 @@ class TestCompositeModulus:
 
 
 class TestPackedMatchesLists:
-    """At q = 3 the bitplane path gives exactly what the list path gives."""
+    """At q = 3 the bitplane path, for packed and list input alike, gives
+    exactly what the reference Gauss-Jordan gives."""
 
     @given(wide_integer_matrices())
     @settings(deadline=None)
     def test_rref(self, m):
-        expected = _rref_lists(m, 3)
+        expected = gauss_jordan(m, 3)
         assert sc.rref(m, 3) == expected
         # a packed matrix, as the evaluation tables pass, comes back packed
         reduced, pivots = sc.rref(linalg.pack(m, len(m[0]) if m else 0), 3)
@@ -261,7 +282,7 @@ class TestPackedMatchesLists:
     @settings(deadline=None)
     def test_null_space_and_rank(self, m):
         ncols = len(m[0]) if m else 7
-        expected_basis, expected_rank = list_null_space(m, ncols, 3), len(_rref_lists(m, 3)[0])
+        expected_basis, expected_rank = kernel_basis(m, ncols, 3), len(gauss_jordan(m, 3)[0])
         assert sc.null_space(m, ncols, 3) == expected_basis
         assert sc.matrix_rank(m, 3) == expected_rank
         packed = linalg.pack(m, ncols)
@@ -275,8 +296,8 @@ class TestPackedMatchesLists:
             raise AssertionError("the packed null space went through list rows")
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linalg, "unpack", refused)
-            mp.setattr(linalg, "_kernel_basis", refused)
+            for name in ("unpack", "_echelon_lists", "_back_substitute_lists"):
+                mp.setattr(linalg, name, refused)
             return sc.null_space(linalg.pack(m, ncols), ncols, 3)
 
     @given(wide_integer_matrices())
@@ -284,7 +305,7 @@ class TestPackedMatchesLists:
     def test_null_space_read_off_the_bitplanes(self, m):
         # floor: the q = 3 basis comes straight from the reduced bitplanes
         ncols = len(m[0]) if m else 7
-        assert self._packed_null_space(m, ncols) == list_null_space(m, ncols, 3)
+        assert self._packed_null_space(m, ncols) == kernel_basis(m, ncols, 3)
 
     @pytest.mark.parametrize("m, ncols, expected", [
         ([[1, 0, 0], [0, 2, 0], [0, 0, 1], [1, 1, 1]], 3, []),
@@ -292,7 +313,7 @@ class TestPackedMatchesLists:
         ([[0, 1, 2], [0, 2, 1]], 3, [[1, 0, 0], [0, 1, 1]]),
     ], ids=["full-column-rank", "zero-rows", "free-left-of-first-pivot"])
     def test_null_space_shapes(self, m, ncols, expected):
-        assert self._packed_null_space(m, ncols) == list_null_space(m, ncols, 3) == expected
+        assert self._packed_null_space(m, ncols) == kernel_basis(m, ncols, 3) == expected
 
     def test_null_space_past_two_words(self):
         # pivots at 0, 65 and 130, free columns on both sides of bits 64 and 128
@@ -303,7 +324,7 @@ class TestPackedMatchesLists:
             for c, v in entries.items():
                 row[c] = v
         basis = self._packed_null_space(m, ncols)
-        assert basis == list_null_space(m, ncols, 3)
+        assert basis == kernel_basis(m, ncols, 3)
         assert len(basis) == ncols - 3 and all(mat_vec(m, v, 3) == [0, 0, 0] for v in basis)
         free = [c for c in range(ncols) if c not in (0, 65, 130)]
         at = {f: v for f, v in zip(free, basis)}
@@ -312,15 +333,15 @@ class TestPackedMatchesLists:
         assert [at[129][p] for p in (0, 65, 130)] == [1, 0, 0]
 
     def test_empty_row_list(self):
-        assert sc.rref([], 3) == _rref_lists([], 3) == ([], [])
+        assert sc.rref([], 3) == gauss_jordan([], 3) == ([], [])
         assert sc.matrix_rank([], 3) == 0
-        assert sc.null_space([], 4, 3) == list_null_space([], 4, 3)
+        assert sc.null_space([], 4, 3) == kernel_basis([], 4, 3)
         empty = linalg.pack([], 4)
         assert sc.matrix_rank(empty, 3) == 0
-        assert sc.null_space(empty, 4, 3) == list_null_space([], 4, 3)
+        assert sc.null_space(empty, 4, 3) == kernel_basis([], 4, 3)
 
     def test_zero_width_rows(self):
-        assert sc.rref([[], []], 3) == _rref_lists([[], []], 3) == ([], [])
+        assert sc.rref([[], []], 3) == gauss_jordan([[], []], 3) == ([], [])
         assert sc.null_space([[], []], 0, 3) == []
         assert sc.null_space(linalg.pack([[], []], 0), 0, 3) == []
 
@@ -364,11 +385,14 @@ class TestPackedMatchesLists:
 
     @pytest.mark.parametrize("ncols", [1, 3, 5])
     def test_packed_rows_of_another_width_refused(self, ncols):
-        # the packed path checks the width exactly as the list path does
-        with pytest.raises(ValueError, match=f"row of length 2 in a {ncols}-column system"):
-            combine_rows([[(0, 1)]], linalg.pack([[1, 2]], 2), ncols, 3)
-        with pytest.raises(ValueError, match=f"row of length 2 in a {ncols}-column system"):
-            sc.null_space(linalg.pack([[1, 2]], 2), ncols, 3)
+        # the packed path checks the width exactly as the list path does,
+        # a table with no rows included
+        for table in (linalg.pack([[1, 2]], 2), linalg.Matrix3(ncols + 2, (), ())):
+            message = f"row of length {table.ncols} in a {ncols}-column system"
+            with pytest.raises(ValueError, match=message):
+                combine_rows([[(0, 1)]], table, ncols, 3)
+            with pytest.raises(ValueError, match=message):
+                sc.null_space(table, ncols, 3)
 
     def test_pack_round_trip(self):
         rows = [[0, 1, 2, -1, 4, 3], [0] * 6]
@@ -377,17 +401,17 @@ class TestPackedMatchesLists:
 
 class TestBitsMatchLists:
     """At q = 2 list rows are eliminated as one int per row; rref, the
-    pivots, the rank and the null space are exactly the list path's."""
+    pivots, the rank and the null space are exactly the reference's."""
 
     @staticmethod
     def _without_list_elimination(call):
-        """call() with the list elimination and the list kernel refused."""
+        """call() with the list elimination and back-substitution refused."""
         def refused(*args):
             raise AssertionError("the q = 2 elimination went through list rows")
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "_echelon_lists", refused)
-            mp.setattr(linalg, "_kernel_basis", refused)
+            mp.setattr(linalg, "_back_substitute_lists", refused)
             return call()
 
     @given(wide_integer_matrices(q=2))
@@ -395,8 +419,8 @@ class TestBitsMatchLists:
     def test_against_the_list_path(self, m):
         # floor: every q = 2 entry point runs on the ints alone
         ncols = len(m[0]) if m else 7
-        reduced, pivots = _rref_lists(m, 2)
-        expected = (reduced, pivots), pivots, len(pivots), list_null_space(m, ncols, 2)
+        reduced, pivots = gauss_jordan(m, 2)
+        expected = (reduced, pivots), pivots, len(pivots), kernel_basis(m, ncols, 2)
         got = self._without_list_elimination(lambda: (
             sc.rref(m, 2), pivot_columns(m, 2), sc.matrix_rank(m, 2), sc.null_space(m, ncols, 2)))
         assert got == expected
@@ -408,10 +432,10 @@ class TestBitsMatchLists:
     ], ids=["no-rows", "no-rows-4-cols", "zero-width", "all-zero", "even-entries",
             "full-column-rank", "free-left-of-first-pivot", "sum-of-earlier-rows"])
     def test_shapes(self, m, ncols):
-        expected = _rref_lists(m, 2)
+        expected = gauss_jordan(m, 2)
         got = self._without_list_elimination(
             lambda: (sc.rref(m, 2), pivot_columns(m, 2), sc.null_space(m, ncols, 2)))
-        assert got == (expected, expected[1], list_null_space(m, ncols, 2))
+        assert got == (expected, expected[1], kernel_basis(m, ncols, 2))
 
     def test_null_space_past_two_words(self):
         # pivots at 0, 65 and 130, free columns on both sides of bits 64 and 128
@@ -421,7 +445,7 @@ class TestBitsMatchLists:
             for c in (p, *ones):
                 row[c] = 1
         basis = self._without_list_elimination(lambda: sc.null_space(m, ncols, 2))
-        assert basis == list_null_space(m, ncols, 2)
+        assert basis == kernel_basis(m, ncols, 2)
         assert len(basis) == ncols - 3 and all(mat_vec(m, v, 2) == [0, 0, 0] for v in basis)
         free = [c for c in range(ncols) if c not in (0, 65, 130)]
         at = {f: v for f, v in zip(free, basis)}

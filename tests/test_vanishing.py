@@ -25,6 +25,7 @@ from conftest import (
     subset_from_mask,
     subspace_dim,
 )
+from reference import gauss_jordan, kernel_basis
 
 GOLDEN = Path(__file__).parent / "golden"
 # q -> n whose every point the differential tables cover
@@ -206,8 +207,12 @@ class TestDimensionOracles:
             monos = sc.enumerate_monomials(3, n, d)
             table = monomial_table(monos, outside, 3, by_point=True)
             packed = linalg.rref(table, 3)[1]
-            assert packed == linalg._rref_lists(linalg.unpack(table), 3)[1]
+            assert packed == gauss_jordan(linalg.unpack(table), 3)[1]
             assert len(monos) - len(packed) == subspace_dim(3, n, k, d)
+
+
+FORWARD_PASSES = ("_echelon_lists", "_echelon_packed", "_echelon_bits")
+BACK_SUBSTITUTIONS = ("_back_substitute_lists", "_back_substitute_packed", "_back_substitute_bits")
 
 
 class TestPivotStagesNeverReduce:
@@ -225,7 +230,7 @@ class TestPivotStagesNeverReduce:
         def refused(*args):
             raise AssertionError("a pivot stage went through rref")
 
-        for name in ("rref", "_rref_lists", "_rref_packed", "_rref_bits"):
+        for name in ("rref", *BACK_SUBSTITUTIONS):
             monkeypatch.setattr(linalg, name, refused)
         got = [(primal_pivot_columns(s, keys), dual_pivot_columns(s, keys)) for s in spaces]
         assert got == expected and all(len(p) == s.dim for (p, _), s in zip(expected, spaces))
@@ -243,10 +248,6 @@ def _counted(monkeypatch, names):
     return calls
 
 
-FORWARD_PASSES = ("_echelon_lists", "_echelon_packed", "_echelon_bits")
-BACK_SUBSTITUTIONS = ("_back_substitute_lists", "_back_substitute_packed", "_back_substitute_bits")
-
-
 class TestLazyBasis:
     """dim comes from the constraint table's forward elimination; the basis
     is back-substituted from the kept echelon form on its first read."""
@@ -261,7 +262,7 @@ class TestLazyBasis:
         def refused(*args):
             raise AssertionError("the dual route read the basis")
 
-        for name in (*BACK_SUBSTITUTIONS, "_kernel_planes", "_kernel_basis"):
+        for name in (*BACK_SUBSTITUTIONS, "_kernel_planes"):
             monkeypatch.setattr(linalg, name, refused)
         assert sc.decompose(S, T) == run.decomposition
 
@@ -292,7 +293,7 @@ class TestLazyBasis:
             monos = sc.enumerate_monomials(q, n, d)
             table = monomial_table(monos, outside, q, by_point=True)
             eager = linalg.null_space(table, len(monos), q)
-            reference = linalg._kernel_basis(*linalg._rref_lists(linalg.as_rows(table), q), len(monos), q)
+            reference = kernel_basis(linalg.as_rows(table), len(monos), q)
             assert space.rows == tuple(map(tuple, eager)) == tuple(map(tuple, reference))
             assert len(space.rows) == space.dim
 
