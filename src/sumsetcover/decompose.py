@@ -26,9 +26,14 @@ once, by field.sum_index, which maps each sum to its first row-major
  4. cover the pivots by a minimum set of lines (rows from S, columns from T);
     the cover size is at most the rank budget, and the covered lines reach
     at least dim-many elements of S+T;
- 5. the sums still missing number at most q^n - m_d; patch each with one
-    representative from S: the row of its first occurrence in the sum
+ 5. the sums the covered lines reach are one set of coordinate tuples
+    (line_sums); the index's keys outside it, in first-occurrence order,
+    are the sums still missing, at most q^n - m_d of them; patch each with
+    one representative from S: the row of its first occurrence in the sum
     index, which is the lexicographically smallest s with w - s in T.
+
+The stages run on coordinate tuples; PointSets are built only for what
+the run returns (sum_set, the witnesses and the certificate's fields).
 
 Covered rows plus patch representatives form S*; covered columns form T*.
 run_pipeline evaluates every inequality used along the way once, where its
@@ -51,7 +56,7 @@ oracle owns the checkers' and the oracle's, summatrix the rank audit's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .cover import LineCover, line_cover
 from .errors import BoundViolated
@@ -166,6 +171,25 @@ def _check_inputs(S: PointSet, T: PointSet) -> None:
         raise ValueError(f"q = {S.q} is not prime")
 
 
+def _add(s: tuple[int, ...], t: tuple[int, ...], q: int) -> tuple[int, ...]:
+    """s + t on coordinate tuples."""
+    return tuple([(a + b) % q for a, b in zip(s, t)])
+
+
+def line_sums(
+    s_coords: Sequence[tuple[int, ...]],
+    t_coords: Sequence[tuple[int, ...]],
+    cover: LineCover,
+    q: int,
+) -> set[tuple[int, ...]]:
+    """The sums the cover's lines reach, as coordinate tuples: s_i + t for
+    each covered row i and every t, and s + t_j for each covered column j
+    and every s (rows index s_coords, columns t_coords)."""
+    reach = {_add(s_coords[i], t, q) for i in cover.cover_rows for t in t_coords}
+    reach.update(_add(s, t_coords[j], q) for j in cover.cover_cols for s in s_coords)
+    return reach
+
+
 def run_pipeline(
     S: PointSet,
     T: PointSet,
@@ -186,26 +210,28 @@ def run_pipeline(
     rank_bound = 2 * count_m(q, n, degree // 2)
 
     index = sum_index(S, T)
-    covered_sums = PointSet.from_coords(q, n, index)
-    space = build_vanishing_space(covered_sums, degree, cap=cap)
+    sum_set = PointSet.from_coords(q, n, index)
+    space = build_vanishing_space(sum_set, degree, cap=cap)
     pivots = sum_pivots(space, index)
     s_ord = S.ordered()
     t_ord = T.ordered()
-    pivot_sums = [s_ord[i] + t_ord[j] for i, j in pivots]
+    s_coords = [v.coords for v in s_ord]
+    t_coords = [v.coords for v in t_ord]
+    pivot_sums = [_add(s_coords[i], t_coords[j], q) for i, j in pivots]
 
     cover = line_cover(pivots, rank_bound)
     covered_rows = PointSet.from_vectors(q, n, (s_ord[i] for i in cover.cover_rows))
     covered_cols = PointSet.from_vectors(q, n, (t_ord[j] for j in cover.cover_cols))
 
-    line_sums = sumset(covered_rows, T).union(sumset(S, covered_cols))
-    uncovered = covered_sums.difference(line_sums)
-    patch = PointSet.from_vectors(q, n, (s_ord[index[w.coords][0]] for w in uncovered))
+    reach = line_sums(s_coords, t_coords, cover, q)
+    uncovered = [w for w in index if w not in reach]
+    patch = PointSet.from_vectors(q, n, (s_ord[index[w][0]] for w in uncovered))
     s_witness = covered_rows.union(patch)
     total = len(s_witness) + len(covered_cols)
     dim, m_d = space.dim, space.ambient_dim
-    dim_lower = m_d - q**n + len(covered_sums)
+    dim_lower = m_d - q**n + len(index)
     missable = q**n - m_d
-    reached = sum(1 for w in pivot_sums if w in line_sums)
+    reached = sum(1 for w in pivot_sums if w in reach)
     checks = [
         Check("witness_total<=bound", total <= bound, total, bound),
         Check("dim_vanishing>=m_d-q^n+|S+T|", dim >= dim_lower, dim, dim_lower),
@@ -225,7 +251,7 @@ def run_pipeline(
         covered_rows=covered_rows,
         covered_cols=covered_cols,
         patch_reps=patch,
-        uncovered_sums=uncovered,
+        uncovered_sums=PointSet.from_coords(q, n, uncovered),
         dim_vanishing=dim,
         cover_size=cover.size,
         checks=checks,
@@ -236,7 +262,7 @@ def run_pipeline(
         t_input=T,
         degree=degree,
         rank_bound=rank_bound,
-        sum_set=covered_sums,
+        sum_set=sum_set,
         space=space,
         pivots=pivots,
         cover=cover,

@@ -28,7 +28,7 @@ ones & twos == 0.  Adding or subtracting two rows is then a few big-int
 boolean operations instead of a multiply-and-mod per entry (bitslicing in
 the style of Boothby and Bradshaw, arXiv:0901.1413).  Monomial tables need
 no `pow`: over F_3 a monomial prod x_i^e_i is 0 at p when some e_i > 0 has
-p_i = 0, and otherwise (-1) raised to the number of i with e_i = 1 and
+p_i = 0, and otherwise (-1) raised to the number of i with e_i odd and
 p_i = 2.  So `_monomial_table_packed` masks, per coordinate, the columns
 whose digit can make the value 0 and those whose digit can flip its sign,
 and builds each row, per monomial or per point, from the masks its own
@@ -102,7 +102,10 @@ def _monomial_table_packed(
 ) -> Matrix3:
     """Each monomial's value at each point: a row per monomial and a column per
     point, or a row per point and a column per monomial when by_point.  The
-    coordinates must lie in [0, 3); monomial_table reduces them."""
+    coordinates must lie in [0, 3); monomial_table reduces them.  x^e depends
+    on e only through e > 0 and the parity of e, so an exponent above 2 is
+    read as 1 when odd and 2 when even."""
+    monos = [m if max(m, default=0) < 3 else tuple(e and 2 - e % 2 for e in m) for m in monos]
     sides = [(monos, _EXPONENT_DIGITS), (points, _POINT_DIGITS)]
     (rows, (row_zero, row_flip)), (cols, (col_zero, col_flip)) = sides[::-1] if by_point else sides
     ncols = len(cols)

@@ -8,7 +8,10 @@ degree at most d.
 Counting never enumerates: the per-degree counts are the coefficients of
 (1 + x + ... + x^(q-1))^n, computed by repeated exact big-integer
 convolution, so counts remain available for n in the hundreds where the
-monomial list itself would have astronomically many entries.
+monomial list itself would have astronomically many entries.  The list
+(`enumerate_monomials`) is built level by level, after the count is
+checked against the cap: the exponent tuples of each length, by degree,
+get one coordinate prepended per level, with no recursion.
 
 `growth_estimate` owns its work budget and refuses, before any work, n_max
 or digits below 1 with ValueError, and with EnumerationTooLarge the counts
@@ -24,7 +27,7 @@ import decimal
 import itertools
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, EnumerationTooLarge
 from .field import DEFAULT_ENUM_CAP
@@ -131,37 +134,31 @@ def count_m(q: int, n: int, d: int) -> int:
     return degree_counts(q, n).prefix(d)
 
 
-def _tuples_of_degree(n: int, e: int, cap_exp: int) -> Iterator[Monomial]:
-    """Exponent tuples of length n summing to e, entries <= cap_exp.
-
-    First coordinate descends, so a fixed degree comes out in canonical
-    order (matching monomial_key).
-    """
-    if n == 0:
-        if e == 0:
-            yield ()
-        return
-    lo = max(0, e - cap_exp * (n - 1))
-    for first in range(min(e, cap_exp), lo - 1, -1):
-        for rest in _tuples_of_degree(n - 1, e - first, cap_exp):
-            yield (first,) + rest
-
-
 def enumerate_monomials(
     q: int, n: int, d: int, *, cap: int = DEFAULT_ENUM_CAP
 ) -> list[Monomial]:
     """All reduced monomials of total degree <= d, in canonical graded order.
 
     The result has exactly count_m(q, n, d) entries; the count is checked
-    against the cap before any enumeration happens.
+    against the cap before any tuple is built.  The tuples are built level
+    by level: after level k, suffixes[e] lists the exponent tuples of length
+    k summing to e (e <= d), in canonical order; level k + 1 prepends each
+    first exponent, descending, to the suffixes that leave room for it.
     """
     total = count_m(q, n, d)
     if total > cap:
         raise EnumerationTooLarge(f"{total} monomials exceed enumeration cap {cap}")
-    out: list[Monomial] = []
-    for e in range(0, min(d, (q - 1) * n) + 1):
-        out.extend(_tuples_of_degree(n, e, q - 1))
-    return out
+    top = q - 1
+    suffixes: list[list[Monomial]] = [[()]]
+    for k in range(1, n + 1):
+        highest = len(suffixes) - 1  # the top degree of the shorter suffixes
+        suffixes = [
+            [(first,) + rest
+             for first in range(min(e, top), max(0, e - highest) - 1, -1)
+             for rest in suffixes[e - first]]
+            for e in range(min(d, top * k) + 1)
+        ]
+    return [m for level in suffixes for m in level]
 
 
 def capset_bound_M(q: int, n: int) -> int:

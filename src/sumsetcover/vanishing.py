@@ -10,9 +10,13 @@ space has dimension at least
 
     (number of monomials of degree <= d) - q^n + |A|,
 
-the counting fact the witness construction leans on.  The constraint matrix
-comes from linalg.monomial_table (a row per point), the one builder of
-monomial tables, in whatever format linalg chose.  build_vanishing_space
+the counting fact the witness construction leans on.  Its rows are the
+points of itertools.product(range(q), repeat=n) whose coordinate tuples are
+not in A, in that (lexicographic) order: no point is built as a FieldVector
+and field.complement is not called, and q^n above the cap is refused before
+any point is listed.  The constraint matrix comes from
+linalg.monomial_table (a row per point), the one builder of monomial
+tables, in whatever format linalg chose.  build_vanishing_space
 runs its forward elimination once (linalg.echelon, no back-substitution,
 as in the PLE decomposition of Albrecht, Bard and Pernet,
 arXiv:1111.6549) and keeps it: dim is m_d minus its pivot count, which is
@@ -37,11 +41,12 @@ the degrees choose_degree picks).  No |S| x |T| matrix is built.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .field import DEFAULT_ENUM_CAP, PointSet, complement
+from .field import DEFAULT_ENUM_CAP, PointSet, check_enumeration_cap
 from .linalg import Echelon, echelon, evaluate_rows, kernel, monomial_table, pivot_columns
 from .monomials import Monomial, enumerate_monomials
 
@@ -82,9 +87,11 @@ def build_vanishing_space(
     something reads `rows`, so repeated runs agree exactly.
     """
     q, n = sums.q, sums.n
-    outside = complement(sums, cap=cap).ordered()
+    check_enumeration_cap(q, n, cap)
+    inside = {v.coords for v in sums.members}
+    outside = [p for p in itertools.product(range(q), repeat=n) if p not in inside]
     monos = enumerate_monomials(q, n, degree, cap=cap)
-    table = monomial_table(monos, [p.coords for p in outside], q, by_point=True)
+    table = monomial_table(monos, outside, q, by_point=True)
     constraints = echelon(table, len(monos), q)
     return PolySubspace(q, n, degree, tuple(monos), len(monos) - len(constraints.pivots), constraints)
 

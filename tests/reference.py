@@ -26,7 +26,9 @@ the CLI's trials and scripts/bound_slack.py each wrote out before
 `sumsetcover.field.random_pairs`.  And a per-entry Gauss-Jordan
 elimination (`gauss_jordan`) and its canonical kernel (`kernel_basis`),
 which share no code with `sumsetcover.linalg`, for the elimination in
-every format to be checked against.  Only tests use it.
+every format to be checked against.  And the recursive enumeration of
+exponent tuples (`tuples_of_degree`) that `sumsetcover.monomials` replaced
+by a level-by-level build.  Only tests use it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import itertools
 import math
 import random
 from collections import deque
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import sumsetcover as sc
 from sumsetcover.errors import BoundViolated, DegreeTooHigh
@@ -400,3 +402,22 @@ def kernel_basis(rows: Sequence[Sequence[int]], ncols: int, q: int) -> list[list
                 v[p] = -row[free] % q
             basis.append(v)
     return basis
+
+
+def tuples_of_degree(n: int, e: int, cap_exp: int) -> Iterator[Monomial]:
+    """Exponent tuples of length n summing to e, entries <= cap_exp, by
+    recursion on the first coordinate, which descends, so a fixed degree
+    comes out in canonical order (monomial_key)."""
+    if n == 0:
+        if e == 0:
+            yield ()
+        return
+    lo = max(0, e - cap_exp * (n - 1))
+    for first in range(min(e, cap_exp), lo - 1, -1):
+        for rest in tuples_of_degree(n - 1, e - first, cap_exp):
+            yield (first,) + rest
+
+
+def monomials_recursive(q: int, n: int, d: int) -> list[Monomial]:
+    """The reduced monomials of degree <= d, one tuples_of_degree per degree."""
+    return [m for e in range(min(d, (q - 1) * n) + 1) for m in tuples_of_degree(n, e, q - 1)]

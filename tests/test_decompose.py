@@ -222,6 +222,54 @@ class TestDecompose:
         assert "counting monomials by degree" in proc.stderr
 
 
+class TestNoVectorPerPoint:
+    """The constraint rows, the pivot sums and the line sums are coordinate
+    tuples: the pipeline builds a FieldVector only for what it returns, never
+    one per point of F_q^n."""
+
+    PAIRS = {
+        (3, 5): ([(0, 0, 0, 0, 0), (1, 2, 0, 1, 0)], [(0, 1, 1, 0, 2), (2, 2, 2, 1, 1)]),
+        (2, 8): ([(0,) * 8, (1, 0, 1, 1, 0, 0, 1, 0)], [(0, 1) * 4, (1,) * 8, (1, 1, 0, 0) * 2]),
+    }
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = [0]
+        real = sc.FieldVector.__post_init__
+
+        def counting(vector):
+            count[0] += 1
+            real(vector)
+
+        monkeypatch.setattr(sc.FieldVector, "__post_init__", counting)
+        return count
+
+    @pytest.mark.parametrize("qn", sorted(PAIRS))
+    def test_vanishing_space_builds_none(self, qn, built):
+        q, n = qn
+        S, T = (sc.PointSet.from_coords(q, n, c) for c in self.PAIRS[qn])
+        sums = sc.sumset(S, T)
+        built[0] = 0
+        space = sc.build_vanishing_space(sums, sc.choose_degree(q, n)[0])
+        assert built[0] == 0
+        assert space.dim >= space.ambient_dim - q**n + len(sums)
+
+    @pytest.mark.parametrize("qn", sorted(PAIRS))
+    def test_pipeline_builds_a_few_per_sum(self, qn, built):
+        q, n = qn
+        S, T = (sc.PointSet.from_coords(q, n, c) for c in self.PAIRS[qn])
+        built[0] = 0
+        run = sc.run_pipeline(S, T)
+        assert built[0] <= 3 * len(run.sum_set) < q**n
+        assert sc.verify_decomposition(S, T, run.decomposition.s_witness, run.decomposition.t_witness)
+
+    def test_space_above_cap_refused_before_enumerating(self):
+        # 3^40 points: refused on the count, not after listing them
+        A = sc.PointSet.from_coords(3, 40, [(0,) * 40])
+        with pytest.raises(sc.EnumerationTooLarge, match=f"^q\\^n = {3**40} exceeds enumeration cap"):
+            sc.build_vanishing_space(A, 1)
+
+
 class TestCertifiedChecks:
     # decompose() itself raises BoundViolated naming the first certified
     # check that fails.  On the golden q=3, n=5 instance the vanishing
@@ -542,7 +590,7 @@ class TestPipelineCheckFaults:
             "certified check dim_vanishing>=m_d-q^n+|S+T| failed: 107 vs 108"),
         "uncovered<=q^n-m_d": (
             # no line reaches a sum, so all 129 are patched
-            "pipeline", DEC, "sumset", "lambda real: lambda A, B: A.empty(A.q, A.n)",
+            "pipeline", DEC, "line_sums", "lambda real: lambda *a: set()",
             "certified check uncovered<=q^n-m_d failed: 129 vs 21"),
         "cover_size<=rank_bound": (
             "pipeline", DEC, "count_m", "lambda real: lambda q, n, d: 4",

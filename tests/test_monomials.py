@@ -10,6 +10,7 @@ from sumsetcover import monomials
 from sumsetcover.errors import EnumerationTooLarge
 
 from conftest import brute_monomials, small_spaces
+from reference import monomials_recursive
 
 
 class TestEnumerate:
@@ -33,6 +34,23 @@ class TestEnumerate:
     def test_cap_refusal(self):
         with pytest.raises(EnumerationTooLarge):
             sc.enumerate_monomials(3, 30, 60, cap=1000)
+
+    def test_cap_at_the_count(self):
+        # the refusal compares the exact count with the cap
+        total = sc.count_m(3, 5, 7)
+        with pytest.raises(EnumerationTooLarge, match=f"^{total} monomials exceed enumeration cap {total - 1}$"):
+            sc.enumerate_monomials(3, 5, 7, cap=total - 1)
+        assert len(sc.enumerate_monomials(3, 5, 7, cap=total)) == total
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_level_build_matches_recursion(self, q):
+        # whole lists, order included, for every n with q^n <= 3^6 and every
+        # degree to one past the top
+        n = 0
+        while q**n <= 3**6:
+            for d in range((q - 1) * n + 2):
+                assert sc.enumerate_monomials(q, n, d) == monomials_recursive(q, n, d), (n, d)
+            n += 1
 
     @given(small_spaces(primes=(2, 3, 5), max_n=3), st.integers(0, 10))
     def test_matches_brute_force(self, qn, d):

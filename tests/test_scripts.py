@@ -3,8 +3,11 @@ and the README's module list and backticked references against the package
 and the tests, so an API change cannot break them silently."""
 
 import ast
+import hashlib
 import importlib
+import itertools
 import json
+import random
 import re
 from decimal import Decimal
 import subprocess
@@ -95,6 +98,8 @@ def test_growth_table_refused_by_the_work_budget():
     ("vanishing_oracles.py", ["--q", "1"], "q = 1 is not prime"),
     ("vanishing_oracles.py", ["--q", "2", "9"], "q = 9 is not prime"),
     ("vanishing_oracles.py", ["--n-max", "0"], "n must be >= 1, got 0"),
+    ("bench_grid.py", ["--n-max", "0"], "n_max must be >= 1, got 0"),
+    ("bench_grid.py", ["--budget", "0"], "budget must be > 0, got 0.0"),
 ])
 def test_scripts_refuse_invalid_input(script, args, message):
     # as the CLI's bound does: one "error: invalid input" line, exit 2
@@ -156,6 +161,32 @@ def test_vanishing_oracles():
     assert lines[0].split() == ["q", "n", "checks", "seconds"]
     assert [line.split()[:2] for line in lines[1:-1]] == [[str(q), str(n)] for q in (2, 3) for n in (1, 2, 3)]
     assert lines[-1].startswith("all ") and " checks passed in " in lines[-1]
+
+
+def test_bench_grid():
+    # the n <= 5 slice of the grid: one pair, re-derived here
+    result = json.loads("\n".join(run_script("bench_grid.py", "--n-max", "5")))
+    assert (result["q"], result["repeats"]) == (3, 3)
+    [row] = result["instances"]
+    rng = random.Random("single:5:14")
+    points = list(itertools.product(range(3), repeat=5))
+    S, T = (sc.PointSet.from_coords(3, 5, rng.sample(points, 14)) for _ in "ST")
+    run = sc.run_pipeline(S, T)
+    dec = run.decomposition
+    witnesses = [[list(v.coords) for v in w] for w in (dec.s_witness, dec.t_witness)]
+    assert row == {
+        **row,
+        "name": "single:5:14", "status": "ok", "sums": len(run.sum_set), "degree": run.degree,
+        "m_d": run.space.ambient_dim, "dim": run.space.dim, "witness_total": dec.witness_total,
+        "bound": dec.bound, "witness_sha256": hashlib.sha256(json.dumps(witnesses).encode()).hexdigest(),
+    }
+    assert len(row["wall_s_runs"]) == 3 and row["wall_s"] == sorted(row["wall_s_runs"])[1]
+
+
+def test_bench_grid_records_a_pair_over_budget():
+    [row] = json.loads("\n".join(run_script("bench_grid.py", "--n-max", "5", "--budget", "1e-6")))["instances"]
+    assert row == {"name": "single:5:14", "q": 3, "n": 5, "k": 14, "status": "skipped",
+                   "reason": "over the 1e-06 s budget"}
 
 
 def test_bound_slack():

@@ -372,6 +372,27 @@ class TestPackedTables:
         by_point = [list(col) for col in zip(*expected)] if monos else [[] for _ in coords]
         assert _lists(monomial_table(monos, coords, q, by_point=True)) == by_point
 
+    @given(st.sampled_from(sorted(TABLE_SPACES)), st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_exponents_read_as_eval_monomial_does(self, q, data):
+        # monomials with exponents up to 2q, unreduced ones among them, take
+        # eval_monomial's values at every point, in both layouts
+        n = TABLE_SPACES[q]
+        exponent = st.integers(0, 2 * q)
+        monos = data.draw(st.lists(st.tuples(*[exponent] * n), max_size=8))
+        coords = [p.coords for p in space_points(q, n)]
+        expected = [[sc.eval_monomial(m, c, q) for c in coords] for m in monos]
+        assert _lists(monomial_table(monos, coords, q)) == expected
+        by_point = [list(col) for col in zip(*expected)] if monos else [[] for _ in coords]
+        assert _lists(monomial_table(monos, coords, q, by_point=True)) == by_point
+
+    @pytest.mark.parametrize("layout", [False, True])
+    def test_packed_cubes_and_fourth_powers(self, layout):
+        # x^3 = x and x^4 = x^2 on F_3
+        table = monomial_table([(3,), (4,)], [(0,), (1,), (2,)], 3, by_point=layout)
+        expected = [[0, 1, 2], [0, 1, 1]]
+        assert _lists(table) == ([list(col) for col in zip(*expected)] if layout else expected)
+
     def test_packed_value_table_reduces_coordinates(self):
         # x at the points 3 = 0 and -1 = 2 of F_3
         P = sc.poly_from_terms(3, 1, {(1,): 1})
