@@ -12,12 +12,11 @@ pair the script records |S+T|, the chosen degree d, m_d, the vanishing
 dimension, the witness total, the bound, a sha256 of both witnesses (sorted
 coordinate lists, as JSON) and the median wall time of three calls of
 run_pipeline in this process.  A pair whose calls do not all finish within
---budget seconds is recorded as "skipped"; so is a pair with k > q^n.
+BUDGET_S seconds is recorded as "skipped"; so is a pair with k > q^n.
 
 The result is one JSON object on stdout; one line per pair goes to stderr
-as the pairs finish.  Like the other scripts, a non-prime --q, an --n-max
-below 1 or a --budget that is not positive prints "error: invalid input:
-..." on stderr and exits 2, and a --q past is_prime's exactness bound or a
+as the pairs finish.  Like the other scripts, a non-prime --q or an
+--n-max below 1 prints "error: invalid input: ..." on stderr and exits 2, and a --q past is_prime's exactness bound or a
 q^n above the enumeration cap prints "error: refused by resource cap: ..."
 and exits 3, before any pair is drawn.
 
@@ -46,6 +45,7 @@ from sumsetcover.field import check_enumeration_cap
 GRID = (("single", 5, 14), ("single", 6, 22), ("single", 7, 40), ("single", 8, 60),
         ("dense", 7, 600), ("dense", 8, 1500))
 REPEATS = 3
+BUDGET_S = 120.0
 
 
 class OverBudget(Exception):
@@ -111,7 +111,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--q", type=int, default=3)
     parser.add_argument("--n-max", type=int, default=8, help="only the pairs with n <= this")
-    parser.add_argument("--budget", type=float, default=120.0, help="seconds per pair")
     args = parser.parse_args()
 
     grid = [(kind, n, k) for kind, n, k in GRID if n <= args.n_max]
@@ -119,8 +118,6 @@ def main() -> None:
         if args.n_max < 1:
             raise sc.ValidationError(f"n_max must be >= 1, got {args.n_max}")
         sc.check_space(args.q, 1)
-        if not args.budget > 0:
-            raise sc.ValidationError(f"budget must be > 0, got {args.budget}")
         for _, n, _ in grid:
             check_enumeration_cap(args.q, n, sc.DEFAULT_ENUM_CAP)
     except sc.ValidationError as exc:
@@ -132,7 +129,7 @@ def main() -> None:
 
     rows = []
     for kind, n, k in grid:
-        row = measure(args.q, kind, n, k, args.budget)
+        row = measure(args.q, kind, n, k, BUDGET_S)
         rows.append(row)
         detail = (f"total {row['witness_total']} bound {row['bound']} dim {row['dim']} "
                   f"median {row['wall_s']:.3f} s" if row["status"] == "ok" else row["reason"])
@@ -141,7 +138,7 @@ def main() -> None:
         "script": "scripts/bench_grid.py",
         "q": args.q,
         "repeats": REPEATS,
-        "budget_s": args.budget,
+        "budget_s": BUDGET_S,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),

@@ -45,6 +45,7 @@ row's bit u spread to bit u * w first, so no carry crosses a cell),
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -74,8 +75,11 @@ def monomial_table(
     """Each monomial's value at each point, the coordinates read mod q: a row
     per monomial and a column per point, or a row per point and a column per
     monomial when by_point.  At q = 3 built packed, without `pow`.
-    DimensionMismatch, checked once per table, when the lengths differ."""
+    DimensionMismatch, checked once per table, when the lengths differ, and
+    ValueError for a negative exponent."""
     _same_length(monos, points)
+    if min(itertools.chain.from_iterable(monos), default=0) < 0:
+        raise ValueError("monomial exponents must be >= 0")
     points = [[x % q for x in p] for p in points]
     if q == 3:
         return _monomial_table_packed(monos, points, by_point=by_point)
@@ -102,7 +106,8 @@ def _monomial_table_packed(
 ) -> Matrix3:
     """Each monomial's value at each point: a row per monomial and a column per
     point, or a row per point and a column per monomial when by_point.  The
-    coordinates must lie in [0, 3); monomial_table reduces them.  x^e depends
+    coordinates must lie in [0, 3) and the exponents be >= 0; monomial_table
+    reduces the one and checks the other.  x^e depends
     on e only through e > 0 and the parity of e, so an exponent above 2 is
     read as 1 when odd and 2 when even."""
     monos = [m if max(m, default=0) < 3 else tuple(e and 2 - e % 2 for e in m) for m in monos]

@@ -393,6 +393,15 @@ class TestPackedTables:
         expected = [[0, 1, 2], [0, 1, 1]]
         assert _lists(table) == ([list(col) for col in zip(*expected)] if layout else expected)
 
+    @pytest.mark.parametrize("q", sorted(TABLE_SPACES))
+    @pytest.mark.parametrize("layout", [False, True])
+    def test_negative_exponent_refused(self, q, layout):
+        # x^-1 has no value at 0; every q and layout refuses it alike,
+        # with or without an exponent above 2 beside it
+        for monos, points in (([(-1,)], [(1,), (2,)]), ([(-1, 3)], [(1, 1), (2, 2)])):
+            with pytest.raises(ValueError, match="monomial exponents must be >= 0"):
+                monomial_table(monos, points, q, by_point=layout)
+
     def test_packed_value_table_reduces_coordinates(self):
         # x at the points 3 = 0 and -1 = 2 of F_3
         P = sc.poly_from_terms(3, 1, {(1,): 1})
