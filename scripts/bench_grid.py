@@ -95,7 +95,7 @@ def measure(q: int, kind: str, n: int, k: int, budget: float) -> dict:
     return {
         **row,
         "status": "ok",
-        "sums": len(run.sum_set),
+        "sums": len(run.sums),
         "degree": run.degree,
         "m_d": run.space.ambient_dim,
         "dim": run.space.dim,

@@ -234,7 +234,7 @@ def _cmd_decompose(args) -> HandlerResult:
     outputs = {
         "q": inst.q,
         "n": inst.n,
-        "sizes": {"S": len(S), "T": len(T), "S+T": len(run.sum_set) if run else 0},
+        "sizes": {"S": len(S), "T": len(T), "S+T": len(run.sums) if run else 0},
         "degree": dec.degree,
         "degree_source": "minimized" if chose else "forced",
         "bound": dec.bound,

@@ -9,11 +9,13 @@ degree d of our choosing (minimized by default).  S x T is enumerated
 once, by field.sum_index, which maps each sum to its first row-major
 (i, j); its keys are S+T in order of first occurrence.  The construction:
 
- 1. build the space of degree-<= d polynomials vanishing off S+T: one
-    forward elimination of its constraint table gives dim, m_d minus the
-    constraint rank, dim >= m_d - q^n + |S+T|; the basis, dim rows of
-    coefficients over the monomials, is back-substituted from the kept
-    echelon form only when step 3's primal stage or the rank audit reads it;
+ 1. build the space of degree-<= d polynomials vanishing off S+T, its
+    constraint rows the points of F_q^n not among the index's keys
+    (vanishing.vanishing_space): one forward elimination of that table
+    gives dim, m_d minus the constraint rank, dim >= m_d - q^n + |S+T|;
+    the basis, dim rows of coefficients over the monomials, is
+    back-substituted from the kept echelon form only when step 3's primal
+    stage or the rank audit reads it;
  2. each basis row P defines the sum matrix (P(s + t)) over S x T; every
     matrix in their span has rank at most 2*m(q, n, floor(d/2)) by the
     rank-one split certificate (a theorem on the span, audited per basis
@@ -30,10 +32,17 @@ once, by field.sum_index, which maps each sum to its first row-major
     (line_sums); the index's keys outside it, in first-occurrence order,
     are the sums still missing, at most q^n - m_d of them; patch each with
     one representative from S: the row of its first occurrence in the sum
-    index, which is the lexicographically smallest s with w - s in T.
+    index, which is the lexicographically smallest s with w - s in T.  The
+    patch representatives and covered lines are the FieldVectors of
+    S.ordered() and T.ordered(); the only vectors built are the missing
+    sums', for the certificate.
 
 The stages run on coordinate tuples; PointSets are built only for what
-the run returns (sum_set, the witnesses and the certificate's fields).
+the run returns (the witnesses and the certificate's fields).  The run
+keeps S+T as the index's keys (PipelineRun.sums); PipelineRun.sum_set
+builds their PointSet on first read.  verify_decomposition, the re-check
+of the result, shares no code with this enumeration: it forms its own
+pairwise sums on coordinate tuples.
 
 Covered rows plus patch representatives form S*; covered columns form T*.
 run_pipeline evaluates every inequality used along the way once, where its
@@ -56,13 +65,14 @@ oracle owns the checkers' and the oracle's, summatrix the rank audit's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .cover import LineCover, line_cover
 from .errors import BoundViolated
 from .field import DEFAULT_ENUM_CAP, PointSet, check_enumeration_cap, is_prime, sum_index, sumset
 from .monomials import capset_bound_M, check_count_cap, count_m, degree_counts
-from .vanishing import PolySubspace, build_vanishing_space, sum_pivots
+from .vanishing import PolySubspace, sum_pivots, vanishing_space
 
 
 class Check(NamedTuple):
@@ -116,17 +126,26 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class PipelineRun:
-    """Every intermediate stage of one witness construction."""
+    """Every intermediate stage of one witness construction.
+
+    `sums`: S+T as coordinate tuples, the sum index's keys in order of
+    first occurrence; `sum_set`, the same sums as a PointSet, is built on
+    first read and kept.
+    """
 
     s_input: PointSet
     t_input: PointSet
     degree: int
     rank_bound: int
-    sum_set: PointSet
+    sums: tuple[tuple[int, ...], ...]
     space: PolySubspace
     pivots: tuple[tuple[int, int], ...]
     cover: LineCover
     decomposition: Decomposition
+
+    @cached_property
+    def sum_set(self) -> PointSet:
+        return PointSet.from_coords(self.s_input.q, self.s_input.n, self.sums)
 
 
 def degree_bound(q: int, n: int, degree: int) -> int:
@@ -210,8 +229,7 @@ def run_pipeline(
     rank_bound = 2 * count_m(q, n, degree // 2)
 
     index = sum_index(S, T)
-    sum_set = PointSet.from_coords(q, n, index)
-    space = build_vanishing_space(sum_set, degree, cap=cap)
+    space = vanishing_space(q, n, index, degree, cap=cap)
     pivots = sum_pivots(space, index)
     s_ord = S.ordered()
     t_ord = T.ordered()
@@ -262,7 +280,7 @@ def run_pipeline(
         t_input=T,
         degree=degree,
         rank_bound=rank_bound,
-        sum_set=sum_set,
+        sums=tuple(index),
         space=space,
         pivots=pivots,
         cover=cover,
@@ -326,14 +344,22 @@ def symmetric_subset(
 def verify_decomposition(
     S: PointSet, T: PointSet, s_witness: PointSet, t_witness: PointSet
 ) -> bool:
-    """Direct re-check: containment plus coverage by plain enumeration.
+    """Direct re-check: containment, then coverage by plain enumeration.
 
-    Independent of the pipeline; uses nothing but pairwise sums.
+    Shares no code with the pipeline: it calls neither field.sum_index nor
+    field.sumset and builds no FieldVector.  The sums (s* + T) union
+    (S + t*) and S + T are compared as sets of coordinate tuples, each one
+    formed here by its own loop over pairs.
     """
     S._check_compatible(T)
     s_witness._check_compatible(S)
     t_witness._check_compatible(T)
     if not s_witness.issubset(S) or not t_witness.issubset(T):
         return False
-    covered = sumset(s_witness, T).union(sumset(S, t_witness))
-    return covered == sumset(S, T)
+    q = S.q
+
+    def sums(A: PointSet, B: PointSet) -> set[tuple[int, ...]]:
+        b_coords = [v.coords for v in B.members]
+        return {tuple([(x + y) % q for x, y in zip(a.coords, b)]) for a in A.members for b in b_coords}
+
+    return (sums(s_witness, T) | sums(S, t_witness)) == sums(S, T)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .decompose import Check, Decomposition, certify, decompose, symmetric_subset, verify_decomposition
 from .errors import BoundViolated, PreconditionFailed, SearchTooLarge, ValidationError
-from .field import DEFAULT_ENUM_CAP, FieldVector, PointSet, sumset
+from .field import DEFAULT_ENUM_CAP, FieldVector, PointSet
 from .monomials import capset_bound_M
 
 # 2^(|S|+|T|) subset pairs is the worst case; past this the oracle refuses.
@@ -163,6 +163,26 @@ def check_sumfree_bound(
     return SumfreeReport(pairs, bound, total, covered, pairs <= bound, checks)
 
 
+Line = frozenset[tuple[int, ...]]
+Lines = list[tuple[FieldVector, Line]]
+
+
+def _lines(S: PointSet, T: PointSet) -> tuple[Lines, Lines]:
+    """Each s of S.ordered() with its row {s} + T, then each t of T.ordered()
+    with its column S + {t}; a line is a frozenset of coordinate tuples."""
+    q = S.q
+    s_list, t_list = S.ordered(), T.ordered()
+    s_coords = [v.coords for v in s_list]
+    t_coords = [v.coords for v in t_list]
+
+    def line(a: tuple[int, ...], others: list[tuple[int, ...]]) -> Line:
+        return frozenset(tuple([(x + y) % q for x, y in zip(a, b)]) for b in others)
+
+    rows = [(s, line(s.coords, t_coords)) for s in s_list]
+    cols = [(t, line(t.coords, s_coords)) for t in t_list]
+    return rows, cols
+
+
 @dataclass(frozen=True)
 class OracleResult:
     best_s: PointSet
@@ -178,17 +198,17 @@ def oracle_min_decomposition(
     Iterates totals 0, 1, 2, ... and within one total takes the split with
     fewer elements from S first, subsets in lexicographic order; the first
     success is therefore canonical.  Refuses when |S| + |T| exceeds the
-    search cap.
+    search cap.  Lines and the target S+T, their union, are sets of
+    coordinate tuples; the subsets tried are of S.ordered() and T.ordered().
     """
     S._check_compatible(T)
     if len(S) + len(T) > search_cap:
         raise SearchTooLarge(f"|S| + |T| = {len(S) + len(T)} exceeds search cap {search_cap}")
     q, n = S.q, S.n
-    target = sumset(S, T).members
-    s_list = S.ordered()
-    t_list = T.ordered()
-    row_sums = {s: frozenset((s + t) for t in t_list) for s in s_list}
-    col_sums = {t: frozenset((s + t) for s in s_list) for t in t_list}
+    rows, cols = _lines(S, T)
+    row_sums, col_sums = dict(rows), dict(cols)
+    s_list, t_list = list(row_sums), list(col_sums)
+    target = frozenset().union(*row_sums.values())
     for total in range(0, len(S) + len(T) + 1):
         for k in range(0, total + 1):
             if k > len(s_list) or total - k > len(t_list):
@@ -225,16 +245,15 @@ def greedy_decomposition(S: PointSet, T: PointSet) -> tuple[PointSet, PointSet]:
     Nothing bounds it by the pipeline's witness total or by the bound.
     Candidate lines are {s} + T for s in S then S + {t} for t in T, both in
     canonical order; each round picks the line covering the most uncovered
-    sums, earliest candidate winning ties.
+    sums, earliest candidate winning ties.  Lines are sets of coordinate
+    tuples and S+T is their union; the picked points are those of
+    S.ordered() and T.ordered().
     """
     S._check_compatible(T)
     q, n = S.q, S.n
-    remaining = set(sumset(S, T).members)
-    lines: list[tuple[str, FieldVector, frozenset[FieldVector]]] = []
-    for s in S.ordered():
-        lines.append(("row", s, frozenset(s + t for t in T.members)))
-    for t in T.ordered():
-        lines.append(("col", t, frozenset(s + t for s in S.members)))
+    rows, cols = _lines(S, T)
+    lines = [("row", s, line) for s, line in rows] + [("col", t, line) for t, line in cols]
+    remaining = set().union(*(line for _, _, line in lines))
     picked_s: list[FieldVector] = []
     picked_t: list[FieldVector] = []
     while remaining:

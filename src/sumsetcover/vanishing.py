@@ -14,9 +14,11 @@ the counting fact the witness construction leans on.  Its rows are the
 points of itertools.product(range(q), repeat=n) whose coordinate tuples are
 not in A, in that (lexicographic) order: no point is built as a FieldVector
 and field.complement is not called, and q^n above the cap is refused before
-any point is listed.  The constraint matrix comes from
-linalg.monomial_table (a row per point), the one builder of monomial
-tables, in whatever format linalg chose.  build_vanishing_space
+any point is listed.  vanishing_space takes A as coordinate tuples
+(run_pipeline passes the sum index itself, so no PointSet of S+T is built);
+build_vanishing_space is the same call on a PointSet.  The constraint
+matrix comes from linalg.monomial_table (a row per point), the one builder
+of monomial tables, in whatever format linalg chose.  build_vanishing_space
 runs its forward elimination once (linalg.echelon, no back-substitution,
 as in the PLE decomposition of Albrecht, Bard and Pernet,
 arXiv:1111.6549) and keeps it: dim is m_d minus its pivot count, which is
@@ -44,7 +46,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 from .field import DEFAULT_ENUM_CAP, PointSet, check_enumeration_cap
 from .linalg import Echelon, echelon, evaluate_rows, kernel, monomial_table, pivot_columns
@@ -86,9 +88,16 @@ def build_vanishing_space(
     row per free monomial column, comes from its back-substitution when
     something reads `rows`, so repeated runs agree exactly.
     """
-    q, n = sums.q, sums.n
+    return vanishing_space(sums.q, sums.n, {v.coords for v in sums.members}, degree, cap=cap)
+
+
+def vanishing_space(
+    q: int, n: int, inside: Container[tuple[int, ...]], degree: int, *, cap: int = DEFAULT_ENUM_CAP
+) -> PolySubspace:
+    """build_vanishing_space on coordinate tuples: the points of F_q^n not
+    in `inside` (any container of coordinate tuples, such as the sum
+    index) are the constraint rows."""
     check_enumeration_cap(q, n, cap)
-    inside = {v.coords for v in sums.members}
     outside = [p for p in itertools.product(range(q), repeat=n) if p not in inside]
     monos = enumerate_monomials(q, n, degree, cap=cap)
     table = monomial_table(monos, outside, q, by_point=True)

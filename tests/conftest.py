@@ -91,6 +91,19 @@ def audit_polys(polys, degree, row_points, col_points):
 
 
 @st.composite
+def small_pairs(draw, primes=(2, 3, 5, 7), max_size=8):
+    """(S, T) of at most max_size points each (either may be empty), in an
+    F_q^n of at most 49 points."""
+    q = draw(st.sampled_from(primes))
+    n = draw(st.integers(1, {2: 5, 3: 3, 5: 2, 7: 2}[q]))
+    points = space_points(q, n)
+    return tuple(
+        sc.PointSet.from_vectors(q, n, draw(st.sets(st.sampled_from(points), max_size=max_size)))
+        for _ in "ST"
+    )
+
+
+@st.composite
 def polynomials(draw, q=3, n=2, max_degree=None):
     monos = sc.enumerate_monomials(q, n, max_degree if max_degree is not None else (q - 1) * n)
     coeffs = draw(st.lists(st.integers(0, q - 1), min_size=len(monos), max_size=len(monos)))

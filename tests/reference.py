@@ -23,7 +23,11 @@ maximum matching (Dulmage-Mendelsohn), so the covers must be equal.  Last,
 the triple loop over index triples that `sumsetcover.oracle.is_matching_sumfree`
 replaces by one count of the sums, and the seeded draw of random pairs that
 the CLI's trials and scripts/bound_slack.py each wrote out before
-`sumsetcover.field.random_pairs`.  And a per-entry Gauss-Jordan
+`sumsetcover.field.random_pairs`.  And the verifier, greedy cover and
+exhaustive oracle on `sumsetcover.field.sumset` and FieldVector sums
+(`verify_decomposition_sumset`, `greedy_decomposition_sumset`,
+`oracle_min_decomposition_sumset`), which the library's versions replaced
+by sums and lines of coordinate tuples.  And a per-entry Gauss-Jordan
 elimination (`gauss_jordan`) and its canonical kernel (`kernel_basis`),
 which share no code with `sumsetcover.linalg`, for the elimination in
 every format to be checked against.  And the recursive enumeration of
@@ -40,7 +44,7 @@ from collections import deque
 from typing import Iterator, NamedTuple, Sequence
 
 import sumsetcover as sc
-from sumsetcover.errors import BoundViolated, DegreeTooHigh
+from sumsetcover.errors import BoundViolated, DegreeTooHigh, SearchTooLarge
 from sumsetcover.monomials import Monomial, count_m, monomial_key
 from sumsetcover.summatrix import ClpCertificate, Polynomial, poly_degree
 
@@ -362,6 +366,71 @@ def random_pairs(
         pairs.append((sc.PointSet.from_vectors(q, n, s_members),
                       sc.PointSet.from_vectors(q, n, t_members)))
     return pairs
+
+
+def verify_decomposition_sumset(
+    S: sc.PointSet, T: sc.PointSet, s_witness: sc.PointSet, t_witness: sc.PointSet
+) -> bool:
+    """Containment, then (s* + T) union (S + t*) == S + T by field.sumset."""
+    S._check_compatible(T)
+    s_witness._check_compatible(S)
+    t_witness._check_compatible(T)
+    if not s_witness.issubset(S) or not t_witness.issubset(T):
+        return False
+    covered = sc.sumset(s_witness, T).union(sc.sumset(S, t_witness))
+    return covered == sc.sumset(S, T)
+
+
+def greedy_decomposition_sumset(S: sc.PointSet, T: sc.PointSet) -> tuple[sc.PointSet, sc.PointSet]:
+    """Greedy line cover on FieldVector lines: rows {s} + T then columns
+    S + {t}, canonical order; the most uncovered sums win, the earliest line
+    on ties."""
+    S._check_compatible(T)
+    q, n = S.q, S.n
+    remaining = set(sc.sumset(S, T).members)
+    lines = [("row", s, frozenset(s + t for t in T.members)) for s in S.ordered()]
+    lines += [("col", t, frozenset(s + t for s in S.members)) for t in T.ordered()]
+    picked_s: list[sc.FieldVector] = []
+    picked_t: list[sc.FieldVector] = []
+    while remaining:
+        best, best_gain = None, 0
+        for kind, point, line in lines:
+            gain = len(line & remaining)
+            if gain > best_gain:
+                best, best_gain = (kind, point, line), gain
+        if best is None:
+            raise BoundViolated("a remaining sum lies on no line")
+        kind, point, line = best
+        (picked_s if kind == "row" else picked_t).append(point)
+        remaining -= line
+    return sc.PointSet.from_vectors(q, n, picked_s), sc.PointSet.from_vectors(q, n, picked_t)
+
+
+def oracle_min_decomposition_sumset(
+    S: sc.PointSet, T: sc.PointSet, *, search_cap: int = 16
+) -> sc.OracleResult:
+    """Exhaustive search on FieldVector lines against field.sumset: totals
+    ascending, fewer points from S first, subsets in lexicographic order."""
+    S._check_compatible(T)
+    if len(S) + len(T) > search_cap:
+        raise SearchTooLarge(f"|S| + |T| = {len(S) + len(T)} exceeds search cap {search_cap}")
+    q, n = S.q, S.n
+    target = sc.sumset(S, T).members
+    s_list, t_list = S.ordered(), T.ordered()
+    row_sums = {s: frozenset(s + t for t in t_list) for s in s_list}
+    col_sums = {t: frozenset(s + t for s in s_list) for t in t_list}
+    for total in range(len(S) + len(T) + 1):
+        for k in range(total + 1):
+            if k > len(s_list) or total - k > len(t_list):
+                continue
+            for s_sub in itertools.combinations(s_list, k):
+                got_rows = frozenset().union(*(row_sums[s] for s in s_sub))
+                for t_sub in itertools.combinations(t_list, total - k):
+                    if got_rows.union(*(col_sums[t] for t in t_sub)) == target:
+                        return sc.OracleResult(
+                            sc.PointSet.from_vectors(q, n, s_sub), sc.PointSet.from_vectors(q, n, t_sub), total
+                        )
+    raise BoundViolated("(S, T) itself always covers, yet no cover was found")
 
 
 def gauss_jordan(rows: Sequence[Sequence[int]], q: int) -> tuple[list[list[int]], list[int]]:

@@ -13,7 +13,8 @@ import hypothesis.strategies as st
 
 import sumsetcover as sc
 
-from conftest import SEEDED_GRID, seeded_pair, set_pairs, subprocess_env, subset_from_mask
+from conftest import SEEDED_GRID, seeded_pair, set_pairs, small_pairs, subprocess_env, subset_from_mask
+from reference import verify_decomposition_sumset
 from test_golden import DIGESTS as GOLDEN_DIGESTS, GOLDEN_DIR
 
 
@@ -260,8 +261,50 @@ class TestNoVectorPerPoint:
         S, T = (sc.PointSet.from_coords(q, n, c) for c in self.PAIRS[qn])
         built[0] = 0
         run = sc.run_pipeline(S, T)
-        assert built[0] <= 3 * len(run.sum_set) < q**n
+        # S+T stays the index's keys: only the missing sums become vectors
+        assert built[0] <= len(run.decomposition.certificate.uncovered_sums) <= len(run.sums) < q**n
         assert sc.verify_decomposition(S, T, run.decomposition.s_witness, run.decomposition.t_witness)
+
+    def test_golden_pipeline_builds_only_the_uncovered_sums(self, built):
+        S, T = TestCertifiedChecks.golden_pair()
+        built[0] = 0
+        run = sc.run_pipeline(S, T)
+        assert built[0] == len(run.decomposition.certificate.uncovered_sums) == 9
+        assert len(run.sums) == 129
+
+    @pytest.mark.parametrize("qn", sorted(PAIRS))
+    def test_sum_set_built_once_on_first_read(self, qn, built):
+        q, n = qn
+        S, T = (sc.PointSet.from_coords(q, n, c) for c in self.PAIRS[qn])
+        run = sc.run_pipeline(S, T)
+        assert run.sums == tuple(sc.sum_index(S, T))
+        built[0] = 0
+        sum_set = run.sum_set
+        assert built[0] == len(run.sums)
+        assert run.sum_set is sum_set and built[0] == len(run.sums)
+        assert sum_set == sc.PointSet.from_coords(q, n, run.sums) == sc.sumset(S, T)
+
+    @pytest.mark.parametrize("qn", sorted(PAIRS))
+    def test_verifier_builds_none(self, qn, built):
+        q, n = qn
+        S, T = (sc.PointSet.from_coords(q, n, c) for c in self.PAIRS[qn])
+        dec = sc.decompose(S, T)
+        built[0] = 0
+        assert sc.verify_decomposition(S, T, dec.s_witness, dec.t_witness)
+        assert not sc.verify_decomposition(S, T, sc.PointSet.empty(q, n), sc.PointSet.empty(q, n))
+        assert built[0] == 0
+
+    @pytest.mark.parametrize("qn", sorted(PAIRS))
+    def test_greedy_and_oracle_build_none(self, qn, built):
+        # the returned sets hold the input's own vectors
+        q, n = qn
+        S, T = (sc.PointSet.from_coords(q, n, c) for c in self.PAIRS[qn])
+        built[0] = 0
+        gs, gt = sc.greedy_decomposition(S, T)
+        res = sc.oracle_min_decomposition(S, T)
+        assert built[0] == 0
+        assert res.best_total <= len(gs) + len(gt)
+        assert all(v in S for v in (*gs, *res.best_s)) and all(v in T for v in (*gt, *res.best_t))
 
     def test_space_above_cap_refused_before_enumerating(self):
         # 3^40 points: refused on the count, not after listing them
@@ -297,13 +340,13 @@ class TestCertifiedChecks:
 
     def test_vanishing_space_short_of_its_dimension_bound(self, monkeypatch):
         module = importlib.import_module("sumsetcover.decompose")
-        real = module.build_vanishing_space
+        real = module.vanishing_space
 
         def one_short(*args, **kwargs):
             space = real(*args, **kwargs)
             return dataclasses.replace(space, dim=space.dim - 1)
 
-        monkeypatch.setattr(module, "build_vanishing_space", one_short)
+        monkeypatch.setattr(module, "vanishing_space", one_short)
         with pytest.raises(sc.BoundViolated, match=re.escape("dim_vanishing>=m_d-q^n+|S+T| failed: 107 vs 108")):
             sc.decompose(*self.golden_pair())
 
@@ -585,7 +628,7 @@ class TestPipelineCheckFaults:
             "pipeline", DEC, "choose_degree", "lambda real: lambda q, n: (real(q, n)[0], 9)",
             "certified check witness_total<=bound failed: 10 vs 9"),
         "dim_vanishing>=m_d-q^n+|S+T|": (
-            "pipeline", DEC, "build_vanishing_space",
+            "pipeline", DEC, "vanishing_space",
             "lambda real: lambda *a, **k: (lambda s: replace(s, dim=s.dim - 1))(real(*a, **k))",
             "certified check dim_vanishing>=m_d-q^n+|S+T| failed: 107 vs 108"),
         "uncovered<=q^n-m_d": (
@@ -743,6 +786,60 @@ class TestVerifyDecomposition:
     def test_empty_instance_trivially_covered(self):
         empty = sc.PointSet.empty(2, 2)
         assert sc.verify_decomposition(empty, empty, empty, empty)
+
+
+class TestVerifierSharesNoCode:
+    """verify_decomposition re-checks the pipeline with sums of its own: it
+    decides with field.sum_index and field.sumset unusable everywhere."""
+
+    def test_decides_with_the_enumerator_unusable(self, monkeypatch):
+        S, T = TestCertifiedChecks.golden_pair()
+        dec = sc.decompose(S, T)
+        field = importlib.import_module("sumsetcover.field")
+        enumerators = {field.sum_index, field.sumset}
+
+        def unusable(*args, **kwargs):
+            raise AssertionError("the pipeline's enumerator was called")
+
+        patched = set()
+        for name, module in list(sys.modules.items()):
+            for attr in ("sum_index", "sumset"):
+                if name.split(".")[0] == "sumsetcover" and getattr(module, attr, None) in enumerators:
+                    monkeypatch.setattr(module, attr, unusable)
+                    patched.add(name)
+        assert {"sumsetcover", "sumsetcover.field", "sumsetcover.decompose", "sumsetcover.cli"} <= patched
+        with pytest.raises(AssertionError, match="enumerator was called"):
+            sc.decompose(S, T)
+        sw, tw = dec.s_witness, dec.t_witness
+        assert sc.verify_decomposition(S, T, sw, tw)
+        # every witness point is needed on this instance
+        for v in sw:
+            assert not sc.verify_decomposition(S, T, sw.difference(sc.PointSet.from_vectors(3, 5, [v])), tw)
+        for v in tw:
+            assert not sc.verify_decomposition(S, T, sw, tw.difference(sc.PointSet.from_vectors(3, 5, [v])))
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=120)
+    def test_agrees_with_the_sumset_verifier(self, data):
+        # the pipeline's witnesses, then perturbed, foreign and empty ones
+        S, T = data.draw(small_pairs(max_size=10))
+        q, n = S.q, S.n
+        points = sc.all_points(q, n).ordered()
+        dec = sc.decompose(S, T)
+        empty = sc.PointSet.empty(q, n)
+        a, b, c, d = (
+            sc.PointSet.from_vectors(q, n, data.draw(st.sets(st.sampled_from(points), max_size=4)))
+            for _ in range(4)
+        )
+        sw, tw = dec.s_witness, dec.t_witness
+        candidates = [
+            (sw, tw), (empty, empty), (S, T), (S, empty), (empty, T),
+            (sw.difference(a), tw), (sw, tw.difference(b)),  # points dropped
+            (sw.union(c), tw), (sw, tw.union(d)),  # points added, possibly foreign
+            (S.difference(a), T.difference(b)), (a, d),
+        ]
+        for sw, tw in candidates:
+            assert sc.verify_decomposition(S, T, sw, tw) == verify_decomposition_sumset(S, T, sw, tw), (sw, tw)
 
 
 class TestOptimizedInterpreter:

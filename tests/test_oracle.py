@@ -7,8 +7,8 @@ import hypothesis.strategies as st
 import sumsetcover as sc
 from sumsetcover.errors import PreconditionFailed, SearchTooLarge, ValidationError
 
-from conftest import point_sets, set_pairs, space_points, subset_from_mask
-from reference import is_matching_sumfree_triples
+from conftest import point_sets, set_pairs, small_pairs, space_points, subset_from_mask
+from reference import greedy_decomposition_sumset, is_matching_sumfree_triples, oracle_min_decomposition_sumset
 
 
 def ap_free_reference(S):
@@ -220,3 +220,17 @@ class TestGreedy:
             assert res.best_total <= len(gs) + len(gt)
             assert res.best_total <= dec.witness_total
         assert dec.witness_total <= dec.bound
+
+
+class TestAgainstSumsetReference:
+    # the lines are sets of coordinate tuples; the FieldVector versions
+    # in reference.py must pick the same points in the same order
+    @given(small_pairs(max_size=10))
+    @settings(deadline=None, max_examples=150)
+    def test_greedy_matches(self, pair):
+        assert sc.greedy_decomposition(*pair) == greedy_decomposition_sumset(*pair)
+
+    @given(small_pairs(max_size=5))
+    @settings(deadline=None, max_examples=150)
+    def test_oracle_matches(self, pair):
+        assert sc.oracle_min_decomposition(*pair) == oracle_min_decomposition_sumset(*pair)

@@ -192,6 +192,24 @@ def test_bench_grid_records_a_pair_over_budget():
                    "reason": "over the 1e-06 s budget"}
 
 
+def test_committed_bench_files_agree():
+    # each BENCH_<k>.json at the root is one run of bench_grid.py: a pair
+    # measured in more than one of them keeps its sizes and its witnesses
+    fields = ("witness_sha256", "witness_total", "bound", "dim", "m_d", "sums")
+    files = sorted(ROOT.glob("BENCH_*.json"))
+    assert len(files) >= 2
+    seen: dict = {}
+    for path in files:
+        result = json.loads(path.read_text())
+        for row in result["instances"]:
+            if row["status"] == "ok":
+                seen.setdefault((result["q"], row["name"]), []).append((path.name, {f: row[f] for f in fields}))
+    shared = {key: runs for key, runs in seen.items() if len(runs) > 1}
+    assert shared
+    for key, runs in shared.items():
+        assert all(r == runs[0][1] for _, r in runs), (key, runs)
+
+
 def test_bound_slack():
     lines = run_script("bound_slack.py", "--q", "2", "--n", "2", "--count", "5", "--seed", "1")
     assert lines[0].split() == ["trial", "|S|", "|T|", "oracle", "greedy", "pipeline", "bound"]
