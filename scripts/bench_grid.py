@@ -10,9 +10,11 @@ Each pair is drawn with one random.Random(name): S = sample(points, k), then
 T = sample(points, k), over the points of F_q^n in lexicographic order.  Per
 pair the script records |S+T|, the chosen degree d, m_d, the vanishing
 dimension, the witness total, the bound, a sha256 of both witnesses (sorted
-coordinate lists, as JSON) and the median wall time of three calls of
-run_pipeline in this process.  A pair whose calls do not all finish within
-BUDGET_S seconds is recorded as "skipped"; so is a pair with k > q^n.
+coordinate lists, as JSON), the median wall time of three calls of
+run_pipeline in this process, and verify_s, the median wall time of three
+verify_decomposition calls on the run's witnesses.  A pair whose calls do
+not all finish within BUDGET_S seconds is recorded as "skipped"; so is a
+pair with k > q^n.
 
 The result is one JSON object on stdout; one line per pair goes to stderr
 as the pairs finish.  Like the other scripts, a non-prime --q or an
@@ -71,7 +73,8 @@ def _alarm(signum, frame):
 
 
 def measure(q: int, kind: str, n: int, k: int, budget: float) -> dict:
-    """One grid row: the run's sizes and digest, and the median wall time."""
+    """One grid row: the run's sizes and digest, and the median wall times
+    of run_pipeline and of verify_decomposition."""
     name = f"{kind}:{n}:{k}"
     row = {"name": name, "q": q, "n": n, "k": k}
     if k > q**n:
@@ -85,13 +88,18 @@ def measure(q: int, kind: str, n: int, k: int, budget: float) -> dict:
             start = time.perf_counter()
             run = sc.run_pipeline(S, T)
             times.append(time.perf_counter() - start)
+        dec = run.decomposition
+        verify_times = []
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            sc.verify_decomposition(S, T, dec.s_witness, dec.t_witness)
+            verify_times.append(time.perf_counter() - start)
         signal.setitimer(signal.ITIMER_REAL, 0)  # an alarm before this line still lands in the except
     except OverBudget:
         return {**row, "status": "skipped", "reason": f"over the {budget} s budget"}
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    dec = run.decomposition
     return {
         **row,
         "status": "ok",
@@ -104,6 +112,8 @@ def measure(q: int, kind: str, n: int, k: int, budget: float) -> dict:
         "witness_sha256": witness_sha256(dec),
         "wall_s": statistics.median(times),
         "wall_s_runs": times,
+        "verify_s": statistics.median(verify_times),
+        "verify_s_runs": verify_times,
     }
 
 
@@ -132,7 +142,8 @@ def main() -> None:
         row = measure(args.q, kind, n, k, BUDGET_S)
         rows.append(row)
         detail = (f"total {row['witness_total']} bound {row['bound']} dim {row['dim']} "
-                  f"median {row['wall_s']:.3f} s" if row["status"] == "ok" else row["reason"])
+                  f"median {row['wall_s']:.3f} s, verify {row['verify_s']:.3f} s"
+                  if row["status"] == "ok" else row["reason"])
         print(f"{row['name']}: {row['status']}, {detail}", file=sys.stderr, flush=True)
     result = {
         "script": "scripts/bench_grid.py",

@@ -50,7 +50,7 @@ from .errors import (
     SearchTooLarge,
     ValidationError,
 )
-from .field import DEFAULT_ENUM_CAP, FieldVector, PointSet, check_space, random_pairs, sumset
+from .field import DEFAULT_ENUM_CAP, FieldVector, PointSet, check_space, random_pairs, sum_index
 from .monomials import check_count_cap, degree_counts, growth_estimate
 from .oracle import (
     DEFAULT_SEARCH_CAP,
@@ -388,7 +388,7 @@ def _cmd_trials(args) -> HandlerResult:
         # decompose has certified witness_total<=bound
         row = {
             "trial": trial,
-            "sizes": {"S": len(S), "T": len(T), "S+T": len(sumset(S, T))},
+            "sizes": {"S": len(S), "T": len(T), "S+T": len(sum_index(S, T))},
             "witness_total": dec.witness_total,
             "ok": verify_decomposition(S, T, dec.s_witness, dec.t_witness),
         }

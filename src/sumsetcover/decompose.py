@@ -6,14 +6,18 @@ Given S, T in F_q^n, the goal is a pair S* in S, T* in T with
 
 and |S*| + |T*| at most 2*m(q, n, floor(d/2)) + q^n - m(q, n, d) for a
 degree d of our choosing (minimized by default).  S x T is enumerated
-once, by field.sum_index, which maps each sum to its first row-major
-(i, j); its keys are S+T in order of first occurrence.  The construction:
+once, on packed points (field.Lanes: one int per point, one integer add
+per sum), by field.coded_sum_index, which maps each sum's code to its first
+row-major (i, j); its keys are S+T in order of first occurrence.  One
+pairing of the codes of F_q^n with its points in lexicographic order
+(Lanes.points) gives every coordinate tuple the run needs; no code is
+decoded on its own.  The construction:
 
  1. build the space of degree-<= d polynomials vanishing off S+T, its
-    constraint rows the points of F_q^n not among the index's keys
-    (vanishing.vanishing_space): one forward elimination of that table
-    gives dim, m_d minus the constraint rank, dim >= m_d - q^n + |S+T|;
-    the basis, dim rows of coefficients over the monomials, is
+    constraint rows the points of F_q^n whose codes are not among the
+    index's keys (vanishing.vanishing_space): one forward elimination of
+    that table gives dim, m_d minus the constraint rank, dim >= m_d - q^n
+    + |S+T|; the basis, dim rows of coefficients over the monomials, is
     back-substituted from the kept echelon form only when step 3's primal
     stage or the rank audit reads it;
  2. each basis row P defines the sum matrix (P(s + t)) over S x T; every
@@ -28,21 +32,23 @@ once, by field.sum_index, which maps each sum to its first row-major
  4. cover the pivots by a minimum set of lines (rows from S, columns from T);
     the cover size is at most the rank budget, and the covered lines reach
     at least dim-many elements of S+T;
- 5. the sums the covered lines reach are one set of coordinate tuples
-    (line_sums); the index's keys outside it, in first-occurrence order,
-    are the sums still missing, at most q^n - m_d of them; patch each with
-    one representative from S: the row of its first occurrence in the sum
-    index, which is the lexicographically smallest s with w - s in T.  The
-    patch representatives and covered lines are the FieldVectors of
-    S.ordered() and T.ordered(); the only vectors built are the missing
-    sums', for the certificate.
+ 5. the sums the covered lines reach are one set of codes (line_sums,
+    each pair's sum formed once); the index's keys outside it, in
+    first-occurrence order, are the sums still missing, at most q^n - m_d
+    of them; patch each with one representative from S: the row of its
+    first occurrence in the sum index, which is the lexicographically
+    smallest s with w - s in T.  The patch representatives and covered
+    lines are the FieldVectors of S.ordered() and T.ordered(); the only
+    vectors built are the missing sums', for the certificate.
 
-The stages run on coordinate tuples; PointSets are built only for what
-the run returns (the witnesses and the certificate's fields).  The run
-keeps S+T as the index's keys (PipelineRun.sums); PipelineRun.sum_set
-builds their PointSet on first read.  verify_decomposition, the re-check
-of the result, shares no code with this enumeration: it forms its own
-pairwise sums on coordinate tuples.
+The stages run on codes and coordinate tuples; PointSets are built only
+for what the run returns (the witnesses and the certificate's fields).  The
+run keeps S+T as the index's keys, as coordinate tuples
+(PipelineRun.sums); PipelineRun.sum_set builds their PointSet on first
+read.  verify_decomposition, the re-check of the result, shares no code
+with this enumeration: it uses no codes and forms its own pairwise sums on
+coordinate tuples, each pair's at most once, stopping as soon as the sums
+on the witness lines fill F_q^n.
 
 Covered rows plus patch representatives form S*; covered columns form T*.
 run_pipeline evaluates every inequality used along the way once, where its
@@ -70,7 +76,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .cover import LineCover, line_cover
 from .errors import BoundViolated
-from .field import DEFAULT_ENUM_CAP, PointSet, check_enumeration_cap, is_prime, sum_index, sumset
+from .field import DEFAULT_ENUM_CAP, Lanes, PointSet, check_enumeration_cap, coded_sum_index, is_prime
 from .monomials import capset_bound_M, check_count_cap, count_m, degree_counts
 from .vanishing import PolySubspace, sum_pivots, vanishing_space
 
@@ -190,22 +196,16 @@ def _check_inputs(S: PointSet, T: PointSet) -> None:
         raise ValueError(f"q = {S.q} is not prime")
 
 
-def _add(s: tuple[int, ...], t: tuple[int, ...], q: int) -> tuple[int, ...]:
-    """s + t on coordinate tuples."""
-    return tuple([(a + b) % q for a, b in zip(s, t)])
-
-
-def line_sums(
-    s_coords: Sequence[tuple[int, ...]],
-    t_coords: Sequence[tuple[int, ...]],
-    cover: LineCover,
-    q: int,
-) -> set[tuple[int, ...]]:
-    """The sums the cover's lines reach, as coordinate tuples: s_i + t for
-    each covered row i and every t, and s + t_j for each covered column j
-    and every s (rows index s_coords, columns t_coords)."""
-    reach = {_add(s_coords[i], t, q) for i in cover.cover_rows for t in t_coords}
-    reach.update(_add(s, t_coords[j], q) for j in cover.cover_cols for s in s_coords)
+def line_sums(lanes: Lanes, s_codes: Sequence[int], t_codes: Sequence[int], cover: LineCover) -> set[int]:
+    """The codes of the sums the cover's lines reach: s_i + t for each
+    covered row i and every t, and s + t_j for each covered column j and
+    every s off the covered rows (rows index s_codes, columns t_codes), so
+    each pair's sum is formed once."""
+    rows = set(cover.cover_rows)
+    reach = lanes.sums([s_codes[i] for i in cover.cover_rows], t_codes)
+    reach |= lanes.sums(
+        [s for i, s in enumerate(s_codes) if i not in rows], [t_codes[j] for j in cover.cover_cols]
+    )
     return reach
 
 
@@ -228,26 +228,29 @@ def run_pipeline(
     degree, bound = _degree_and_bound(q, n, degree)
     rank_bound = 2 * count_m(q, n, degree // 2)
 
-    index = sum_index(S, T)
-    space = vanishing_space(q, n, index, degree, cap=cap)
-    pivots = sum_pivots(space, index)
+    lanes = Lanes.of(q, n)
     s_ord = S.ordered()
     t_ord = T.ordered()
-    s_coords = [v.coords for v in s_ord]
-    t_coords = [v.coords for v in t_ord]
-    pivot_sums = [_add(s_coords[i], t_coords[j], q) for i, j in pivots]
+    s_codes = [lanes.encode(v.coords) for v in s_ord]
+    t_codes = [lanes.encode(v.coords) for v in t_ord]
+    coded = coded_sum_index(lanes, s_codes, t_codes)
+    points = lanes.points(cap=cap)
+    keys = [points[code] for code in coded]
+    space = vanishing_space(q, n, [p for code, p in points.items() if code not in coded], degree, cap=cap)
+    pivots = sum_pivots(space, dict(zip(keys, coded.values())))
+    pivot_sums = [lanes.add(s_codes[i], t_codes[j]) for i, j in pivots]
 
     cover = line_cover(pivots, rank_bound)
     covered_rows = PointSet.from_vectors(q, n, (s_ord[i] for i in cover.cover_rows))
     covered_cols = PointSet.from_vectors(q, n, (t_ord[j] for j in cover.cover_cols))
 
-    reach = line_sums(s_coords, t_coords, cover, q)
-    uncovered = [w for w in index if w not in reach]
-    patch = PointSet.from_vectors(q, n, (s_ord[index[w][0]] for w in uncovered))
+    reach = line_sums(lanes, s_codes, t_codes, cover)
+    uncovered = [code for code in coded if code not in reach]
+    patch = PointSet.from_vectors(q, n, (s_ord[coded[code][0]] for code in uncovered))
     s_witness = covered_rows.union(patch)
     total = len(s_witness) + len(covered_cols)
     dim, m_d = space.dim, space.ambient_dim
-    dim_lower = m_d - q**n + len(index)
+    dim_lower = m_d - q**n + len(coded)
     missable = q**n - m_d
     reached = sum(1 for w in pivot_sums if w in reach)
     checks = [
@@ -269,7 +272,7 @@ def run_pipeline(
         covered_rows=covered_rows,
         covered_cols=covered_cols,
         patch_reps=patch,
-        uncovered_sums=PointSet.from_coords(q, n, uncovered),
+        uncovered_sums=PointSet.from_coords(q, n, (points[code] for code in uncovered)),
         dim_vanishing=dim,
         cover_size=cover.size,
         checks=checks,
@@ -280,7 +283,7 @@ def run_pipeline(
         t_input=T,
         degree=degree,
         rank_bound=rank_bound,
-        sums=tuple(index),
+        sums=tuple(keys),
         space=space,
         pivots=pivots,
         cover=cover,
@@ -329,7 +332,7 @@ def symmetric_witness(
     witness = dec.s_witness.union(dec.t_witness)
     return SymmetricWitness(witness, dec, certify([
         Check("witness_within_set", witness.issubset(S)),
-        Check("witness_plus_set_covers", sumset(witness, S) == sumset(S, S)),
+        Check("witness_plus_set_covers", verify_decomposition(S, S, witness, PointSet.empty(S.q, S.n))),
         Check("witness_size<=bound", len(witness) <= dec.bound, len(witness), dec.bound),
     ]))
 
@@ -347,9 +350,13 @@ def verify_decomposition(
     """Direct re-check: containment, then coverage by plain enumeration.
 
     Shares no code with the pipeline: it calls neither field.sum_index nor
-    field.sumset and builds no FieldVector.  The sums (s* + T) union
-    (S + t*) and S + T are compared as sets of coordinate tuples, each one
-    formed here by its own loop over pairs.
+    field.sumset, uses no packed codes and builds no FieldVector; each sum
+    is a coordinate tuple formed here, each pair's at most once.  U, the
+    sums of the pairs with s in s* or t in t*, is (s* + T) union (S + t*).
+    When U is all of F_q^n it covers S + T; otherwise every pair with s
+    off s* and t off t* must have its sum in U, and the first miss decides.
+    Given the containment, U lies within S + T, so this is the test
+    (s* + T) union (S + t*) == S + T.
     """
     S._check_compatible(T)
     s_witness._check_compatible(S)
@@ -357,9 +364,12 @@ def verify_decomposition(
     if not s_witness.issubset(S) or not t_witness.issubset(T):
         return False
     q = S.q
-
-    def sums(A: PointSet, B: PointSet) -> set[tuple[int, ...]]:
-        b_coords = [v.coords for v in B.members]
-        return {tuple([(x + y) % q for x, y in zip(a.coords, b)]) for a in A.members for b in b_coords}
-
-    return (sums(s_witness, T) | sums(S, t_witness)) == sums(S, T)
+    t_all = [t.coords for t in T.members]
+    t_star = [t.coords for t in t_witness.members]
+    t_rest = [t.coords for t in T.members - t_witness.members]
+    s_rest = [s.coords for s in S.members - s_witness.members]
+    covered = {tuple([(a + b) % q for a, b in zip(s.coords, t)]) for s in s_witness.members for t in t_all}
+    covered.update(tuple([(a + b) % q for a, b in zip(s, t)]) for s in s_rest for t in t_star)
+    if len(covered) == q**S.n:
+        return True
+    return all(tuple([(a + b) % q for a, b in zip(s, t)]) in covered for s in s_rest for t in t_rest)

@@ -8,7 +8,15 @@ deterministic choice has to be made downstream.
 
 `sum_index` is where the witness pipeline enumerates S x T: it maps each
 sum's coordinates to its first row-major position, so the sumset, the pivot
-columns and the patch representatives all come from one pass.
+columns and the patch representatives all come from one pass.  The pass
+runs on packed points (`Lanes`): each coordinate is a lane `width` bits wide
+with 2^(width-1) >= q, the first coordinate in the most significant lane, so
+integer order is tuple order, and s + t is one integer add x = s + t
+followed by x - q*(((x + bias) & high) >> (width-1)), where bias holds
+2^(width-1) - q and high holds 2^(width-1) in every lane (Lamport, "Multiple
+byte processing with full-word instructions", CACM 18(8), 1975).
+`coded_sum_index` is that pass, keyed by codes; `sum_index` is the same pass
+with each key decoded once.
 """
 
 from __future__ import annotations
@@ -16,7 +24,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, EnumerationTooLarge, ValidationError
 
@@ -90,6 +99,9 @@ class FieldVector:
         return FieldVector(self.q, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
 
+_COORDS = attrgetter("coords")
+
+
 @dataclass(frozen=True)
 class PointSet:
     """A duplicate-free finite subset of F_q^n.
@@ -122,7 +134,8 @@ class PointSet:
         return cls(q, n, frozenset(FieldVector(q, tuple(c)) for c in coords))
 
     def ordered(self) -> tuple[FieldVector, ...]:
-        return tuple(sorted(self.members))
+        # every member has this q, so coordinate order is FieldVector order
+        return tuple(sorted(self.members, key=_COORDS))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -153,26 +166,93 @@ class PointSet:
             )
 
 
-def sum_index(S: PointSet, T: PointSet) -> dict[tuple[int, ...], tuple[int, int]]:
-    """Each sum's coordinates mapped to its first row-major position (i, j).
+class Lanes(NamedTuple):
+    """The packed coding of F_q^n: a point is one int, coordinate k in the
+    lane of bits [width*(n-1-k), width*(n-k)), so the first coordinate is
+    most significant and integer order is tuple order.  2^(width-1) >= q
+    leaves each lane room for a sum of two coordinates and for the bias."""
 
-    One pass over S.ordered() x T.ordered() on coordinate tuples, rows
-    outer.  The keys, in insertion order, are S+T in order of first
-    occurrence.  The row i of a sum w is the index of the smallest s in S
-    with w - s in T.  Empty iff S or T is empty.  The pass stops after the
+    q: int
+    n: int
+    width: int
+    bias: int  # 2^(width-1) - q in every lane
+    high: int  # 2^(width-1) in every lane
+
+    @classmethod
+    def of(cls, q: int, n: int) -> Lanes:
+        width = (q - 1).bit_length() + 1
+        ones = sum(1 << (width * k) for k in range(n))
+        return cls(q, n, width, ones * ((1 << (width - 1)) - q), ones << (width - 1))
+
+    def encode(self, coords: Iterable[int]) -> int:
+        """The code of a reduced coordinate tuple."""
+        code = 0
+        for c in coords:
+            code = (code << self.width) | c
+        return code
+
+    def decode(self, code: int) -> tuple[int, ...]:
+        """The coordinate tuple of a code."""
+        w, mask = self.width, (1 << self.width) - 1
+        return tuple([(code >> (w * k)) & mask for k in range(self.n - 1, -1, -1)])
+
+    def add(self, a: int, b: int) -> int:
+        """a + b in F_q^n: one add, then q off every lane that reached q."""
+        x = a + b
+        return x - self.q * (((x + self.bias) & self.high) >> (self.width - 1))
+
+    def sums(self, xs: Iterable[int], ys: Sequence[int]) -> set[int]:
+        """The codes of every x + y."""
+        q, bias, high, shift = self.q, self.bias, self.high, self.width - 1
+        return {(z := x + y) - q * (((z + bias) & high) >> shift) for x in xs for y in ys}
+
+    def points(self, *, cap: int = DEFAULT_ENUM_CAP) -> dict[int, tuple[int, ...]]:
+        """Every point of F_q^n, its code mapped to its coordinate tuple, in
+        lexicographic order; refuses q^n above the enumeration cap."""
+        check_enumeration_cap(self.q, self.n, cap)
+        codes = [0]
+        for _ in range(self.n):
+            codes = [(c << self.width) | d for c in codes for d in range(self.q)]
+        return dict(zip(codes, itertools.product(range(self.q), repeat=self.n)))
+
+
+def coded_sum_index(
+    lanes: Lanes, s_codes: Sequence[int], t_codes: Sequence[int]
+) -> dict[int, tuple[int, int]]:
+    """Each sum's code mapped to its first row-major position (i, j).
+
+    One pass over s_codes x t_codes, rows outer, each sum one packed add;
+    the codes are S and T in canonical order.  The keys, in insertion
+    order, are S+T in order of first occurrence.  The pass stops after the
     row that completes F_q^n: later pairs cannot change a first occurrence.
     """
-    S._check_compatible(T)
-    q = S.q
-    full = q**S.n
-    t_coords = sorted(t.coords for t in T.members)
-    first: dict[tuple[int, ...], tuple[int, int]] = {}
-    for i, s in enumerate(sorted(v.coords for v in S.members)):
-        for j, t in enumerate(t_coords):
-            first.setdefault(tuple([(a + b) % q for a, b in zip(s, t)]), (i, j))
+    q, bias, high, shift = lanes.q, lanes.bias, lanes.high, lanes.width - 1
+    full = q**lanes.n
+    first: dict[int, tuple[int, int]] = {}
+    setdefault = first.setdefault
+    for i, s in enumerate(s_codes):
+        for j, t in enumerate(t_codes):
+            x = s + t
+            setdefault(x - q * (((x + bias) & high) >> shift), (i, j))
         if len(first) == full:
             break
     return first
+
+
+def sum_index(S: PointSet, T: PointSet) -> dict[tuple[int, ...], tuple[int, int]]:
+    """Each sum's coordinates mapped to its first row-major position (i, j).
+
+    The coded pass over S.ordered() x T.ordered() (coded_sum_index), each
+    key decoded once.  The keys, in insertion order, are S+T in order of
+    first occurrence.  The row i of a sum w is the index of the smallest s
+    in S with w - s in T.  Empty iff S or T is empty.  The pass stops after
+    the row that completes F_q^n.
+    """
+    S._check_compatible(T)
+    lanes = Lanes.of(S.q, S.n)
+    s_codes, t_codes = (sorted(lanes.encode(v.coords) for v in A.members) for A in (S, T))
+    decode = lanes.decode
+    return {decode(code): ij for code, ij in coded_sum_index(lanes, s_codes, t_codes).items()}
 
 
 def sumset(S: PointSet, T: PointSet) -> PointSet:

@@ -11,7 +11,11 @@ convolution, so counts remain available for n in the hundreds where the
 monomial list itself would have astronomically many entries.  The list
 (`enumerate_monomials`) is built level by level, after the count is
 checked against the cap: the exponent tuples of each length, by degree,
-get one coordinate prepended per level, with no recursion.
+get one coordinate prepended per level, with no recursion.  Both are built
+once per (q, n) and (q, n, d) and kept in bounded memos of immutable
+values: `degree_counts` holds the last _COUNT_TABLES tables, and
+`enumerate_monomials` at most _MONOMIAL_MEMO_CAP monomials in all, handing
+each caller a fresh list.
 
 `growth_estimate` owns its work budget and refuses, before any work, n_max
 or digits below 1 with ValueError, and with EnumerationTooLarge the counts
@@ -24,7 +28,9 @@ the same refusals.
 from __future__ import annotations
 
 import decimal
+import functools
 import itertools
+import threading
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Sequence
@@ -36,6 +42,14 @@ Monomial = tuple[int, ...]
 
 # growth_estimate takes n_max - 1 decimal roots, each under 6e-11 s per digit^3
 GROWTH_ROOT_CAP = 10**11  # digit^3 steps, at most about 6 s
+
+# degree_counts keeps this many tables, least recently used first out
+_COUNT_TABLES = 64
+# `enumerate_monomials`' memo: per (q, n, d), the monomials as a tuple, the
+# most recently used last, at most _MONOMIAL_MEMO_CAP monomials in all
+_MONOMIAL_MEMO_CAP = 2**15
+_MONOMIALS: dict[tuple[int, int, int], tuple[Monomial, ...]] = {}
+_MONOMIALS_LOCK = threading.Lock()
 
 
 def monomial_key(m: Monomial) -> tuple[int, tuple[int, ...]]:
@@ -109,8 +123,10 @@ def _convolve_window(counts: list[int], q: int) -> list[int]:
     return out
 
 
+@functools.lru_cache(maxsize=_COUNT_TABLES)
 def degree_counts(q: int, n: int) -> CountTable:
-    """Coefficients of (1 + x + ... + x^(q-1))^n as exact integers."""
+    """Coefficients of (1 + x + ... + x^(q-1))^n as exact integers, built
+    once per (q, n) while the table stays among the last _COUNT_TABLES."""
     counts = [1]
     for _ in range(n):
         counts = _convolve_window(counts, q)
@@ -139,15 +155,36 @@ def enumerate_monomials(
 ) -> list[Monomial]:
     """All reduced monomials of total degree <= d, in canonical graded order.
 
-    The result has exactly count_m(q, n, d) entries; the count is checked
-    against the cap before any tuple is built.  The tuples are built level
-    by level: after level k, suffixes[e] lists the exponent tuples of length
-    k summing to e (e <= d), in canonical order; level k + 1 prepends each
-    first exponent, descending, to the suffixes that leave room for it.
+    The result, a fresh list, has exactly count_m(q, n, d) entries; the
+    count is checked against the cap on every call, before the memo is
+    read or any tuple is built.  The memo keeps the lists as tuples, the
+    most recent last; the least recent give way until the kept tuples hold
+    at most _MONOMIAL_MEMO_CAP monomials, and a list above that on its own
+    is not kept.
     """
     total = count_m(q, n, d)
     if total > cap:
         raise EnumerationTooLarge(f"{total} monomials exceed enumeration cap {cap}")
+    key = (q, n, d)
+    with _MONOMIALS_LOCK:
+        monos = _MONOMIALS.pop(key, None)
+        if monos is None:
+            monos = _graded_monomials(q, n, d)
+        if len(monos) <= _MONOMIAL_MEMO_CAP:
+            _MONOMIALS[key] = monos
+            held = sum(map(len, _MONOMIALS.values()))
+            for old in list(_MONOMIALS):
+                if held <= _MONOMIAL_MEMO_CAP:
+                    break
+                held -= len(_MONOMIALS.pop(old))
+    return list(monos)
+
+
+def _graded_monomials(q: int, n: int, d: int) -> tuple[Monomial, ...]:
+    """The monomials of degree <= d, built level by level: after level k,
+    suffixes[e] lists the exponent tuples of length k summing to e
+    (e <= d), in canonical order; level k + 1 prepends each first exponent,
+    descending, to the suffixes that leave room for it."""
     top = q - 1
     suffixes: list[list[Monomial]] = [[()]]
     for k in range(1, n + 1):
@@ -158,7 +195,7 @@ def enumerate_monomials(
              for rest in suffixes[e - first]]
             for e in range(min(d, top * k) + 1)
         ]
-    return [m for level in suffixes for m in level]
+    return tuple(m for level in suffixes for m in level)
 
 
 def capset_bound_M(q: int, n: int) -> int:

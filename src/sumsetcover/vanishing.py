@@ -14,13 +14,14 @@ the counting fact the witness construction leans on.  Its rows are the
 points of itertools.product(range(q), repeat=n) whose coordinate tuples are
 not in A, in that (lexicographic) order: no point is built as a FieldVector
 and field.complement is not called, and q^n above the cap is refused before
-any point is listed.  vanishing_space takes A as coordinate tuples
-(run_pipeline passes the sum index itself, so no PointSet of S+T is built);
-build_vanishing_space is the same call on a PointSet.  The constraint
-matrix comes from linalg.monomial_table (a row per point), the one builder
-of monomial tables, in whatever format linalg chose.  build_vanishing_space
-runs its forward elimination once (linalg.echelon, no back-substitution,
-as in the PLE decomposition of Albrecht, Bard and Pernet,
+any point is listed.  vanishing_space takes the constraint rows themselves:
+run_pipeline passes the points of its pairing of codes with F_q^n
+(field.Lanes.points) whose codes are not keys of the coded sum index, so no
+PointSet of S+T is built; build_vanishing_space lists them for a PointSet.
+The constraint matrix comes from linalg.monomial_table (a row per point),
+the one builder of monomial tables, in whatever format linalg chose.
+build_vanishing_space runs its forward elimination once (linalg.echelon, no
+back-substitution, as in the PLE decomposition of Albrecht, Bard and Pernet,
 arXiv:1111.6549) and keeps it: dim is m_d minus its pivot count, which is
 all the pipeline reads.  The basis is built from the kept echelon form on
 the first read of PolySubspace.rows (linalg.kernel: back-substitution, then
@@ -46,7 +47,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Container, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .field import DEFAULT_ENUM_CAP, PointSet, check_enumeration_cap
 from .linalg import Echelon, echelon, evaluate_rows, kernel, monomial_table, pivot_columns
@@ -88,17 +89,20 @@ def build_vanishing_space(
     row per free monomial column, comes from its back-substitution when
     something reads `rows`, so repeated runs agree exactly.
     """
-    return vanishing_space(sums.q, sums.n, {v.coords for v in sums.members}, degree, cap=cap)
+    q, n = sums.q, sums.n
+    check_enumeration_cap(q, n, cap)
+    inside = {v.coords for v in sums.members}
+    outside = [p for p in itertools.product(range(q), repeat=n) if p not in inside]
+    return vanishing_space(q, n, outside, degree, cap=cap)
 
 
 def vanishing_space(
-    q: int, n: int, inside: Container[tuple[int, ...]], degree: int, *, cap: int = DEFAULT_ENUM_CAP
+    q: int, n: int, outside: Sequence[tuple[int, ...]], degree: int, *, cap: int = DEFAULT_ENUM_CAP
 ) -> PolySubspace:
-    """build_vanishing_space on coordinate tuples: the points of F_q^n not
-    in `inside` (any container of coordinate tuples, such as the sum
-    index) are the constraint rows."""
-    check_enumeration_cap(q, n, cap)
-    outside = [p for p in itertools.product(range(q), repeat=n) if p not in inside]
+    """build_vanishing_space on its constraint rows: `outside` is the
+    coordinate tuples of the points off the set, in lexicographic order
+    (run_pipeline reads them off its pairing of codes with points, which
+    refuses q^n above the cap before listing them)."""
     monos = enumerate_monomials(q, n, degree, cap=cap)
     table = monomial_table(monos, outside, q, by_point=True)
     constraints = echelon(table, len(monos), q)

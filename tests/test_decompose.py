@@ -1,6 +1,8 @@
 import dataclasses
 import importlib
+import itertools
 import json
+import random
 import re
 import subprocess
 import sys
@@ -305,6 +307,20 @@ class TestNoVectorPerPoint:
         assert built[0] == 0
         assert res.best_total <= len(gs) + len(gt)
         assert all(v in S for v in (*gs, *res.best_s)) and all(v in T for v in (*gt, *res.best_t))
+
+    def test_symmetric_witness_builds_none_per_sum(self, built):
+        # witness_plus_set_covers is verify_decomposition(S, S, B, empty):
+        # no vectors past the pipeline's own
+        rng = random.Random("symmetric:3:5:20")
+        S = sc.PointSet.from_coords(3, 5, rng.sample(list(itertools.product(range(3), repeat=5)), 20))
+        built[0] = 0
+        sc.decompose(S, S)
+        pipeline = built[0]
+        built[0] = 0
+        sym = sc.symmetric_witness(S)
+        assert built[0] == pipeline < len(S)
+        assert ("witness_plus_set_covers", True) in [(c.name, c.passed) for c in sym.checks]
+        assert sc.sumset(sym.witness, S) == sc.sumset(S, S)
 
     def test_space_above_cap_refused_before_enumerating(self):
         # 3^40 points: refused on the count, not after listing them
@@ -788,22 +804,101 @@ class TestVerifyDecomposition:
         assert sc.verify_decomposition(empty, empty, empty, empty)
 
 
+class TestVerifierEnumeration:
+    """verify_decomposition forms each pair's sum at most once: the sums U
+    of the pairs on a covered line first, then, unless U is all of F_q^n,
+    the other pairs' sums until one misses U.  Its sums are counted through
+    a module global `tuple` that shadows the builtin: one call per sum."""
+
+    @pytest.fixture
+    def formed(self, monkeypatch):
+        module = importlib.import_module("sumsetcover.decompose")
+        count = [0]
+        monkeypatch.setattr(module, "tuple", lambda cells: count.__setitem__(0, count[0] + 1) or tuple(cells),
+                            raising=False)
+        return count
+
+    def test_dense_pair_stops_at_the_whole_space(self, formed):
+        F = sc.all_points(3, 3)
+        dec = sc.decompose(F, F)
+        sw, tw = dec.s_witness, dec.t_witness
+        formed[0] = 0
+        assert sc.verify_decomposition(F, F, sw, tw)
+        # only the covered lines' pairs: the others are never summed
+        on_lines = len(sw) * len(F) + (len(F) - len(sw)) * len(tw)
+        assert formed[0] == on_lines < len(F) ** 2
+
+    def test_each_pair_summed_at_most_once(self, formed):
+        S, T = TestCertifiedChecks.golden_pair()
+        dec = sc.decompose(S, T)
+        formed[0] = 0
+        assert sc.verify_decomposition(S, T, dec.s_witness, dec.t_witness)
+        assert formed[0] == len(S) * len(T)
+
+    def test_a_miss_off_every_covered_line_fails(self, formed):
+        # S + T is {0, e2, e1, e1 + e2}; the lines from (0, 0) reach all but
+        # e1 + e2, the sum of the one pair off both of them
+        S = sc.PointSet.from_coords(3, 2, [(0, 0), (1, 0)])
+        T = sc.PointSet.from_coords(3, 2, [(0, 0), (0, 1)])
+        zero = sc.PointSet.from_coords(3, 2, [(0, 0)])
+        formed[0] = 0
+        assert not sc.verify_decomposition(S, T, zero, zero)
+        assert formed[0] == 4
+        assert not verify_decomposition_sumset(S, T, zero, zero)
+        assert sc.verify_decomposition(S, T, zero, T) and sc.verify_decomposition(S, T, S, zero)
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_agrees_with_the_sumset_verifier_on_subsets(self, data):
+        # any subsets of S and T as witnesses, not only the pipeline's
+        S, T = data.draw(small_pairs(primes=(2, 3, 5, 7), max_size=12))
+        sw, tw = (
+            sc.PointSet.from_vectors(A.q, A.n, data.draw(st.sets(st.sampled_from(A.ordered())))) if len(A) else A
+            for A in (S, T)
+        )
+        assert sc.verify_decomposition(S, T, sw, tw) == verify_decomposition_sumset(S, T, sw, tw)
+
+    def test_decides_under_optimize(self):
+        code = textwrap.dedent(
+            """
+            import sys
+            if __debug__:
+                sys.exit("expected an optimized interpreter")
+            import sumsetcover as sc
+            F = sc.all_points(3, 3)
+            dec = sc.decompose(F, F)
+            S = sc.PointSet.from_coords(3, 2, [(0, 0), (1, 0)])
+            T = sc.PointSet.from_coords(3, 2, [(0, 0), (0, 1)])
+            zero = sc.PointSet.from_coords(3, 2, [(0, 0)])
+            print(sc.verify_decomposition(F, F, dec.s_witness, dec.t_witness),
+                  sc.verify_decomposition(S, T, zero, zero), sc.verify_decomposition(S, T, zero, T))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=subprocess_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "False", "True"]
+
+
 class TestVerifierSharesNoCode:
     """verify_decomposition re-checks the pipeline with sums of its own: it
-    decides with field.sum_index and field.sumset unusable everywhere."""
+    decides with field.sum_index, field.sumset, the coded pass and the
+    packed coding unusable everywhere."""
 
     def test_decides_with_the_enumerator_unusable(self, monkeypatch):
         S, T = TestCertifiedChecks.golden_pair()
         dec = sc.decompose(S, T)
         field = importlib.import_module("sumsetcover.field")
-        enumerators = {field.sum_index, field.sumset}
+        enumerators = {field.sum_index, field.sumset, field.coded_sum_index}
 
         def unusable(*args, **kwargs):
             raise AssertionError("the pipeline's enumerator was called")
 
+        monkeypatch.setattr(field.Lanes, "of", unusable)
         patched = set()
         for name, module in list(sys.modules.items()):
-            for attr in ("sum_index", "sumset"):
+            for attr in ("sum_index", "sumset", "coded_sum_index"):
                 if name.split(".")[0] == "sumsetcover" and getattr(module, attr, None) in enumerators:
                     monkeypatch.setattr(module, attr, unusable)
                     patched.add(name)

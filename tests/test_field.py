@@ -172,8 +172,16 @@ class TestSumIndex:
         # scan, and the pass leaves S x T after the row that completed it
         pts = [p.coords for p in space_points(q, n)]
         visited = []
-        # a module global `tuple` shadows the builtin: one call per pair visited
-        monkeypatch.setattr(field, "tuple", lambda cells: visited.append(1) or tuple(cells), raising=False)
+        real = field.coded_sum_index
+
+        class Columns(list):
+            # T's codes, as the coded pass reads them row by row: one entry per pair visited
+            def __iter__(self):
+                for t in super().__iter__():
+                    visited.append(1)
+                    yield t
+
+        monkeypatch.setattr(field, "coded_sum_index", lambda lanes, s, t: real(lanes, s, Columns(t)))
         for seed in range(4):
             rng = random.Random(f"dense:{q}:{n}:{seed}")
             S = sc.PointSet.from_coords(q, n, rng.sample(pts, len(pts) // 2 + 1))
@@ -184,6 +192,63 @@ class TestSumIndex:
             assert len(index) == q**n and last_row < len(S) - 1
             assert len(visited) == (last_row + 1) * len(T)
             self.check(S, T)
+
+
+# moduli for the packed coding: small fields, and one whose lanes are 62 bits wide
+LANE_QS = [2, 3, 5, 7, 11, 13, 2**61 - 1]
+
+
+@st.composite
+def lane_points(draw, count):
+    """A q from LANE_QS, an n in 1..8 and `count` points of F_q^n as tuples."""
+    q = draw(st.sampled_from(LANE_QS))
+    n = draw(st.integers(1, 8))
+    coord = st.integers(0, q - 1)
+    return q, n, [draw(st.tuples(*[coord] * n)) for _ in range(count)]
+
+
+@st.composite
+def lane_pairs(draw):
+    """(S, T) of at most 5 points each, in F_q^n with q from LANE_QS, n <= 8."""
+    q, n, _ = draw(lane_points(0))
+    point = st.tuples(*[st.integers(0, q - 1)] * n)
+    return tuple(sc.PointSet.from_coords(q, n, draw(st.lists(point, max_size=5))) for _ in "ST")
+
+
+class TestLanes:
+    """The packed coding against coordinate tuples."""
+
+    @given(lane_points(2))
+    def test_packed_sum_is_the_tuple_sum(self, drawn):
+        q, n, (a, b) = drawn
+        lanes = field.Lanes.of(q, n)
+        want = tuple((x + y) % q for x, y in zip(a, b))
+        assert lanes.decode(lanes.add(lanes.encode(a), lanes.encode(b))) == want
+        assert lanes.sums([lanes.encode(a)], [lanes.encode(b)]) == {lanes.encode(want)}
+
+    @given(lane_points(2))
+    def test_code_order_is_tuple_order(self, drawn):
+        q, n, (a, b) = drawn
+        lanes = field.Lanes.of(q, n)
+        ca, cb = lanes.encode(a), lanes.encode(b)
+        assert lanes.decode(ca) == a and lanes.decode(cb) == b
+        assert (ca < cb, ca == cb) == (a < b, a == b)
+
+    @given(lane_pairs())
+    def test_sum_index_is_the_first_occurrence_scan(self, pair):
+        S, T = pair
+        assert list(sc.sum_index(S, T).items()) == list(brute_first_occurrence(S, T).items())
+
+    @pytest.mark.parametrize("q, n", [(2, 3), (3, 2), (5, 2), (7, 1)])
+    def test_points_pair_codes_with_the_lexicographic_points(self, q, n):
+        lanes = field.Lanes.of(q, n)
+        points = lanes.points()
+        assert list(points.values()) == [v.coords for v in sc.all_points(q, n).ordered()]
+        assert list(points) == sorted(points) == [lanes.encode(p) for p in points.values()]
+
+    def test_points_refused_above_the_cap(self):
+        with pytest.raises(EnumerationTooLarge, match=f"^q\\^n = {3**40} exceeds enumeration cap"):
+            field.Lanes.of(3, 40).points()
 
 
 class TestComplement:

@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 from decimal import Decimal
 
 import pytest
@@ -59,6 +61,81 @@ class TestEnumerate:
         assert set(listed) == brute_monomials(q, n, d)
         assert len(set(listed)) == len(listed)
         assert listed == sorted(listed, key=sc.monomial_key)
+
+
+class TestMemos:
+    """degree_counts and enumerate_monomials are built once per key and kept
+    in bounded memos of immutable values."""
+
+    def test_a_mutated_list_leaves_the_next_call_unchanged(self):
+        want = monomials_recursive(3, 4, 3)
+        first = sc.enumerate_monomials(3, 4, 3)
+        first.append((2, 2, 2, 2))
+        first[0] = (1, 1, 1, 1)
+        again = sc.enumerate_monomials(3, 4, 3)
+        assert again == want and again is not first
+
+    def test_cap_refused_before_the_memo_is_read(self, monkeypatch):
+        total = sc.count_m(3, 5, 7)
+        sc.enumerate_monomials(3, 5, 7)
+
+        class Unreadable(dict):
+            def _read(self, *args):
+                raise AssertionError("memo read")
+
+            pop = get = __getitem__ = __contains__ = _read
+
+        monkeypatch.setattr(monomials, "_MONOMIALS", Unreadable())
+        with pytest.raises(EnumerationTooLarge, match=f"^{total} monomials exceed enumeration cap {total - 1}$"):
+            sc.enumerate_monomials(3, 5, 7, cap=total - 1)
+        with pytest.raises(AssertionError, match="memo read"):
+            sc.enumerate_monomials(3, 5, 7, cap=total)
+
+    def test_memo_holds_at_most_its_cap(self, monkeypatch):
+        monkeypatch.setattr(monomials, "_MONOMIAL_MEMO_CAP", 40)
+        monkeypatch.setattr(monomials, "_MONOMIALS", {})
+        for q, n, d in [(3, 3, 2), (3, 3, 3), (2, 5, 2), (3, 3, 2), (3, 4, 8)]:
+            assert sc.enumerate_monomials(q, n, d) == monomials_recursive(q, n, d)
+            assert sum(map(len, monomials._MONOMIALS.values())) <= 40
+        # 10, 17 and 16 monomials: (2, 5, 2) evicts (3, 3, 2), which on its
+        # return evicts (3, 3, 3); (3, 4, 8)'s 81 are too many to keep
+        assert list(monomials._MONOMIALS) == [(2, 5, 2), (3, 3, 2)]
+        assert all(isinstance(m, tuple) for m in monomials._MONOMIALS.values())
+
+    def test_threads_share_the_memo(self, monkeypatch):
+        # more threads than cores on a cap that keeps evicting: every list
+        # stays exact and the memo within its cap
+        monkeypatch.setattr(monomials, "_MONOMIAL_MEMO_CAP", 40)
+        monkeypatch.setattr(monomials, "_MONOMIALS", {})
+        keys = [(3, 3, 2), (3, 3, 3), (2, 5, 2), (5, 2, 3), (2, 4, 4)]
+        want = {key: monomials_recursive(*key) for key in keys}
+        wrong = []
+
+        def work(offset):
+            for k in range(200):
+                key = keys[(k + offset) % len(keys)]
+                if sc.enumerate_monomials(*key) != want[key]:
+                    wrong.append(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+        assert sum(map(len, monomials._MONOMIALS.values())) <= 40
+
+    def test_count_table_built_once(self):
+        table = sc.degree_counts(3, 5)
+        assert sc.degree_counts(3, 5) is table
+        assert table.counts == (1, 5, 15, 30, 45, 51, 45, 30, 15, 5, 1)
+        assert monomials.degree_counts.cache_info().maxsize == monomials._COUNT_TABLES
 
 
 class TestCountM:

@@ -181,6 +181,7 @@ def test_bench_grid():
         "bound": dec.bound, "witness_sha256": hashlib.sha256(json.dumps(witnesses).encode()).hexdigest(),
     }
     assert len(row["wall_s_runs"]) == 3 and row["wall_s"] == sorted(row["wall_s_runs"])[1]
+    assert len(row["verify_s_runs"]) == 3 and row["verify_s"] == sorted(row["verify_s_runs"])[1] > 0
 
 
 def test_bench_grid_records_a_pair_over_budget():
